@@ -4,6 +4,11 @@ Given an invertible generator T on C^N, the pair is phi_n = T e_n (columns
 of T) and psi_n = (T^{-1})* e_n, with the standard coordinate basis fixed as
 the ambient orthonormal frame.  The pair is biorthogonal, <phi_n, psi_m> =
 delta_nm, and the tight frame bounds are the extreme singular values of T.
+
+One Hermitian eigendecomposition S_phi = T T* = U diag(s^2) U* per pair
+yields the singular values s of T (the frame bounds and the singularity
+test) and is kept on the pair, so that the metric square roots are built
+from it instead of from further eigensolves.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    HermitianEigen,
     LinalgError,
     adjoint,
     as_matrix,
+    hermitian_eig,
     inverse,
-    singular_extremes,
 )
 from .report import CheckResult
 from .sequences import SequenceSpec
@@ -26,10 +32,12 @@ from .sequences import SequenceSpec
 
 @dataclass(frozen=True)
 class RieszBasisPair:
-    """Generator, its inverse, both basis families, and the frame bounds.
+    """Generator, its inverse, both basis families, the frame bounds, and
+    the eigendecomposition of the metric operator S_phi = T T*.
 
     phi and psi are dim x dim matrices whose n-th columns are phi_n and
-    psi_n in ambient coordinates.
+    psi_n in ambient coordinates.  metric_eigen has eigenvalues s_k^2 > tol^2,
+    the squared singular values of T.
     """
 
     dim: int
@@ -39,6 +47,7 @@ class RieszBasisPair:
     psi: np.ndarray
     frame_lower: float
     frame_upper: float
+    metric_eigen: HermitianEigen
 
 
 def from_generator(t: np.ndarray, tol: float = DEFAULT_TOL) -> RieszBasisPair:
@@ -48,13 +57,15 @@ def from_generator(t: np.ndarray, tol: float = DEFAULT_TOL) -> RieszBasisPair:
     measured value: those are not (numerically) Riesz-basis generators.
     """
     t = as_matrix(t)
-    smin, smax = singular_extremes(t, tol)
+    metric = hermitian_eig(t @ adjoint(t), tol)
+    s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
+    smin, smax = float(s[0]), float(s[-1])
     if smin <= tol:
         raise LinalgError(
             f"generator is numerically singular (sigma_min = {smin:.6e}); "
             "not a Riesz-basis generator"
         )
-    t_inv = inverse(t, tol)
+    t_inv = inverse(t, tol, extremes=(smin, smax))
     return RieszBasisPair(
         dim=t.shape[0],
         generator=t,
@@ -63,6 +74,7 @@ def from_generator(t: np.ndarray, tol: float = DEFAULT_TOL) -> RieszBasisPair:
         psi=adjoint(t_inv),
         frame_lower=smin,
         frame_upper=smax,
+        metric_eigen=metric,
     )
 
 

@@ -9,6 +9,7 @@ producing a report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .domains import DEFAULT_N_MAX
@@ -23,9 +24,19 @@ from .suites import (
 )
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from None
+    if not math.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="residual tolerance"
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance (> 0)"
     )
     parser.add_argument(
         "--out", default=None, help="output path (default: standard output)"

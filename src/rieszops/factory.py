@@ -1,7 +1,8 @@
 """Weighted operators H and S built from a basis pair, and their identities.
 
 All operators are materialized as explicit sums of rank-one terms
-sum_n w_n (v_n w_n*): the checks downstream must exercise the defining
+sum_n w_n (v_n w_n*), evaluated from the basis columns as one matrix
+product (V diag(w)) W*: the checks downstream must exercise the defining
 formulas, so no diagonalization shortcut (such as T diag(w) T^{-1}) is used.
 """
 
@@ -17,10 +18,8 @@ from .linalg import (
     adjoint,
     frobenius,
     inner,
-    inverse,
     operator_norm,
     require_finite,
-    sqrt_psd,
 )
 from .report import CheckResult
 from .sequences import SequenceSpec, ones
@@ -28,10 +27,7 @@ from .sequences import SequenceSpec, ones
 
 def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_n weights[n] * (left_n outer conj(right_n)) over matrix columns."""
-    n = left.shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for k in range(len(weights)):
-        acc += weights[k] * np.outer(left[:, k], right[:, k].conj())
+    acc = (left * weights) @ right.conj().T
     require_finite(acc)
     return acc
 
@@ -82,16 +78,19 @@ class OperatorBundle:
     h: np.ndarray
 
 
-def build_bundle(
-    pair: RieszBasisPair, alpha: SequenceSpec, tol: float = DEFAULT_TOL
-) -> OperatorBundle:
+def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
     """Materialize H (both directions), the metric operators and their
-    principal square roots, and h = S_psi^{1/2} H S_phi^{1/2}."""
+    principal square roots, and h = S_psi^{1/2} H S_phi^{1/2}.
+
+    Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
+    S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
+    """
     unit = ones()
     s_phi = build_S_weighted(pair, unit, "phi")
     s_psi = build_S_weighted(pair, unit, "psi")
-    s_phi_sqrt = sqrt_psd(s_phi, tol)
-    s_psi_sqrt = inverse(s_phi_sqrt, tol)
+    s = np.sqrt(pair.metric_eigen.eigenvalues)
+    s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
+    s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
     h_phi_psi = build_H(pair, alpha, "phi_psi")
     return OperatorBundle(
         pair=pair,

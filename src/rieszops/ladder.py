@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RieszBasisPair
-from .factory import OperatorBundle, build_H
-from .linalg import DEFAULT_TOL, frobenius, require_finite
+from .factory import OperatorBundle, _rank_one_sum, build_H
+from .linalg import DEFAULT_TOL, frobenius
 from .report import CheckResult
 from .sequences import SequenceSpec, explicit
 
@@ -37,16 +37,9 @@ class LadderPair:
 def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
     """Lowering: sum_{n>=1} w_n (left_{n-1} outer conj(right_n));
     raising: sum_{n<=N-2} w_{n+1} (left_{n+1} outer conj(right_n))."""
-    n = left.shape[0]
-    acc = np.zeros((n, n), dtype=complex)
     if lower_shift:
-        for k in range(1, n):
-            acc += weights[k] * np.outer(left[:, k - 1], right[:, k].conj())
-    else:
-        for k in range(n - 1):
-            acc += weights[k + 1] * np.outer(left[:, k + 1], right[:, k].conj())
-    require_finite(acc)
-    return acc
+        return _rank_one_sum(weights[1:], left[:, :-1], right[:, 1:])
+    return _rank_one_sum(weights[1:], left[:, 1:], right[:, :-1])
 
 
 def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
@@ -118,11 +111,9 @@ def check_ladder_adjoints(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResu
 
 
 def _interior_projector(pair: RieszBasisPair, skip_zero: bool) -> np.ndarray:
-    start = 1 if skip_zero else 0
-    acc = np.zeros((pair.dim, pair.dim), dtype=complex)
-    for k in range(start, pair.dim - 1):
-        acc += np.outer(pair.phi[:, k], pair.psi[:, k].conj())
-    return acc
+    """sum_k phi_k outer conj(psi_k) over k = 0..N-2 (1..N-2 if skip_zero)."""
+    interior = slice(1 if skip_zero else 0, pair.dim - 1)
+    return pair.phi[:, interior] @ pair.psi[:, interior].conj().T
 
 
 def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:

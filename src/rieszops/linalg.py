@@ -1,14 +1,16 @@
-"""Self-contained dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel.
 
 Everything downstream (basis pairs, weighted frame operators, metric square
 roots, ladder operators) reduces to four primitives on small dense complex
 matrices: a Hermitian eigendecomposition, the principal PSD square root,
 inversion, and the operator (spectral) norm.
 
-The eigensolver is a cyclic complex Jacobi iteration.  No general
-non-Hermitian eigensolver exists here on purpose: spectra of the non-normal
-operators built elsewhere are always verified constructively against known
-eigenvectors, never recomputed.
+The factorizations are LAPACK's, through numpy.linalg: eigh for Hermitian
+eigendecompositions and solve for inverses; this module adds the
+preconditions (finiteness, Hermitian input, singularity) and the residual
+checks.  No general non-Hermitian eigensolver is used on purpose: spectra of
+the non-normal operators built elsewhere are always verified constructively
+against known eigenvectors, never recomputed.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ import numpy as np
 
 #: Default tolerance for all residual checks (double precision, dim <= 64).
 DEFAULT_TOL = 1e-10
-
-#: Jacobi convergence target. Tighter than DEFAULT_TOL so that downstream
-#: quantities (square roots, frame bounds) carry slack against 1e-10 checks.
-_EIG_TARGET = 1e-13
-
-_MAX_SWEEPS = 100
 
 
 class LinalgError(ValueError):
@@ -68,38 +64,32 @@ class HermitianEigen:
     """Eigendecomposition M = U diag(w) U* of a Hermitian matrix.
 
     eigenvalues are real and ascending; eigenvector columns of U are
-    orthonormal.  sweeps records the Jacobi sweep count actually used.
+    orthonormal.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sweeps: int
+
+    def with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
+        """U diag(values) U*: the matrix function sending the k-th eigenvalue
+        to values[k].  Real values give a Hermitian result, symmetrized here
+        so that it is Hermitian to the last bit."""
+        u = self.eigenvectors
+        out = (u * values) @ adjoint(u)
+        return 0.5 * (out + adjoint(out))
 
     def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ adjoint(u)
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+        return self.with_eigenvalues(self.eigenvalues)
 
 
 def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     The input must be Hermitian up to tol*||m|| and is symmetrized to
-    (m + m*)/2 before iterating; larger asymmetry is an error rather than a
-    silent repair, since it indicates a construction bug upstream.
-
-    Each (p, q) rotation is a real Jacobi rotation conjugated by the phase
-    of m[p, q], which annihilates that entry exactly.  Sweeps continue until
-    the off-diagonal Frobenius norm falls below the convergence target
-    (min(tol, 1e-13) relative), capped at 100 sweeps; exceeding the cap with
-    off-diagonal mass above tol*||m|| is a convergence failure.
+    (m + m*)/2 before it is decomposed; larger asymmetry is an error rather
+    than a silent repair, since it indicates a construction bug upstream.
     """
     m = as_matrix(m)
-    n = m.shape[0]
     scale = frobenius(m)
     asym = frobenius(m - adjoint(m))
     if asym > tol * max(scale, 1.0):
@@ -107,49 +97,11 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
             f"input is not Hermitian: ||M - M*|| = {asym:.3e} "
             f"exceeds {tol:.1e} * ||M||"
         )
-    a = 0.5 * (m + adjoint(m))
-    v = np.eye(n, dtype=complex)
-    if scale == 0.0 or n == 1:
-        lam = np.diag(a).real.copy()
-        order = np.argsort(lam, kind="stable")
-        return HermitianEigen(lam[order], v[:, order], 0)
-
-    target = min(tol, _EIG_TARGET) * scale
-    # pivots far below the convergence target contribute nothing
-    skip = 0.01 * target / n
-    sweeps = 0
-    while _off_diagonal_norm(a) > target and sweeps < _MAX_SWEEPS:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                if abs(z) <= skip:
-                    continue
-                phase = z / abs(z)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(z))
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(tau, 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # U = diag(1, conj(phase)) @ [[c, s], [-s, c]] on rows/cols (p, q)
-                u = np.array(
-                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]]
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = adjoint(u) @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ u
-        sweeps += 1
-    remaining = _off_diagonal_norm(a)
-    if remaining > tol * scale:
-        raise LinalgError(
-            f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps: "
-            f"off-diagonal norm {remaining:.3e} vs bound {tol * scale:.3e}"
-        )
-    lam = np.diag(a).real.copy()
-    order = np.argsort(lam, kind="stable")
-    return HermitianEigen(lam[order], v[:, order], sweeps)
+    try:
+        lam, u = np.linalg.eigh(0.5 * (m + adjoint(m)))
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"eigensolver did not converge: {exc}") from None
+    return HermitianEigen(lam, u)
 
 
 def sqrt_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -164,10 +116,7 @@ def sqrt_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise LinalgError(
             f"matrix is not positive semidefinite: smallest eigenvalue {lam[0]:.6e}"
         )
-    root = (eig.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))) @ adjoint(
-        eig.eigenvectors
-    )
-    root = 0.5 * (root + adjoint(root))
+    root = eig.with_eigenvalues(np.sqrt(np.clip(lam, 0.0, None)))
     require_finite(root)
     return root
 
@@ -185,30 +134,32 @@ def operator_norm(m: np.ndarray) -> float:
     return singular_extremes(m)[1]
 
 
-def inverse(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
+def inverse(
+    m: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    extremes: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """Matrix inverse by an LU solve against the identity (numpy.linalg.solve).
 
     The smallest singular value must exceed tol; numerically singular input
-    is rejected with the measured estimate.
+    is rejected with the measured estimate.  extremes, the (smallest,
+    largest) singular values of m, skips their eigensolve when the caller
+    already holds them.  The residual ||m X - I|| must stay within
+    tol * cond(m).
     """
     m = as_matrix(m)
-    smin, smax = singular_extremes(m, tol)
+    smin, smax = singular_extremes(m, tol) if extremes is None else extremes
     if smin <= tol:
         raise LinalgError(
             f"matrix is numerically singular: sigma_min = {smin:.6e} <= tol = {tol:.1e}"
         )
-    n = m.shape[0]
-    aug = np.concatenate([m.astype(complex), np.eye(n, dtype=complex)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        others = np.arange(n) != col
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    inv = aug[:, n:]
+    eye = np.eye(m.shape[0], dtype=complex)
+    try:
+        inv = np.linalg.solve(m, eye)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"matrix is numerically singular: {exc}") from None
     require_finite(inv)
-    residual = frobenius(m @ inv - np.eye(n))
+    residual = frobenius(m @ inv - eye)
     cond = smax / smin
     if residual > tol * max(cond, 1.0):
         raise LinalgError(

@@ -17,6 +17,7 @@ Closed-form kinds and their CLI spellings:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +212,17 @@ def _format_number(z) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
+def _finite(text: str, convert=complex):
+    value = convert(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite parameter '{text.strip()}'")
+    return value
+
+
 def parse_spec(text: str) -> SequenceSpec:
-    """Parse a CLI sequence spec string (see module docstring for the forms)."""
+    """Parse a CLI sequence spec string (see module docstring for the forms).
+
+    Every parameter must be a finite number."""
     text = text.strip()
     if text == "harmonic":
         return harmonic()
@@ -221,16 +231,16 @@ def parse_spec(text: str) -> SequenceSpec:
         raise ValueError(f"cannot parse sequence spec '{text}': missing ':'")
     try:
         if head == "poly":
-            return poly(float(rest))
+            return poly(_finite(rest, float))
         if head == "sqrt-poly":
-            return sqrt_poly(float(rest))
+            return sqrt_poly(_finite(rest, float))
         if head == "geometric":
-            return geometric(complex(rest))
+            return geometric(_finite(rest))
         if head == "affine":
             a, b = rest.split(",")
-            return affine(complex(a), complex(b))
+            return affine(_finite(a), _finite(b))
         if head == "list":
-            return explicit([complex(v) for v in rest.split(",")])
+            return explicit([_finite(v) for v in rest.split(",")])
     except ValueError as exc:
         raise ValueError(f"cannot parse sequence spec '{text}': {exc}") from None
     raise ValueError(f"unknown sequence spec kind '{head}'")

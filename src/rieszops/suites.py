@@ -185,7 +185,7 @@ def three_level_report(
 
     pair = basis.from_generator(model.T, tol)
     alpha = sequences.explicit(model.eps)
-    bundle = factory.build_bundle(pair, alpha, tol)
+    bundle = factory.build_bundle(pair, alpha)
 
     report.add(_entrywise("three_level_H", bundle.H_phi_psi, model.H, tol))
     report.add(_entrywise("three_level_psi", pair.psi, np.column_stack(model.psi), tol))
@@ -320,7 +320,7 @@ def projection_report(
     model = models.projection_model(dim, coeffs, alpha, tol)
 
     pair = basis.from_generator(model.T, tol)
-    bundle = factory.build_bundle(pair, alpha, tol)
+    bundle = factory.build_bundle(pair, alpha)
 
     report.add(
         _entrywise(
@@ -418,7 +418,7 @@ def random_report(
     )
     rng = np.random.default_rng(seed)
     pair = basis.from_generator(_random_generator(rng, dim), tol)
-    bundle = factory.build_bundle(pair, alpha, tol)
+    bundle = factory.build_bundle(pair, alpha)
     _common_bundle_checks(report, bundle, rng, tol)
     _ladder_checks(report, bundle, gamma, rng, tol)
     return report
@@ -501,7 +501,7 @@ CHECK_REGISTRY = {
     "three_level_Phi": similarity.transported_eigenbasis,
     "norm_T": linalg.operator_norm,
     "norm_T_inv": linalg.inverse,
-    "sqrt_vs_generator": linalg.sqrt_psd,
+    "sqrt_vs_generator": factory.build_bundle,
     "printed_ladder_matrices": models.three_level_ladder_closed_forms,
     "hat_spectrum": models.three_level_hat_spectrum,
     "ladder_adjoint_actions": ladder.check_ladder_adjoints,

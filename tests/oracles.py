@@ -1,7 +1,9 @@
-"""Independent brute-force oracles for the rank-one-sum operators.
+"""Independent brute-force oracles for the rank-one-sum operators and the
+Hermitian eigensolver.
 
 Everything here is written as literal scalar loops over the defining sums,
-deliberately sharing no code path with the library's constructions.
+or as a cyclic Jacobi iteration, deliberately sharing no code path with the
+library's constructions (which use BLAS products and LAPACK).
 """
 
 import numpy as np
@@ -58,3 +60,58 @@ def literal_raising(pair, weights, direction):
     shifted_left = [v[n + 1] for n in range(pair.dim - 1)]
     shifted_right = [w[n] for n in range(pair.dim - 1)]
     return literal_rank_one_sum(weights[1:], shifted_left, shifted_right)
+
+
+def jacobi_eigh(m, target=1e-13, max_sweeps=100):
+    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+
+    Returns (eigenvalues ascending, eigenvector columns).  Each (p, q)
+    rotation is a real Jacobi rotation conjugated by the phase of a[p, q],
+    which annihilates that entry exactly.  Sweeps continue until the
+    off-diagonal Frobenius norm falls below target * ||m||_F.
+    """
+    m = np.asarray(m, dtype=complex)
+    a = 0.5 * (m + m.conj().T)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    bound = target * np.linalg.norm(a)
+    skip = 0.01 * bound / n  # pivots this small contribute nothing
+
+    def off(x):
+        return np.linalg.norm(x - np.diag(np.diag(x)))
+
+    sweeps = 0
+    while off(a) > bound and sweeps < max_sweeps:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                z = a[p, q]
+                if abs(z) <= skip:
+                    continue
+                phase = z / abs(z)
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(z))
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(tau, 1.0))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                u = np.array(
+                    [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]]
+                )
+                a[:, [p, q]] = a[:, [p, q]] @ u
+                a[[p, q], :] = u.conj().T @ a[[p, q], :]
+                a[p, q] = a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                v[:, [p, q]] = v[:, [p, q]] @ u
+        sweeps += 1
+    if off(a) > bound:
+        raise RuntimeError(f"Jacobi oracle did not converge in {max_sweeps} sweeps")
+    lam = np.diag(a).real.copy()
+    order = np.argsort(lam, kind="stable")
+    return lam[order], v[:, order]
+
+
+def jacobi_metric_roots(generator):
+    """(S_phi^{1/2}, S_psi^{1/2}) of S_phi = T T* from the Jacobi oracle."""
+    t = np.asarray(generator, dtype=complex)
+    lam, u = jacobi_eigh(t @ t.conj().T)
+    s = np.sqrt(lam)
+    return (u * s) @ u.conj().T, (u / s) @ u.conj().T

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_generator_matrix
+from oracles import jacobi_eigh, jacobi_metric_roots
+from rieszops import build_bundle, from_generator, ones
 from rieszops.linalg import (
     LinalgError,
     hermitian_eig,
@@ -176,3 +179,24 @@ def test_inner_product_is_linear_in_first_argument():
     direct = sum(fi * complex(gi).conjugate() for fi, gi in zip(f, g))
     assert abs(inner(f, g) - direct) <= 1e-15
     assert abs(inner(2j * f, g) - 2j * inner(f, g)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+def test_lapack_kernel_matches_jacobi_oracle(dim):
+    """Eigenvalues and both metric roots against the cyclic Jacobi oracle.
+
+    The oracle stops at off-diagonal mass 1e-13 ||M||_F, which by Weyl moves
+    each eigenvalue by at most that much; 1e-12 leaves room for LAPACK's own
+    backward error.  The roots carry cond(T T*) on top, hence 1e-10.
+    """
+    rng = np.random.default_rng(dim)
+    m = random_hermitian(rng, dim)
+    lam, _ = jacobi_eigh(m)
+    assert np.abs(hermitian_eig(m).eigenvalues - lam).max() <= 1e-12 * np.linalg.norm(m)
+
+    t = random_generator_matrix(rng, dim)
+    bundle = build_bundle(from_generator(t), ones())
+    for got, want in zip(
+        (bundle.S_phi_sqrt, bundle.S_psi_sqrt), jacobi_metric_roots(t)
+    ):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

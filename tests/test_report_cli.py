@@ -155,6 +155,23 @@ class TestCli:
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0", "abc"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "three-level", "--t", "0.3", "--tol", tol])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_non_finite_spec_parameter_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["domain", "--alpha", "poly:1", "--coeff", "geometric:nan"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_out_of_range_parameter_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "three-level", "--t", "7.0"])

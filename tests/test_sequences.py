@@ -124,6 +124,22 @@ def test_parse_spec_rejects_garbage(text):
         parse_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poly:inf",
+        "sqrt-poly:nan",
+        "geometric:nan",
+        "geometric:1+infj",
+        "affine:1,-inf",
+        "list:1,nan,2",
+    ],
+)
+def test_parse_spec_rejects_non_finite_parameters(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_spec(text)
+
+
 def test_labels_are_canonical():
     assert parse_spec("poly:1").label == "poly:1"
     assert parse_spec("harmonic").label == "harmonic"

@@ -74,6 +74,13 @@ class TestSelfadjointH:
         bundle = build_bundle(pair, explicit([0.0, 1.0, 2.0]))
         assert check_selfadjoint_h(bundle).residual <= 1e-14
 
+    @pytest.mark.parametrize("dim", [16, 32, 64])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relative_asymmetry_of_h_for_poly_2(self, dim, seed):
+        # the random suite's generator for this seed; ||h|| grows like dim^2
+        h = build_bundle(random_pair(dim, seed), poly(2.0)).h
+        assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
+
 
 class TestTransportedEigenbasis:
     def test_three_level_closed_forms(self):
