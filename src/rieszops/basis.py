@@ -22,6 +22,7 @@ from .linalg import (
     HermitianEigen,
     LinalgError,
     adjoint,
+    as_columns,
     as_matrix,
     hermitian_eig,
     inverse,
@@ -93,31 +94,34 @@ def verify_biorthogonality(
 
 
 def expand(pair: RieszBasisPair, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient families of f.
+    """Both coefficient families of f, a vector (dim,) or a column block
+    (dim, k) of vectors.
 
-    Returns (coeff_psi, coeff_phi) with coeff_psi[n] = <f, psi_n> (so that
-    f = sum coeff_psi[n] phi_n) and coeff_phi[n] = <f, phi_n> (so that
-    f = sum coeff_phi[n] psi_n).
+    Returns (coeff_psi, coeff_phi), shaped like f, with coeff_psi[n] =
+    <f, psi_n> (so that f = sum coeff_psi[n] phi_n) and coeff_phi[n] =
+    <f, phi_n> (so that f = sum coeff_phi[n] psi_n).
     """
     f = np.asarray(f, dtype=complex)
-    if f.shape != (pair.dim,):
-        raise ValueError(f"vector has shape {f.shape}, expected ({pair.dim},)")
+    if f.ndim not in (1, 2) or f.shape[0] != pair.dim:
+        raise ValueError(
+            f"vector has shape {f.shape}, expected ({pair.dim},) or ({pair.dim}, k)"
+        )
     coeff_psi = adjoint(pair.psi) @ f
     coeff_phi = adjoint(pair.phi) @ f
     return coeff_psi, coeff_phi
 
 
 def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> float:
-    """Worse of the two reconstruction residuals, relative to ||f||."""
-    f = np.asarray(f, dtype=complex)
+    """Worse of the two reconstruction residuals, relative to ||f||; for a
+    column block, the worst column."""
+    f = as_columns(f)
     coeff_psi, coeff_phi = expand(pair, f)
-    via_phi = pair.phi @ coeff_psi
-    via_psi = pair.psi @ coeff_phi
-    scale = max(float(np.linalg.norm(f)), 1e-300)
-    return max(
-        float(np.linalg.norm(via_phi - f)),
-        float(np.linalg.norm(via_psi - f)),
-    ) / scale
+    scale = np.maximum(np.linalg.norm(f, axis=0), 1e-300)
+    residuals = np.maximum(
+        np.linalg.norm(pair.phi @ coeff_psi - f, axis=0),
+        np.linalg.norm(pair.psi @ coeff_phi - f, axis=0),
+    )
+    return float((residuals / scale).max())
 
 
 def frame_inequality_check(
@@ -130,21 +134,22 @@ def frame_inequality_check(
 
     Verifies  gamma_1^2 S <= ||sum_k alpha_k <f,psi_k> phi_k||^2 <= gamma_2^2 S
     with S = sum_k |alpha_k <f,psi_k>|^2, each side with slack tol (scaled by
-    the magnitude of the upper bound).
+    the magnitude of the upper bound).  For a column block of vectors the
+    result and its note are those of the worst column.
     """
-    f = np.asarray(f, dtype=complex)
+    f = as_columns(f)
     weights = alpha.terms(pair.dim)
     coeff_psi, _ = expand(pair, f)
-    weighted = weights * coeff_psi
-    coeff_mass = float(np.sum(np.abs(weighted) ** 2))
-    mid = float(np.linalg.norm(pair.phi @ weighted) ** 2)
+    weighted = weights[:, None] * coeff_psi
+    coeff_mass = np.sum(np.abs(weighted) ** 2, axis=0)
+    mid = np.linalg.norm(pair.phi @ weighted, axis=0) ** 2
     lower = pair.frame_lower**2 * coeff_mass
     upper = pair.frame_upper**2 * coeff_mass
-    scale = max(1.0, upper)
-    violation = max(lower - mid, mid - upper) / scale
+    violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
+    k = int(np.argmax(violation))  # the first NaN column, if any
     return CheckResult.from_residual(
         "frame_inequality",
-        max(violation, 0.0),
+        max(float(violation[k]), 0.0),  # NaN stays NaN
         tol,
-        note=f"lower {lower:.6e} <= mid {mid:.6e} <= upper {upper:.6e}",
+        note=f"lower {lower[k]:.6e} <= mid {mid[k]:.6e} <= upper {upper[k]:.6e}",
     )

@@ -9,6 +9,7 @@ producing a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -44,7 +45,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="rieszops",
         description=(

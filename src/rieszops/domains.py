@@ -58,10 +58,6 @@ class DomainWeights:
             return np.exp(self.log_abs_terms(count))
 
 
-def _log_weight_terms(weights, count: int) -> np.ndarray:
-    return weights.log_abs_terms(count)
-
-
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
@@ -72,7 +68,7 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     """
     if n_max < 64:
         raise ValueError(f"n_max must be >= 64, got {n_max}")
-    log_terms = _log_weight_terms(weights, n_max) + _log_weight_terms(coeffs, n_max)
+    log_terms = weights.log_abs_terms(n_max) + coeffs.log_abs_terms(n_max)
     with np.errstate(over="ignore"):
         terms = np.exp(2.0 * log_terms)
         partial = float(terms.sum())
@@ -146,8 +142,8 @@ def domain_inclusion(wa, wb, n_max: int = DEFAULT_N_MAX) -> bool:
     1% slack.  True means established; False means not established (never a
     proof of non-inclusion).
     """
-    log_a = _log_weight_terms(wa, n_max)
-    log_b = _log_weight_terms(wb, n_max)
+    log_a = wa.log_abs_terms(n_max)
+    log_b = wb.log_abs_terms(n_max)
     with np.errstate(invalid="ignore"):
         log_ratio = log_b - log_a
     # 0/0 positions impose no constraint on C

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import RieszBasisPair
 from .factory import OperatorBundle, _rank_one_sum, build_H
-from .linalg import DEFAULT_TOL, frobenius
+from .linalg import DEFAULT_TOL, frobenius, worst_column_norm
 from .report import CheckResult
 from .sequences import SequenceSpec, explicit
 
@@ -63,32 +63,30 @@ def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
     )
 
 
+def shift_action_residual(
+    lower: np.ndarray, upper: np.ndarray, cols: np.ndarray, g: np.ndarray
+) -> float:
+    """Worst column residual of the shift actions on the columns c_n:
+
+        lower c_0 = 0,  lower c_n = g_n c_{n-1};
+        upper c_n = g_{n+1} c_{n+1} for n <= N-2,  upper c_{N-1} = 0.
+    """
+    shifted_down = np.zeros_like(cols)
+    shifted_down[:, 1:] = cols[:, :-1] * g[1:]
+    shifted_up = np.zeros_like(cols)
+    shifted_up[:, :-1] = cols[:, 1:] * g[1:]
+    return worst_column_norm(
+        np.hstack([lower @ cols - shifted_down, upper @ cols - shifted_up])
+    )
+
+
 def check_ladder_actions(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """A phi_0 = 0, A phi_n = gamma_n phi_{n-1}; B phi_n = gamma_{n+1} phi_{n+1}
     for n <= N-2 and B phi_{N-1} = 0 (dropped term at truncation)."""
     pair = lp.pair
-    g = lp.gamma.terms(pair.dim)
-    n = pair.dim
-    worst = float(np.linalg.norm(lp.A_phi_psi @ pair.phi[:, 0]))
-    for k in range(1, n):
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(
-                    lp.A_phi_psi @ pair.phi[:, k] - g[k] * pair.phi[:, k - 1]
-                )
-            ),
-        )
-    for k in range(n - 1):
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(
-                    lp.B_phi_psi @ pair.phi[:, k] - g[k + 1] * pair.phi[:, k + 1]
-                )
-            ),
-        )
-    worst = max(worst, float(np.linalg.norm(lp.B_phi_psi @ pair.phi[:, n - 1])))
+    worst = shift_action_residual(
+        lp.A_phi_psi, lp.B_phi_psi, pair.phi, lp.gamma.terms(pair.dim)
+    )
     return CheckResult.from_residual(
         "ladder_actions", worst, tol, note="A and B shift actions on phi_n"
     )
@@ -129,21 +127,12 @@ def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     ba = lp.B_phi_psi @ lp.A_phi_psi
     ab = lp.A_phi_psi @ lp.B_phi_psi
     skip_zero = bool(lp.gamma0_warning)
-    worst = 0.0
-    for k in lp.interior:
-        if not (skip_zero and k == 0):
-            worst = max(
-                worst,
-                float(
-                    np.linalg.norm(ba @ pair.phi[:, k] - g[k] ** 2 * pair.phi[:, k])
-                ),
-            )
-        worst = max(
-            worst,
-            float(
-                np.linalg.norm(ab @ pair.phi[:, k] - g[k + 1] ** 2 * pair.phi[:, k])
-            ),
-        )
+    ks = np.array(lp.interior, dtype=int)
+    ks_ba = ks[ks != 0] if skip_zero else ks
+    cols_ba, cols_ab = pair.phi[:, ks_ba], pair.phi[:, ks]
+    r_ba = ba @ cols_ba - cols_ba * g[ks_ba] ** 2
+    r_ab = ab @ cols_ab - cols_ab * g[ks + 1] ** 2
+    worst = worst_column_norm(np.hstack([r_ba, r_ab]))
     notes = [f"action residuals on interior 0..{pair.dim - 2}: {worst:.3e}"]
     if lp.gamma.abs_monotone:
         proj = _interior_projector(pair, skip_zero)

@@ -37,8 +37,15 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
+def as_columns(f) -> np.ndarray:
+    """A complex vector (dim,) as a one-column block (dim, 1); a block
+    (dim, k) of vectors unchanged."""
+    f = np.asarray(f, dtype=complex)
+    return f[:, None] if f.ndim == 1 else f
+
+
 def require_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # complex entries: both parts finite
         raise LinalgError("matrix contains non-finite entries")
 
 
@@ -53,6 +60,11 @@ def inner(f: np.ndarray, g: np.ndarray) -> complex:
 
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
+
+
+def worst_column_norm(m: np.ndarray) -> float:
+    """Largest Euclidean column norm of m, 0 without columns; NaN propagates."""
+    return float(np.linalg.norm(m, axis=0).max(initial=0.0))
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import from_generator
 from .ladder import build_ladder
-from .linalg import DEFAULT_TOL, adjoint
+from .linalg import DEFAULT_TOL, adjoint, worst_column_norm
 from .report import CheckResult
 from .sequences import SequenceSpec, explicit
 
@@ -203,16 +203,11 @@ def three_level_hat_spectrum(
         B = lp.B_phi_psi if B is None else B
     eps_tilde = (model.eps[1], model.eps[2], 0.0)
     hat = A @ B
-    hat_adj = adjoint(hat)
-    worst = 0.0
-    for n in range(3):
-        worst = max(
-            worst,
-            float(np.linalg.norm(hat @ model.phi[n] - eps_tilde[n] * model.phi[n])),
-            float(
-                np.linalg.norm(hat_adj @ model.psi[n] - eps_tilde[n] * model.psi[n])
-            ),
-        )
+    phi, psi = np.column_stack(model.phi), np.column_stack(model.psi)
+    eigenvalues = np.array(eps_tilde)
+    r_phi = hat @ phi - phi * eigenvalues
+    r_psi = adjoint(hat) @ psi - psi * eigenvalues
+    worst = worst_column_norm(np.hstack([r_phi, r_psi]))
     check = CheckResult.from_residual(
         "hat_spectrum",
         worst,
@@ -242,10 +237,6 @@ class ProjectionModel:
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
     alpha: SequenceSpec
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
 
     def h_domain_weights(self) -> SequenceSpec:
         """Weights of the domain predicate shared by h and H for this model.
@@ -335,11 +326,9 @@ def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:
     weights = model.alpha.terms(model.dim)
     phi, psi = projection_phi_psi_closed_forms(model)
     eye = np.eye(model.dim, dtype=complex)
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    inside = set(model.support)
-    for k in range(model.dim):
-        if k in inside:
-            acc += weights[k] * np.outer(phi[:, k], psi[:, k].conj())
-        else:
-            acc += weights[k] * np.outer(eye[:, k], eye[:, k].conj())
-    return acc
+    # column k of each factor: phi_k, psi_k on the support, e_k off it
+    inside = np.zeros(model.dim, dtype=bool)
+    inside[list(model.support)] = True
+    left = np.where(inside, phi, eye)
+    right = np.where(inside, psi, eye)
+    return (left * weights) @ right.conj().T

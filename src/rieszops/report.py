@@ -52,9 +52,6 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
     @property
     def summary(self) -> dict:
         passed = sum(1 for c in self.checks if c.passed)

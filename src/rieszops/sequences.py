@@ -66,7 +66,20 @@ class SequenceSpec:
                 f"sequence '{self.label or self.kind}' emits only "
                 f"{self.length} terms, {count} requested"
             )
-        return np.array([self.term(n) for n in range(count)], dtype=complex)
+        if self.kind == "list":
+            return np.array(self.values[:count], dtype=complex)
+        n = np.arange(count, dtype=float)
+        if self.kind == "poly":
+            base = np.zeros(count)
+            base[1:] = n[1:] ** self.power  # 0 is never raised to the power
+            if count and self.power == 0.0:
+                base[0] = 1.0
+            return self.scale * base
+        if self.kind == "geometric":
+            return self.scale * self.ratio**n
+        if self.kind == "affine":
+            return self.slope * n + self.offset
+        raise ValueError(f"unknown sequence kind '{self.kind}'")
 
     def log_abs_terms(self, count: int) -> np.ndarray:
         """log |s_n| for n < count, with -inf marking exact zeros.

@@ -1,7 +1,30 @@
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rieszops
 from rieszops import basis, build_bundle, explicit
+
+#: the directory holding the rieszops package under test
+PACKAGE_ROOT = str(Path(rieszops.__file__).resolve().parents[1])
+
+
+def cli_command(*args):
+    """`python -m rieszops.cli ARGS` for a fresh interpreter."""
+    return [sys.executable, "-m", "rieszops.cli", *args]
+
+
+def cli_env():
+    """Environment in which a fresh interpreter imports the package under
+    test, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def random_generator_matrix(rng, dim):

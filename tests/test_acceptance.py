@@ -5,12 +5,11 @@ does not meet its contract.
 """
 
 import subprocess
-import sys
 import time
 
 import numpy as np
 
-from conftest import random_generator_matrix, random_vector
+from conftest import cli_command, cli_env, random_generator_matrix, random_vector
 from oracles import literal_H, literal_lowering, literal_raising, literal_S
 from rieszops import (
     build_bundle,
@@ -272,19 +271,9 @@ def test_criterion_7_domain_diagnostics():
 
 
 def test_criterion_8_byte_identical_reports():
-    command = [
-        sys.executable,
-        "-m",
-        "rieszops.cli",
-        "verify",
-        "random",
-        "--dim",
-        "16",
-        "--seed",
-        "42",
-    ]
-    first = subprocess.run(command, capture_output=True, check=False)
-    second = subprocess.run(command, capture_output=True, check=False)
+    command = cli_command("verify", "random", "--dim", "16", "--seed", "42")
+    first = subprocess.run(command, capture_output=True, check=False, env=cli_env())
+    second = subprocess.run(command, capture_output=True, check=False, env=cli_env())
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0

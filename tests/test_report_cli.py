@@ -1,9 +1,11 @@
 import json
+import subprocess
 
 import numpy as np
 import pytest
 
-from rieszops.cli import main
+from conftest import cli_command, cli_env
+from rieszops.cli import build_parser, main
 from rieszops.report import CheckResult, VerificationReport, render_json
 from rieszops.suites import CHECK_REGISTRY, run_verify, sweep_projection, sweep_three_level
 
@@ -228,3 +230,39 @@ class TestCli:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+class TestSharedParser:
+    """One process, one parser: every command run after others must write
+    the bytes that a fresh interpreter writes for it."""
+
+    COMMANDS = (
+        ("verify", "three-level", "--t", "0.4", "--seed", "3"),
+        ("sweep", "projection", "--dim", "6", "--n-min", "2", "--n-max", "4"),
+        ("domain", "--alpha", "poly:1", "--coeff", "geometric:0.5"),
+        ("verify", "random", "--dim", "16", "--seed", "42"),
+    )
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_fresh_interpreters(self, tmp_path):
+        shared = [tmp_path / f"shared{i}.json" for i in range(len(self.COMMANDS))]
+        for args, out in zip(self.COMMANDS[:3], shared):
+            assert main([*args, "--out", str(out)]) == 0
+        usage_out = tmp_path / "usage.json"
+        with pytest.raises(SystemExit) as usage:
+            main(["verify", "random", "--tol", "nan", "--out", str(usage_out)])
+        assert usage.value.code == 2 and not usage_out.exists()
+        assert main([*self.COMMANDS[3], "--out", str(shared[3])]) == 0
+
+        for args, out in zip(self.COMMANDS, shared):
+            fresh = tmp_path / "fresh.json"
+            done = subprocess.run(
+                cli_command(*args, "--out", str(fresh)),
+                capture_output=True,
+                check=False,
+                env=cli_env(),
+            )
+            assert done.returncode == 0, done.stderr
+            assert out.read_bytes() == fresh.read_bytes(), args

@@ -37,6 +37,44 @@ def test_affine_terms():
     np.testing.assert_allclose(affine(2.0, 1.0).terms(3), [1, 3, 5])
 
 
+_TERM_SPECS = (
+    "poly:0",
+    "poly:2",
+    "harmonic",
+    "sqrt-poly:1",
+    "geometric:1.05",
+    "geometric:0.9+0.2j",
+    "affine:-1,3",
+    "list:" + ",".join(str(v) for v in (np.arange(64) * (0.5 - 0.25j) - 3)),
+)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("text", _TERM_SPECS)
+@pytest.mark.parametrize("count", [0, 1, 3, 64])
+def test_terms_match_term_by_term(text, conjugate, count):
+    spec = parse_spec(text)
+    spec = spec.conjugate() if conjugate else spec
+    got = spec.terms(count)
+    want = np.array([spec.term(k) for k in range(count)], dtype=complex)
+    assert got.dtype == np.complex128 and got.shape == (count,)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_terms_of_limited_list_reject_one_past_the_end():
+    spec = parse_spec("list:1,2j,3")
+    assert spec.terms(3).shape == (3,)
+    for limited in (spec, spec.conjugate()):
+        with pytest.raises(ValueError, match="emits only"):
+            limited.terms(limited.length + 1)
+
+
+def test_poly_terms_never_raise_zero_to_a_negative_power():
+    with np.errstate(divide="raise", invalid="raise"):
+        assert harmonic().terms(3)[0] == 0.0
+        assert poly(-2.5).terms(1)[0] == 0.0
+
+
 def test_explicit_length_enforced():
     spec = explicit([1.0, 2.0])
     assert spec.length == 2
