@@ -76,7 +76,6 @@ from .sequences import (
 )
 from .similarity import (
     SInnerProduct,
-    build_h,
     check_selfadjoint_h,
     check_similarity_consistency,
     check_transported_eigenbasis,
@@ -87,8 +86,6 @@ from .suites import (
     CHECK_REGISTRY,
     projection_report,
     random_report,
-    run_domain,
-    run_verify,
     sweep_projection,
     sweep_three_level,
     three_level_report,

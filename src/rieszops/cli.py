@@ -3,7 +3,7 @@
 Reports are JSON-shaped, deterministic for identical parameters (seed
 included), and written to stdout or --out.  Exit status is 0 only when
 every check in every emitted report passed; usage errors exit 2 without
-producing a report.
+producing a report, and so does an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,15 +13,16 @@ import functools
 import math
 import sys
 
-from .domains import DEFAULT_N_MAX
+from .domains import DEFAULT_N_MAX, summability_verdict
 from .linalg import DEFAULT_TOL
 from .report import render_json, render_reports
 from .sequences import parse_spec
 from .suites import (
-    run_domain,
-    run_verify,
+    projection_report,
+    random_report,
     sweep_projection,
     sweep_three_level,
+    three_level_report,
 )
 
 
@@ -117,23 +118,19 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             if args.suite == "three-level":
-                report = run_verify(
-                    "three-level", t=args.t, seed=args.seed, tol=args.tol
-                )
+                report = three_level_report(args.t, seed=args.seed, tol=args.tol)
             elif args.suite == "projection":
-                report = run_verify(
-                    "projection",
-                    dim=args.dim,
-                    n=args.n,
+                report = projection_report(
+                    args.dim,
+                    args.n,
                     seed=args.seed,
                     alpha=parse_spec(args.alpha),
                     gamma=parse_spec(args.gamma),
                     tol=args.tol,
                 )
             else:
-                report = run_verify(
-                    "random",
-                    dim=args.dim,
+                report = random_report(
+                    args.dim,
                     seed=args.seed,
                     alpha=parse_spec(args.alpha),
                     gamma=parse_spec(args.gamma),
@@ -160,7 +157,7 @@ def main(argv=None) -> int:
             return 0 if all(r.all_passed for r in reports) else 1
 
         # domain
-        verdict = run_domain(
+        verdict = summability_verdict(
             parse_spec(args.alpha), parse_spec(args.coeff), args.n_max
         )
         doc = {
@@ -174,7 +171,7 @@ def main(argv=None) -> int:
         doc.update(verdict.to_dict())
         _emit(render_json(doc), args.out)
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"rieszops: error: {exc}\n")
     return 2  # unreachable; parser.exit raises SystemExit
 

@@ -65,7 +65,8 @@ def build_S_weighted(
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Every operator attached to one (basis pair, alpha) instance."""
+    """Every operator attached to one (basis pair, alpha) instance, each
+    built once: the checks read these fields and build none of their own."""
 
     pair: RieszBasisPair
     alpha: SequenceSpec
@@ -76,18 +77,25 @@ class OperatorBundle:
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
     h: np.ndarray
+    #: S^alpha on both sides
+    S_alpha_phi: np.ndarray
+    S_alpha_psi: np.ndarray
+    #: the conj(alpha) operators the adjoint identities compare against
+    H_conj_psi_phi: np.ndarray
+    S_conj_phi: np.ndarray
+    S_conj_psi: np.ndarray
 
 
 def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
     """Materialize H (both directions), the metric operators and their
-    principal square roots, and h = S_psi^{1/2} H S_phi^{1/2}.
+    principal square roots, h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both
+    sides, and the conj(alpha) operators H_{psi,phi} and S on both sides.
 
     Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
     S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
     unit = ones()
-    s_phi = build_S_weighted(pair, unit, "phi")
-    s_psi = build_S_weighted(pair, unit, "psi")
+    conj = alpha.conjugate()
     s = np.sqrt(pair.metric_eigen.eigenvalues)
     s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
     s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
@@ -97,15 +105,20 @@ def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
         alpha=alpha,
         H_phi_psi=h_phi_psi,
         H_psi_phi=build_H(pair, alpha, "psi_phi"),
-        S_phi=s_phi,
-        S_psi=s_psi,
+        S_phi=build_S_weighted(pair, unit, "phi"),
+        S_psi=build_S_weighted(pair, unit, "psi"),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
+        S_alpha_phi=build_S_weighted(pair, alpha, "phi"),
+        S_alpha_psi=build_S_weighted(pair, alpha, "psi"),
+        H_conj_psi_phi=build_H(pair, conj, "psi_phi"),
+        S_conj_phi=build_S_weighted(pair, conj, "phi"),
+        S_conj_psi=build_S_weighted(pair, conj, "psi"),
     )
 
 
-def eigen_action_residual(
+def _eigen_action_residual(
     pair: RieszBasisPair,
     alpha: SequenceSpec,
     matrix: np.ndarray,
@@ -122,31 +135,20 @@ def check_eigen_action(
 ) -> CheckResult:
     """H_{phi,psi} phi_k = alpha_k phi_k and H_{psi,phi} psi_k = alpha_k psi_k."""
     residual = max(
-        eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_phi_psi, "phi"),
-        eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_psi_phi, "psi"),
+        _eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_phi_psi, "phi"),
+        _eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_psi_phi, "psi"),
     )
     return CheckResult.from_residual(
         "eigen_action", residual, tol, note="H phi_k = alpha_k phi_k, both directions"
     )
 
 
-def check_adjoint_pair(
-    pair: RieszBasisPair, alpha: SequenceSpec, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def check_adjoint_pair(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
     """(H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}, and the weighted-S
     analogue (S^beta)* = S^conj(beta) on both sides, with beta = alpha."""
-    conj = alpha.conjugate()
-    r_h = frobenius(
-        adjoint(build_H(pair, alpha, "phi_psi")) - build_H(pair, conj, "psi_phi")
-    )
-    r_s_phi = frobenius(
-        adjoint(build_S_weighted(pair, alpha, "phi"))
-        - build_S_weighted(pair, conj, "phi")
-    )
-    r_s_psi = frobenius(
-        adjoint(build_S_weighted(pair, alpha, "psi"))
-        - build_S_weighted(pair, conj, "psi")
-    )
+    r_h = frobenius(adjoint(bundle.H_phi_psi) - bundle.H_conj_psi_phi)
+    r_s_phi = frobenius(adjoint(bundle.S_alpha_phi) - bundle.S_conj_phi)
+    r_s_psi = frobenius(adjoint(bundle.S_alpha_psi) - bundle.S_conj_psi)
     residual = max(r_h, r_s_phi, r_s_psi)
     return CheckResult.from_residual(
         "adjoint_pair",
@@ -157,18 +159,18 @@ def check_adjoint_pair(
 
 
 def check_weighted_action(
-    pair: RieszBasisPair, beta: SequenceSpec, tol: float = DEFAULT_TOL
+    bundle: OperatorBundle, tol: float = DEFAULT_TOL
 ) -> CheckResult:
-    """S^beta_phi psi_k = beta_k phi_k and S^beta_psi phi_k = beta_k psi_k.
+    """S^beta_phi psi_k = beta_k phi_k and S^beta_psi phi_k = beta_k psi_k,
+    with beta = alpha.
 
     The second identity is the corrected reading of the weighted-action pair:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
-    weights = beta.terms(pair.dim)
-    s_phi = build_S_weighted(pair, beta, "phi")
-    s_psi = build_S_weighted(pair, beta, "psi")
-    r1 = float(np.abs(s_phi @ pair.psi - pair.phi * weights).max())
-    r2 = float(np.abs(s_psi @ pair.phi - pair.psi * weights).max())
+    pair = bundle.pair
+    weights = bundle.alpha.terms(pair.dim)
+    r1 = float(np.abs(bundle.S_alpha_phi @ pair.psi - pair.phi * weights).max())
+    r2 = float(np.abs(bundle.S_alpha_psi @ pair.phi - pair.psi * weights).max())
     return CheckResult.from_residual(
         "weighted_action",
         max(r1, r2),
@@ -205,16 +207,13 @@ def check_intertwining(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> Chec
         S_psi H_{phi,psi} = H_{psi,phi} S_psi = S^alpha_psi
         S_phi H_{psi,phi} = H_{phi,psi} S_phi = S^alpha_phi
     """
-    pair, alpha = bundle.pair, bundle.alpha
-    s_alpha_psi = build_S_weighted(pair, alpha, "psi")
-    s_alpha_phi = build_S_weighted(pair, alpha, "phi")
     lhs_psi = bundle.S_psi @ bundle.H_phi_psi
     lhs_phi = bundle.S_phi @ bundle.H_psi_phi
     residuals = (
         frobenius(lhs_psi - bundle.H_psi_phi @ bundle.S_psi),
-        frobenius(lhs_psi - s_alpha_psi),
+        frobenius(lhs_psi - bundle.S_alpha_psi),
         frobenius(lhs_phi - bundle.H_phi_psi @ bundle.S_phi),
-        frobenius(lhs_phi - s_alpha_phi),
+        frobenius(lhs_phi - bundle.S_alpha_phi),
     )
     return CheckResult.from_residual(
         "intertwining",

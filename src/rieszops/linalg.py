@@ -67,10 +67,6 @@ def worst_column_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, axis=0).max(initial=0.0))
 
 
-def max_abs(m: np.ndarray) -> float:
-    return float(np.abs(m).max())
-
-
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigendecomposition M = U diag(w) U* of a Hermitian matrix.

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import from_generator
-from .ladder import build_ladder
 from .linalg import DEFAULT_TOL, adjoint, worst_column_norm
 from .report import CheckResult
 from .sequences import SequenceSpec, explicit
@@ -185,22 +183,15 @@ def three_level_ladder_closed_forms(
 
 def three_level_hat_spectrum(
     model: ThreeLevelModel,
-    A: np.ndarray | None = None,
-    B: np.ndarray | None = None,
+    A: np.ndarray,
+    B: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> tuple[tuple[float, float, float], CheckResult]:
     """Relabeled spectrum of AB: phi_n are eigenvectors with eigenvalues
     (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with the same list.
-
-    A and B default to the generic ladder construction from the model's
-    generator and factorization weights.
     """
     if not model.admissible:
         raise ValueError("hat spectrum is defined on the admissible interval")
-    if A is None or B is None:
-        lp = build_ladder(from_generator(model.T, tol), model.gamma)
-        A = lp.A_phi_psi if A is None else A
-        B = lp.B_phi_psi if B is None else B
     eps_tilde = (model.eps[1], model.eps[2], 0.0)
     hat = A @ B
     phi, psi = np.column_stack(model.phi), np.column_stack(model.psi)

@@ -8,6 +8,7 @@ insertion order of the dicts that build the document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 
 @dataclass
@@ -110,7 +111,9 @@ def render_json(value, indent: int = 0) -> str:
             return "-Infinity"
         return format(value, ".17g")
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        # what json.dumps(value, ensure_ascii=False) returns, without the
+        # encoder set-up json.dumps repeats per call (~2 us per string)
+        return encode_basestring(value)
     if value is None:
         return "null"
     raise TypeError(f"cannot render {type(value).__name__} in a report")

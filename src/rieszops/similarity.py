@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factory import OperatorBundle, build_H
+from .factory import OperatorBundle
 from .linalg import (
     DEFAULT_TOL,
     LinalgError,
@@ -47,27 +47,10 @@ class SInnerProduct:
         return float(np.sqrt(max(self.product(f, f).real, 0.0)))
 
 
-def build_h(bundle: OperatorBundle, direction: str = "phi_psi") -> np.ndarray:
-    """The similarity transform in either direction:
-
-        phi_psi: S_psi^{1/2} H_{phi,psi} S_phi^{1/2}
-        psi_phi: S_phi^{1/2} H_{psi,phi} S_psi^{1/2}
-    """
-    if direction == "phi_psi":
-        return bundle.S_psi_sqrt @ bundle.H_phi_psi @ bundle.S_phi_sqrt
-    if direction == "psi_phi":
-        return bundle.S_phi_sqrt @ bundle.H_psi_phi @ bundle.S_psi_sqrt
-    raise ValueError(f"unknown direction '{direction}'")
-
-
 def check_selfadjoint_h(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
     """Self-adjointness of h for real weights, and for any weights the
     adjoint relation h_{phi,psi}* = h_{psi,phi} built with conjugated weights."""
-    conj_bundle_h = (
-        bundle.S_phi_sqrt
-        @ build_H(bundle.pair, bundle.alpha.conjugate(), "psi_phi")
-        @ bundle.S_psi_sqrt
-    )
+    conj_bundle_h = bundle.S_phi_sqrt @ bundle.H_conj_psi_phi @ bundle.S_psi_sqrt
     r_adjoint = frobenius(adjoint(bundle.h) - conj_bundle_h)
     notes = [f"h* = h'(conj alpha) ({r_adjoint:.3e})"]
     residual = r_adjoint

@@ -18,13 +18,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import basis, factory, ladder, linalg, models, sequences, similarity
-from .domains import DEFAULT_N_MAX, DomainVerdict, summability_verdict
 from .linalg import DEFAULT_TOL
 from .report import CheckResult, VerificationReport
 
 _GENERATOR_SPREAD = 0.3
-
-SUITES = ("three-level", "projection", "random")
 
 
 def _random_block(rng, dim: int, k: int) -> np.ndarray:
@@ -83,8 +80,8 @@ def _common_bundle_checks(
     )
     report.add(replace(frame, note=f"worst of 10 samples: {frame.note}"))
     report.add(factory.check_eigen_action(bundle, tol))
-    report.add(factory.check_weighted_action(pair, bundle.alpha, tol))
-    report.add(factory.check_adjoint_pair(pair, bundle.alpha, tol))
+    report.add(factory.check_weighted_action(bundle, tol))
+    report.add(factory.check_adjoint_pair(bundle, tol))
     report.add(factory.check_metric_pair(bundle, tol))
     report.add(factory.check_intertwining(bundle, tol))
     if bundle.alpha.is_real:
@@ -403,33 +400,6 @@ def random_report(
     return report
 
 
-def run_verify(suite: str, **params) -> VerificationReport:
-    if suite == "three-level":
-        return three_level_report(
-            t=params["t"],
-            seed=params.get("seed", 0),
-            tol=params.get("tol", DEFAULT_TOL),
-        )
-    if suite == "projection":
-        return projection_report(
-            dim=params.get("dim", 8),
-            support=params.get("n", 3),
-            seed=params.get("seed", 0),
-            alpha=params.get("alpha"),
-            gamma=params.get("gamma"),
-            tol=params.get("tol", DEFAULT_TOL),
-        )
-    if suite == "random":
-        return random_report(
-            dim=params.get("dim", 8),
-            seed=params.get("seed", 0),
-            alpha=params.get("alpha"),
-            gamma=params.get("gamma"),
-            tol=params.get("tol", DEFAULT_TOL),
-        )
-    raise ValueError(f"unknown suite '{suite}'")
-
-
 def sweep_three_level(
     t_min: float, t_max: float, steps: int, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
@@ -455,14 +425,6 @@ def sweep_projection(
         projection_report(dim, n, seed=seed, alpha=alpha, tol=tol)
         for n in range(n_min, n_max + 1)
     ]
-
-
-def run_domain(
-    alpha: sequences.SequenceSpec,
-    coeff: sequences.SequenceSpec,
-    n_max: int = DEFAULT_N_MAX,
-) -> DomainVerdict:
-    return summability_verdict(alpha, coeff, n_max)
 
 
 #: Report check name -> the library operation that produced or is validated
@@ -491,7 +453,7 @@ CHECK_REGISTRY = {
     "projection_S_psi_sqrt": models.projection_model,
     "projection_bases": models.projection_phi_psi_closed_forms,
     "projection_H_split": models.projection_H_closed_form,
-    "projection_h_block": similarity.build_h,
+    "projection_h_block": factory.build_bundle,
     "h_domain_weights": models.ProjectionModel.h_domain_weights,
     "biorthogonality": basis.verify_biorthogonality,
     "reconstruction": basis.expand,

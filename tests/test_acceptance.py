@@ -190,7 +190,7 @@ def test_criterion_5_property_suite_random_generators():
         checks = [
             verify_biorthogonality(pair, tol),
             check_metric_pair(bundle, tol),
-            check_adjoint_pair(pair, alpha, tol),
+            check_adjoint_pair(bundle, tol),
             check_intertwining(bundle, tol),
             check_selfadjoint_h(bundle, tol),
         ]

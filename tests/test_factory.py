@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,14 +15,19 @@ from rieszops import (
     check_metric_pair,
     check_norm_bound,
     check_weighted_action,
+    check_selfadjoint_h,
     explicit,
+    factory,
     from_generator,
+    geometric,
+    ladder,
     ones,
     operator_norm,
     poly,
     quasi_hermitian_symmetry,
 )
 from rieszops.models import projection_model, three_level
+from rieszops.suites import projection_report, random_report, three_level_report
 
 
 def three_level_pair(t=0.3):
@@ -77,7 +85,7 @@ class TestBuildSWeighted:
 
     def test_weighted_actions_both_sides(self):
         pair = random_pair(8, 6)
-        check = check_weighted_action(pair, explicit(np.arange(8) + 0.5))
+        check = check_weighted_action(build_bundle(pair, explicit(np.arange(8) + 0.5)))
         assert check.passed and check.residual <= 1e-10
 
     def test_hermitian_for_real_weights(self):
@@ -95,7 +103,7 @@ class TestBuildSWeighted:
 class TestAdjointPair:
     def test_three_level(self):
         model, pair = three_level_pair(0.3)
-        check = check_adjoint_pair(pair, explicit(model.eps), tol=1e-12)
+        check = check_adjoint_pair(build_bundle(pair, explicit(model.eps)), tol=1e-12)
         assert check.passed and check.residual <= 1e-12
 
     def test_real_weights_identity_generator_hermitian(self):
@@ -103,13 +111,13 @@ class TestAdjointPair:
         alpha = explicit([0.0, 1.0, 2.0, 3.0])
         h = build_H(pair, alpha, "phi_psi")
         assert np.abs(h - h.conj().T).max() == 0.0
-        assert check_adjoint_pair(pair, alpha).residual <= 1e-14
+        assert check_adjoint_pair(build_bundle(pair, alpha)).residual <= 1e-14
 
     def test_random_complex_dim_16(self):
         pair = random_pair(16, 16)
         rng = np.random.default_rng(4)
         alpha = explicit(random_vector(rng, 16))
-        check = check_adjoint_pair(pair, alpha)
+        check = check_adjoint_pair(build_bundle(pair, alpha))
         assert check.passed and check.residual <= 1e-10
 
 
@@ -196,3 +204,84 @@ class TestMetricAndBounds:
         s = build_S_weighted(pair, beta, "phi")
         bound = pair.frame_upper**2 * float(np.abs(beta.terms(8)).max())
         assert operator_norm(s) <= bound + 1e-10
+
+
+#: the checks that read each conj(alpha) / S^alpha field of the bundle
+READERS = {
+    "S_alpha_phi": {"adjoint_pair", "weighted_action", "intertwining"},
+    "S_alpha_psi": {"adjoint_pair", "weighted_action", "intertwining"},
+    "H_conj_psi_phi": {"adjoint_pair", "selfadjoint_h"},
+    "S_conj_phi": {"adjoint_pair"},
+    "S_conj_psi": {"adjoint_pair"},
+}
+BUNDLE_CHECKS = (
+    check_adjoint_pair,
+    check_weighted_action,
+    check_intertwining,
+    check_selfadjoint_h,
+)
+
+
+def mutation_bundles():
+    model, pair = three_level_pair(0.3)
+    yield "three-level", build_bundle(pair, explicit(model.eps))
+    yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j))
+
+
+class TestBundleFields:
+    @pytest.mark.parametrize("field", sorted(READERS))
+    def test_perturbed_field_fails_its_readers(self, field):
+        for case, bundle in mutation_bundles():
+            assert all(check(bundle).passed for check in BUNDLE_CHECKS), case
+            mutated = getattr(bundle, field).copy()
+            mutated[0, -1] += 1e-6
+            perturbed = dataclasses.replace(bundle, **{field: mutated})
+            failed = {
+                result.name
+                for result in (check(perturbed) for check in BUNDLE_CHECKS)
+                if not result.passed
+            }
+            assert failed == READERS[field], case
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = Counter()
+
+        def counting(builder):
+            def build(pair, spec, family):
+                built[builder.__name__, spec.terms(pair.dim).tobytes(), family] += 1
+                return builder(pair, spec, family)
+
+            return build
+
+        build_H = counting(factory.build_H)
+        monkeypatch.setattr(factory, "build_H", build_H)
+        monkeypatch.setattr(ladder, "build_H", build_H)  # imported by name
+        monkeypatch.setattr(
+            factory, "build_S_weighted", counting(factory.build_S_weighted)
+        )
+        return built
+
+    @pytest.mark.parametrize(
+        "make_report",
+        [
+            lambda: random_report(16, seed=3),
+            lambda: projection_report(16, 4, seed=3),
+            lambda: three_level_report(0.3),
+        ],
+        ids=["random", "projection", "three-level"],
+    )
+    def test_report_build_counts(self, monkeypatch, make_report):
+        built = self.count_builds(monkeypatch)
+        make_report()
+        per_builder = Counter()
+        for (name, _, _), calls in built.items():
+            per_builder[name] += calls
+        assert per_builder == {"build_H": 5, "build_S_weighted": 6}
+
+    def test_random_report_builds_each_operator_once(self, monkeypatch):
+        # complex alpha: the alpha and conj(alpha) operators differ
+        built = self.count_builds(monkeypatch)
+        random_report(16, seed=3, alpha=geometric(0.9 + 0.2j))
+        twice = [(name, family) for (name, _, family), n in built.items() if n > 1]
+        assert not twice

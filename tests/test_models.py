@@ -114,12 +114,6 @@ class TestHatSpectrum:
         assert np.trace(ab).real == pytest.approx(expected, abs=1e-11)
         assert np.trace(ba).real == pytest.approx(expected, abs=1e-11)
 
-    def test_self_contained_call_builds_ladder(self):
-        model = three_level(0.3)
-        eps_tilde, check = three_level_hat_spectrum(model)
-        assert check.passed
-        assert eps_tilde == (model.eps[1], model.eps[2], 0.0)
-
     def test_rejects_inadmissible(self):
         model = three_level(np.pi)
         with pytest.raises(ValueError, match="admissible"):

@@ -7,7 +7,14 @@ import pytest
 from conftest import cli_command, cli_env
 from rieszops.cli import build_parser, main
 from rieszops.report import CheckResult, VerificationReport, render_json
-from rieszops.suites import CHECK_REGISTRY, run_verify, sweep_projection, sweep_three_level
+from rieszops.suites import (
+    CHECK_REGISTRY,
+    projection_report,
+    random_report,
+    sweep_projection,
+    sweep_three_level,
+    three_level_report,
+)
 
 
 class TestRendering:
@@ -21,14 +28,14 @@ class TestRendering:
             assert float(render_json(float(x))) == x
 
     def test_round_trips_through_json(self):
-        report = run_verify("three-level", t=0.3)
+        report = three_level_report(0.3)
         doc = json.loads(report.to_json())
         assert doc["suite"] == "three-level"
         assert doc["summary"]["total"] == len(doc["checks"])
         assert doc["params"]["t"] == pytest.approx(0.3)
 
     def test_key_order_is_fixed(self):
-        report = run_verify("three-level", t=0.3)
+        report = three_level_report(0.3)
         text = report.to_json()
         assert text.index('"suite"') < text.index('"params"') < text.index('"checks"')
         assert text.index('"checks"') < text.index('"summary"')
@@ -36,6 +43,12 @@ class TestRendering:
     def test_non_finite_floats_render(self):
         assert render_json(float("inf")) == "Infinity"
         assert render_json(float("nan")) == "NaN"
+
+    def test_control_characters_escaped(self):
+        assert render_json("a\nb") == '"a\\nb"'
+        texts = ("tab\there", 'quote " and \\', "\x00\x1f\x7f", "S^b_\u03c6 \u2264 1")
+        for text in texts:
+            assert render_json(text) == json.dumps(text, ensure_ascii=False)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
@@ -58,12 +71,12 @@ class TestReportContainers:
 
 class TestSuites:
     def test_three_level_has_full_battery(self):
-        report = run_verify("three-level", t=0.3)
+        report = three_level_report(0.3)
         assert report.summary["total"] >= 15
         assert report.all_passed
 
     def test_inadmissible_parameter_fails_only_admissibility(self):
-        report = run_verify("three-level", t=1.2)
+        report = three_level_report(1.2)
         assert report.failed_names() == ["admissible"]
         names = {c.name for c in report.checks}
         assert "ladder_actions" not in names  # ladder checks skipped
@@ -71,10 +84,10 @@ class TestSuites:
 
     def test_every_check_name_is_registered(self):
         reports = [
-            run_verify("three-level", t=0.3),
-            run_verify("three-level", t=1.2),
-            run_verify("projection", dim=8, n=3, seed=1),
-            run_verify("random", dim=8, seed=2),
+            three_level_report(0.3),
+            three_level_report(1.2),
+            projection_report(8, 3, seed=1),
+            random_report(8, seed=2),
         ]
         emitted = set()
         for report in reports:
@@ -107,10 +120,6 @@ class TestSuites:
         with pytest.raises(ValueError, match="at least 2 steps"):
             sweep_three_level(0.0, 1.0, 1)
 
-    def test_unknown_suite(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_verify("nope")
-
 
 class TestCli:
     def test_verify_exit_zero_and_parse(self, capsys):
@@ -137,6 +146,20 @@ class TestCli:
         )
         doc = json.loads(target.read_text())
         assert doc["suite"] == "three-level"
+
+    def test_out_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "three-level", "--t", "0.3", "--out", str(target)])
+        assert excinfo.value.code == 2
+        assert "rieszops: error:" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_unknown_suite_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "nope"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_sweep_array_output(self, capsys):
         assert (
@@ -192,6 +215,15 @@ class TestCli:
         assert doc["verdict"] == expected
         assert doc["n_max"] == 4096
         assert "partial_sum" in doc and "tail_ratio" in doc
+
+    def test_domain_echoes_raw_spec_as_strict_json(self, capsys):
+        assert main(["domain", "--alpha", "poly:1\t", "--coeff", "poly:-3"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["params"]["alpha"] == "poly:1\t"
 
     def test_domain_custom_horizon(self, capsys):
         assert (

@@ -6,7 +6,6 @@ from rieszops import (
     LinalgError,
     SInnerProduct,
     build_bundle,
-    build_h,
     check_selfadjoint_h,
     check_similarity_consistency,
     check_transported_eigenbasis,
@@ -28,7 +27,6 @@ def three_level_bundle(t=0.3):
 class TestBuildH:
     def test_three_level_closed_form(self):
         model, bundle = three_level_bundle(0.3)
-        assert np.abs(build_h(bundle, "phi_psi") - model.h).max() <= 1e-12
         assert np.abs(bundle.h - model.h).max() <= 1e-12
 
     def test_identity_generator_diagonal(self):
@@ -48,12 +46,6 @@ class TestBuildH:
             col[k] -= weights[k]
             assert np.abs(col).max() <= 1e-11
             assert np.abs(np.delete(h[k], k)).max() <= 1e-11
-
-    def test_directions_are_adjoint_for_real_alpha(self):
-        _, bundle = three_level_bundle(0.5)
-        h_fwd = build_h(bundle, "phi_psi")
-        h_rev = build_h(bundle, "psi_phi")
-        assert np.abs(h_fwd.conj().T - h_rev).max() <= 1e-11
 
 
 class TestSelfadjointH:
