@@ -70,6 +70,8 @@ class OperatorBundle:
 
     pair: RieszBasisPair
     alpha: SequenceSpec
+    #: alpha_0 .. alpha_{dim-1}
+    weights: np.ndarray
     H_phi_psi: np.ndarray
     H_psi_phi: np.ndarray
     S_phi: np.ndarray
@@ -80,7 +82,8 @@ class OperatorBundle:
     #: S^alpha on both sides
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
-    #: the conj(alpha) operators the adjoint identities compare against
+    #: the conj(alpha) operators the adjoint identities compare against;
+    #: the alpha operators themselves when every weight is real
     H_conj_psi_phi: np.ndarray
     S_conj_phi: np.ndarray
     S_conj_psi: np.ndarray
@@ -95,51 +98,47 @@ def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
     S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
     unit = ones()
-    conj = alpha.conjugate()
+    weights = alpha.terms(pair.dim)
+    # real emitted weights are their own conjugates: reuse the alpha operators
+    conj = alpha.conjugate() if weights.imag.any() else None
     s = np.sqrt(pair.metric_eigen.eigenvalues)
     s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
     s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
     h_phi_psi = build_H(pair, alpha, "phi_psi")
+    h_psi_phi = build_H(pair, alpha, "psi_phi")
+    s_alpha_phi = build_S_weighted(pair, alpha, "phi")
+    s_alpha_psi = build_S_weighted(pair, alpha, "psi")
     return OperatorBundle(
         pair=pair,
         alpha=alpha,
+        weights=weights,
         H_phi_psi=h_phi_psi,
-        H_psi_phi=build_H(pair, alpha, "psi_phi"),
+        H_psi_phi=h_psi_phi,
         S_phi=build_S_weighted(pair, unit, "phi"),
         S_psi=build_S_weighted(pair, unit, "psi"),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
-        S_alpha_phi=build_S_weighted(pair, alpha, "phi"),
-        S_alpha_psi=build_S_weighted(pair, alpha, "psi"),
-        H_conj_psi_phi=build_H(pair, conj, "psi_phi"),
-        S_conj_phi=build_S_weighted(pair, conj, "phi"),
-        S_conj_psi=build_S_weighted(pair, conj, "psi"),
+        S_alpha_phi=s_alpha_phi,
+        S_alpha_psi=s_alpha_psi,
+        H_conj_psi_phi=build_H(pair, conj, "psi_phi") if conj else h_psi_phi,
+        S_conj_phi=build_S_weighted(pair, conj, "phi") if conj else s_alpha_phi,
+        S_conj_psi=build_S_weighted(pair, conj, "psi") if conj else s_alpha_psi,
     )
-
-
-def _eigen_action_residual(
-    pair: RieszBasisPair,
-    alpha: SequenceSpec,
-    matrix: np.ndarray,
-    which: str = "phi",
-) -> float:
-    """max_k || M v_k - alpha_k v_k || for v = phi or psi columns."""
-    weights = alpha.terms(pair.dim)
-    cols = _columns(pair, which)
-    return float(np.abs(matrix @ cols - cols * weights).max())
 
 
 def check_eigen_action(
     bundle: OperatorBundle, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """H_{phi,psi} phi_k = alpha_k phi_k and H_{psi,phi} psi_k = alpha_k psi_k."""
-    residual = max(
-        _eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_phi_psi, "phi"),
-        _eigen_action_residual(bundle.pair, bundle.alpha, bundle.H_psi_phi, "psi"),
-    )
+    pair, weights = bundle.pair, bundle.weights
+    r_phi = np.abs(bundle.H_phi_psi @ pair.phi - pair.phi * weights).max()
+    r_psi = np.abs(bundle.H_psi_phi @ pair.psi - pair.psi * weights).max()
     return CheckResult.from_residual(
-        "eigen_action", residual, tol, note="H phi_k = alpha_k phi_k, both directions"
+        "eigen_action",
+        max(r_phi, r_psi),
+        tol,
+        note="H phi_k = alpha_k phi_k, both directions",
     )
 
 
@@ -167,8 +166,7 @@ def check_weighted_action(
     The second identity is the corrected reading of the weighted-action pair:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
-    pair = bundle.pair
-    weights = bundle.alpha.terms(pair.dim)
+    pair, weights = bundle.pair, bundle.weights
     r1 = float(np.abs(bundle.S_alpha_phi @ pair.psi - pair.phi * weights).max())
     r2 = float(np.abs(bundle.S_alpha_psi @ pair.phi - pair.psi * weights).max())
     return CheckResult.from_residual(
@@ -267,11 +265,7 @@ def quasi_hermitian_symmetry(
 def check_norm_bound(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
     """Truncation proxy for boundedness: ||H|| <= (gamma_2/gamma_1) max|alpha_n|."""
     pair = bundle.pair
-    bound = (
-        pair.frame_upper
-        / pair.frame_lower
-        * float(np.abs(bundle.alpha.terms(pair.dim)).max())
-    )
+    bound = pair.frame_upper / pair.frame_lower * float(np.abs(bundle.weights).max())
     norm = operator_norm(bundle.H_phi_psi)
     excess = max(norm - bound, 0.0)
     return CheckResult.from_residual(

@@ -24,6 +24,8 @@ from .sequences import SequenceSpec, explicit
 class LadderPair:
     pair: RieszBasisPair
     gamma: SequenceSpec
+    #: gamma_0 .. gamma_{dim-1}
+    weights: np.ndarray
     A_phi_psi: np.ndarray
     B_phi_psi: np.ndarray
     A_psi_phi: np.ndarray
@@ -54,6 +56,7 @@ def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
     return LadderPair(
         pair=pair,
         gamma=gamma,
+        weights=g,
         A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
         A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),
@@ -83,10 +86,7 @@ def shift_action_residual(
 def check_ladder_actions(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """A phi_0 = 0, A phi_n = gamma_n phi_{n-1}; B phi_n = gamma_{n+1} phi_{n+1}
     for n <= N-2 and B phi_{N-1} = 0 (dropped term at truncation)."""
-    pair = lp.pair
-    worst = shift_action_residual(
-        lp.A_phi_psi, lp.B_phi_psi, pair.phi, lp.gamma.terms(pair.dim)
-    )
+    worst = shift_action_residual(lp.A_phi_psi, lp.B_phi_psi, lp.pair.phi, lp.weights)
     return CheckResult.from_residual(
         "ladder_actions", worst, tol, note="A and B shift actions on phi_n"
     )
@@ -94,8 +94,8 @@ def check_ladder_actions(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResul
 
 def check_ladder_adjoints(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """(A_{phi,psi})* = B_{psi,phi} and (A_{psi,phi})* = B_{phi,psi}, both
-    built with conjugated weights."""
-    conj = build_ladder(lp.pair, lp.gamma.conjugate())
+    built with conjugated weights: the ladder itself for real weights."""
+    conj = build_ladder(lp.pair, lp.gamma.conjugate()) if lp.weights.imag.any() else lp
     r1 = frobenius(lp.A_phi_psi.conj().T - conj.B_psi_phi)
     r2 = frobenius(lp.A_psi_phi.conj().T - conj.B_phi_psi)
     r3 = frobenius(lp.B_phi_psi.conj().T - conj.A_psi_phi)
@@ -122,8 +122,7 @@ def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     AB = H^{gamma_{n+1}^2} are additionally asserted, restricted to the
     interior through the oblique projector sum phi_k psi_k*.
     """
-    pair = lp.pair
-    g = lp.gamma.terms(pair.dim)
+    pair, g = lp.pair, lp.weights
     ba = lp.B_phi_psi @ lp.A_phi_psi
     ab = lp.A_phi_psi @ lp.B_phi_psi
     skip_zero = bool(lp.gamma0_warning)
@@ -165,7 +164,7 @@ def check_commutator(
         raise ValueError("commutator identity requires |.|-monotone gamma")
     pair = lp.pair
     f = np.asarray(f, dtype=complex)
-    g = lp.gamma.terms(pair.dim)
+    g = lp.weights
     coeff = pair.psi.conj().T @ f
     scale = max(float(np.linalg.norm(f)), 1e-300)
     edge_mass = abs(coeff[-1])
@@ -193,7 +192,7 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
     Verifies BA = H^alpha on the interior before returning.
     """
     pair = bundle.pair
-    a = bundle.alpha.terms(pair.dim)
+    a = bundle.weights
     if float(np.abs(a.imag).max()) > tol:
         k = int(np.argmax(np.abs(a.imag)))
         raise ValueError(f"alpha_{k} = {a[k]:.6g} is not real")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, adjoint, worst_column_norm
 from .report import CheckResult
-from .sequences import SequenceSpec, explicit
+from .sequences import SequenceSpec
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -43,13 +43,6 @@ class ThreeLevelModel:
     phi: tuple[np.ndarray, np.ndarray, np.ndarray]
     psi: tuple[np.ndarray, np.ndarray, np.ndarray]
     Phi: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def gamma(self) -> SequenceSpec:
-        """Factorization weights (0, sqrt(eps_1), sqrt(eps_2)); admissible only."""
-        if not self.admissible:
-            raise ValueError("gamma is defined only on the admissible interval")
-        return explicit([0.0, np.sqrt(self.eps[1]), np.sqrt(self.eps[2])])
 
 
 def three_level(t: float, tol: float = DEFAULT_TOL) -> ThreeLevelModel:

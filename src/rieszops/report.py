@@ -1,12 +1,14 @@
 """Verification report containers and their deterministic JSON rendering.
 
 Reports must be byte-identical across runs for identical inputs, so floats
-are always rendered with %.17g (lossless for float64) and key order is the
-insertion order of the dicts that build the document.
+are always rendered with %.17g (lossless for float64) and key order is
+fixed: a report by its template, any other document by the insertion order
+of its dicts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
@@ -32,15 +34,6 @@ class CheckResult:
             tol=float(tol),
             note=note,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tol": self.tol,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -69,16 +62,53 @@ class VerificationReport:
     def failed_names(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": dict(self.params),
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
-
     def to_json(self) -> str:
-        return render_json(self.to_dict())
+        """render_json of the report document, through fixed templates."""
+        checks = [
+            _CHECK
+            % (
+                encode_basestring(c.name),
+                "true" if c.passed else "false",
+                _render_float(c.residual),
+                _render_float(c.tol),
+                encode_basestring(c.note),
+            )
+            for c in self.checks
+        ]
+        return _REPORT % (
+            encode_basestring(self.suite),
+            render_json(self.params, 1),
+            "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]",
+            *self.summary.values(),
+        )
+
+
+#: a report at indent 0, and one check as an item of its "checks" list
+_REPORT = """\
+{
+  "suite": %s,
+  "params": %s,
+  "checks": %s,
+  "summary": {
+    "total": %d,
+    "passed": %d,
+    "failed": %d
+  }
+}"""
+_CHECK = """\
+    {
+      "name": %s,
+      "passed": %s,
+      "residual": %s,
+      "tol": %s,
+      "note": %s
+    }"""
+
+
+def _render_float(value: float) -> str:
+    if math.isfinite(value):
+        return format(value, ".17g")
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -103,13 +133,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        return format(value, ".17g")
+        return _render_float(value)
     if isinstance(value, str):
         # what json.dumps(value, ensure_ascii=False) returns, without the
         # encoder set-up json.dumps repeats per call (~2 us per string)
@@ -120,5 +144,7 @@ def render_json(value, indent: int = 0) -> str:
 
 
 def render_reports(reports: list[VerificationReport]) -> str:
-    """A parameter-ordered sweep as one JSON array."""
-    return render_json([r.to_dict() for r in reports])
+    """A parameter-ordered sweep as one JSON array.  A rendered string holds
+    no raw newline, so indenting every line of a report nests it a level."""
+    items = ("  " + r.to_json().replace("\n", "\n  ") for r in reports)
+    return "[\n" + ",\n".join(items) + "\n]" if reports else "[]"

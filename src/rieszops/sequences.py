@@ -35,7 +35,14 @@ class SequenceSpec:
     length: int | None = None  # None = unbounded
     is_real: bool = True
     abs_monotone: bool = False
-    label: str = field(default="", compare=False)
+    name: str = field(default="", compare=False)  # the given label
+
+    @property
+    def label(self) -> str:
+        """The given label, or for a list without one its values, formatted on read."""
+        if self.name or self.kind != "list":
+            return self.name
+        return "list:" + ",".join(_format_number(v) for v in self.values)
 
     def term(self, n: int) -> complex:
         if n < 0:
@@ -124,7 +131,7 @@ class SequenceSpec:
             length=self.length,
             is_real=self.is_real,
             abs_monotone=self.abs_monotone,
-            label=f"conj({self.label})" if self.label else "",
+            name=f"conj({self.label})" if self.label else "",
         )
 
     def check_emitted(self, count: int, tol: float = 0.0) -> None:
@@ -163,7 +170,7 @@ def explicit(values, label: str = "") -> SequenceSpec:
         length=len(vals),
         is_real=all(v.imag == 0.0 for v in vals),
         abs_monotone=bool(np.all(mags[1:] >= mags[:-1])),
-        label=label or "list:" + ",".join(_format_number(v) for v in vals),
+        name=label,
     )
 
 
@@ -174,7 +181,7 @@ def poly(power: float, scale: complex = 1.0, label: str = "") -> SequenceSpec:
         scale=complex(scale),
         is_real=_is_real_number(scale),
         abs_monotone=power >= 0.0,
-        label=label or f"poly:{power:g}",
+        name=label or f"poly:{power:g}",
     )
 
 
@@ -185,7 +192,7 @@ def geometric(ratio: complex, scale: complex = 1.0, label: str = "") -> Sequence
         scale=complex(scale),
         is_real=_is_real_number(ratio) and _is_real_number(scale),
         abs_monotone=abs(ratio) >= 1.0,
-        label=label or f"geometric:{_format_number(ratio)}",
+        name=label or f"geometric:{_format_number(ratio)}",
     )
 
 
@@ -199,7 +206,7 @@ def affine(slope: complex, offset: complex, label: str = "") -> SequenceSpec:
         offset=b,
         is_real=_is_real_number(a) and _is_real_number(b),
         abs_monotone=monotone,
-        label=label or f"affine:{_format_number(a)},{_format_number(b)}",
+        name=label or f"affine:{_format_number(a)},{_format_number(b)}",
     )
 
 

@@ -75,8 +75,7 @@ def check_transported_eigenbasis(
 ) -> CheckResult:
     """h Phi_n = alpha_n Phi_n and <Phi_n, Phi_m> = delta_nm."""
     phi_t = transported_eigenbasis(bundle)
-    weights = bundle.alpha.terms(bundle.pair.dim)
-    r_action = float(np.abs(bundle.h @ phi_t - phi_t * weights).max())
+    r_action = float(np.abs(bundle.h @ phi_t - phi_t * bundle.weights).max())
     gram = adjoint(phi_t) @ phi_t
     r_onb = float(np.abs(gram - np.eye(bundle.pair.dim)).max())
     return CheckResult.from_residual(

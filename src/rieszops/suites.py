@@ -232,7 +232,7 @@ def three_level_report(
             lp.B_phi_psi.conj().T,
             lp.A_phi_psi.conj().T,
             np.column_stack(model.psi),
-            lp.gamma.terms(3),
+            lp.weights,
         )
         report.add(
             CheckResult.from_residual(
@@ -344,7 +344,7 @@ def projection_report(
         )
     )
     outside = [k for k in range(dim) if k not in model.support]
-    deviation = np.abs(bundle.h - np.diag(alpha.terms(dim)))
+    deviation = np.abs(bundle.h - np.diag(bundle.weights))
     block_residual = max(
         float(deviation[:, outside].max(initial=0.0)),
         float(deviation[outside, :].max(initial=0.0)),

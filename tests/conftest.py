@@ -38,6 +38,12 @@ def random_vector(rng, dim):
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
 
+def three_level_gamma(model):
+    """Closed-form factorization weights (0, sqrt(eps_1), sqrt(eps_2)) of an
+    admissible three-level model."""
+    return explicit([0.0, np.sqrt(model.eps[1]), np.sqrt(model.eps[2])])
+
+
 def random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return basis.from_generator(random_generator_matrix(rng, dim))

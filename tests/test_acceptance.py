@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 
-from conftest import cli_command, cli_env, random_generator_matrix, random_vector
+from conftest import (
+    cli_command,
+    cli_env,
+    random_generator_matrix,
+    random_vector,
+    three_level_gamma,
+)
 from oracles import literal_H, literal_lowering, literal_raising, literal_S
 from rieszops import (
     build_bundle,
@@ -96,8 +102,9 @@ def test_criterion_2_norm_constancy():
 def test_criterion_3_three_level_ladder_suite():
     model = three_level(0.3)
     pair = from_generator(model.T)
-    lp = build_ladder(pair, model.gamma)
-    g = model.gamma.terms(3)
+    gamma = three_level_gamma(model)
+    lp = build_ladder(pair, gamma)
+    g = gamma.terms(3)
     a, b = lp.A_phi_psi, lp.B_phi_psi
     worst = 0.0
     actions = [

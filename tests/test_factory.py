@@ -228,6 +228,14 @@ def mutation_bundles():
     yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j))
 
 
+def per_builder(built):
+    """Calls per builder name from the counts of TestBundleFields.count_builds."""
+    calls = Counter()
+    for (name, _, _), n in built.items():
+        calls[name] += n
+    return calls
+
+
 class TestBundleFields:
     @pytest.mark.parametrize("field", sorted(READERS))
     def test_perturbed_field_fails_its_readers(self, field):
@@ -263,21 +271,20 @@ class TestBundleFields:
         return built
 
     @pytest.mark.parametrize(
-        "make_report",
+        "make_report, counts",
         [
-            lambda: random_report(16, seed=3),
-            lambda: projection_report(16, 4, seed=3),
-            lambda: three_level_report(0.3),
+            # real alpha: the conj(alpha) operators are the alpha ones
+            (lambda: random_report(16, seed=3), (4, 4)),
+            (lambda: projection_report(16, 4, seed=3), (4, 4)),
+            (lambda: three_level_report(0.3), (4, 4)),
+            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), (5, 6)),
         ],
-        ids=["random", "projection", "three-level"],
+        ids=["random", "projection", "three-level", "random-complex"],
     )
-    def test_report_build_counts(self, monkeypatch, make_report):
+    def test_report_build_counts(self, monkeypatch, make_report, counts):
         built = self.count_builds(monkeypatch)
         make_report()
-        per_builder = Counter()
-        for (name, _, _), calls in built.items():
-            per_builder[name] += calls
-        assert per_builder == {"build_H": 5, "build_S_weighted": 6}
+        assert per_builder(built) == dict(zip(("build_H", "build_S_weighted"), counts))
 
     def test_random_report_builds_each_operator_once(self, monkeypatch):
         # complex alpha: the alpha and conj(alpha) operators differ
@@ -285,3 +292,62 @@ class TestBundleFields:
         random_report(16, seed=3, alpha=geometric(0.9 + 0.2j))
         twice = [(name, family) for (name, _, family), n in built.items() if n > 1]
         assert not twice
+
+
+CONJ_FIELDS = {
+    "H_conj_psi_phi": "H_psi_phi",
+    "S_conj_phi": "S_alpha_phi",
+    "S_conj_psi": "S_alpha_psi",
+}
+
+
+def real_alpha_bundles():
+    model, pair = three_level_pair(0.3)
+    yield "three-level", build_bundle(pair, explicit(model.eps))
+    yield "random-16", build_bundle(random_pair(16, 3), poly(1.0))
+
+
+class TestConjAliases:
+    def test_real_weights_alias_the_alpha_operators(self):
+        for case, bundle in real_alpha_bundles():
+            for conj_field, field in CONJ_FIELDS.items():
+                assert getattr(bundle, conj_field) is getattr(bundle, field), case
+
+    def test_complex_weights_build_distinct_operators(self):
+        bundle = build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j))
+        for conj_field, field in CONJ_FIELDS.items():
+            conj_op, op = getattr(bundle, conj_field), getattr(bundle, field)
+            assert not np.shares_memory(conj_op, op), conj_field
+
+    def test_emitted_weights_decide_not_the_declared_flag(self, monkeypatch):
+        # declared real, emits complex terms: the conj operators are built
+        lying = dataclasses.replace(
+            explicit([0.0, 1.0 + 1j, 2.0, 3.0 - 2j]), is_real=True
+        )
+        built = TestBundleFields.count_builds(monkeypatch)
+        bundle = build_bundle(random_pair(4, 5), lying)
+        assert per_builder(built) == {"build_H": 3, "build_S_weighted": 6}
+        for conj_field, field in CONJ_FIELDS.items():
+            conj_op, op = getattr(bundle, conj_field), getattr(bundle, field)
+            assert not np.shares_memory(conj_op, op), conj_field
+        assert check_adjoint_pair(bundle).passed
+
+
+class TestLadderAdjointBuilds:
+    @pytest.mark.parametrize(
+        "gamma, builds",
+        [(poly(0.5), 0), (explicit([0.0, 1.0, 2.0 + 0.5j, 3.0]), 1)],
+        ids=["real", "complex"],
+    )
+    def test_conj_ladder_built_only_for_complex_gamma(self, monkeypatch, gamma, builds):
+        lp = ladder.build_ladder(random_pair(4, 2), gamma)
+        calls = []
+        build_ladder = ladder.build_ladder
+
+        def counting(pair, spec):
+            calls.append(spec)
+            return build_ladder(pair, spec)
+
+        monkeypatch.setattr(ladder, "build_ladder", counting)
+        assert ladder.check_ladder_adjoints(lp).passed
+        assert len(calls) == builds

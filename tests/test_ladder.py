@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector
+from conftest import random_pair, random_vector, three_level_gamma
 from rieszops import (
     build_bundle,
     build_ladder,
@@ -21,7 +21,7 @@ from rieszops.sequences import poly
 def three_level_ladder(t=0.3):
     model = three_level(t)
     pair = from_generator(model.T)
-    return model, pair, build_ladder(pair, model.gamma)
+    return model, pair, build_ladder(pair, three_level_gamma(model))
 
 
 def bosonic_ladder(dim):
@@ -32,7 +32,7 @@ def bosonic_ladder(dim):
 class TestBuildLadder:
     def test_three_level_lowering_actions(self):
         model, _, lp = three_level_ladder()
-        g = model.gamma.terms(3)
+        g = lp.gamma.terms(3)
         assert np.linalg.norm(lp.A_phi_psi @ model.phi[0]) <= 1e-12
         assert (
             np.linalg.norm(lp.A_phi_psi @ model.phi[1] - g[1] * model.phi[0]) <= 1e-12
@@ -43,7 +43,7 @@ class TestBuildLadder:
 
     def test_three_level_raising_actions(self):
         model, _, lp = three_level_ladder()
-        g = model.gamma.terms(3)
+        g = lp.gamma.terms(3)
         assert (
             np.linalg.norm(lp.B_phi_psi @ model.phi[0] - g[1] * model.phi[1]) <= 1e-12
         )
@@ -82,7 +82,7 @@ class TestBuildLadder:
 class TestLadderAdjoints:
     def test_three_level_adjoint_actions(self):
         model, _, lp = three_level_ladder()
-        g = model.gamma.terms(3)
+        g = lp.gamma.terms(3)
         b_adj = lp.B_phi_psi.conj().T
         a_adj = lp.A_phi_psi.conj().T
         assert np.linalg.norm(b_adj @ model.psi[0]) <= 1e-12
@@ -198,7 +198,7 @@ class TestFactorizeFromAlpha:
         bundle = build_bundle(pair, explicit(model.eps))
         lp = factorize_from_alpha(bundle)
         np.testing.assert_allclose(
-            lp.gamma.terms(3), model.gamma.terms(3), atol=1e-12
+            lp.gamma.terms(3), three_level_gamma(model).terms(3), atol=1e-12
         )
         assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H).max() <= 1e-11
 

@@ -6,7 +6,13 @@ import pytest
 
 from conftest import cli_command, cli_env
 from rieszops.cli import build_parser, main
-from rieszops.report import CheckResult, VerificationReport, render_json
+from rieszops.report import (
+    CheckResult,
+    VerificationReport,
+    render_json,
+    render_reports,
+)
+from rieszops.sequences import geometric
 from rieszops.suites import (
     CHECK_REGISTRY,
     projection_report,
@@ -53,6 +59,104 @@ class TestRendering:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+
+def report_dict(report):
+    """The report document as plain data, built independently of the
+    report's own template."""
+    passed = sum(1 for c in report.checks if c.passed)
+    return {
+        "suite": report.suite,
+        "params": dict(report.params),
+        "checks": [
+            {
+                "name": c.name,
+                "passed": c.passed,
+                "residual": c.residual,
+                "tol": c.tol,
+                "note": c.note,
+            }
+            for c in report.checks
+        ],
+        "summary": {
+            "total": len(report.checks),
+            "passed": passed,
+            "failed": len(report.checks) - passed,
+        },
+    }
+
+
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def edge_report(residuals, params):
+    report = VerificationReport(suite="edge", params=params)
+    notes = ("line\nbreak", "tab\there", 'quote " and \\', "S^b_\u03c6 \u2264 1", "")
+    for k, residual in enumerate(residuals):
+        note = notes[k % len(notes)]
+        report.add(CheckResult.from_residual(f"check_{k}", residual, 1e-10, note=note))
+    return report
+
+
+class TestTemplateOracle:
+    """The report template renders the bytes render_json gives for the
+    report's document."""
+
+    SUITE_REPORTS = (
+        lambda: three_level_report(0.3),
+        lambda: three_level_report(1.2),
+        lambda: projection_report(8, 3, seed=1),
+        lambda: random_report(8, seed=2, alpha=geometric(0.9 + 0.2j)),
+    )
+
+    @pytest.mark.parametrize(
+        "make_report",
+        SUITE_REPORTS,
+        ids=["three-level-0.3", "three-level-1.2", "projection", "random-complex"],
+    )
+    def test_suite_reports(self, make_report):
+        report = make_report()
+        assert report.to_json() == render_json(report_dict(report))
+        assert strict_loads(report.to_json()) == report_dict(report)
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            [float("nan"), float("inf"), float("-inf"), 0.0, 1e-300],
+            [0.1, 2.5e-17, 3.0, -0.0, 1e300],
+            [],
+        ],
+        ids=["non-finite", "finite", "no-checks"],
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"t": 0.3, "seed": 4, "alpha": "list:1,2+1j"}],
+        ids=["empty", "set"],
+    )
+    def test_edge_reports(self, residuals, params):
+        report = edge_report(residuals, params)
+        text = report.to_json()
+        assert text == render_json(report_dict(report))
+        if all(np.isfinite(residuals)):
+            assert strict_loads(text) == report_dict(report)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_sweeps(self, count):
+        reports = [
+            edge_report([float("nan"), 1e-12 * k], {"k": k}) for k in range(count - 1)
+        ]
+        reports.append(three_level_report(0.3))
+        text = render_reports(reports)
+        assert text == render_json([report_dict(r) for r in reports])
+        if count == 1:
+            assert strict_loads(text) == [report_dict(reports[0])]
+
+    def test_empty_sweep(self):
+        assert render_reports([]) == render_json([]) == "[]"
 
 
 class TestReportContainers:

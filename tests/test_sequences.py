@@ -183,3 +183,8 @@ def test_labels_are_canonical():
     assert parse_spec("harmonic").label == "harmonic"
     assert parse_spec("sqrt-poly:1").label == "sqrt-poly:1"
     assert parse_spec("geometric:0.5").label == "geometric:0.5"
+    # list labels are formatted when read, with the same text
+    assert explicit([1, 2 + 1j]).label == "list:1,2+1j"
+    assert explicit([1, 2 + 1j]).conjugate().label == "conj(list:1,2+1j)"
+    assert explicit([1, 2 + 1j], label="mine").label == "mine"
+    assert parse_spec("list:1,2+1j").label == "list:1,2+1j"
