@@ -14,14 +14,7 @@ from .basis import (
     reconstruction_residual,
     verify_biorthogonality,
 )
-from .domains import (
-    DEFAULT_N_MAX,
-    DomainVerdict,
-    DomainWeights,
-    domain_inclusion,
-    domain_of,
-    summability_verdict,
-)
+from .domains import DEFAULT_N_MAX, DomainVerdict, summability_verdict
 from .factory import (
     OperatorBundle,
     build_bundle,
@@ -49,10 +42,8 @@ from .linalg import (
     HermitianEigen,
     LinalgError,
     hermitian_eig,
-    inner,
     inverse,
     operator_norm,
-    sqrt_psd,
 )
 from .models import (
     ProjectionModel,
@@ -75,7 +66,6 @@ from .sequences import (
     sqrt_poly,
 )
 from .similarity import (
-    SInnerProduct,
     check_selfadjoint_h,
     check_similarity_consistency,
     check_transported_eigenbasis,
@@ -83,7 +73,6 @@ from .similarity import (
     transported_eigenbasis,
 )
 from .suites import (
-    CHECK_REGISTRY,
     projection_report,
     random_report,
     sweep_projection,

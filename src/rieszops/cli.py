@@ -36,6 +36,26 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _int_in(low: int, high: int):
+    """argparse type: an int in low..high, checked before anything is sized by it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
+        return value
+
+    return parse
+
+
+#: truncation levels (N <= 64) and domain horizons
+_DIM = _int_in(1, 64)
+_N_MAX = _int_in(64, 2**20)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance (> 0)"
@@ -66,14 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(three)
 
     proj = suites.add_parser("projection", help="rank-one projection model")
-    proj.add_argument("--dim", type=int, default=8, help="truncation level")
+    proj.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
     proj.add_argument("--n", type=int, default=3, help="support size of u")
     proj.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
     proj.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
     _add_common(proj)
 
     rand = suites.add_parser("random", help="seeded random generator")
-    rand.add_argument("--dim", type=int, default=8, help="truncation level")
+    rand.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
     rand.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
     rand.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
     _add_common(rand)
@@ -88,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sweep_three)
 
     sweep_proj = grids.add_parser("projection", help="sweep the support size")
-    sweep_proj.add_argument("--dim", type=int, default=8)
+    sweep_proj.add_argument(
+        "--dim", type=_DIM, default=8, help="truncation level, 1..64"
+    )
     sweep_proj.add_argument("--n-min", type=int, required=True)
     sweep_proj.add_argument("--n-max", type=int, required=True)
     sweep_proj.add_argument("--alpha", default="poly:1")
@@ -99,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     domain.add_argument("--alpha", required=True, help="weight sequence spec")
     domain.add_argument("--coeff", required=True, help="coefficient sequence spec")
-    domain.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    domain.add_argument(
+        "--n-max", type=_N_MAX, default=DEFAULT_N_MAX, help="horizon, 64..2^20"
+    )
     domain.add_argument("--out", default=None)
     return parser
 

@@ -32,35 +32,28 @@ def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     return acc
 
 
-def _columns(pair: RieszBasisPair, which: str) -> np.ndarray:
-    if which == "phi":
-        return pair.phi
-    if which == "psi":
-        return pair.psi
-    raise ValueError(f"unknown basis family '{which}'")
-
-
 def build_H(
     pair: RieszBasisPair, alpha: SequenceSpec, direction: str = "phi_psi"
 ) -> np.ndarray:
     """H^alpha = sum_n alpha_n (v_n outer conj(w_n)) with (v, w) = (phi, psi)
     for direction 'phi_psi' and (psi, phi) for 'psi_phi'."""
-    if direction not in ("phi_psi", "psi_phi"):
+    if direction == "phi_psi":
+        left, right = pair.phi, pair.psi
+    elif direction == "psi_phi":
+        left, right = pair.psi, pair.phi
+    else:
         raise ValueError(f"unknown direction '{direction}'")
-    weights = alpha.terms(pair.dim)
-    left, right = (
-        ("phi", "psi") if direction == "phi_psi" else ("psi", "phi")
-    )
-    return _rank_one_sum(weights, _columns(pair, left), _columns(pair, right))
+    return _rank_one_sum(alpha.terms(pair.dim), left, right)
 
 
 def build_S_weighted(
     pair: RieszBasisPair, beta: SequenceSpec, side: str = "phi"
 ) -> np.ndarray:
     """S^beta = sum_n beta_n (v_n outer conj(v_n)) with v = phi or psi."""
-    weights = beta.terms(pair.dim)
-    cols = _columns(pair, side)
-    return _rank_one_sum(weights, cols, cols)
+    if side not in ("phi", "psi"):
+        raise ValueError(f"unknown basis family '{side}'")
+    cols = pair.phi if side == "phi" else pair.psi
+    return _rank_one_sum(beta.terms(pair.dim), cols, cols)
 
 
 @dataclass(frozen=True)

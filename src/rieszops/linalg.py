@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (basis pairs, weighted frame operators, metric square
-roots, ladder operators) reduces to four primitives on small dense complex
-matrices: a Hermitian eigendecomposition, the principal PSD square root,
-inversion, and the operator (spectral) norm.
+roots, ladder operators) reduces to three primitives on small dense complex
+matrices: a Hermitian eigendecomposition, inversion, and the operator
+(spectral) norm.  The metric square roots are matrix functions of the one
+eigendecomposition each basis pair holds (HermitianEigen.with_eigenvalues).
 
 The factorizations are LAPACK's, through numpy.linalg: eigh for Hermitian
 eigendecompositions and solve for inverses; this module adds the
@@ -53,11 +54,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """Ambient inner product <f, g>, linear in the first argument."""
-    return complex(np.vdot(g, f))
-
-
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
@@ -86,9 +82,6 @@ class HermitianEigen:
         out = (u * values) @ adjoint(u)
         return 0.5 * (out + adjoint(out))
 
-    def reconstruct(self) -> np.ndarray:
-        return self.with_eigenvalues(self.eigenvalues)
-
 
 def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
@@ -110,23 +103,6 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigensolver did not converge: {exc}") from None
     return HermitianEigen(lam, u)
-
-
-def sqrt_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is
-    rejected as genuinely indefinite.
-    """
-    eig = hermitian_eig(m, tol)
-    lam = eig.eigenvalues
-    if lam[0] < -tol:
-        raise LinalgError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {lam[0]:.6e}"
-        )
-    root = eig.with_eigenvalues(np.sqrt(np.clip(lam, 0.0, None)))
-    require_finite(root)
-    return root
 
 
 def singular_extremes(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, float]:

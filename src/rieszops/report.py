@@ -59,9 +59,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
     def to_json(self) -> str:
         """render_json of the report document, through fixed templates."""
         checks = [

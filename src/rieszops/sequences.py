@@ -2,8 +2,7 @@
 
 A SequenceSpec emits complex terms s_0, s_1, ... and carries two declared
 properties used all over the operator checks: is_real (every term has zero
-imaginary part) and abs_monotone (|s_0| <= |s_1| <= ...).  Declared flags can
-be re-validated against any emitted range with check_emitted().
+imaginary part) and abs_monotone (|s_0| <= |s_1| <= ...).
 
 Closed-form kinds and their CLI spellings:
 
@@ -43,28 +42,6 @@ class SequenceSpec:
         if self.name or self.kind != "list":
             return self.name
         return "list:" + ",".join(_format_number(v) for v in self.values)
-
-    def term(self, n: int) -> complex:
-        if n < 0:
-            raise ValueError("sequence index must be >= 0")
-        if self.length is not None and n >= self.length:
-            raise ValueError(
-                f"sequence '{self.label or self.kind}' has length {self.length}, "
-                f"index {n} requested"
-            )
-        if self.kind == "list":
-            return complex(self.values[n])
-        if self.kind == "poly":
-            if n == 0:
-                base = 1.0 if self.power == 0.0 else 0.0
-            else:
-                base = float(n) ** self.power
-            return complex(self.scale * base)
-        if self.kind == "geometric":
-            return complex(self.scale * self.ratio**n)
-        if self.kind == "affine":
-            return complex(self.slope * n + self.offset)
-        raise ValueError(f"unknown sequence kind '{self.kind}'")
 
     def terms(self, count: int) -> np.ndarray:
         """First `count` terms as a complex array."""
@@ -133,26 +110,6 @@ class SequenceSpec:
             abs_monotone=self.abs_monotone,
             name=f"conj({self.label})" if self.label else "",
         )
-
-    def check_emitted(self, count: int, tol: float = 0.0) -> None:
-        """Validate the declared is_real / abs_monotone flags on the emitted
-        range; raises ValueError naming the first offending index."""
-        vals = self.terms(count)
-        if self.is_real:
-            bad = np.nonzero(np.abs(vals.imag) > tol)[0]
-            if bad.size:
-                raise ValueError(
-                    f"sequence declared real but term {bad[0]} = {vals[bad[0]]}"
-                )
-        if self.abs_monotone:
-            mags = np.abs(vals)
-            bad = np.nonzero(mags[1:] < mags[:-1] - tol)[0]
-            if bad.size:
-                k = int(bad[0])
-                raise ValueError(
-                    f"sequence declared |.|-monotone but |s_{k + 1}| = "
-                    f"{mags[k + 1]:.6g} < |s_{k}| = {mags[k]:.6g}"
-                )
 
 
 def _is_real_number(z) -> bool:

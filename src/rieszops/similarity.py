@@ -7,44 +7,11 @@ S_psi^{1/2} phi_n form an orthonormal eigenbasis of h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .factory import OperatorBundle
-from .linalg import (
-    DEFAULT_TOL,
-    LinalgError,
-    adjoint,
-    as_matrix,
-    frobenius,
-    hermitian_eig,
-    inner,
-)
+from .linalg import DEFAULT_TOL, adjoint, frobenius
 from .report import CheckResult
-
-
-@dataclass(frozen=True)
-class SInnerProduct:
-    """Inner product <f, g>_S = <S_psi f, g> defined by a metric operator."""
-
-    metric: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        metric = as_matrix(self.metric)
-        eig = hermitian_eig(metric, self.tol)  # rejects non-Hermitian input
-        if eig.eigenvalues[0] <= self.tol:
-            raise LinalgError(
-                f"metric is not positive definite: smallest eigenvalue "
-                f"{eig.eigenvalues[0]:.6e}"
-            )
-
-    def product(self, f: np.ndarray, g: np.ndarray) -> complex:
-        return inner(self.metric @ np.asarray(f, dtype=complex), g)
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.product(f, f).real, 0.0)))
 
 
 def check_selfadjoint_h(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:

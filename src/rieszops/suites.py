@@ -5,9 +5,6 @@ Three suites exist.  `three-level` runs the generic pipeline against the
 model, and `random` against a seeded well-conditioned generator
 T = I + 0.3 R (R with entries uniform in the complex unit square, which
 keeps the smallest singular value comfortably away from zero).
-
-Every check name that can appear in a report maps to exactly one library
-operation through CHECK_REGISTRY.
 """
 
 from __future__ import annotations
@@ -425,53 +422,3 @@ def sweep_projection(
         projection_report(dim, n, seed=seed, alpha=alpha, tol=tol)
         for n in range(n_min, n_max + 1)
     ]
-
-
-#: Report check name -> the library operation that produced or is validated
-#: by it.  Every name a suite can emit appears here exactly once.
-CHECK_REGISTRY = {
-    "admissible": models.three_level,
-    "eigenvalue_ordering": models.three_level,
-    "three_level_H": models.three_level,
-    "three_level_psi": models.three_level,
-    "three_level_S_phi": models.three_level,
-    "three_level_S_psi": models.three_level,
-    "three_level_S_phi_sqrt": models.three_level,
-    "three_level_S_psi_sqrt": models.three_level,
-    "three_level_h": models.three_level,
-    "three_level_Phi": similarity.transported_eigenbasis,
-    "norm_T": linalg.operator_norm,
-    "norm_T_inv": linalg.inverse,
-    "sqrt_vs_generator": factory.build_bundle,
-    "printed_ladder_matrices": models.three_level_ladder_closed_forms,
-    "hat_spectrum": models.three_level_hat_spectrum,
-    "ladder_adjoint_actions": ladder.check_ladder_adjoints,
-    "projection_projector": models.projection_model,
-    "projection_T_inv": models.projection_model,
-    "projection_S_phi": models.projection_model,
-    "projection_S_phi_sqrt": models.projection_model,
-    "projection_S_psi_sqrt": models.projection_model,
-    "projection_bases": models.projection_phi_psi_closed_forms,
-    "projection_H_split": models.projection_H_closed_form,
-    "projection_h_block": factory.build_bundle,
-    "h_domain_weights": models.ProjectionModel.h_domain_weights,
-    "biorthogonality": basis.verify_biorthogonality,
-    "reconstruction": basis.expand,
-    "frame_inequality": basis.frame_inequality_check,
-    "eigen_action": factory.check_eigen_action,
-    "weighted_action": factory.check_weighted_action,
-    "adjoint_pair": factory.check_adjoint_pair,
-    "metric_pair": factory.check_metric_pair,
-    "intertwining": factory.check_intertwining,
-    "quasi_hermitian_symmetry": factory.quasi_hermitian_symmetry,
-    "selfadjoint_h": similarity.check_selfadjoint_h,
-    "transported_eigenbasis": similarity.check_transported_eigenbasis,
-    "similarity_consistency": similarity.check_similarity_consistency,
-    "onb_in_HS": similarity.onb_in_HS,
-    "norm_bound": factory.check_norm_bound,
-    "ladder_actions": ladder.check_ladder_actions,
-    "ladder_adjoints": ladder.check_ladder_adjoints,
-    "ladder_products": ladder.check_products,
-    "ladder_commutator": ladder.check_commutator,
-    "factorization": ladder.factorize_from_alpha,
-}

@@ -1,12 +1,23 @@
-"""Independent brute-force oracles for the rank-one-sum operators and the
-Hermitian eigensolver.
+"""Independent brute-force oracles for the rank-one-sum operators, the
+Hermitian eigensolver and the sequence terms, a check of a sequence's
+declared flags against its emitted terms, and the per-operator domain
+read-offs.
 
-Everything here is written as literal scalar loops over the defining sums,
-or as a cyclic Jacobi iteration, deliberately sharing no code path with the
-library's constructions (which use BLAS products and LAPACK).
+The oracles are written as literal scalar loops over the defining sums, as
+a cyclic Jacobi iteration, or term by term, deliberately sharing no code
+path with the library's constructions (which use BLAS products, LAPACK and
+array evaluation).  The domain read-offs map an operator kind to the weight
+sequence of its domain predicate; the library judges one weight/coefficient
+pair at a time (summability_verdict), and these name which pair belongs to
+which operator.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from rieszops.domains import DEFAULT_N_MAX
+from rieszops.sequences import SequenceSpec
 
 
 def literal_rank_one_sum(weights, left_columns, right_columns):
@@ -115,3 +126,118 @@ def jacobi_metric_roots(generator):
     lam, u = jacobi_eigh(t @ t.conj().T)
     s = np.sqrt(lam)
     return (u * s) @ u.conj().T, (u / s) @ u.conj().T
+
+
+def sequence_term(spec: SequenceSpec, n: int) -> complex:
+    """The n-th term of a SequenceSpec, computed as a Python scalar."""
+    if n < 0:
+        raise ValueError("sequence index must be >= 0")
+    if spec.length is not None and n >= spec.length:
+        raise ValueError(
+            f"sequence '{spec.label or spec.kind}' has length {spec.length}, "
+            f"index {n} requested"
+        )
+    if spec.kind == "list":
+        return complex(spec.values[n])
+    if spec.kind == "poly":
+        if n == 0:
+            base = 1.0 if spec.power == 0.0 else 0.0
+        else:
+            base = float(n) ** spec.power
+        return complex(spec.scale * base)
+    if spec.kind == "geometric":
+        return complex(spec.scale * spec.ratio**n)
+    if spec.kind == "affine":
+        return complex(spec.slope * n + spec.offset)
+    raise ValueError(f"unknown sequence kind '{spec.kind}'")
+
+
+def check_emitted(spec: SequenceSpec, count: int, tol: float = 0.0) -> None:
+    """Validate the declared is_real / abs_monotone flags of spec on its
+    first count terms; raises ValueError naming the first offending index."""
+    vals = spec.terms(count)
+    if spec.is_real:
+        bad = np.nonzero(np.abs(vals.imag) > tol)[0]
+        if bad.size:
+            raise ValueError(
+                f"sequence declared real but term {bad[0]} = {vals[bad[0]]}"
+            )
+    if spec.abs_monotone:
+        mags = np.abs(vals)
+        bad = np.nonzero(mags[1:] < mags[:-1] - tol)[0]
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"sequence declared |.|-monotone but |s_{k + 1}| = "
+                f"{mags[k + 1]:.6g} < |s_{k}| = {mags[k]:.6g}"
+            )
+
+
+@dataclass(frozen=True)
+class DomainWeights:
+    """Effective (nonnegative) weight sequence of a domain predicate,
+    derived from a base sequence by an index shift and a power of |.|."""
+
+    base: SequenceSpec
+    shift: int = 0
+    power: int = 1
+    label: str = ""
+
+    def log_abs_terms(self, count: int) -> np.ndarray:
+        shifted = self.base.log_abs_terms(count + self.shift)[self.shift :]
+        return self.power * shifted
+
+    def terms(self, count: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_abs_terms(count))
+
+
+def domain_of(op_kind: str, weights: SequenceSpec):
+    """Effective weight sequence of the domain predicate for one operator kind.
+
+        H  -> |alpha_n|          S  -> |beta_n|
+        A  -> |gamma_n|          B  -> |gamma_{n+1}|
+        BA -> |gamma_n|^2        AB -> |gamma_{n+1}|^2
+
+    The single-weight forms for BA and AB hold for |.|-monotone gamma; for
+    non-monotone gamma they are only valid as a conjunction of two
+    predicates, and a (quadratic, linear) weight pair is returned instead.
+    """
+    kind = op_kind.upper()
+    if kind in ("H", "S"):
+        return DomainWeights(weights, 0, 1, label=f"|{kind.lower()}_n|")
+    if kind == "A":
+        return DomainWeights(weights, 0, 1, label="|gamma_n|")
+    if kind == "B":
+        return DomainWeights(weights, 1, 1, label="|gamma_{n+1}|")
+    if kind in ("BA", "AB"):
+        shift = 0 if kind == "BA" else 1
+        tag = "gamma_n" if kind == "BA" else "gamma_{n+1}"
+        if weights.abs_monotone:
+            return DomainWeights(weights, shift, 2, label=f"|{tag}|^2")
+        return (
+            DomainWeights(weights, shift, 2, label=f"|{tag}|^2"),
+            DomainWeights(weights, shift, 1, label=f"|{tag}|"),
+        )
+    raise ValueError(f"unknown operator kind '{op_kind}'")
+
+
+def domain_inclusion(wa, wb, n_max: int = DEFAULT_N_MAX) -> bool:
+    """Termwise-domination test for D(wa) being contained in D(wb).
+
+    The inclusion holds if |wb_n| <= C |wa_n| for a constant C; C is
+    estimated on the first half of the range and must cover the tail with
+    1% slack.  True means established; False means not established (never a
+    proof of non-inclusion).
+    """
+    log_a = wa.log_abs_terms(n_max)
+    log_b = wb.log_abs_terms(n_max)
+    with np.errstate(invalid="ignore"):
+        log_ratio = log_b - log_a
+    # 0/0 positions impose no constraint on C
+    log_ratio[np.isnan(log_ratio)] = -np.inf
+    if np.any(np.isposinf(log_ratio)):
+        return False  # wb nonzero where wa vanishes: no constant covers it
+    head = float(log_ratio[: n_max // 2].max())
+    tail = float(log_ratio.max())
+    return tail <= head + np.log(1.01)

@@ -16,7 +16,14 @@ from conftest import (
     random_vector,
     three_level_gamma,
 )
-from oracles import literal_H, literal_lowering, literal_raising, literal_S
+from oracles import (
+    domain_inclusion,
+    domain_of,
+    literal_H,
+    literal_lowering,
+    literal_raising,
+    literal_S,
+)
 from rieszops import (
     build_bundle,
     build_H,
@@ -29,8 +36,6 @@ from rieszops import (
     check_metric_pair,
     check_products,
     check_selfadjoint_h,
-    domain_inclusion,
-    domain_of,
     explicit,
     frame_inequality_check,
     from_generator,

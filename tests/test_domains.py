@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from rieszops.domains import (
-    DomainWeights,
-    domain_inclusion,
-    domain_of,
-    summability_verdict,
-)
+from oracles import DomainWeights, domain_inclusion, domain_of
+from rieszops.domains import summability_verdict
 from rieszops.sequences import affine, explicit, geometric, harmonic, poly, sqrt_poly
 
 

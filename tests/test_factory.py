@@ -67,6 +67,11 @@ class TestBuildH:
         with pytest.raises(ValueError, match="emits only"):
             build_H(pair, explicit([1.0, 2.0]), "phi_psi")
 
+    def test_unknown_direction_rejected(self):
+        _, pair = three_level_pair()
+        with pytest.raises(ValueError, match="unknown direction 'phi_phi'"):
+            build_H(pair, ones(), "phi_phi")
+
 
 class TestBuildSWeighted:
     def test_unit_weights_match_metric_displays(self):
@@ -98,6 +103,12 @@ class TestBuildSWeighted:
         pair = random_pair(4, 8)
         s = build_S_weighted(pair, explicit([1j, 2.0, 1.0, 0.5]), "phi")
         assert np.abs(s - s.conj().T).max() > 1e-6
+
+
+    def test_unknown_side_rejected(self):
+        _, pair = three_level_pair()
+        with pytest.raises(ValueError, match="unknown basis family 'chi'"):
+            build_S_weighted(pair, ones(), "chi")
 
 
 class TestAdjointPair:

@@ -14,7 +14,6 @@ from rieszops.report import (
 )
 from rieszops.sequences import geometric
 from rieszops.suites import (
-    CHECK_REGISTRY,
     projection_report,
     random_report,
     sweep_projection,
@@ -169,8 +168,38 @@ class TestReportContainers:
         report.add(CheckResult("a", True, 0.0, 1.0))
         report.add(CheckResult("b", False, 2.0, 1.0))
         assert report.summary == {"total": 2, "passed": 1, "failed": 1}
-        assert report.failed_names() == ["b"]
+        assert [c.name for c in report.checks if not c.passed] == ["b"]
         assert not report.all_passed
+
+
+#: check names in report order: the closed-form model blocks, the battery
+#: every suite shares, and the ladder block of projection and random reports
+_THREE_LEVEL_MODEL = [
+    "three_level_H", "three_level_psi", "three_level_S_phi", "three_level_S_psi",
+    "three_level_S_phi_sqrt", "three_level_S_psi_sqrt", "three_level_h",
+    "three_level_Phi", "norm_T", "norm_T_inv", "sqrt_vs_generator",
+]
+_PROJECTION_MODEL = [
+    "projection_projector", "projection_T_inv", "projection_S_phi",
+    "projection_S_phi_sqrt", "projection_S_psi_sqrt", "projection_bases",
+    "projection_H_split", "projection_h_block", "h_domain_weights",
+]
+_BATTERY = [
+    "biorthogonality", "reconstruction", "frame_inequality", "eigen_action",
+    "weighted_action", "adjoint_pair", "metric_pair", "intertwining",
+    "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
+    "similarity_consistency", "onb_in_HS", "norm_bound",
+]
+_LADDER = [
+    "ladder_actions", "ladder_adjoints", "ladder_products", "ladder_commutator",
+    "factorization",
+]
+_THREE_LEVEL_ADMISSIBLE = [
+    "admissible", "eigenvalue_ordering", *_THREE_LEVEL_MODEL, *_BATTERY,
+    "ladder_actions", "ladder_adjoint_actions", "ladder_adjoints",
+    "ladder_products", "factorization", "hat_spectrum", "ladder_commutator",
+    "printed_ladder_matrices",
+]
 
 
 class TestSuites:
@@ -181,29 +210,34 @@ class TestSuites:
 
     def test_inadmissible_parameter_fails_only_admissibility(self):
         report = three_level_report(1.2)
-        assert report.failed_names() == ["admissible"]
+        assert [c.name for c in report.checks if not c.passed] == ["admissible"]
         names = {c.name for c in report.checks}
         assert "ladder_actions" not in names  # ladder checks skipped
         assert "three_level_S_phi" in names  # structural checks still run
 
-    def test_every_check_name_is_registered(self):
-        reports = [
-            three_level_report(0.3),
-            three_level_report(1.2),
-            projection_report(8, 3, seed=1),
-            random_report(8, seed=2),
-        ]
-        emitted = set()
-        for report in reports:
-            for check in report.checks:
-                assert check.name in CHECK_REGISTRY, check.name
-                emitted.add(check.name)
-        # and nothing in the registry is dead
-        assert emitted == set(CHECK_REGISTRY)
-
-    def test_registry_maps_names_to_single_operations(self):
-        for name, operation in CHECK_REGISTRY.items():
-            assert callable(operation), name
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda: three_level_report(0.3), _THREE_LEVEL_ADMISSIBLE),
+            (
+                lambda: three_level_report(1.2),
+                ["admissible", *_THREE_LEVEL_MODEL, *_BATTERY],
+            ),
+            (
+                lambda: projection_report(8, 3, seed=1),
+                [*_PROJECTION_MODEL, *_BATTERY, *_LADDER],
+            ),
+            (lambda: random_report(8, seed=2), [*_BATTERY, *_LADDER]),
+            (
+                lambda: random_report(8, seed=2, alpha=geometric(0.9 + 0.2j)),
+                [n for n in _BATTERY if n != "quasi_hermitian_symmetry"] + _LADDER,
+            ),
+        ],
+        ids=["admissible", "inadmissible", "projection", "random-real", "random-complex"],
+    )
+    def test_check_names_in_order(self, make, expected):
+        """The ordered check list of each report branch."""
+        assert [c.name for c in make().checks] == expected
 
     def test_sweep_three_level_grid(self):
         reports = sweep_three_level(0.0, 1.0, 11)
@@ -305,6 +339,41 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "three-level", "--t", "7.0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "random", "--dim", "100000"),
+            ("verify", "random", "--dim", "65"),
+            ("verify", "projection", "--dim", "0"),
+            ("sweep", "projection", "--dim", "65", "--n-min", "2", "--n-max", "3"),
+            ("domain", "--alpha", "poly:1", "--coeff", "poly:-2",
+             "--n-max", "4000000000"),
+            ("domain", "--alpha", "poly:1", "--coeff", "poly:1", "--n-max", "2000000"),
+            ("domain", "--alpha", "poly:1", "--coeff", "poly:1", "--n-max", "63"),
+        ],
+    )
+    def test_sizes_out_of_range_are_usage_errors(self, capsys, argv):
+        # argparse rejects the value before anything is allocated
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be in" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            (("verify", "random", "--dim", "64"), "dim", 64),
+            (("verify", "projection", "--dim", "1"), "dim", 1),
+            (("domain", "--alpha", "poly:1", "--coeff", "poly:1",
+              "--n-max", "1048576"), "n_max", 2**20),
+            (("domain", "--alpha", "poly:1", "--coeff", "poly:1",
+              "--n-max", "64"), "n_max", 64),
+        ],
+    )
+    def test_size_bounds_are_inclusive(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
 
     @pytest.mark.parametrize(
         "alpha,coeff,expected",

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector
+from conftest import random_pair
 from rieszops import (
-    LinalgError,
-    SInnerProduct,
     build_bundle,
     check_selfadjoint_h,
     check_similarity_consistency,
@@ -120,36 +118,6 @@ class TestOnbInHS:
         model = projection_model(8, np.array([0.6, 0.8]), poly(1.0))
         bundle = build_bundle(from_generator(model.T), poly(1.0))
         assert onb_in_HS(bundle).residual <= 1e-10
-
-
-class TestSInnerProduct:
-    def test_genuine_inner_product(self, rng):
-        _, bundle = three_level_bundle(0.4)
-        sip = SInnerProduct(bundle.S_psi)
-        for _ in range(20):
-            f = random_vector(rng, 3)
-            g = random_vector(rng, 3)
-            # conjugate symmetry and positivity
-            assert abs(sip.product(f, g) - sip.product(g, f).conjugate()) <= 1e-12
-            assert sip.product(f, f).real > 0.0
-            assert abs(sip.product(f, f).imag) <= 1e-12
-
-    def test_phi_family_is_orthonormal_in_it(self):
-        model, bundle = three_level_bundle(0.4)
-        sip = SInnerProduct(bundle.S_psi)
-        for n in range(3):
-            for m in range(3):
-                expected = 1.0 if n == m else 0.0
-                assert abs(sip.product(model.phi[n], model.phi[m]) - expected) <= 1e-12
-
-    def test_rejects_indefinite_metric(self):
-        with pytest.raises(LinalgError, match="positive definite"):
-            SInnerProduct(np.diag([1.0, -1.0]).astype(complex))
-
-    def test_rejects_non_hermitian_metric(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        with pytest.raises(LinalgError, match="Hermitian"):
-            SInnerProduct(m)
 
 
 def test_sqrt_metric_never_equals_generator():
