@@ -60,7 +60,6 @@ from .sequences import (
     explicit,
     geometric,
     harmonic,
-    ones,
     parse_spec,
     poly,
     sqrt_poly,

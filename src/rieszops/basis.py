@@ -22,13 +22,11 @@ from .linalg import (
     HermitianEigen,
     LinalgError,
     adjoint,
-    as_columns,
     as_matrix,
     hermitian_eig,
     inverse,
 )
 from .report import CheckResult
-from .sequences import SequenceSpec
 
 
 @dataclass(frozen=True)
@@ -94,27 +92,23 @@ def verify_biorthogonality(
 
 
 def expand(pair: RieszBasisPair, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient families of f, a vector (dim,) or a column block
-    (dim, k) of vectors.
+    """Both coefficient families of the columns of a block f (dim, k).
 
     Returns (coeff_psi, coeff_phi), shaped like f, with coeff_psi[n] =
     <f, psi_n> (so that f = sum coeff_psi[n] phi_n) and coeff_phi[n] =
-    <f, phi_n> (so that f = sum coeff_phi[n] psi_n).
+    <f, phi_n> (so that f = sum coeff_phi[n] psi_n), column by column.
     """
     f = np.asarray(f, dtype=complex)
-    if f.ndim not in (1, 2) or f.shape[0] != pair.dim:
-        raise ValueError(
-            f"vector has shape {f.shape}, expected ({pair.dim},) or ({pair.dim}, k)"
-        )
+    if f.ndim != 2 or f.shape[0] != pair.dim:
+        raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
     coeff_psi = adjoint(pair.psi) @ f
     coeff_phi = adjoint(pair.phi) @ f
     return coeff_psi, coeff_phi
 
 
 def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> float:
-    """Worse of the two reconstruction residuals, relative to ||f||; for a
-    column block, the worst column."""
-    f = as_columns(f)
+    """Worse of the two reconstruction residuals, relative to ||f||, of the
+    worst column of the block f (dim, k)."""
     coeff_psi, coeff_phi = expand(pair, f)
     scale = np.maximum(np.linalg.norm(f, axis=0), 1e-300)
     residuals = np.maximum(
@@ -126,7 +120,7 @@ def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> float:
 
 def frame_inequality_check(
     pair: RieszBasisPair,
-    alpha: SequenceSpec,
+    alpha: np.ndarray,
     f: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
@@ -134,13 +128,12 @@ def frame_inequality_check(
 
     Verifies  gamma_1^2 S <= ||sum_k alpha_k <f,psi_k> phi_k||^2 <= gamma_2^2 S
     with S = sum_k |alpha_k <f,psi_k>|^2, each side with slack tol (scaled by
-    the magnitude of the upper bound).  For a column block of vectors the
-    result and its note are those of the worst column.
+    the magnitude of the upper bound), for the weights alpha_0 ..
+    alpha_{dim-1} and each column of the block f (dim, k).  The result and
+    its note are those of the worst column.
     """
-    f = as_columns(f)
-    weights = alpha.terms(pair.dim)
     coeff_psi, _ = expand(pair, f)
-    weighted = weights[:, None] * coeff_psi
+    weighted = alpha[:, None] * coeff_psi
     coeff_mass = np.sum(np.abs(weighted) ** 2, axis=0)
     mid = np.linalg.norm(pair.phi @ weighted, axis=0) ** 2
     lower = pair.frame_lower**2 * coeff_mass

@@ -51,9 +51,10 @@ def _int_in(low: int, high: int):
     return parse
 
 
-#: truncation levels (N <= 64) and domain horizons
+#: truncation levels (N <= 64), domain horizons and three-level grid sizes
 _DIM = _int_in(1, 64)
 _N_MAX = _int_in(64, 2**20)
+_STEPS = _int_in(2, 1000)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -104,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_three = grids.add_parser("three-level", help="sweep the model parameter t")
     sweep_three.add_argument("--t-min", type=float, default=0.0)
     sweep_three.add_argument("--t-max", type=float, required=True)
-    sweep_three.add_argument("--steps", type=int, required=True)
+    sweep_three.add_argument(
+        "--steps", type=_STEPS, required=True, help="grid points, 2..1000"
+    )
     _add_common(sweep_three)
 
     sweep_proj = grids.add_parser("projection", help="sweep the support size")

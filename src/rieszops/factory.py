@@ -16,13 +16,12 @@ from .basis import RieszBasisPair
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
-    as_columns,
     frobenius,
     operator_norm,
     require_finite,
 )
 from .report import CheckResult
-from .sequences import SequenceSpec, ones
+from .sequences import SequenceSpec
 
 
 def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -32,28 +31,37 @@ def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     return acc
 
 
+def _weight_array(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
+    """values as the (dim,) weight array; any other shape would broadcast."""
+    if np.shape(values) != (pair.dim,):
+        raise ValueError(
+            f"weights have shape {np.shape(values)}, expected ({pair.dim},)"
+        )
+    return values
+
+
 def build_H(
-    pair: RieszBasisPair, alpha: SequenceSpec, direction: str = "phi_psi"
+    pair: RieszBasisPair, alpha: np.ndarray, direction: str = "phi_psi"
 ) -> np.ndarray:
-    """H^alpha = sum_n alpha_n (v_n outer conj(w_n)) with (v, w) = (phi, psi)
-    for direction 'phi_psi' and (psi, phi) for 'psi_phi'."""
+    """H^alpha = sum_n alpha_n (v_n outer conj(w_n)), alpha a (dim,) array,
+    with (v, w) = (phi, psi) for direction 'phi_psi', (psi, phi) for 'psi_phi'."""
     if direction == "phi_psi":
         left, right = pair.phi, pair.psi
     elif direction == "psi_phi":
         left, right = pair.psi, pair.phi
     else:
         raise ValueError(f"unknown direction '{direction}'")
-    return _rank_one_sum(alpha.terms(pair.dim), left, right)
+    return _rank_one_sum(_weight_array(pair, alpha), left, right)
 
 
 def build_S_weighted(
-    pair: RieszBasisPair, beta: SequenceSpec, side: str = "phi"
+    pair: RieszBasisPair, beta: np.ndarray, side: str = "phi"
 ) -> np.ndarray:
-    """S^beta = sum_n beta_n (v_n outer conj(v_n)) with v = phi or psi."""
+    """S^beta = sum_n beta_n (v_n outer conj(v_n)), beta a (dim,) array, v phi or psi."""
     if side not in ("phi", "psi"):
         raise ValueError(f"unknown basis family '{side}'")
     cols = pair.phi if side == "phi" else pair.psi
-    return _rank_one_sum(beta.terms(pair.dim), cols, cols)
+    return _rank_one_sum(_weight_array(pair, beta), cols, cols)
 
 
 @dataclass(frozen=True)
@@ -90,17 +98,22 @@ def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
     Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
     S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
-    unit = ones()
+    unit = np.ones(pair.dim, dtype=complex)
     weights = alpha.terms(pair.dim)
-    # real emitted weights are their own conjugates: reuse the alpha operators
-    conj = alpha.conjugate() if weights.imag.any() else None
     s = np.sqrt(pair.metric_eigen.eigenvalues)
     s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
     s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
-    h_phi_psi = build_H(pair, alpha, "phi_psi")
-    h_psi_phi = build_H(pair, alpha, "psi_phi")
-    s_alpha_phi = build_S_weighted(pair, alpha, "phi")
-    s_alpha_psi = build_S_weighted(pair, alpha, "psi")
+    h_phi_psi = build_H(pair, weights, "phi_psi")
+    h_psi_phi = build_H(pair, weights, "psi_phi")
+    s_alpha_phi = build_S_weighted(pair, weights, "phi")
+    s_alpha_psi = build_S_weighted(pair, weights, "psi")
+    # real emitted weights are their own conjugates: reuse the alpha operators
+    h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
+    if weights.imag.any():
+        conj = weights.conj()
+        h_conj = build_H(pair, conj, "psi_phi")
+        s_conj_phi = build_S_weighted(pair, conj, "phi")
+        s_conj_psi = build_S_weighted(pair, conj, "psi")
     return OperatorBundle(
         pair=pair,
         alpha=alpha,
@@ -114,9 +127,9 @@ def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
         S_alpha_phi=s_alpha_phi,
         S_alpha_psi=s_alpha_psi,
-        H_conj_psi_phi=build_H(pair, conj, "psi_phi") if conj else h_psi_phi,
-        S_conj_phi=build_S_weighted(pair, conj, "phi") if conj else s_alpha_phi,
-        S_conj_psi=build_S_weighted(pair, conj, "psi") if conj else s_alpha_psi,
+        H_conj_psi_phi=h_conj,
+        S_conj_phi=s_conj_phi,
+        S_conj_psi=s_conj_psi,
     )
 
 
@@ -230,15 +243,14 @@ def quasi_hermitian_symmetry(
 ) -> CheckResult:
     """Symmetry of H in the S-inner-product: <S_psi H f, g> = <S_psi f, H g>.
 
-    f and g are vectors (dim,) or column blocks (dim, k) of paired vectors;
-    the residual is that of the worst pair (f_j, g_j).  Only asserted for
-    real alpha; complex weights are rejected.
+    f and g are column blocks (dim, k) of paired vectors; the residual is
+    that of the worst pair (f_j, g_j).  Only asserted for real alpha;
+    complex weights are rejected.
     """
     if not bundle.alpha.is_real:
         raise ValueError("quasi-Hermitian symmetry is only asserted for real alpha")
-    f, g = as_columns(f), as_columns(g)
-    if f.shape != g.shape:
-        raise ValueError(f"unpaired vectors: f block {f.shape}, g block {g.shape}")
+    if f.ndim != 2 or f.shape != g.shape:
+        raise ValueError(f"unpaired (dim, k) blocks: f {f.shape}, g {g.shape}")
     scale = np.maximum(np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0), 1e-300)
     # stacked (dim, 1) vectors: matrix-vector products round like one pair at
     # a time; block products measured twice as noisy on this cancellation

@@ -17,15 +17,16 @@ from .basis import RieszBasisPair
 from .factory import OperatorBundle, _rank_one_sum, build_H
 from .linalg import DEFAULT_TOL, frobenius, worst_column_norm
 from .report import CheckResult
-from .sequences import SequenceSpec, explicit
+from .sequences import SequenceSpec
 
 
 @dataclass(frozen=True)
 class LadderPair:
     pair: RieszBasisPair
-    gamma: SequenceSpec
     #: gamma_0 .. gamma_{dim-1}
     weights: np.ndarray
+    #: declared |gamma_n| nondecreasing: needed by the matrix-level products
+    abs_monotone: bool
     A_phi_psi: np.ndarray
     B_phi_psi: np.ndarray
     A_psi_phi: np.ndarray
@@ -46,7 +47,11 @@ def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
 
 def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
     """All four ladder variants from one weight sequence."""
-    g = gamma.terms(pair.dim)
+    return _ladder(pair, gamma.terms(pair.dim), gamma.abs_monotone)
+
+
+def _ladder(pair: RieszBasisPair, g: np.ndarray, abs_monotone: bool) -> LadderPair:
+    """All four ladder variants from the weights g_0 .. g_{dim-1}."""
     warning = ""
     if abs(g[0]) > 0.0:
         warning = (
@@ -55,8 +60,8 @@ def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
         )
     return LadderPair(
         pair=pair,
-        gamma=gamma,
         weights=g,
+        abs_monotone=abs_monotone,
         A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
         A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),
@@ -95,7 +100,9 @@ def check_ladder_actions(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResul
 def check_ladder_adjoints(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """(A_{phi,psi})* = B_{psi,phi} and (A_{psi,phi})* = B_{phi,psi}, both
     built with conjugated weights: the ladder itself for real weights."""
-    conj = build_ladder(lp.pair, lp.gamma.conjugate()) if lp.weights.imag.any() else lp
+    conj = lp
+    if lp.weights.imag.any():
+        conj = _ladder(lp.pair, lp.weights.conj(), lp.abs_monotone)
     r1 = frobenius(lp.A_phi_psi.conj().T - conj.B_psi_phi)
     r2 = frobenius(lp.A_psi_phi.conj().T - conj.B_phi_psi)
     r3 = frobenius(lp.B_phi_psi.conj().T - conj.A_psi_phi)
@@ -133,11 +140,10 @@ def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     r_ab = ab @ cols_ab - cols_ab * g[ks + 1] ** 2
     worst = worst_column_norm(np.hstack([r_ba, r_ab]))
     notes = [f"action residuals on interior 0..{pair.dim - 2}: {worst:.3e}"]
-    if lp.gamma.abs_monotone:
+    if lp.abs_monotone:
         proj = _interior_projector(pair, skip_zero)
-        h_ba = build_H(pair, explicit(g**2), "phi_psi")
-        shifted = np.concatenate([g[1:] ** 2, [0.0]])
-        h_ab = build_H(pair, explicit(shifted), "phi_psi")
+        h_ba = build_H(pair, g**2, "phi_psi")
+        h_ab = build_H(pair, np.concatenate([g[1:] ** 2, [0.0]]), "phi_psi")
         r_ba = frobenius((ba - h_ba) @ proj)
         r_ab = frobenius((ab - h_ab) @ proj)
         worst = max(worst, r_ba, r_ab)
@@ -160,7 +166,7 @@ def check_commutator(
     Vectors with coefficient mass on psi_{N-1} beyond tol*||f|| are rejected:
     the identity is a truncation artifact outside the interior span.
     """
-    if not lp.gamma.abs_monotone:
+    if not lp.abs_monotone:
         raise ValueError("commutator identity requires |.|-monotone gamma")
     pair = lp.pair
     f = np.asarray(f, dtype=complex)
@@ -207,8 +213,8 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
             )
     roots = np.sqrt(np.clip(vals, 0.0, None))
     roots[0] = 0.0  # alpha_0 is zero within tol; pin the convention exactly
-    gamma = explicit(roots)
-    lp = build_ladder(pair, gamma)
+    # the roots of a strictly increasing alpha increase too
+    lp = _ladder(pair, roots.astype(complex), abs_monotone=True)
     residual = frobenius(
         (lp.B_phi_psi @ lp.A_phi_psi - bundle.H_phi_psi)
         @ _interior_projector(pair, False)

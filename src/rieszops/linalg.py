@@ -38,13 +38,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def as_columns(f) -> np.ndarray:
-    """A complex vector (dim,) as a one-column block (dim, 1); a block
-    (dim, k) of vectors unchanged."""
-    f = np.asarray(f, dtype=complex)
-    return f[:, None] if f.ndim == 1 else f
-
-
 def require_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():  # complex entries: both parts finite
         raise LinalgError("matrix contains non-finite entries")

@@ -14,7 +14,6 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, adjoint, worst_column_norm
 from .report import CheckResult
-from .sequences import SequenceSpec
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -24,10 +23,12 @@ class ThreeLevelModel:
     """One-parameter 3x3 model with spectrum (0, 2cos t - 1, 2cos t + 1).
 
     The parameter domain is [0, 2pi); the eigenvalues are simple and
-    increasing exactly on [0, pi/3) u [5pi/3, 2pi), recorded in
-    `admissible`.  The transported vectors Phi_n fix the third components
-    to sin(t/2) and cos(t/2): the factor-6 variants are inconsistent with
-    orthonormality and with the direct product S_psi^{1/2} phi_n.
+    increasing exactly on [0, pi/3) u (5pi/3, 2pi).  `admissible` records
+    that the smallest gap 2cos t - 1 exceeds tol, as the factorization
+    H = BA requires, so it is false at both ends and within about
+    tol/sqrt(3) of them.  The transported vectors Phi_n fix the third
+    components to sin(t/2) and cos(t/2): the factor-6 variants are
+    inconsistent with orthonormality and with S_psi^{1/2} phi_n.
     """
 
     t: float
@@ -49,10 +50,10 @@ def three_level(t: float, tol: float = DEFAULT_TOL) -> ThreeLevelModel:
     """Instantiate the model at parameter t in [0, 2pi)."""
     if not 0.0 <= t < 2.0 * np.pi:
         raise ValueError(f"t = {t} outside the parameter domain [0, 2pi)")
-    admissible = t < np.pi / 3.0 or t >= 5.0 * np.pi / 3.0
     c, s = np.cos(t), np.sin(t)
     ch, sh = np.cos(t / 2.0), np.sin(t / 2.0)
     eps = (0.0, 2.0 * c - 1.0, 2.0 * c + 1.0)
+    admissible = bool(min(eps[1] - eps[0], eps[2] - eps[1]) > tol)
     H = np.array(
         [
             [-3.0 * c / 5.0, s / 2.0, 3.0 * c / 5.0],
@@ -98,12 +99,6 @@ def three_level(t: float, tol: float = DEFAULT_TOL) -> ThreeLevelModel:
         np.array([0.0, -ch, sh], dtype=complex),
         np.array([0.0, sh, ch], dtype=complex),
     )
-    if admissible:
-        gaps = (eps[1] - eps[0], eps[2] - eps[1])
-        if min(gaps) <= 0.0:
-            raise ValueError(
-                f"admissible t = {t} but eigenvalue gaps {gaps} are not positive"
-            )
     return ThreeLevelModel(
         t=float(t),
         admissible=admissible,
@@ -220,25 +215,27 @@ class ProjectionModel:
     S_phi: np.ndarray
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
-    alpha: SequenceSpec
+    #: alpha_0 .. alpha_{dim-1}
+    weights: np.ndarray
 
-    def h_domain_weights(self) -> SequenceSpec:
+    def h_domain_weights(self) -> np.ndarray:
         """Weights of the domain predicate shared by h and H for this model.
 
         The similarity transform acts as the identity outside the (finite)
         support of u, so D(h) = D(H) with coefficients taken against the
         coordinate basis.  This closed form is special to this model.
         """
-        return self.alpha
+        return self.weights
 
 
 def projection_model(
     dim: int,
     u_coeffs,
-    alpha: SequenceSpec,
+    alpha: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> ProjectionModel:
-    """Build the projection model from the leading coefficients of u.
+    """Build the projection model from the leading coefficients of u and
+    the weights alpha_0 .. alpha_{dim-1}.
 
     u_coeffs fills the first len(u_coeffs) coordinates (zeros allowed, so
     any support pattern inside that window works); it must be normalized
@@ -285,7 +282,7 @@ def projection_model(
         S_phi=S_phi,
         S_phi_sqrt=S_phi_sqrt,
         S_psi_sqrt=S_psi_sqrt,
-        alpha=alpha,
+        weights=alpha,
     )
 
 
@@ -307,7 +304,6 @@ def projection_phi_psi_closed_forms(
 def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:
     """H as the split sum: weighted phi_k psi_k* on the support window and
     weighted coordinate projections e_k e_k* beyond it."""
-    weights = model.alpha.terms(model.dim)
     phi, psi = projection_phi_psi_closed_forms(model)
     eye = np.eye(model.dim, dtype=complex)
     # column k of each factor: phi_k, psi_k on the support, e_k off it
@@ -315,4 +311,4 @@ def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:
     inside[list(model.support)] = True
     left = np.where(inside, phi, eye)
     right = np.where(inside, psi, eye)
-    return (left * weights) @ right.conj().T
+    return (left * model.weights) @ right.conj().T

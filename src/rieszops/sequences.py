@@ -68,19 +68,15 @@ class SequenceSpec:
     def log_abs_terms(self, count: int) -> np.ndarray:
         """log |s_n| for n < count, with -inf marking exact zeros.
 
-        Evaluated in log space so growing closed forms stay usable at the
-        large horizons the domain diagnostics need (|r|^n overflows floats
-        long before its product with a decaying coefficient does).
+        Closed forms that grow are evaluated in log space, so they stay
+        usable at the large horizons the domain diagnostics need (|r|^n
+        overflows floats long before its product with a decaying coefficient
+        does); lists and affine terms are logged as emitted.
         """
-        if self.length is not None and count > self.length:
-            raise ValueError(
-                f"sequence '{self.label or self.kind}' emits only "
-                f"{self.length} terms, {count} requested"
-            )
-        n = np.arange(count, dtype=float)
         with np.errstate(divide="ignore"):
-            if self.kind == "list":
-                return np.log(np.abs(np.array(self.values[:count], dtype=complex)))
+            if self.kind in ("list", "affine"):
+                return np.log(np.abs(self.terms(count)))
+            n = np.arange(count, dtype=float)
             if self.kind == "poly":
                 out = np.full(count, np.log(abs(self.scale)))
                 out[1:] += self.power * np.log(n[1:])
@@ -91,25 +87,7 @@ class SequenceSpec:
                 out = np.full(count, np.log(abs(self.scale)))
                 out[1:] += n[1:] * np.log(abs(self.ratio))
                 return out
-            if self.kind == "affine":
-                return np.log(np.abs(self.slope * n + self.offset))
         raise ValueError(f"unknown sequence kind '{self.kind}'")
-
-    def conjugate(self) -> "SequenceSpec":
-        """Spec emitting the complex conjugate of every term."""
-        return SequenceSpec(
-            kind=self.kind,
-            values=tuple(complex(v).conjugate() for v in self.values),
-            power=self.power,
-            ratio=complex(self.ratio).conjugate(),
-            slope=complex(self.slope).conjugate(),
-            offset=complex(self.offset).conjugate(),
-            scale=complex(self.scale).conjugate(),
-            length=self.length,
-            is_real=self.is_real,
-            abs_monotone=self.abs_monotone,
-            name=f"conj({self.label})" if self.label else "",
-        )
 
 
 def _is_real_number(z) -> bool:
@@ -165,11 +143,6 @@ def affine(slope: complex, offset: complex, label: str = "") -> SequenceSpec:
         abs_monotone=monotone,
         name=label or f"affine:{_format_number(a)},{_format_number(b)}",
     )
-
-
-def ones() -> SequenceSpec:
-    """The constant sequence 1, 1, 1, ..."""
-    return poly(0.0, label="poly:0")
 
 
 def harmonic() -> SequenceSpec:

@@ -9,7 +9,6 @@ keeps the smallest singular value comfortably away from zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,17 +36,6 @@ def _random_generator(rng, dim: int) -> np.ndarray:
     return np.eye(dim) + _GENERATOR_SPREAD * (real + 1j * imag)
 
 
-def _merge_worst(name: str, results: list[CheckResult], note: str = "") -> CheckResult:
-    worst = max(results, key=lambda c: (math.isnan(c.residual), c.residual))
-    return CheckResult(
-        name=name,
-        passed=all(c.passed for c in results),
-        residual=worst.residual,
-        tol=worst.tol,
-        note=note or f"worst of {len(results)} samples: {worst.note}",
-    )
-
-
 def _entrywise(name: str, got, expected, tol: float, note: str = "") -> CheckResult:
     residual = float(np.abs(np.asarray(got) - np.asarray(expected)).max())
     return CheckResult.from_residual(name, residual, tol, note=note)
@@ -73,7 +61,7 @@ def _common_bundle_checks(
         )
     )
     frame = basis.frame_inequality_check(
-        pair, bundle.alpha, _random_block(rng, pair.dim, 10), tol
+        pair, bundle.weights, _random_block(rng, pair.dim, 10), tol
     )
     report.add(replace(frame, note=f"worst of 10 samples: {frame.note}"))
     report.add(factory.check_eigen_action(bundle, tol))
@@ -257,12 +245,11 @@ def three_level_report(
         report.add(ladder.check_commutator(lp, model.phi[0], tol))
         a_closed, b_closed = models.three_level_ladder_closed_forms(model)
         report.add(
-            _merge_worst(
+            _entrywise(
                 "printed_ladder_matrices",
-                [
-                    _entrywise("printed_ladder_matrices", lp.A_phi_psi, a_closed, tol),
-                    _entrywise("printed_ladder_matrices", lp.B_phi_psi, b_closed, tol),
-                ],
+                np.stack([lp.A_phi_psi, lp.B_phi_psi]),
+                np.stack([a_closed, b_closed]),
+                tol,
                 note="closed-form A(t), B(t) vs generic construction",
             )
         )
@@ -296,7 +283,7 @@ def projection_report(
     rng = np.random.default_rng(seed)
     coeffs = _random_block(rng, support, 1)[:, 0]
     coeffs /= np.linalg.norm(coeffs)
-    model = models.projection_model(dim, coeffs, alpha, tol)
+    model = models.projection_model(dim, coeffs, alpha.terms(dim), tol)
 
     pair = basis.from_generator(model.T, tol)
     bundle = factory.build_bundle(pair, alpha)
@@ -322,12 +309,11 @@ def projection_report(
     )
     phi_closed, psi_closed = models.projection_phi_psi_closed_forms(model)
     report.add(
-        _merge_worst(
+        _entrywise(
             "projection_bases",
-            [
-                _entrywise("projection_bases", pair.phi, phi_closed, tol),
-                _entrywise("projection_bases", pair.psi, psi_closed, tol),
-            ],
+            np.stack([pair.phi, pair.psi]),
+            np.stack([phi_closed, psi_closed]),
+            tol,
             note="phi_n and psi_n case formulas",
         )
     )
@@ -354,11 +340,10 @@ def projection_report(
             note="h acts as the diagonal weights on coordinates off the support",
         )
     )
-    h_weights = model.h_domain_weights()
     report.add(
         CheckResult.from_residual(
             "h_domain_weights",
-            float(np.abs(h_weights.terms(64) - alpha.terms(64)).max()),
+            float(np.abs(model.h_domain_weights() - bundle.weights).max()),
             tol,
             note="D(h) matches D(H) through identical weight sequences",
         )

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
-Hermitian eigensolver and the sequence terms, a check of a sequence's
-declared flags against its emitted terms, and the per-operator domain
-read-offs.
+Hermitian eigensolver and the sequence terms, the conjugate of a sequence
+from conjugated parameters (the library conjugates the emitted weights), a
+check of a sequence's declared flags against its emitted terms, and the
+per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
 a cyclic Jacobi iteration, or term by term, deliberately sharing no code
@@ -12,7 +13,7 @@ pair at a time (summability_verdict), and these name which pair belongs to
 which operator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,6 +151,20 @@ def sequence_term(spec: SequenceSpec, n: int) -> complex:
     if spec.kind == "affine":
         return complex(spec.slope * n + spec.offset)
     raise ValueError(f"unknown sequence kind '{spec.kind}'")
+
+
+def conjugate(spec: SequenceSpec) -> SequenceSpec:
+    """Spec emitting the complex conjugate of every term of spec, from its
+    conjugated parameters."""
+    return replace(
+        spec,
+        values=tuple(complex(v).conjugate() for v in spec.values),
+        ratio=complex(spec.ratio).conjugate(),
+        slope=complex(spec.slope).conjugate(),
+        offset=complex(spec.offset).conjugate(),
+        scale=complex(spec.scale).conjugate(),
+        name=f"conj({spec.label})" if spec.label else "",
+    )
 
 
 def check_emitted(spec: SequenceSpec, count: int, tol: float = 0.0) -> None:

@@ -143,7 +143,7 @@ def test_criterion_4_projection_closed_forms():
         support = int(rng.integers(2, 6))
         coeffs = random_vector(rng, support)
         coeffs /= np.linalg.norm(coeffs)
-        model = projection_model(dim, coeffs, poly(1.0))
+        model = projection_model(dim, coeffs, poly(1.0).terms(dim))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0))
         for got, expected in (
@@ -208,7 +208,9 @@ def test_criterion_5_property_suite_random_generators():
         ]
         for _ in range(10):
             checks.append(
-                frame_inequality_check(pair, alpha, random_vector(rng, dim), tol)
+                frame_inequality_check(
+                    pair, bundle.weights, random_vector(rng, dim)[:, None], tol
+                )
             )
         lp = build_ladder(pair, gamma)
         checks.append(check_ladder_adjoints(lp, tol))
@@ -229,20 +231,19 @@ def test_criterion_6_brute_force_oracle_equivalence():
     alpha = random_vector(rng, 4)
     beta = random_vector(rng, 4)
     gamma = np.concatenate([[0.0], random_vector(rng, 3)])
-    alpha_spec, beta_spec = explicit(alpha), explicit(beta)
     gamma_spec = explicit(gamma)
     lp = build_ladder(pair, gamma_spec)
     comparisons = [
-        (build_H(pair, alpha_spec, "phi_psi"), literal_H(pair, alpha, "phi_psi")),
-        (build_H(pair, alpha_spec, "psi_phi"), literal_H(pair, alpha, "psi_phi")),
-        (build_S_weighted(pair, beta_spec, "phi"), literal_S(pair, beta, "phi")),
-        (build_S_weighted(pair, beta_spec, "psi"), literal_S(pair, beta, "psi")),
+        (build_H(pair, alpha, "phi_psi"), literal_H(pair, alpha, "phi_psi")),
+        (build_H(pair, alpha, "psi_phi"), literal_H(pair, alpha, "psi_phi")),
+        (build_S_weighted(pair, beta, "phi"), literal_S(pair, beta, "phi")),
+        (build_S_weighted(pair, beta, "psi"), literal_S(pair, beta, "psi")),
         (
-            build_S_weighted(pair, poly(0.0), "phi"),
+            build_S_weighted(pair, np.ones(4), "phi"),
             literal_S(pair, np.ones(4), "phi"),
         ),
         (
-            build_S_weighted(pair, poly(0.0), "psi"),
+            build_S_weighted(pair, np.ones(4), "psi"),
             literal_S(pair, np.ones(4), "psi"),
         ),
         (lp.A_phi_psi, literal_lowering(pair, gamma, "phi_psi")),

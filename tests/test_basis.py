@@ -33,7 +33,7 @@ def test_three_level_columns_match_model_at_pi_over_6():
 def test_projection_generator_case_formulas():
     u = np.zeros(4, dtype=complex)
     u[:2] = 1 / np.sqrt(2)
-    model = projection_model(4, u[:2], poly(1.0))
+    model = projection_model(4, u[:2], poly(1.0).terms(4))
     pair = from_generator(model.T)
     for n in range(4):
         expected = np.eye(4)[:, n].astype(complex)
@@ -80,31 +80,32 @@ class TestBiorthogonality:
 class TestExpand:
     def test_basis_vector_coefficients_are_kronecker(self):
         pair = random_pair(6, 2)
-        coeff_psi, _ = expand(pair, pair.phi[:, 3])
-        np.testing.assert_allclose(coeff_psi, np.eye(6)[3], atol=1e-12)
+        coeff_psi, _ = expand(pair, pair.phi[:, 3:4])
+        np.testing.assert_allclose(coeff_psi[:, 0], np.eye(6)[3], atol=1e-12)
 
     def test_identity_generator(self):
         pair = from_generator(np.eye(4, dtype=complex))
-        coeff_psi, coeff_phi = expand(pair, np.eye(4)[0].astype(complex))
-        np.testing.assert_allclose(coeff_psi, np.eye(4)[0], atol=1e-15)
-        np.testing.assert_allclose(coeff_phi, np.eye(4)[0], atol=1e-15)
+        coeff_psi, coeff_phi = expand(pair, np.eye(4)[:, :1].astype(complex))
+        np.testing.assert_allclose(coeff_psi[:, 0], np.eye(4)[0], atol=1e-15)
+        np.testing.assert_allclose(coeff_phi[:, 0], np.eye(4)[0], atol=1e-15)
 
     def test_projection_pair_reconstruction(self, rng):
-        model = projection_model(8, np.array([0.6, 0.8j]), poly(1.0))
+        model = projection_model(8, np.array([0.6, 0.8j]), poly(1.0).terms(8))
         pair = from_generator(model.T)
         f = random_vector(rng, 8)
-        assert reconstruction_residual(pair, f) <= 1e-10
+        assert reconstruction_residual(pair, f[:, None]) <= 1e-10
 
     def test_dimension_mismatch(self):
         pair = random_pair(4, 1)
         with pytest.raises(ValueError, match="shape"):
-            expand(pair, np.zeros(5))
+            expand(pair, np.zeros(5)[:, None])
 
     def test_hundred_random_reconstructions(self):
         pair = random_pair(8, 21)
         rng = np.random.default_rng(99)
         worst = max(
-            reconstruction_residual(pair, random_vector(rng, 8)) for _ in range(100)
+            reconstruction_residual(pair, random_vector(rng, 8)[:, None])
+            for _ in range(100)
         )
         assert worst <= 1e-10
 
@@ -112,20 +113,23 @@ class TestExpand:
 class TestFrameInequality:
     def test_identity_generator_equalities(self, rng):
         pair = from_generator(np.eye(5, dtype=complex))
-        check = frame_inequality_check(pair, poly(1.0), random_vector(rng, 5))
+        check = frame_inequality_check(
+            pair, poly(1.0).terms(5), random_vector(rng, 5)[:, None]
+        )
         assert check.passed and check.residual <= 1e-12
 
     def test_three_level(self, rng):
         model = three_level(0.3)
         pair = from_generator(model.T)
         check = frame_inequality_check(
-            pair, explicit(model.eps), random_vector(rng, 3)
+            pair, explicit(model.eps).terms(3), random_vector(rng, 3)[:, None]
         )
         assert check.passed
 
     def test_projection_linear_weights(self, rng):
-        model = projection_model(6, np.array([0.6, 0.8]), poly(1.0))
+        alpha = poly(1.0).terms(6)
+        model = projection_model(6, np.array([0.6, 0.8]), alpha)
         pair = from_generator(model.T)
         for _ in range(10):
-            check = frame_inequality_check(pair, poly(1.0), random_vector(rng, 6))
+            check = frame_inequality_check(pair, alpha, random_vector(rng, 6)[:, None])
             assert check.passed

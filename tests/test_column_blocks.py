@@ -12,6 +12,7 @@ from rieszops import (
     build_bundle,
     build_ladder,
     check_commutator,
+    expand,
     explicit,
     frame_inequality_check,
     from_generator,
@@ -22,11 +23,11 @@ from rieszops import (
     sqrt_poly,
 )
 from rieszops.report import CheckResult
-from rieszops.suites import _merge_worst, _random_block, random_report
+from rieszops.suites import _entrywise, _random_block, random_report
 
 
 def _columns(block):
-    return [block[:, j] for j in range(block.shape[1])]
+    return [block[:, j : j + 1] for j in range(block.shape[1])]
 
 
 @pytest.mark.parametrize("dim, k", [(1, 1), (3, 50), (8, 10), (64, 20)])
@@ -65,6 +66,23 @@ def test_commutator_coefficients_follow_sequential_draws(alpha):
     assert got.residual == expected.residual
 
 
+@pytest.mark.parametrize("check", ["expand", "reconstruction", "frame", "quasi"])
+def test_vectors_need_a_column_axis(check):
+    """One vector is passed as f[:, None]; a 1-D array is rejected."""
+    pair = random_pair(4, 1)
+    f = random_vector(np.random.default_rng(1), 4)
+    calls = {
+        "expand": lambda: expand(pair, f),
+        "reconstruction": lambda: reconstruction_residual(pair, f),
+        "frame": lambda: frame_inequality_check(pair, poly(1.0).terms(4), f),
+        "quasi": lambda: quasi_hermitian_symmetry(build_bundle(pair, poly(1.0)), f, f),
+    }
+    with pytest.raises(ValueError, match=r"\(4, k\)|\(dim, k\)"):
+        calls[check]()
+    f = f[:, None]
+    assert calls[check]() is not None
+
+
 class TestWorstColumn:
     @pytest.fixture
     def pair(self):
@@ -87,13 +105,14 @@ class TestWorstColumn:
         # a lower bound raised to the upper one makes every column violate,
         # by different amounts; order the columns so the worst one is last
         tight = replace(pair, frame_lower=pair.frame_upper)
+        alpha = poly(1.0).terms(8)
         residuals = [
-            frame_inequality_check(tight, poly(1.0), f).residual for f in _columns(block)
+            frame_inequality_check(tight, alpha, f).residual for f in _columns(block)
         ]
         block = block[:, np.argsort(residuals)]
-        worst = frame_inequality_check(tight, poly(1.0), block[:, -1])
+        worst = frame_inequality_check(tight, alpha, block[:, -1:])
         assert min(residuals) > 0.0
-        check = frame_inequality_check(tight, poly(1.0), block)
+        check = frame_inequality_check(tight, alpha, block)
         assert check.residual == pytest.approx(max(residuals), rel=1e-12)
         assert not check.passed
         assert check.note.split()[::3] == ["lower", "mid", "upper"]
@@ -105,14 +124,14 @@ class TestWorstColumn:
         bundle = build_bundle(pair, poly(2.0))
         f, g = block[:, 0::2], block[:, 1::2]
         single = [
-            quasi_hermitian_symmetry(bundle, f[:, j], g[:, j]).residual
+            quasi_hermitian_symmetry(bundle, f[:, [j]], g[:, [j]]).residual
             for j in range(f.shape[1])
         ]
         check = quasi_hermitian_symmetry(bundle, f, g)
         assert check.residual == pytest.approx(max(single), rel=1e-12)
         with pytest.raises(ValueError, match="unpaired"):
             quasi_hermitian_symmetry(bundle, f, g[:, :1])
-        assert check.note == quasi_hermitian_symmetry(bundle, f[:, 0], g[:, 0]).note
+        assert check.note == quasi_hermitian_symmetry(bundle, f[:, :1], g[:, :1]).note
 
 
 class TestNanColumn:
@@ -128,7 +147,7 @@ class TestNanColumn:
         assert not CheckResult.from_residual("reconstruction", residual, 1e-10).passed
 
     def test_frame(self, block):
-        check = frame_inequality_check(random_pair(6, 1), poly(1.0), block)
+        check = frame_inequality_check(random_pair(6, 1), poly(1.0).terms(6), block)
         assert np.isnan(check.residual) and not check.passed
 
     def test_quasi(self, block):
@@ -136,14 +155,15 @@ class TestNanColumn:
         check = quasi_hermitian_symmetry(bundle, block, block[:, ::-1])
         assert np.isnan(check.residual) and not check.passed
 
-    def test_merge_reports_nan_sample(self):
-        samples = [
-            CheckResult.from_residual("x", 1e-14, 1e-10),
-            CheckResult.from_residual("x", float("nan"), 1e-10),
-            CheckResult.from_residual("x", 1e-12, 1e-10),
-        ]
-        merged = _merge_worst("x", samples)
-        assert np.isnan(merged.residual) and not merged.passed
+    def test_stacked_entrywise_reports_nan_pair(self):
+        got = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+        expected = got.copy()
+        got[1, 0, 2] = np.nan  # the second (got, expected) pair
+        check = _entrywise("x", got, expected, 1e-10)
+        assert np.isnan(check.residual) and not check.passed
+        got[1, 0, 2] = 1e-12
+        got[0, 1, 1] += 1e-11
+        assert _entrywise("x", got, expected, 1e-10).residual == pytest.approx(1e-11)
 
 
 class TestSingleBadColumn:
@@ -170,9 +190,10 @@ class TestSingleBadColumn:
         # upper bound exactly for vectors with a last coordinate
         pair = from_generator(np.eye(5, dtype=complex))
         bent = replace(pair, phi=np.diag([1.0, 1.0, 1.0, 1.0, 1.5]).astype(complex))
-        good = frame_inequality_check(bent, poly(1.0), np.delete(block, 5, axis=1))
+        alpha = poly(1.0).terms(5)
+        good = frame_inequality_check(bent, alpha, np.delete(block, 5, axis=1))
         assert good.passed and good.residual <= 1e-14
-        check = frame_inequality_check(bent, poly(1.0), block)
+        check = frame_inequality_check(bent, alpha, block)
         assert not check.passed and check.residual > 1e-3
 
     def test_quasi(self, block):

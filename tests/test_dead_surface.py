@@ -1,9 +1,10 @@
 """Guard against dead surface in src/rieszops.
 
-A module-level function, class or UPPERCASE constant, and a public method,
-is live only when its name is read (a loaded name or attribute) in some
-module of the package other than __init__.py; a read in its own module
-counts.  A re-export from __init__.py is not a use, and neither is a test.
+A module-level function, class or UPPERCASE constant is live only when its
+own module loads its name, or another module imports it and reads it
+(`from .m import name`, or `m.name` after `from . import m`); a public
+method is live when any module reads an attribute of that name.  Modules
+count except __init__.py: a re-export is not a use, and neither is a test.
 """
 
 import ast
@@ -19,15 +20,27 @@ REACHED_FROM_OUTSIDE = {
 }
 
 
-def _reads(tree):
-    """Every name a module loads, bare or as an attribute."""
-    names = set()
+def _reads(module, tree):
+    """(module, name) pairs that `module` reads, resolved through its
+    relative imports, and the attribute names it reads on anything."""
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module is None:
+                    modules[bound] = alias.name
+                else:
+                    imported[bound] = (node.module, alias.name)
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names.add(imported.get(node.id, (module, node.id)))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.add((modules[node.value.id], node.attr))
+    return names, attrs
 
 
 def _definitions(tree):
@@ -50,14 +63,24 @@ def _definitions(tree):
 
 def dead_names(sources, exempt=()):
     """'module.name' of every definition in sources ({module: source text})
-    whose last name component no module other than __init__ reads."""
+    that no module other than __init__ reads, by the rules above."""
     trees = {m: ast.parse(text) for m, text in sources.items() if m != "__init__"}
-    read = set().union(*map(_reads, trees.values()))
+    names, attrs = set(), set()
+    for module, tree in trees.items():
+        module_names, module_attrs = _reads(module, tree)
+        names |= module_names
+        attrs |= module_attrs
+
+    def read(module, name):
+        if "." in name:  # Class.method: any attribute read of that name
+            return name.rpartition(".")[2] in attrs
+        return (module, name) in names
+
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in _definitions(tree)
-        if name.rpartition(".")[2] not in read and (module, name) not in exempt
+        if (module, name) not in exempt and not read(module, name)
     )
 
 
@@ -107,3 +130,23 @@ def test_guard_counts_only_reads_outside_init():
         "a.UNUSED_LIMIT",
         "a.only_exported",
     ]
+
+
+def test_guard_resolves_imports():
+    # b reads a local `inner` and an attribute `.norm` of an unrelated
+    # object: neither keeps a's definitions of those names alive
+    sources = {
+        "a": (
+            "def inner():\n    return 1\n"
+            "def norm():\n    return 2\n"
+            "def used():\n    return 3\n"
+            "def via_module():\n    return 4\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import used as alias\n"
+            "def run(inner, x):\n"
+            "    return inner + x.norm + alias() + a.via_module()\n"
+        ),
+    }
+    assert dead_names(sources, {("b", "run"): "entry point"}) == ["a.inner", "a.norm"]

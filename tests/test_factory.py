@@ -21,12 +21,12 @@ from rieszops import (
     from_generator,
     geometric,
     ladder,
-    ones,
     operator_norm,
     poly,
     quasi_hermitian_symmetry,
 )
 from rieszops.models import projection_model, three_level
+from rieszops.sequences import SequenceSpec
 from rieszops.suites import projection_report, random_report, three_level_report
 
 
@@ -39,20 +39,20 @@ class TestBuildH:
     def test_unit_weights_give_identity_both_directions(self):
         _, pair = three_level_pair()
         np.testing.assert_allclose(
-            build_H(pair, ones(), "phi_psi"), np.eye(3), atol=1e-12
+            build_H(pair, np.ones(3), "phi_psi"), np.eye(3), atol=1e-12
         )
         np.testing.assert_allclose(
-            build_H(pair, ones(), "psi_phi"), np.eye(3), atol=1e-12
+            build_H(pair, np.ones(3), "psi_phi"), np.eye(3), atol=1e-12
         )
 
     def test_three_level_entrywise(self):
         model, pair = three_level_pair(0.3)
-        got = build_H(pair, explicit(model.eps), "phi_psi")
+        got = build_H(pair, np.array(model.eps), "phi_psi")
         assert np.abs(got - model.H).max() <= 1e-12
 
     def test_identity_generator_gives_diagonal(self):
         pair = from_generator(np.eye(3, dtype=complex))
-        got = build_H(pair, explicit([1.0, 2.0, 3.0]), "phi_psi")
+        got = build_H(pair, np.array([1.0, 2.0, 3.0]), "phi_psi")
         np.testing.assert_allclose(got, np.diag([1.0, 2.0, 3.0]), atol=1e-15)
 
     def test_eigen_action_all_indices(self):
@@ -64,28 +64,28 @@ class TestBuildH:
 
     def test_length_mismatch(self):
         _, pair = three_level_pair()
-        with pytest.raises(ValueError, match="emits only"):
-            build_H(pair, explicit([1.0, 2.0]), "phi_psi")
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(3,\)"):
+            build_H(pair, np.array([1.0, 2.0]), "phi_psi")
 
     def test_unknown_direction_rejected(self):
         _, pair = three_level_pair()
         with pytest.raises(ValueError, match="unknown direction 'phi_phi'"):
-            build_H(pair, ones(), "phi_phi")
+            build_H(pair, np.ones(3), "phi_phi")
 
 
 class TestBuildSWeighted:
     def test_unit_weights_match_metric_displays(self):
         model, pair = three_level_pair(0.7)
-        s_phi = build_S_weighted(pair, ones(), "phi")
-        s_psi = build_S_weighted(pair, ones(), "psi")
+        s_phi = build_S_weighted(pair, np.ones(3), "phi")
+        s_psi = build_S_weighted(pair, np.ones(3), "psi")
         assert np.abs(s_phi - model.S_phi).max() <= 1e-12
         assert np.abs(s_psi - model.S_psi).max() <= 1e-12
 
     def test_identity_generator_diagonal_selfadjoint(self):
         pair = from_generator(np.eye(4, dtype=complex))
-        beta = explicit([0.5, 1.5, 2.5, 3.5])
+        beta = np.array([0.5, 1.5, 2.5, 3.5])
         s = build_S_weighted(pair, beta, "phi")
-        np.testing.assert_allclose(s, np.diag(beta.terms(4)), atol=1e-15)
+        np.testing.assert_allclose(s, np.diag(beta), atol=1e-15)
         assert np.abs(s - s.conj().T).max() <= 1e-15
 
     def test_weighted_actions_both_sides(self):
@@ -96,19 +96,19 @@ class TestBuildSWeighted:
     def test_hermitian_for_real_weights(self):
         pair = random_pair(8, 7)
         for side in ("phi", "psi"):
-            s = build_S_weighted(pair, poly(1.0), side)
+            s = build_S_weighted(pair, poly(1.0).terms(8), side)
             assert np.abs(s - s.conj().T).max() <= 1e-10
 
     def test_not_hermitian_for_complex_weights(self):
         pair = random_pair(4, 8)
-        s = build_S_weighted(pair, explicit([1j, 2.0, 1.0, 0.5]), "phi")
+        s = build_S_weighted(pair, np.array([1j, 2.0, 1.0, 0.5]), "phi")
         assert np.abs(s - s.conj().T).max() > 1e-6
 
 
     def test_unknown_side_rejected(self):
         _, pair = three_level_pair()
         with pytest.raises(ValueError, match="unknown basis family 'chi'"):
-            build_S_weighted(pair, ones(), "chi")
+            build_S_weighted(pair, np.ones(3), "chi")
 
 
 class TestAdjointPair:
@@ -120,7 +120,7 @@ class TestAdjointPair:
     def test_real_weights_identity_generator_hermitian(self):
         pair = from_generator(np.eye(4, dtype=complex))
         alpha = explicit([0.0, 1.0, 2.0, 3.0])
-        h = build_H(pair, alpha, "phi_psi")
+        h = build_H(pair, alpha.terms(4), "phi_psi")
         assert np.abs(h - h.conj().T).max() == 0.0
         assert check_adjoint_pair(build_bundle(pair, alpha)).residual <= 1e-14
 
@@ -149,7 +149,7 @@ class TestIntertwining:
         assert check_intertwining(bundle).residual <= 1e-13
 
     def test_projection_dim_8(self):
-        model = projection_model(8, np.array([0.6, 0.8]), poly(1.0))
+        model = projection_model(8, np.array([0.6, 0.8]), poly(1.0).terms(8))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0))
         check = check_intertwining(bundle)
@@ -163,7 +163,10 @@ class TestQuasiHermitianSymmetry:
         rng = np.random.default_rng(17)
         worst = max(
             quasi_hermitian_symmetry(
-                bundle, random_vector(rng, 3), random_vector(rng, 3), tol=1e-11
+                bundle,
+                random_vector(rng, 3)[:, None],
+                random_vector(rng, 3)[:, None],
+                tol=1e-11,
             ).residual
             for _ in range(50)
         )
@@ -172,14 +175,16 @@ class TestQuasiHermitianSymmetry:
     def test_eigenvector_pair(self):
         model, pair = three_level_pair(0.3)
         bundle = build_bundle(pair, explicit(model.eps))
-        check = quasi_hermitian_symmetry(bundle, model.phi[0], model.phi[1])
+        check = quasi_hermitian_symmetry(
+            bundle, model.phi[0][:, None], model.phi[1][:, None]
+        )
         assert check.passed and check.residual <= 1e-12
 
     def test_identity_generator(self, rng):
         pair = from_generator(np.eye(4, dtype=complex))
         bundle = build_bundle(pair, explicit([0.0, 1.0, 2.0, 3.0]))
         check = quasi_hermitian_symmetry(
-            bundle, random_vector(rng, 4), random_vector(rng, 4)
+            bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
         )
         assert check.passed
 
@@ -188,7 +193,7 @@ class TestQuasiHermitianSymmetry:
         bundle = build_bundle(pair, explicit([0.0, 1j, 2.0, 3.0]))
         with pytest.raises(ValueError, match="real"):
             quasi_hermitian_symmetry(
-                bundle, random_vector(rng, 4), random_vector(rng, 4)
+                bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
             )
 
 
@@ -212,7 +217,7 @@ class TestMetricAndBounds:
         pair = random_pair(8, 6)
         rng = np.random.default_rng(6)
         beta = explicit(random_vector(rng, 8))
-        s = build_S_weighted(pair, beta, "phi")
+        s = build_S_weighted(pair, beta.terms(8), "phi")
         bound = pair.frame_upper**2 * float(np.abs(beta.terms(8)).max())
         assert operator_norm(s) <= bound + 1e-10
 
@@ -267,9 +272,9 @@ class TestBundleFields:
         built = Counter()
 
         def counting(builder):
-            def build(pair, spec, family):
-                built[builder.__name__, spec.terms(pair.dim).tobytes(), family] += 1
-                return builder(pair, spec, family)
+            def build(pair, weights, family):
+                built[builder.__name__, weights.tobytes(), family] += 1
+                return builder(pair, weights, family)
 
             return build
 
@@ -353,12 +358,48 @@ class TestLadderAdjointBuilds:
     def test_conj_ladder_built_only_for_complex_gamma(self, monkeypatch, gamma, builds):
         lp = ladder.build_ladder(random_pair(4, 2), gamma)
         calls = []
-        build_ladder = ladder.build_ladder
+        build = ladder._ladder
 
-        def counting(pair, spec):
-            calls.append(spec)
-            return build_ladder(pair, spec)
+        def counting(pair, weights, abs_monotone):
+            calls.append(weights)
+            return build(pair, weights, abs_monotone)
 
-        monkeypatch.setattr(ladder, "build_ladder", counting)
+        monkeypatch.setattr(ladder, "_ladder", counting)
         assert ladder.check_ladder_adjoints(lp).passed
         assert len(calls) == builds
+
+
+class TestWeightArrays:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (8, 1)])
+    @pytest.mark.parametrize(
+        "build, family", [(build_H, "phi_psi"), (build_S_weighted, "phi")]
+    )
+    def test_builders_reject_any_shape_but_dim(self, build, family, shape):
+        # a length-1 or (dim, 1) array would broadcast without an error
+        pair = random_pair(8, 2)
+        with pytest.raises(ValueError, match=r"expected \(8,\)"):
+            build(pair, np.ones(shape), family)
+
+    @pytest.mark.parametrize(
+        "make_report, calls",
+        [
+            (lambda: three_level_report(0.3), 1),
+            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), 2),
+            (lambda: projection_report(16, 4, seed=3), 3),
+        ],
+        ids=["three-level", "random-complex", "projection"],
+    )
+    def test_terms_evaluated_once_per_sequence_use(
+        self, monkeypatch, make_report, calls
+    ):
+        # the bundle's alpha, the ladder's gamma, and the projection model's alpha
+        labels = []
+        terms = SequenceSpec.terms
+
+        def counting(spec, count):
+            labels.append(spec.label)
+            return terms(spec, count)
+
+        monkeypatch.setattr(SequenceSpec, "terms", counting)
+        make_report()
+        assert len(labels) == calls, labels

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_generator_matrix
 from oracles import jacobi_eigh, jacobi_metric_roots
-from rieszops import build_bundle, from_generator, ones
+from rieszops import build_bundle, from_generator, poly
 from rieszops.linalg import LinalgError, hermitian_eig, inverse, operator_norm
 from rieszops.models import three_level
 
@@ -143,7 +143,7 @@ def test_lapack_kernel_matches_jacobi_oracle(dim):
     assert np.abs(hermitian_eig(m).eigenvalues - lam).max() <= 1e-12 * np.linalg.norm(m)
 
     t = random_generator_matrix(rng, dim)
-    bundle = build_bundle(from_generator(t), ones())
+    bundle = build_bundle(from_generator(t), poly(0.0))
     for got, want in zip(
         (bundle.S_phi_sqrt, bundle.S_psi_sqrt), jacobi_metric_roots(t)
     ):

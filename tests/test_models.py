@@ -37,6 +37,22 @@ class TestThreeLevel:
         assert three_level(5.9).admissible
         assert not three_level(np.pi).admissible
 
+    @pytest.mark.parametrize(
+        "t",
+        [5 * np.pi / 3, np.pi / 3 - 1e-12, 5 * np.pi / 3 + 1e-12, np.pi / 3],
+        ids=["5pi/3", "below-pi/3", "above-5pi/3", "pi/3"],
+    )
+    def test_boundary_band_is_not_admissible(self, t):
+        # the smallest gap 2cos t - 1 is not above tol = 1e-10
+        model = three_level(t)
+        assert not model.admissible
+        assert model.eps[1] - model.eps[0] <= 1e-10
+
+    def test_admissibility_follows_tol(self):
+        t = np.pi / 3 - 1e-6  # gap about 1.7e-6
+        assert three_level(t).admissible
+        assert not three_level(t, tol=1e-5).admissible
+
     def test_parameter_domain_enforced(self):
         with pytest.raises(ValueError, match="parameter domain"):
             three_level(-0.1)
@@ -122,25 +138,25 @@ class TestHatSpectrum:
 
 class TestProjectionModel:
     def test_contiguous_support_H_split(self):
-        model = projection_model(6, np.array([1.0, 1.0]) / np.sqrt(2), poly(1.0))
+        model = projection_model(6, np.array([1.0, 1.0]) / np.sqrt(2), poly(1.0).terms(6))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0))
         assert np.abs(bundle.H_phi_psi - projection_H_closed_form(model)).max() <= 1e-11
 
     def test_rejects_single_nonzero_coefficient(self):
         with pytest.raises(ValueError, match="two nonzero"):
-            projection_model(4, np.array([1.0]), poly(1.0))
+            projection_model(4, np.array([1.0]), poly(1.0).terms(4))
         with pytest.raises(ValueError, match="two nonzero"):
-            projection_model(4, np.array([1.0, 0.0]), poly(1.0))
+            projection_model(4, np.array([1.0, 0.0]), poly(1.0).terms(4))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            projection_model(4, np.array([1.0, 1.0]), poly(1.0))
+            projection_model(4, np.array([1.0, 1.0]), poly(1.0).terms(4))
 
     def test_closed_form_invariants(self, rng):
         coeffs = random_vector(rng, 3)
         coeffs /= np.linalg.norm(coeffs)
-        model = projection_model(8, coeffs, poly(1.0))
+        model = projection_model(8, coeffs, poly(1.0).terms(8))
         eye = np.eye(8)
         assert np.abs(model.P @ model.P - model.P).max() <= 1e-12
         assert np.abs(model.P - model.P.conj().T).max() <= 1e-12
@@ -155,7 +171,7 @@ class TestProjectionModel:
 
     def test_scattered_support(self):
         coeffs = np.array([0.6, 0.0, 0.8j])
-        model = projection_model(8, coeffs, poly(1.0))
+        model = projection_model(8, coeffs, poly(1.0).terms(8))
         assert model.support == (0, 2)
         phi, _ = projection_phi_psi_closed_forms(model)
         pair = from_generator(model.T)
@@ -166,7 +182,7 @@ class TestProjectionModel:
         rng = np.random.default_rng(7)
         coeffs = random_vector(rng, 3)
         coeffs /= np.linalg.norm(coeffs)
-        model = projection_model(8, coeffs, poly(1.0))
+        model = projection_model(8, coeffs, poly(1.0).terms(8))
         bundle = build_bundle(from_generator(model.T), poly(1.0))
         h = bundle.h
         assert np.abs(h - h.conj().T).max() <= 1e-10
@@ -183,7 +199,7 @@ class TestProjectionModel:
         coeffs = random_vector(rng, 4)
         coeffs /= np.linalg.norm(coeffs)
         alpha = poly(1.0)
-        model = projection_model(10, coeffs, alpha)
+        model = projection_model(10, coeffs, alpha.terms(10))
         bundle = build_bundle(from_generator(model.T), alpha)
         phi_t = transported_eigenbasis(bundle)
         weights = alpha.terms(10)
@@ -196,7 +212,5 @@ class TestProjectionModel:
         assert np.abs(gram - np.eye(10)).max() <= 1e-10
 
     def test_h_domain_weights_match_alpha(self):
-        model = projection_model(6, np.array([0.6, 0.8]), poly(2.0))
-        np.testing.assert_allclose(
-            model.h_domain_weights().terms(64), poly(2.0).terms(64)
-        )
+        model = projection_model(6, np.array([0.6, 0.8]), poly(2.0).terms(6))
+        np.testing.assert_allclose(model.h_domain_weights(), poly(2.0).terms(6))

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 
 import numpy as np
@@ -351,6 +352,9 @@ class TestCli:
              "--n-max", "4000000000"),
             ("domain", "--alpha", "poly:1", "--coeff", "poly:1", "--n-max", "2000000"),
             ("domain", "--alpha", "poly:1", "--coeff", "poly:1", "--n-max", "63"),
+            ("sweep", "three-level", "--t-max", "1", "--steps", "1001"),
+            ("sweep", "three-level", "--t-max", "1", "--steps", "0"),
+            ("sweep", "three-level", "--t-max", "1", "--steps", "1000000000000"),
         ],
     )
     def test_sizes_out_of_range_are_usage_errors(self, capsys, argv):
@@ -370,10 +374,48 @@ class TestCli:
               "--n-max", "1048576"), "n_max", 2**20),
             (("domain", "--alpha", "poly:1", "--coeff", "poly:1",
               "--n-max", "64"), "n_max", 64),
+            (("sweep", "three-level", "--t-max", "1", "--steps", "2"), "steps", 2),
+            (("sweep", "three-level", "--t-max", "1", "--steps", "1000"), "steps", 1000),
         ],
     )
     def test_size_bounds_are_inclusive(self, argv, dest, value):
         assert getattr(build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "projection", "--dim", "4", "--n", "2"),
+        ("sweep", "projection", "--dim", "4", "--n-min", "2", "--n-max", "3"),
+    ], ids=["verify", "sweep"])
+    def test_projection_accepts_list_alpha_of_dim_terms(self, capsys, command):
+        # a list of exactly dim terms, as verify random accepts
+        assert main([*command, "--alpha", "list:0,1,2,3"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for doc in out if isinstance(out, list) else [out]:
+            assert doc["params"]["alpha"] == "list:0,1,2,3"
+            assert doc["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize(
+        "t",
+        [5 * math.pi / 3, math.pi / 3 - 1e-12, 5 * math.pi / 3 + 1e-12],
+        ids=["5pi/3", "below-pi/3", "above-5pi/3"],
+    )
+    def test_three_level_boundary_reports_inadmissible(self, capsys, t):
+        # eps_1 - eps_0 = 2cos t - 1 is within tol of zero: no simple spectrum
+        assert main(["verify", "three-level", "--t", repr(t)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failed == ["admissible"]
+
+    def test_sweep_three_level_from_5pi_over_3_emits_document(self, capsys):
+        argv = ["sweep", "three-level", "--t-min", repr(5 * math.pi / 3),
+                "--t-max", "6.2", "--steps", "5"]
+        assert main(argv) == 1
+        docs = json.loads(capsys.readouterr().out)
+        admissible = [d["checks"][0]["passed"] for d in docs]
+        assert admissible == [False, True, True, True, True]
 
     @pytest.mark.parametrize(
         "alpha,coeff,expected",

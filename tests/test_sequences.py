@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import check_emitted, sequence_term
+from oracles import check_emitted, conjugate, sequence_term
 from rieszops.sequences import (
     affine,
     explicit,
     geometric,
     harmonic,
-    ones,
     parse_spec,
     poly,
     sqrt_poly,
@@ -15,7 +14,7 @@ from rieszops.sequences import (
 
 
 def test_poly_zero_power_is_all_ones():
-    np.testing.assert_allclose(ones().terms(5), np.ones(5))
+    np.testing.assert_allclose(poly(0.0).terms(5), np.ones(5))
 
 
 def test_poly_positive_power_starts_at_zero():
@@ -50,12 +49,12 @@ _TERM_SPECS = (
 )
 
 
-@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("text", _TERM_SPECS)
 @pytest.mark.parametrize("count", [0, 1, 3, 64])
-def test_terms_match_term_by_term(text, conjugate, count):
+def test_terms_match_term_by_term(text, conjugated, count):
     spec = parse_spec(text)
-    spec = spec.conjugate() if conjugate else spec
+    spec = conjugate(spec) if conjugated else spec
     got = spec.terms(count)
     want = np.array([sequence_term(spec, k) for k in range(count)], dtype=complex)
     assert got.dtype == np.complex128 and got.shape == (count,)
@@ -65,7 +64,7 @@ def test_terms_match_term_by_term(text, conjugate, count):
 def test_terms_of_limited_list_reject_one_past_the_end():
     spec = parse_spec("list:1,2j,3")
     assert spec.terms(3).shape == (3,)
-    for limited in (spec, spec.conjugate()):
+    for limited in (spec, conjugate(spec)):
         with pytest.raises(ValueError, match="emits only"):
             limited.terms(limited.length + 1)
 
@@ -112,19 +111,19 @@ def test_abs_monotone_complex_affine():
 def test_conjugate_round_trip():
     spec = explicit([1 + 2j, 3.0, -1j])
     np.testing.assert_allclose(
-        spec.conjugate().terms(3), np.conj(spec.terms(3))
+        conjugate(spec).terms(3), np.conj(spec.terms(3))
     )
     np.testing.assert_allclose(
-        geometric(1j).conjugate().terms(4), np.conj(geometric(1j).terms(4))
+        conjugate(geometric(1j)).terms(4), np.conj(geometric(1j).terms(4))
     )
 
 
-@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("text", _TERM_SPECS)
-def test_declared_flags_match_emitted_terms(text, conjugate):
+def test_declared_flags_match_emitted_terms(text, conjugated):
     """is_real and abs_monotone say exactly what the first 64 terms show."""
     spec = parse_spec(text)
-    spec = spec.conjugate() if conjugate else spec
+    spec = conjugate(spec) if conjugated else spec
     terms = spec.terms(64)
     mags = np.abs(terms)
     assert spec.is_real == (not terms.imag.any())
@@ -198,6 +197,6 @@ def test_labels_are_canonical():
     assert parse_spec("geometric:0.5").label == "geometric:0.5"
     # list labels are formatted when read, with the same text
     assert explicit([1, 2 + 1j]).label == "list:1,2+1j"
-    assert explicit([1, 2 + 1j]).conjugate().label == "conj(list:1,2+1j)"
+    assert conjugate(explicit([1, 2 + 1j])).label == "conj(list:1,2+1j)"
     assert explicit([1, 2 + 1j], label="mine").label == "mine"
     assert parse_spec("list:1,2+1j").label == "list:1,2+1j"

@@ -33,7 +33,7 @@ class TestBuildH:
         np.testing.assert_allclose(bundle.h, np.diag([0.0, 1, 2, 3]), atol=1e-13)
 
     def test_projection_block_structure(self):
-        model = projection_model(8, np.array([0.6, 0.0, 0.8j]), poly(1.0))
+        model = projection_model(8, np.array([0.6, 0.0, 0.8j]), poly(1.0).terms(8))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0))
         h = bundle.h
@@ -115,7 +115,7 @@ class TestOnbInHS:
         assert onb_in_HS(bundle).residual <= 1e-14
 
     def test_projection_dim_8(self):
-        model = projection_model(8, np.array([0.6, 0.8]), poly(1.0))
+        model = projection_model(8, np.array([0.6, 0.8]), poly(1.0).terms(8))
         bundle = build_bundle(from_generator(model.T), poly(1.0))
         assert onb_in_HS(bundle).residual <= 1e-10
 
