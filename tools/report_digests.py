@@ -1,0 +1,130 @@
+"""Digest every document of a fixed CLI corpus, to compare two source trees.
+
+    python3 tools/report_digests.py SRC_DIR
+
+imports `rieszops.cli` from SRC_DIR (the directory that holds the
+`rieszops` package), runs `cli.main(argv)` in this process for each argv
+of the corpus below, and prints one line per argv:
+
+    <sha256 of stdout> <exit code> <argv, shell-quoted>
+
+Run it on two trees and `diff` the outputs: an unchanged line means the
+same stdout bytes and the same exit code.  The corpus is fixed: verify
+random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
+alpha and gamma (closed forms and 64-term lists); verify and sweep
+projection; verify and sweep three-level across the admissible boundaries;
+domain over a spec grid.  The 1284 argv take about 7 s on a 2-vCPU x86_64
+host.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import shlex
+import sys
+from pathlib import Path
+
+
+def _list(values) -> str:
+    return "list:" + ",".join(values)
+
+
+#: 64-term lists: complex with alternating imaginary parts, real and not
+#: |.|-monotone, and a complex gamma with growing modulus
+COMPLEX_LIST = _list(f"{k}{(-1) ** k * 0.5:+g}j" for k in range(64))
+REAL_LIST = _list(f"{(7 * k) % 11:g}" for k in range(64))
+COMPLEX_GAMMA_LIST = _list(f"{math.sqrt(k):.6g}{0.1 * k:+.6g}j" for k in range(64))
+
+RANDOM_DIMS = (1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 32, 48, 64)
+RANDOM_ALPHAS = ("poly:2", "geometric:0.9+0.2j", "affine:-1,3", COMPLEX_LIST, REAL_LIST)
+RANDOM_GAMMAS = ("sqrt-poly:1", "geometric:1.1+0.3j", COMPLEX_GAMMA_LIST, "affine:-1,3")
+PROJECTION_ALPHAS = ("poly:1", "poly:2", "geometric:0.9+0.2j", "affine:-1,3", REAL_LIST)
+PROJECTION_GAMMAS = ("sqrt-poly:1", "affine:-1,3")
+THIRD = math.pi / 3.0
+THREE_LEVEL_T = (0.0, 0.3, 0.8, THIRD - 1e-12, THIRD, 1.2, 3.0, 5.0 * THIRD, 5.5)
+THREE_LEVEL_RANGES = (
+    (0.0, 6.2), (0.8, 1.3), (0.9, 1.2), (5.0, 6.28), (0.0, 1.0), (1.0, 2.0)
+)
+DOMAIN_SPECS = (
+    "poly:0", "poly:1", "poly:2", "sqrt-poly:1",
+    "harmonic", "geometric:0.5", "geometric:1.01", "affine:1,2",
+)
+
+
+def corpus():
+    """Every argv, in a fixed order."""
+    for dim in RANDOM_DIMS:
+        for seed in (1, 2, 3):
+            for alpha in RANDOM_ALPHAS:
+                for gamma in RANDOM_GAMMAS:
+                    yield ("verify", "random", "--dim", str(dim), "--seed", str(seed),
+                           "--alpha", alpha, "--gamma", gamma)
+    # dims 1 and 2, where truncated weights can be real or |.|-monotone
+    # although the sequence is not; and a list that is real to 1e-12
+    for dim in (1, 2, 3):
+        for alpha, gamma in (("geometric:0.9+0.2j", "harmonic"), ("poly:1", "harmonic")):
+            yield ("verify", "random", "--dim", str(dim), "--seed", "1",
+                   "--alpha", alpha, "--gamma", gamma)
+    yield ("verify", "random", "--dim", "3", "--seed", "1",
+           "--alpha", "list:0,1+1e-12j,2")
+    for dim in (8, 32, 64):
+        for n in (2, 3, 5):
+            for seed in (1, 2):
+                for alpha in PROJECTION_ALPHAS:
+                    for gamma in PROJECTION_GAMMAS:
+                        yield ("verify", "projection", "--dim", str(dim), "--n", str(n),
+                               "--seed", str(seed), "--alpha", alpha, "--gamma", gamma)
+    yield ("verify", "projection", "--dim", "4", "--n", "2", "--alpha", "list:0,1,2,3")
+    for dim in (8, 32, 64):
+        for n_min, n_max in ((2, 4), (3, 6), (5, 8)):
+            for alpha in PROJECTION_ALPHAS[:4]:
+                yield ("sweep", "projection", "--dim", str(dim), "--n-min", str(n_min),
+                       "--n-max", str(n_max), "--alpha", alpha)
+    for t in THREE_LEVEL_T:
+        yield ("verify", "three-level", "--t", repr(t))
+    for t_min, t_max in THREE_LEVEL_RANGES:
+        for seed in (1, 2):
+            yield ("sweep", "three-level", "--t-min", repr(t_min), "--t-max", repr(t_max),
+                   "--steps", "27", "--seed", str(seed))
+    for alpha in DOMAIN_SPECS:
+        for coeff in DOMAIN_SPECS:
+            for n_max in (4096, 8192, 16384, 32768):
+                yield ("domain", "--alpha", alpha, "--coeff", coeff, "--n-max", str(n_max))
+    yield ("domain", "--alpha", "geometric:0.9+0.2j", "--coeff", "poly:-2")
+    yield ("domain", "--alpha", COMPLEX_LIST, "--coeff", "geometric:0.5", "--n-max", "64")
+    yield ("domain", "--alpha", "affine:1j,1", "--coeff", "harmonic")
+
+
+def run(main, argv) -> tuple[str, int]:
+    """(sha256 of stdout, exit code) of main(argv) in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), int(code)
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    src = Path(sys.argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    from rieszops import cli
+
+    if Path(cli.__file__).resolve().parents[1] != src:
+        sys.stderr.write(f"rieszops imported from {cli.__file__}, not from {src}\n")
+        return 2
+    for argv in corpus():
+        digest, code = run(cli.main, argv)
+        print(digest, code, shlex.join(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
