@@ -40,7 +40,7 @@ class DomainVerdict:
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
-    weights and coeffs need only log_abs_terms(count), as a SequenceSpec has.
+    weights and coeffs need only log_abs_terms(count), as a parsed sequence spec has.
 
     Dyadic blocks B_j cover [2^j, 2^{j+1}); converged needs the last three
     block ratios below 0.9, diverged needs either the partial sum past 1e12

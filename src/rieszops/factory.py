@@ -4,6 +4,8 @@ All operators are materialized as explicit sums of rank-one terms
 sum_n w_n (v_n w_n*), evaluated from the basis columns as one matrix
 product (V diag(w)) W*: the checks downstream must exercise the defining
 formulas, so no diagonalization shortcut (such as T diag(w) T^{-1}) is used.
+Every builder takes (dim,) weight arrays; build_bundle decides once, from
+alpha's array, whether the weights are real.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .linalg import (
     require_finite,
 )
 from .report import CheckResult
-from .sequences import SequenceSpec
 
 
 def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -70,9 +71,11 @@ class OperatorBundle:
     built once: the checks read these fields and build none of their own."""
 
     pair: RieszBasisPair
-    alpha: SequenceSpec
     #: alpha_0 .. alpha_{dim-1}
     weights: np.ndarray
+    #: no weight has an imaginary part: h is self-adjoint, the quasi-Hermitian
+    #: symmetry holds, and the conj(alpha) operators are the alpha ones
+    is_real: bool
     H_phi_psi: np.ndarray
     H_psi_phi: np.ndarray
     S_phi: np.ndarray
@@ -84,22 +87,27 @@ class OperatorBundle:
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
     #: the conj(alpha) operators the adjoint identities compare against;
-    #: the alpha operators themselves when every weight is real
+    #: the alpha operators themselves when is_real
     H_conj_psi_phi: np.ndarray
     S_conj_phi: np.ndarray
     S_conj_psi: np.ndarray
 
 
-def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
-    """Materialize H (both directions), the metric operators and their
-    principal square roots, h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both
-    sides, and the conj(alpha) operators H_{psi,phi} and S on both sides.
+def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
+    """Materialize, from the (dim,) array alpha_0 .. alpha_{dim-1}, H (both
+    directions), the metric operators and their principal square roots,
+    h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both sides, and the conj(alpha)
+    operators H_{psi,phi} and S on both sides.
+
+    Realness is decided here, once, from the weights themselves: at small
+    dim a truncated complex sequence can be real.
 
     Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
     S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
     unit = np.ones(pair.dim, dtype=complex)
-    weights = alpha.terms(pair.dim)
+    weights = _weight_array(pair, weights)
+    is_real = not weights.imag.any()
     s = np.sqrt(pair.metric_eigen.eigenvalues)
     s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
     s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
@@ -107,17 +115,17 @@ def build_bundle(pair: RieszBasisPair, alpha: SequenceSpec) -> OperatorBundle:
     h_psi_phi = build_H(pair, weights, "psi_phi")
     s_alpha_phi = build_S_weighted(pair, weights, "phi")
     s_alpha_psi = build_S_weighted(pair, weights, "psi")
-    # real emitted weights are their own conjugates: reuse the alpha operators
+    # real weights are their own conjugates: reuse the alpha operators
     h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
-    if weights.imag.any():
+    if not is_real:
         conj = weights.conj()
         h_conj = build_H(pair, conj, "psi_phi")
         s_conj_phi = build_S_weighted(pair, conj, "phi")
         s_conj_psi = build_S_weighted(pair, conj, "psi")
     return OperatorBundle(
         pair=pair,
-        alpha=alpha,
         weights=weights,
+        is_real=is_real,
         H_phi_psi=h_phi_psi,
         H_psi_phi=h_psi_phi,
         S_phi=build_S_weighted(pair, unit, "phi"),
@@ -247,7 +255,7 @@ def quasi_hermitian_symmetry(
     that of the worst pair (f_j, g_j).  Only asserted for real alpha;
     complex weights are rejected.
     """
-    if not bundle.alpha.is_real:
+    if not bundle.is_real:
         raise ValueError("quasi-Hermitian symmetry is only asserted for real alpha")
     if f.ndim != 2 or f.shape != g.shape:
         raise ValueError(f"unpaired (dim, k) blocks: f {f.shape}, g {g.shape}")

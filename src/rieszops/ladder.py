@@ -5,6 +5,8 @@ annihilates phi_{N-1} and the product identities for AB hold only on the
 interior index range 0..N-2.  BA = H with weights gamma_n^2 additionally
 needs gamma_0 = 0 (BA phi_0 is always zero); a nonzero gamma_0 is recorded
 as a warning and the k = 0 comparison is skipped rather than failed.
+The matrix-level products and the commutator need |gamma_n| nondecreasing,
+which build_ladder reads from the (dim,) weight array it is given.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RieszBasisPair
-from .factory import OperatorBundle, _rank_one_sum, build_H
+from .factory import OperatorBundle, _rank_one_sum, _weight_array, build_H
 from .linalg import DEFAULT_TOL, frobenius, worst_column_norm
 from .report import CheckResult
-from .sequences import SequenceSpec
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class LadderPair:
     pair: RieszBasisPair
     #: gamma_0 .. gamma_{dim-1}
     weights: np.ndarray
-    #: declared |gamma_n| nondecreasing: needed by the matrix-level products
+    #: |gamma_0| <= ... <= |gamma_{dim-1}|: needed by the matrix-level products
     abs_monotone: bool
     A_phi_psi: np.ndarray
     B_phi_psi: np.ndarray
@@ -45,13 +46,14 @@ def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
     return _rank_one_sum(weights[1:], left[:, 1:], right[:, :-1])
 
 
-def build_ladder(pair: RieszBasisPair, gamma: SequenceSpec) -> LadderPair:
-    """All four ladder variants from one weight sequence."""
-    return _ladder(pair, gamma.terms(pair.dim), gamma.abs_monotone)
+def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
+    """All four ladder variants from the (dim,) array gamma_0 .. gamma_{dim-1}.
 
-
-def _ladder(pair: RieszBasisPair, g: np.ndarray, abs_monotone: bool) -> LadderPair:
-    """All four ladder variants from the weights g_0 .. g_{dim-1}."""
+    |.|-monotonicity is decided here, once, from the weights themselves: at
+    small dim a truncated non-monotone sequence can be monotone.
+    """
+    g = _weight_array(pair, weights)
+    mags = np.abs(g)
     warning = ""
     if abs(g[0]) > 0.0:
         warning = (
@@ -61,7 +63,7 @@ def _ladder(pair: RieszBasisPair, g: np.ndarray, abs_monotone: bool) -> LadderPa
     return LadderPair(
         pair=pair,
         weights=g,
-        abs_monotone=abs_monotone,
+        abs_monotone=bool(np.all(mags[1:] >= mags[:-1])),
         A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
         A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),
@@ -102,7 +104,7 @@ def check_ladder_adjoints(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResu
     built with conjugated weights: the ladder itself for real weights."""
     conj = lp
     if lp.weights.imag.any():
-        conj = _ladder(lp.pair, lp.weights.conj(), lp.abs_monotone)
+        conj = build_ladder(lp.pair, lp.weights.conj())
     r1 = frobenius(lp.A_phi_psi.conj().T - conj.B_psi_phi)
     r2 = frobenius(lp.A_psi_phi.conj().T - conj.B_phi_psi)
     r3 = frobenius(lp.B_phi_psi.conj().T - conj.A_psi_phi)
@@ -199,7 +201,7 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
     """
     pair = bundle.pair
     a = bundle.weights
-    if float(np.abs(a.imag).max()) > tol:
+    if not bundle.is_real:
         k = int(np.argmax(np.abs(a.imag)))
         raise ValueError(f"alpha_{k} = {a[k]:.6g} is not real")
     vals = a.real
@@ -213,8 +215,7 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
             )
     roots = np.sqrt(np.clip(vals, 0.0, None))
     roots[0] = 0.0  # alpha_0 is zero within tol; pin the convention exactly
-    # the roots of a strictly increasing alpha increase too
-    lp = _ladder(pair, roots.astype(complex), abs_monotone=True)
+    lp = build_ladder(pair, roots.astype(complex))
     residual = frobenius(
         (lp.B_phi_psi @ lp.A_phi_psi - bundle.H_phi_psi)
         @ _interior_projector(pair, False)

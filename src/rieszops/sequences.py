@@ -1,8 +1,8 @@
 """Weight sequences (alpha, beta, gamma) as closed forms or explicit lists.
 
-A SequenceSpec emits complex terms s_0, s_1, ... and carries two declared
-properties used all over the operator checks: is_real (every term has zero
-imaginary part) and abs_monotone (|s_0| <= |s_1| <= ...).
+A SequenceSpec emits complex terms s_0, s_1, ...; the suites turn it into
+a (dim,) weight array once, and the operator code reads realness and
+|.|-monotonicity from that array.
 
 Closed-form kinds and their CLI spellings:
 
@@ -32,8 +32,6 @@ class SequenceSpec:
     offset: complex = 0.0
     scale: complex = 1.0
     length: int | None = None  # None = unbounded
-    is_real: bool = True
-    abs_monotone: bool = False
     name: str = field(default="", compare=False)  # the given label
 
     @property
@@ -90,23 +88,11 @@ class SequenceSpec:
         raise ValueError(f"unknown sequence kind '{self.kind}'")
 
 
-def _is_real_number(z) -> bool:
-    return complex(z).imag == 0.0
-
-
 def explicit(values, label: str = "") -> SequenceSpec:
     vals = tuple(complex(v) for v in values)
     if not vals:
         raise ValueError("explicit sequence needs at least one term")
-    mags = np.abs(np.array(vals))
-    return SequenceSpec(
-        kind="list",
-        values=vals,
-        length=len(vals),
-        is_real=all(v.imag == 0.0 for v in vals),
-        abs_monotone=bool(np.all(mags[1:] >= mags[:-1])),
-        name=label,
-    )
+    return SequenceSpec(kind="list", values=vals, length=len(vals), name=label)
 
 
 def poly(power: float, scale: complex = 1.0, label: str = "") -> SequenceSpec:
@@ -114,8 +100,6 @@ def poly(power: float, scale: complex = 1.0, label: str = "") -> SequenceSpec:
         kind="poly",
         power=float(power),
         scale=complex(scale),
-        is_real=_is_real_number(scale),
-        abs_monotone=power >= 0.0,
         name=label or f"poly:{power:g}",
     )
 
@@ -125,22 +109,16 @@ def geometric(ratio: complex, scale: complex = 1.0, label: str = "") -> Sequence
         kind="geometric",
         ratio=complex(ratio),
         scale=complex(scale),
-        is_real=_is_real_number(ratio) and _is_real_number(scale),
-        abs_monotone=abs(ratio) >= 1.0,
         name=label or f"geometric:{_format_number(ratio)}",
     )
 
 
 def affine(slope: complex, offset: complex, label: str = "") -> SequenceSpec:
     a, b = complex(slope), complex(offset)
-    # |a n + b| is nondecreasing on n >= 0 iff |a|^2 + 2 Re(a conj(b)) >= 0
-    monotone = abs(a) ** 2 + 2.0 * (a * b.conjugate()).real >= 0.0
     return SequenceSpec(
         kind="affine",
         slope=a,
         offset=b,
-        is_real=_is_real_number(a) and _is_real_number(b),
-        abs_monotone=monotone,
         name=label or f"affine:{_format_number(a)},{_format_number(b)}",
     )
 

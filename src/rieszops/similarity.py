@@ -21,7 +21,7 @@ def check_selfadjoint_h(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> Che
     r_adjoint = frobenius(adjoint(bundle.h) - conj_bundle_h)
     notes = [f"h* = h'(conj alpha) ({r_adjoint:.3e})"]
     residual = r_adjoint
-    if bundle.alpha.is_real:
+    if bundle.is_real:
         r_self = frobenius(bundle.h - adjoint(bundle.h))
         residual = max(residual, r_self)
         notes.insert(0, f"||h - h*|| ({r_self:.3e})")

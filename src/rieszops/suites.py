@@ -69,7 +69,7 @@ def _common_bundle_checks(
     report.add(factory.check_adjoint_pair(bundle, tol))
     report.add(factory.check_metric_pair(bundle, tol))
     report.add(factory.check_intertwining(bundle, tol))
-    if bundle.alpha.is_real:
+    if bundle.is_real:
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
         fg = _random_block(rng, pair.dim, 2 * quasi_pairs)
         quasi = factory.quasi_hermitian_symmetry(bundle, fg[:, 0::2], fg[:, 1::2], tol)
@@ -86,7 +86,7 @@ def _common_bundle_checks(
 def _ladder_checks(
     report: VerificationReport,
     bundle: factory.OperatorBundle,
-    gamma: sequences.SequenceSpec,
+    gamma: np.ndarray,
     rng,
     tol: float,
 ) -> None:
@@ -94,7 +94,7 @@ def _ladder_checks(
     report.add(ladder.check_ladder_actions(lp, tol))
     report.add(ladder.check_ladder_adjoints(lp, tol))
     report.add(ladder.check_products(lp, tol))
-    if gamma.abs_monotone and bundle.pair.dim >= 2:
+    if lp.abs_monotone and bundle.pair.dim >= 2:
         coeffs = _random_block(rng, bundle.pair.dim - 1, 1)[:, 0]
         f = bundle.pair.phi[:, :-1] @ coeffs
         report.add(ladder.check_commutator(lp, f, tol))
@@ -155,8 +155,7 @@ def three_level_report(
         )
 
     pair = basis.from_generator(model.T, tol)
-    alpha = sequences.explicit(model.eps)
-    bundle = factory.build_bundle(pair, alpha)
+    bundle = factory.build_bundle(pair, np.array(model.eps, dtype=complex))
 
     report.add(_entrywise("three_level_H", bundle.H_phi_psi, model.H, tol))
     report.add(_entrywise("three_level_psi", pair.psi, np.column_stack(model.psi), tol))
@@ -286,7 +285,7 @@ def projection_report(
     model = models.projection_model(dim, coeffs, alpha.terms(dim), tol)
 
     pair = basis.from_generator(model.T, tol)
-    bundle = factory.build_bundle(pair, alpha)
+    bundle = factory.build_bundle(pair, model.weights)
 
     report.add(
         _entrywise(
@@ -350,7 +349,7 @@ def projection_report(
     )
 
     _common_bundle_checks(report, bundle, rng, tol)
-    _ladder_checks(report, bundle, gamma, rng, tol)
+    _ladder_checks(report, bundle, gamma.terms(dim), rng, tol)
     return report
 
 
@@ -376,9 +375,9 @@ def random_report(
     )
     rng = np.random.default_rng(seed)
     pair = basis.from_generator(_random_generator(rng, dim), tol)
-    bundle = factory.build_bundle(pair, alpha)
+    bundle = factory.build_bundle(pair, alpha.terms(dim))
     _common_bundle_checks(report, bundle, rng, tol)
-    _ladder_checks(report, bundle, gamma, rng, tol)
+    _ladder_checks(report, bundle, gamma.terms(dim), rng, tol)
     return report
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rieszops
-from rieszops import basis, build_bundle, explicit
+from rieszops import basis, build_bundle
 
 #: the directory holding the rieszops package under test
 PACKAGE_ROOT = str(Path(rieszops.__file__).resolve().parents[1])
@@ -41,7 +41,7 @@ def random_vector(rng, dim):
 def three_level_gamma(model):
     """Closed-form factorization weights (0, sqrt(eps_1), sqrt(eps_2)) of an
     admissible three-level model."""
-    return explicit([0.0, np.sqrt(model.eps[1]), np.sqrt(model.eps[2])])
+    return np.array([0.0, np.sqrt(model.eps[1]), np.sqrt(model.eps[2])])
 
 
 def random_pair(dim, seed):
@@ -61,4 +61,4 @@ def seeded_pair():
 
 @pytest.fixture
 def seeded_bundle(seeded_pair):
-    return build_bundle(seeded_pair, explicit(np.arange(8, dtype=float)))
+    return build_bundle(seeded_pair, np.arange(8.0))

@@ -1,8 +1,7 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
 Hermitian eigensolver and the sequence terms, the conjugate of a sequence
-from conjugated parameters (the library conjugates the emitted weights), a
-check of a sequence's declared flags against its emitted terms, and the
-per-operator domain read-offs.
+from conjugated parameters (the library conjugates the emitted weights),
+and the per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
 a cyclic Jacobi iteration, or term by term, deliberately sharing no code
@@ -167,27 +166,6 @@ def conjugate(spec: SequenceSpec) -> SequenceSpec:
     )
 
 
-def check_emitted(spec: SequenceSpec, count: int, tol: float = 0.0) -> None:
-    """Validate the declared is_real / abs_monotone flags of spec on its
-    first count terms; raises ValueError naming the first offending index."""
-    vals = spec.terms(count)
-    if spec.is_real:
-        bad = np.nonzero(np.abs(vals.imag) > tol)[0]
-        if bad.size:
-            raise ValueError(
-                f"sequence declared real but term {bad[0]} = {vals[bad[0]]}"
-            )
-    if spec.abs_monotone:
-        mags = np.abs(vals)
-        bad = np.nonzero(mags[1:] < mags[:-1] - tol)[0]
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"sequence declared |.|-monotone but |s_{k + 1}| = "
-                f"{mags[k + 1]:.6g} < |s_{k}| = {mags[k]:.6g}"
-            )
-
-
 @dataclass(frozen=True)
 class DomainWeights:
     """Effective (nonnegative) weight sequence of a domain predicate,
@@ -207,16 +185,17 @@ class DomainWeights:
             return np.exp(self.log_abs_terms(count))
 
 
-def domain_of(op_kind: str, weights: SequenceSpec):
+def domain_of(op_kind: str, weights: SequenceSpec, count: int = 64):
     """Effective weight sequence of the domain predicate for one operator kind.
 
         H  -> |alpha_n|          S  -> |beta_n|
         A  -> |gamma_n|          B  -> |gamma_{n+1}|
         BA -> |gamma_n|^2        AB -> |gamma_{n+1}|^2
 
-    The single-weight forms for BA and AB hold for |.|-monotone gamma; for
-    non-monotone gamma they are only valid as a conjunction of two
-    predicates, and a (quadratic, linear) weight pair is returned instead.
+    The single-weight forms for BA and AB hold for |.|-monotone gamma, read
+    from its first count terms; for non-monotone gamma they are only valid
+    as a conjunction of two predicates, and a (quadratic, linear) weight
+    pair is returned instead.
     """
     kind = op_kind.upper()
     if kind in ("H", "S"):
@@ -228,7 +207,8 @@ def domain_of(op_kind: str, weights: SequenceSpec):
     if kind in ("BA", "AB"):
         shift = 0 if kind == "BA" else 1
         tag = "gamma_n" if kind == "BA" else "gamma_{n+1}"
-        if weights.abs_monotone:
+        log_mags = weights.log_abs_terms(count)
+        if np.all(log_mags[1:] >= log_mags[:-1]):
             return DomainWeights(weights, shift, 2, label=f"|{tag}|^2")
         return (
             DomainWeights(weights, shift, 2, label=f"|{tag}|^2"),

@@ -58,7 +58,7 @@ class TestBuildH:
     def test_eigen_action_all_indices(self):
         pair = random_pair(8, 5)
         alpha = explicit(np.linspace(0, 3, 8))
-        bundle = build_bundle(pair, alpha)
+        bundle = build_bundle(pair, alpha.terms(pair.dim))
         check = check_eigen_action(bundle)
         assert check.passed and check.residual <= 1e-10
 
@@ -90,7 +90,7 @@ class TestBuildSWeighted:
 
     def test_weighted_actions_both_sides(self):
         pair = random_pair(8, 6)
-        check = check_weighted_action(build_bundle(pair, explicit(np.arange(8) + 0.5)))
+        check = check_weighted_action(build_bundle(pair, np.arange(8) + 0.5))
         assert check.passed and check.residual <= 1e-10
 
     def test_hermitian_for_real_weights(self):
@@ -114,7 +114,7 @@ class TestBuildSWeighted:
 class TestAdjointPair:
     def test_three_level(self):
         model, pair = three_level_pair(0.3)
-        check = check_adjoint_pair(build_bundle(pair, explicit(model.eps)), tol=1e-12)
+        check = check_adjoint_pair(build_bundle(pair, np.array(model.eps)), tol=1e-12)
         assert check.passed and check.residual <= 1e-12
 
     def test_real_weights_identity_generator_hermitian(self):
@@ -122,20 +122,20 @@ class TestAdjointPair:
         alpha = explicit([0.0, 1.0, 2.0, 3.0])
         h = build_H(pair, alpha.terms(4), "phi_psi")
         assert np.abs(h - h.conj().T).max() == 0.0
-        assert check_adjoint_pair(build_bundle(pair, alpha)).residual <= 1e-14
+        assert check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim))).residual <= 1e-14
 
     def test_random_complex_dim_16(self):
         pair = random_pair(16, 16)
         rng = np.random.default_rng(4)
         alpha = explicit(random_vector(rng, 16))
-        check = check_adjoint_pair(build_bundle(pair, alpha))
+        check = check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim)))
         assert check.passed and check.residual <= 1e-10
 
 
 class TestIntertwining:
     def test_three_level_all_four_residuals(self):
         model, pair = three_level_pair(0.3)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         check = check_intertwining(bundle, tol=1e-11)
         assert check.passed and check.residual <= 1e-11
         # the headline identity in the quasi-Hermitian reading
@@ -145,13 +145,13 @@ class TestIntertwining:
 
     def test_identity_generator_exact(self):
         pair = from_generator(np.eye(4, dtype=complex))
-        bundle = build_bundle(pair, explicit([0.0, 1.0, 2.0, 3.0]))
+        bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0, 3.0]))
         assert check_intertwining(bundle).residual <= 1e-13
 
     def test_projection_dim_8(self):
         model = projection_model(8, np.array([0.6, 0.8]), poly(1.0).terms(8))
         pair = from_generator(model.T)
-        bundle = build_bundle(pair, poly(1.0))
+        bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
         check = check_intertwining(bundle)
         assert check.passed and check.residual <= 1e-10
 
@@ -159,7 +159,7 @@ class TestIntertwining:
 class TestQuasiHermitianSymmetry:
     def test_three_level_fifty_pairs(self):
         model, pair = three_level_pair(0.3)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         rng = np.random.default_rng(17)
         worst = max(
             quasi_hermitian_symmetry(
@@ -174,7 +174,7 @@ class TestQuasiHermitianSymmetry:
 
     def test_eigenvector_pair(self):
         model, pair = three_level_pair(0.3)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         check = quasi_hermitian_symmetry(
             bundle, model.phi[0][:, None], model.phi[1][:, None]
         )
@@ -182,7 +182,7 @@ class TestQuasiHermitianSymmetry:
 
     def test_identity_generator(self, rng):
         pair = from_generator(np.eye(4, dtype=complex))
-        bundle = build_bundle(pair, explicit([0.0, 1.0, 2.0, 3.0]))
+        bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0, 3.0]))
         check = quasi_hermitian_symmetry(
             bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
         )
@@ -190,7 +190,7 @@ class TestQuasiHermitianSymmetry:
 
     def test_rejects_complex_alpha(self, rng):
         pair = random_pair(4, 3)
-        bundle = build_bundle(pair, explicit([0.0, 1j, 2.0, 3.0]))
+        bundle = build_bundle(pair, np.array([0.0, 1j, 2.0, 3.0]))
         with pytest.raises(ValueError, match="real"):
             quasi_hermitian_symmetry(
                 bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
@@ -200,7 +200,7 @@ class TestQuasiHermitianSymmetry:
 class TestMetricAndBounds:
     def test_metric_pair_identities(self):
         for seed in (1, 2, 3):
-            bundle = build_bundle(random_pair(8, seed), poly(1.0))
+            bundle = build_bundle(random_pair(8, seed), poly(1.0).terms(8))
             check = check_metric_pair(bundle)
             assert check.passed, check.note
 
@@ -208,7 +208,7 @@ class TestMetricAndBounds:
         for seed in (4, 5):
             pair = random_pair(8, seed)
             rng = np.random.default_rng(seed)
-            bundle = build_bundle(pair, explicit(random_vector(rng, 8)))
+            bundle = build_bundle(pair, random_vector(rng, 8))
             assert check_norm_bound(bundle).passed
 
     def test_norm_bound_proxy_S(self):
@@ -240,8 +240,8 @@ BUNDLE_CHECKS = (
 
 def mutation_bundles():
     model, pair = three_level_pair(0.3)
-    yield "three-level", build_bundle(pair, explicit(model.eps))
-    yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j))
+    yield "three-level", build_bundle(pair, np.array(model.eps))
+    yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j).terms(16))
 
 
 def per_builder(built):
@@ -319,8 +319,8 @@ CONJ_FIELDS = {
 
 def real_alpha_bundles():
     model, pair = three_level_pair(0.3)
-    yield "three-level", build_bundle(pair, explicit(model.eps))
-    yield "random-16", build_bundle(random_pair(16, 3), poly(1.0))
+    yield "three-level", build_bundle(pair, np.array(model.eps))
+    yield "random-16", build_bundle(random_pair(16, 3), poly(1.0).terms(16))
 
 
 class TestConjAliases:
@@ -330,23 +330,21 @@ class TestConjAliases:
                 assert getattr(bundle, conj_field) is getattr(bundle, field), case
 
     def test_complex_weights_build_distinct_operators(self):
-        bundle = build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j))
+        bundle = build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j).terms(16))
         for conj_field, field in CONJ_FIELDS.items():
             conj_op, op = getattr(bundle, conj_field), getattr(bundle, field)
             assert not np.shares_memory(conj_op, op), conj_field
 
-    def test_emitted_weights_decide_not_the_declared_flag(self, monkeypatch):
-        # declared real, emits complex terms: the conj operators are built
-        lying = dataclasses.replace(
-            explicit([0.0, 1.0 + 1j, 2.0, 3.0 - 2j]), is_real=True
-        )
-        built = TestBundleFields.count_builds(monkeypatch)
-        bundle = build_bundle(random_pair(4, 5), lying)
-        assert per_builder(built) == {"build_H": 3, "build_S_weighted": 6}
+    def test_dim_1_truncation_of_a_complex_sequence_is_real(self):
+        # geometric:0.9+0.2j emits 1, 0.9+0.2j, ...: real at dim 1 only
+        weights = geometric(0.9 + 0.2j).terms(1)
+        bundle = build_bundle(random_pair(1, 5), weights)
+        assert bundle.is_real
         for conj_field, field in CONJ_FIELDS.items():
-            conj_op, op = getattr(bundle, conj_field), getattr(bundle, field)
-            assert not np.shares_memory(conj_op, op), conj_field
-        assert check_adjoint_pair(bundle).passed
+            assert getattr(bundle, conj_field) is getattr(bundle, field), conj_field
+        assert not build_bundle(random_pair(2, 5), geometric(0.9 + 0.2j).terms(2)).is_real
+        names = [c.name for c in random_report(1, seed=1, alpha=geometric(0.9 + 0.2j)).checks]
+        assert "quasi_hermitian_symmetry" in names
 
 
 class TestLadderAdjointBuilds:
@@ -356,15 +354,15 @@ class TestLadderAdjointBuilds:
         ids=["real", "complex"],
     )
     def test_conj_ladder_built_only_for_complex_gamma(self, monkeypatch, gamma, builds):
-        lp = ladder.build_ladder(random_pair(4, 2), gamma)
+        lp = ladder.build_ladder(random_pair(4, 2), gamma.terms(4))
         calls = []
-        build = ladder._ladder
+        build = ladder.build_ladder
 
-        def counting(pair, weights, abs_monotone):
+        def counting(pair, weights):
             calls.append(weights)
-            return build(pair, weights, abs_monotone)
+            return build(pair, weights)
 
-        monkeypatch.setattr(ladder, "_ladder", counting)
+        monkeypatch.setattr(ladder, "build_ladder", counting)
         assert ladder.check_ladder_adjoints(lp).passed
         assert len(calls) == builds
 
@@ -380,19 +378,25 @@ class TestWeightArrays:
         with pytest.raises(ValueError, match=r"expected \(8,\)"):
             build(pair, np.ones(shape), family)
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (8, 1)])
+    @pytest.mark.parametrize("build", [build_bundle, ladder.build_ladder])
+    def test_bundle_and_ladder_reject_any_shape_but_dim(self, build, shape):
+        with pytest.raises(ValueError, match=r"expected \(8,\)"):
+            build(random_pair(8, 2), np.ones(shape))
+
     @pytest.mark.parametrize(
         "make_report, calls",
         [
-            (lambda: three_level_report(0.3), 1),
+            (lambda: three_level_report(0.3), 0),
             (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), 2),
-            (lambda: projection_report(16, 4, seed=3), 3),
+            (lambda: projection_report(16, 4, seed=3), 2),
         ],
         ids=["three-level", "random-complex", "projection"],
     )
     def test_terms_evaluated_once_per_sequence_use(
         self, monkeypatch, make_report, calls
     ):
-        # the bundle's alpha, the ladder's gamma, and the projection model's alpha
+        # alpha and gamma once each; the three-level model holds its own array
         labels = []
         terms = SequenceSpec.terms
 

@@ -16,7 +16,8 @@ from rieszops import (
     sqrt_poly,
 )
 from rieszops.models import projection_model, three_level
-from rieszops.sequences import poly
+from rieszops.sequences import harmonic, parse_spec, poly
+from rieszops.suites import random_report
 
 
 def three_level_ladder(t=0.3):
@@ -27,7 +28,7 @@ def three_level_ladder(t=0.3):
 
 def bosonic_ladder(dim):
     pair = from_generator(np.eye(dim, dtype=complex))
-    return pair, build_ladder(pair, sqrt_poly(1.0))
+    return pair, build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
 
 
 class TestBuildLadder:
@@ -65,9 +66,17 @@ class TestBuildLadder:
         assert lp.interior == range(5)
         assert lp.gamma0_warning == ""
 
+    def test_harmonic_gamma_is_monotone_at_dim_2_not_at_dim_3(self):
+        # harmonic emits 0, 1, 1/2, ...: nondecreasing on its first two terms
+        for dim, monotone in ((2, True), (3, False)):
+            lp = build_ladder(random_pair(dim, 4), harmonic().terms(dim))
+            assert lp.abs_monotone == monotone
+            names = [c.name for c in random_report(dim, seed=1, gamma=harmonic()).checks]
+            assert ("ladder_commutator" in names) == monotone
+
     def test_gamma0_warning_recorded(self):
         pair = random_pair(4, 2)
-        lp = build_ladder(pair, explicit([0.5, 1.0, 2.0, 3.0]))
+        lp = build_ladder(pair, np.array([0.5, 1.0, 2.0, 3.0]))
         assert "gamma_0" in lp.gamma0_warning
         check = check_products(lp)
         assert check.passed
@@ -75,7 +84,7 @@ class TestBuildLadder:
 
     def test_action_check_random_pair(self):
         pair = random_pair(8, 14)
-        lp = build_ladder(pair, sqrt_poly(1.0))
+        lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
         check = check_ladder_actions(lp)
         assert check.passed and check.residual <= 1e-10
 
@@ -100,7 +109,7 @@ class TestLadderAdjoints:
     def test_random_complex_gamma_dim_16(self):
         pair = random_pair(16, 6)
         rng = np.random.default_rng(61)
-        lp = build_ladder(pair, explicit(random_vector(rng, 16)))
+        lp = build_ladder(pair, random_vector(rng, 16))
         check = check_ladder_adjoints(lp)
         assert check.passed and check.residual <= 1e-10
 
@@ -108,8 +117,8 @@ class TestLadderAdjoints:
         pair = random_pair(8, 62)
         rng = np.random.default_rng(62)
         gamma = explicit(random_vector(rng, 8))
-        lp = build_ladder(pair, gamma)
-        conj = build_ladder(pair, conjugate(gamma))
+        lp = build_ladder(pair, gamma.terms(pair.dim))
+        conj = build_ladder(pair, conjugate(gamma).terms(pair.dim))
         assert np.abs(lp.A_phi_psi.conj().T - conj.B_psi_phi).max() <= 1e-10
         assert np.abs(lp.A_psi_phi.conj().T - conj.B_phi_psi).max() <= 1e-10
         assert np.abs(lp.B_phi_psi.conj().T - conj.A_psi_phi).max() <= 1e-10
@@ -143,14 +152,14 @@ class TestProducts:
 
     def test_product_check_random_monotone(self):
         pair = random_pair(8, 63)
-        lp = build_ladder(pair, sqrt_poly(1.0))
+        lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
         check = check_products(lp)
         assert check.passed and check.residual <= 1e-10
         assert "matrix-level" in check.note
 
     def test_non_monotone_gamma_runs_action_checks_only(self):
         pair = random_pair(4, 64)
-        lp = build_ladder(pair, explicit([0.0, 2.0, 1.0, 3.0]))
+        lp = build_ladder(pair, np.array([0.0, 2.0, 1.0, 3.0]))
         check = check_products(lp)
         assert check.passed
         assert "skipped: gamma not" in check.note
@@ -175,7 +184,7 @@ class TestCommutator:
     def test_projection_pair_random_interior(self, rng):
         model = projection_model(8, np.array([0.6, 0.8j]), poly(1.0).terms(8))
         pair = from_generator(model.T)
-        lp = build_ladder(pair, sqrt_poly(1.0))
+        lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
         f = pair.phi[:, :7] @ random_vector(rng, 7)
         check = check_commutator(lp, f)
         assert check.passed and check.residual <= 1e-10
@@ -187,7 +196,7 @@ class TestCommutator:
 
     def test_rejects_non_monotone_gamma(self, rng):
         pair = random_pair(4, 65)
-        lp = build_ladder(pair, explicit([0.0, 2.0, 1.0, 3.0]))
+        lp = build_ladder(pair, np.array([0.0, 2.0, 1.0, 3.0]))
         with pytest.raises(ValueError, match="monotone"):
             check_commutator(lp, random_vector(rng, 4))
 
@@ -196,16 +205,16 @@ class TestFactorizeFromAlpha:
     def test_three_level(self):
         model = three_level(0.3)
         pair = from_generator(model.T)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         lp = factorize_from_alpha(bundle)
         np.testing.assert_allclose(
-            lp.weights, three_level_gamma(model).terms(3), atol=1e-12
+            lp.weights, three_level_gamma(model), atol=1e-12
         )
         assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H).max() <= 1e-11
 
     def test_bosonic(self):
         pair = from_generator(np.eye(6, dtype=complex))
-        bundle = build_bundle(pair, poly(1.0))
+        bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
         lp = factorize_from_alpha(bundle)
         np.testing.assert_allclose(
             lp.B_phi_psi @ lp.A_phi_psi, np.diag(np.arange(6.0)), atol=1e-12
@@ -213,18 +222,27 @@ class TestFactorizeFromAlpha:
 
     def test_rejects_disordered_alpha(self):
         pair = random_pair(3, 66)
-        bundle = build_bundle(pair, explicit([0.0, 2.0, 1.0]))
+        bundle = build_bundle(pair, np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError, match="index 2"):
             factorize_from_alpha(bundle)
 
     def test_rejects_nonzero_start(self):
         pair = random_pair(3, 67)
-        bundle = build_bundle(pair, explicit([1.0, 2.0, 3.0]))
+        bundle = build_bundle(pair, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="alpha_0"):
             factorize_from_alpha(bundle)
 
     def test_rejects_complex_alpha(self):
         pair = random_pair(3, 68)
-        bundle = build_bundle(pair, explicit([0.0, 1j, 2.0]))
+        bundle = build_bundle(pair, np.array([0.0, 1j, 2.0]))
         with pytest.raises(ValueError, match="not real"):
             factorize_from_alpha(bundle)
+
+    def test_near_real_alpha_is_not_real(self):
+        # an imaginary part far below tol still makes alpha complex
+        alpha = parse_spec("list:0,1+1e-12j,2")
+        with pytest.raises(ValueError, match="alpha_1 = 1\\+1e-12j is not real"):
+            factorize_from_alpha(build_bundle(random_pair(3, 68), alpha.terms(3)))
+        report = random_report(3, seed=1, alpha=alpha)
+        (check,) = [c for c in report.checks if c.name == "factorization"]
+        assert check.note == "skipped: alpha_1 = 1+1e-12j is not real"

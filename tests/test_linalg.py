@@ -143,7 +143,7 @@ def test_lapack_kernel_matches_jacobi_oracle(dim):
     assert np.abs(hermitian_eig(m).eigenvalues - lam).max() <= 1e-12 * np.linalg.norm(m)
 
     t = random_generator_matrix(rng, dim)
-    bundle = build_bundle(from_generator(t), poly(0.0))
+    bundle = build_bundle(from_generator(t), np.ones(dim))
     for got, want in zip(
         (bundle.S_phi_sqrt, bundle.S_psi_sqrt), jacobi_metric_roots(t)
     ):

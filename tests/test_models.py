@@ -4,7 +4,6 @@ import pytest
 from conftest import random_vector
 from rieszops import (
     build_bundle,
-    explicit,
     from_generator,
     operator_norm,
     poly,
@@ -62,7 +61,7 @@ class TestThreeLevel:
     def test_oracle_vs_generic_pipeline(self):
         model = three_level(0.3)
         pair = from_generator(model.T)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         assert np.abs(bundle.H_phi_psi - model.H).max() <= 1e-11
         assert np.abs(bundle.S_phi - model.S_phi).max() <= 1e-11
         assert np.abs(bundle.S_psi - model.S_psi).max() <= 1e-11
@@ -74,7 +73,7 @@ class TestThreeLevel:
         for t in np.linspace(0.0, np.pi / 3 - 0.02, 20):
             model = three_level(float(t))
             pair = from_generator(model.T)
-            bundle = build_bundle(pair, explicit(model.eps))
+            bundle = build_bundle(pair, np.array(model.eps))
             assert np.abs(bundle.h - model.h).max() <= 1e-10
             assert (
                 np.abs(
@@ -93,7 +92,7 @@ class TestThreeLevel:
         for t in (0.0, 0.2, 0.9):
             model = three_level(t)
             pair = from_generator(model.T)
-            bundle = build_bundle(pair, explicit(model.eps))
+            bundle = build_bundle(pair, np.array(model.eps))
             lp = factorize_from_alpha(bundle)
             a_closed, b_closed = three_level_ladder_closed_forms(model)
             assert np.abs(lp.A_phi_psi - a_closed).max() <= 1e-11
@@ -104,7 +103,7 @@ class TestHatSpectrum:
     def hat_inputs(self, t):
         model = three_level(t)
         pair = from_generator(model.T)
-        bundle = build_bundle(pair, explicit(model.eps))
+        bundle = build_bundle(pair, np.array(model.eps))
         lp = factorize_from_alpha(bundle)
         return model, lp
 
@@ -140,7 +139,7 @@ class TestProjectionModel:
     def test_contiguous_support_H_split(self):
         model = projection_model(6, np.array([1.0, 1.0]) / np.sqrt(2), poly(1.0).terms(6))
         pair = from_generator(model.T)
-        bundle = build_bundle(pair, poly(1.0))
+        bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
         assert np.abs(bundle.H_phi_psi - projection_H_closed_form(model)).max() <= 1e-11
 
     def test_rejects_single_nonzero_coefficient(self):
@@ -183,7 +182,7 @@ class TestProjectionModel:
         coeffs = random_vector(rng, 3)
         coeffs /= np.linalg.norm(coeffs)
         model = projection_model(8, coeffs, poly(1.0).terms(8))
-        bundle = build_bundle(from_generator(model.T), poly(1.0))
+        bundle = build_bundle(from_generator(model.T), model.weights)
         h = bundle.h
         assert np.abs(h - h.conj().T).max() <= 1e-10
         weights = poly(1.0).terms(8)
@@ -200,7 +199,7 @@ class TestProjectionModel:
         coeffs /= np.linalg.norm(coeffs)
         alpha = poly(1.0)
         model = projection_model(10, coeffs, alpha.terms(10))
-        bundle = build_bundle(from_generator(model.T), alpha)
+        bundle = build_bundle(from_generator(model.T), model.weights)
         phi_t = transported_eigenbasis(bundle)
         weights = alpha.terms(10)
         for n in range(10):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import check_emitted, conjugate, sequence_term
+from oracles import conjugate, sequence_term
+from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.sequences import (
     affine,
     explicit,
@@ -82,32 +83,6 @@ def test_explicit_length_enforced():
         spec.terms(3)
 
 
-def test_is_real_flags():
-    assert poly(1.0).is_real
-    assert not poly(1.0, scale=1j).is_real
-    assert not explicit([1.0, 1j]).is_real
-    assert geometric(-2.0).is_real
-
-
-def test_abs_monotone_flags():
-    assert poly(1.0).abs_monotone
-    assert not harmonic().abs_monotone  # 0, 1, 1/2, ... dips after n = 1
-    assert geometric(2.0).abs_monotone
-    assert not geometric(0.5).abs_monotone
-    assert affine(1.0, 0.0).abs_monotone
-    assert not affine(-1.0, 2.0).abs_monotone  # |2 - n| dips at n = 2
-    assert explicit([0.0, 1.0, 2.0]).abs_monotone
-    assert not explicit([0.0, 2.0, 1.0]).abs_monotone
-
-
-def test_abs_monotone_complex_affine():
-    # |a n + b| is monotone iff |a|^2 + 2 Re(a conj(b)) >= 0
-    spec = affine(1j, 1.0)
-    assert spec.abs_monotone
-    mags = np.abs(spec.terms(10))
-    assert np.all(mags[1:] >= mags[:-1])
-
-
 def test_conjugate_round_trip():
     spec = explicit([1 + 2j, 3.0, -1j])
     np.testing.assert_allclose(
@@ -118,32 +93,26 @@ def test_conjugate_round_trip():
     )
 
 
+#: (every term real, |.| nondecreasing) over the first 64 terms of each spec;
+#: conjugation keeps both
+_TERM_FLAGS = dict(
+    zip(_TERM_SPECS, [(True, True), (True, True), (True, False), (True, True),
+                      (True, True), (False, False), (True, False), (False, False)])
+)
+
+
 @pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("text", _TERM_SPECS)
-def test_declared_flags_match_emitted_terms(text, conjugated):
-    """is_real and abs_monotone say exactly what the first 64 terms show."""
+def test_weight_flags_match_emitted_terms(text, conjugated):
+    """The bundle's is_real and the ladder's abs_monotone, read from 64
+    emitted terms, are what those terms show."""
     spec = parse_spec(text)
     spec = conjugate(spec) if conjugated else spec
     terms = spec.terms(64)
-    mags = np.abs(terms)
-    assert spec.is_real == (not terms.imag.any())
-    assert spec.abs_monotone == bool(np.all(mags[1:] >= mags[:-1]))
-
-
-def test_check_emitted_catches_wrong_flags():
-    from dataclasses import replace
-
-    lying = replace(explicit([1.0, 1j]), is_real=True)
-    with pytest.raises(ValueError, match="declared real"):
-        check_emitted(lying, 2)
-    lying = replace(explicit([2.0, 1.0]), abs_monotone=True)
-    with pytest.raises(ValueError, match="monotone"):
-        check_emitted(lying, 2)
-
-
-def test_check_emitted_accepts_valid_flags():
-    check_emitted(poly(1.0), 64)
-    check_emitted(explicit([1 + 1j, 2.0]), 2)
+    pair = from_generator(np.eye(64, dtype=complex))
+    is_real, monotone = _TERM_FLAGS[text]
+    assert build_bundle(pair, terms).is_real == is_real
+    assert build_ladder(pair, terms).abs_monotone == monotone
 
 
 @pytest.mark.parametrize(
@@ -165,7 +134,6 @@ def test_parse_spec_round_trips(text, expected):
 def test_parse_spec_complex_list():
     spec = parse_spec("list:1+2j,3,-1j")
     np.testing.assert_allclose(spec.terms(3), [1 + 2j, 3, -1j])
-    assert not spec.is_real
 
 
 @pytest.mark.parametrize("text", ["poly", "nope:1", "affine:1", "poly:x", ""])
