@@ -218,15 +218,6 @@ class ProjectionModel:
     #: alpha_0 .. alpha_{dim-1}
     weights: np.ndarray
 
-    def h_domain_weights(self) -> np.ndarray:
-        """Weights of the domain predicate shared by h and H for this model.
-
-        The similarity transform acts as the identity outside the (finite)
-        support of u, so D(h) = D(H) with coefficients taken against the
-        coordinate basis.  This closed form is special to this model.
-        """
-        return self.weights
-
 
 def projection_model(
     dim: int,

@@ -209,7 +209,3 @@ class TestProjectionModel:
             )
         gram = phi_t.conj().T @ phi_t
         assert np.abs(gram - np.eye(10)).max() <= 1e-10
-
-    def test_h_domain_weights_match_alpha(self):
-        model = projection_model(6, np.array([0.6, 0.8]), poly(2.0).terms(6))
-        np.testing.assert_allclose(model.h_domain_weights(), poly(2.0).terms(6))

@@ -181,9 +181,9 @@ _THREE_LEVEL_MODEL = [
     "three_level_Phi", "norm_T", "norm_T_inv", "sqrt_vs_generator",
 ]
 _PROJECTION_MODEL = [
-    "projection_projector", "projection_T_inv", "projection_S_phi",
-    "projection_S_phi_sqrt", "projection_S_psi_sqrt", "projection_bases",
-    "projection_H_split", "projection_h_block", "h_domain_weights",
+    "projection_T_inv", "projection_S_phi", "projection_S_phi_sqrt",
+    "projection_S_psi_sqrt", "projection_bases", "projection_H_split",
+    "projection_h_block",
 ]
 _BATTERY = [
     "biorthogonality", "reconstruction", "frame_inequality", "eigen_action",
@@ -196,7 +196,7 @@ _LADDER = [
     "factorization",
 ]
 _THREE_LEVEL_ADMISSIBLE = [
-    "admissible", "eigenvalue_ordering", *_THREE_LEVEL_MODEL, *_BATTERY,
+    "admissible", *_THREE_LEVEL_MODEL, *_BATTERY,
     "ladder_actions", "ladder_adjoint_actions", "ladder_adjoints",
     "ladder_products", "factorization", "hat_spectrum", "ladder_commutator",
     "printed_ladder_matrices",
@@ -215,6 +215,12 @@ class TestSuites:
         names = {c.name for c in report.checks}
         assert "ladder_actions" not in names  # ladder checks skipped
         assert "three_level_S_phi" in names  # structural checks still run
+
+    @pytest.mark.parametrize("t, gap", [(0.0, 1.0), (1.2, 2.0 * math.cos(1.2) - 1.0)])
+    def test_admissible_note_records_smallest_gap(self, t, gap):
+        (check,) = [c for c in three_level_report(t).checks if c.name == "admissible"]
+        assert f"smallest eigenvalue gap {gap:.6e}" in check.note
+        assert ("ladder checks skipped" in check.note) == (not check.passed)
 
     @pytest.mark.parametrize(
         "make,expected",
