@@ -32,8 +32,6 @@ class LadderPair:
     B_phi_psi: np.ndarray
     A_psi_phi: np.ndarray
     B_psi_phi: np.ndarray
-    #: index range on which the product identities are exact at truncation
-    interior: range
     #: set when gamma_0 != 0, in which case BA cannot reproduce the k = 0 term
     gamma0_warning: str = ""
 
@@ -68,7 +66,6 @@ def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
         A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),
         B_psi_phi=_shift_sum(g, pair.psi, pair.phi, False),
-        interior=range(pair.dim - 1),
         gamma0_warning=warning,
     )
 
@@ -135,7 +132,7 @@ def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     ba = lp.B_phi_psi @ lp.A_phi_psi
     ab = lp.A_phi_psi @ lp.B_phi_psi
     skip_zero = bool(lp.gamma0_warning)
-    ks = np.array(lp.interior, dtype=int)
+    ks = np.arange(pair.dim - 1)
     ks_ba = ks[ks != 0] if skip_zero else ks
     cols_ba, cols_ab = pair.phi[:, ks_ba], pair.phi[:, ks]
     r_ba = ba @ cols_ba - cols_ba * g[ks_ba] ** 2

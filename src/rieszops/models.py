@@ -174,26 +174,24 @@ def three_level_hat_spectrum(
     A: np.ndarray,
     B: np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> tuple[tuple[float, float, float], CheckResult]:
+) -> CheckResult:
     """Relabeled spectrum of AB: phi_n are eigenvectors with eigenvalues
     (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with the same list.
     """
     if not model.admissible:
         raise ValueError("hat spectrum is defined on the admissible interval")
-    eps_tilde = (model.eps[1], model.eps[2], 0.0)
     hat = A @ B
     phi, psi = np.column_stack(model.phi), np.column_stack(model.psi)
-    eigenvalues = np.array(eps_tilde)
+    eigenvalues = np.array([model.eps[1], model.eps[2], 0.0])
     r_phi = hat @ phi - phi * eigenvalues
     r_psi = adjoint(hat) @ psi - psi * eigenvalues
     worst = worst_column_norm(np.hstack([r_phi, r_psi]))
-    check = CheckResult.from_residual(
+    return CheckResult.from_residual(
         "hat_spectrum",
         worst,
         tol,
         note="AB phi_n and (AB)* psi_n actions with relabeled eigenvalues",
     )
-    return eps_tilde, check
 
 
 @dataclass(frozen=True)

@@ -229,10 +229,9 @@ def three_level_report(
                 note="H = BA entrywise (exact at dim 3: no dropped term)",
             )
         )
-        _, hat_check = models.three_level_hat_spectrum(
-            model, lp.A_phi_psi, lp.B_phi_psi, tol
+        report.add(
+            models.three_level_hat_spectrum(model, lp.A_phi_psi, lp.B_phi_psi, tol)
         )
-        report.add(hat_check)
         report.add(ladder.check_commutator(lp, model.phi[0], tol))
         a_closed, b_closed = models.three_level_ladder_closed_forms(model)
         report.add(

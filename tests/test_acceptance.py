@@ -126,7 +126,7 @@ def test_criterion_3_three_level_ladder_suite():
     for vec in actions:
         worst = max(worst, float(np.linalg.norm(vec)))
     worst = max(worst, float(np.abs(b @ a - model.H).max()))
-    _, hat_check = three_level_hat_spectrum(model, a, b, tol=1e-10)
+    hat_check = three_level_hat_spectrum(model, a, b, tol=1e-10)
     worst = max(worst, hat_check.residual)
     assert worst <= 1e-10, f"worst ladder residual {worst:.3e}"
     announce(3, f"12 ladder actions, H = BA, and the AB relabeling, worst {worst:.2e}")

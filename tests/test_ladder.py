@@ -63,8 +63,8 @@ class TestBuildLadder:
 
     def test_interior_bookkeeping(self):
         pair, lp = bosonic_ladder(6)
-        assert lp.interior == range(5)
         assert lp.gamma0_warning == ""
+        assert check_products(lp).note.startswith("action residuals on interior 0..4:")
 
     def test_harmonic_gamma_is_monotone_at_dim_2_not_at_dim_3(self):
         # harmonic emits 0, 1, 1/2, ...: nondecreasing on its first two terms
