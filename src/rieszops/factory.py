@@ -4,8 +4,7 @@ All operators are materialized as explicit sums of rank-one terms
 sum_n w_n (v_n w_n*), evaluated from the basis columns as one matrix
 product (V diag(w)) W*: the checks downstream must exercise the defining
 formulas, so no diagonalization shortcut (such as T diag(w) T^{-1}) is used.
-Every builder takes (dim,) weight arrays; build_bundle decides once, from
-alpha's array, whether the weights are real.
+Every builder takes (dim,) weight arrays.
 """
 
 from __future__ import annotations

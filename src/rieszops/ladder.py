@@ -5,8 +5,8 @@ annihilates phi_{N-1} and the product identities for AB hold only on the
 interior index range 0..N-2.  BA = H with weights gamma_n^2 additionally
 needs gamma_0 = 0 (BA phi_0 is always zero); a nonzero gamma_0 is recorded
 as a warning and the k = 0 comparison is skipped rather than failed.
-The matrix-level products and the commutator need |gamma_n| nondecreasing,
-which build_ladder reads from the (dim,) weight array it is given.
+The matrix-level products and the commutator need |gamma_n| nondecreasing
+(LadderPair.abs_monotone).
 """
 
 from __future__ import annotations

@@ -83,6 +83,45 @@ def test_explicit_length_enforced():
         spec.terms(3)
 
 
+def _is_real(spec, dim=8):
+    """The realness flag the bundle reads from dim emitted terms."""
+    pair = from_generator(np.eye(dim, dtype=complex))
+    return build_bundle(pair, spec.terms(dim)).is_real
+
+
+def _abs_monotone(spec, dim=8):
+    """The |.|-monotonicity flag the ladder reads from dim emitted terms."""
+    pair = from_generator(np.eye(dim, dtype=complex))
+    return build_ladder(pair, spec.terms(dim)).abs_monotone
+
+
+def test_is_real_flags():
+    assert _is_real(poly(1.0))
+    assert not _is_real(poly(1.0, scale=1j))
+    assert not _is_real(explicit([1.0, 1j]), 2)
+    assert _is_real(geometric(-2.0))
+
+
+def test_abs_monotone_flags():
+    assert _abs_monotone(poly(1.0))
+    assert not _abs_monotone(harmonic())  # 0, 1, 1/2, ... dips after n = 1
+    assert _abs_monotone(geometric(2.0))
+    assert not _abs_monotone(geometric(0.5))
+    assert _abs_monotone(affine(1.0, 0.0))
+    assert not _abs_monotone(affine(-1.0, 2.0))  # |2 - n| dips at n = 2
+    assert _abs_monotone(explicit([0.0, 1.0, 2.0]), 3)
+    assert not _abs_monotone(explicit([0.0, 2.0, 1.0]), 3)
+    assert not _abs_monotone(explicit([2.0, 1.0, 3.0]), 3)  # dips at n = 1 only
+
+
+def test_abs_monotone_complex_affine():
+    # |1 + i n| = sqrt(1 + n^2) grows although neither part alone decides it
+    spec = affine(1j, 1.0)
+    assert _abs_monotone(spec, 10)
+    mags = np.abs(spec.terms(10))
+    assert np.all(mags[1:] >= mags[:-1])
+
+
 def test_conjugate_round_trip():
     spec = explicit([1 + 2j, 3.0, -1j])
     np.testing.assert_allclose(
@@ -103,16 +142,14 @@ _TERM_FLAGS = dict(
 
 @pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("text", _TERM_SPECS)
-def test_weight_flags_match_emitted_terms(text, conjugated):
-    """The bundle's is_real and the ladder's abs_monotone, read from 64
-    emitted terms, are what those terms show."""
+def test_declared_flags_match_emitted_terms(text, conjugated):
+    """The flags the bundle (is_real) and the ladder (abs_monotone) declare,
+    read from 64 emitted terms, are what those terms show."""
     spec = parse_spec(text)
     spec = conjugate(spec) if conjugated else spec
-    terms = spec.terms(64)
-    pair = from_generator(np.eye(64, dtype=complex))
     is_real, monotone = _TERM_FLAGS[text]
-    assert build_bundle(pair, terms).is_real == is_real
-    assert build_ladder(pair, terms).abs_monotone == monotone
+    assert _is_real(spec, 64) == is_real
+    assert _abs_monotone(spec, 64) == monotone
 
 
 @pytest.mark.parametrize(
@@ -134,6 +171,7 @@ def test_parse_spec_round_trips(text, expected):
 def test_parse_spec_complex_list():
     spec = parse_spec("list:1+2j,3,-1j")
     np.testing.assert_allclose(spec.terms(3), [1 + 2j, 3, -1j])
+    assert not _is_real(spec, 3)
 
 
 @pytest.mark.parametrize("text", ["poly", "nope:1", "affine:1", "poly:x", ""])
