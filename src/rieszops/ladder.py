@@ -61,7 +61,7 @@ def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
     return LadderPair(
         pair=pair,
         weights=g,
-        abs_monotone=bool(np.all(mags[1:] >= mags[:-1])),
+        abs_monotone=bool((mags[1:] >= mags[:-1]).all()),
         A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
         A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),

@@ -337,13 +337,13 @@ class TestConjAliases:
 
     def test_dim_1_truncation_of_a_complex_sequence_is_real(self):
         # geometric:0.9+0.2j emits 1, 0.9+0.2j, ...: real at dim 1 only
-        weights = geometric(0.9 + 0.2j).terms(1)
-        bundle = build_bundle(random_pair(1, 5), weights)
+        alpha = geometric(0.9 + 0.2j)
+        bundle = build_bundle(random_pair(1, 5), alpha.terms(1))
         assert bundle.is_real
         for conj_field, field in CONJ_FIELDS.items():
             assert getattr(bundle, conj_field) is getattr(bundle, field), conj_field
-        assert not build_bundle(random_pair(2, 5), geometric(0.9 + 0.2j).terms(2)).is_real
-        names = [c.name for c in random_report(1, seed=1, alpha=geometric(0.9 + 0.2j)).checks]
+        assert not build_bundle(random_pair(2, 5), alpha.terms(2)).is_real
+        names = [c.name for c in random_report(1, seed=1, alpha=alpha).checks]
         assert "quasi_hermitian_symmetry" in names
 
 
