@@ -35,8 +35,8 @@ class RieszBasisPair:
     the eigendecomposition of the metric operator S_phi = T T*.
 
     phi and psi are dim x dim matrices whose n-th columns are phi_n and
-    psi_n in ambient coordinates.  metric_eigen has eigenvalues s_k^2 > tol^2,
-    the squared singular values of T.
+    psi_n in ambient coordinates.  metric_eigen has eigenvalues
+    s_k^2 > DEFAULT_TOL^2, the squared singular values of T.
     """
 
     dim: int
@@ -49,22 +49,23 @@ class RieszBasisPair:
     metric_eigen: HermitianEigen
 
 
-def from_generator(t: np.ndarray, tol: float = DEFAULT_TOL) -> RieszBasisPair:
+def from_generator(t: np.ndarray) -> RieszBasisPair:
     """Construct the basis pair from an invertible generator.
 
-    Rejects generators with smallest singular value <= tol, reporting the
+    Rejects generators with smallest singular value <= DEFAULT_TOL, an
+    absolute threshold independent of any check tolerance, reporting the
     measured value: those are not (numerically) Riesz-basis generators.
     """
     t = as_matrix(t)
-    metric = hermitian_eig(t @ adjoint(t), tol)
+    metric = hermitian_eig(t @ adjoint(t))
     s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
     smin, smax = float(s[0]), float(s[-1])
-    if smin <= tol:
+    if smin <= DEFAULT_TOL:
         raise LinalgError(
             f"generator is numerically singular (sigma_min = {smin:.6e}); "
             "not a Riesz-basis generator"
         )
-    t_inv = inverse(t, tol, extremes=(smin, smax))
+    t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(
         dim=t.shape[0],
         generator=t,

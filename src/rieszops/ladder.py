@@ -162,8 +162,8 @@ def check_commutator(
     """(AB - BA) f = sum_{n<=N-2} (gamma_{n+1}^2 - gamma_n^2) <f, psi_n> phi_n
     for f in the interior span.
 
-    Vectors with coefficient mass on psi_{N-1} beyond tol*||f|| are rejected:
-    the identity is a truncation artifact outside the interior span.
+    Vectors with coefficient mass on psi_{N-1} beyond DEFAULT_TOL*||f|| are
+    rejected: the identity is a truncation artifact outside the interior span.
     """
     if not lp.abs_monotone:
         raise ValueError("commutator identity requires |.|-monotone gamma")
@@ -173,7 +173,7 @@ def check_commutator(
     coeff = pair.psi.conj().T @ f
     scale = max(float(np.linalg.norm(f)), 1e-300)
     edge_mass = abs(coeff[-1])
-    if edge_mass > tol * scale:
+    if edge_mass > DEFAULT_TOL * scale:
         raise ValueError(
             f"vector lies outside the interior span: |<f, psi_{pair.dim - 1}>| "
             f"= {edge_mass:.6e}"

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default tolerance for all residual checks (double precision, dim <= 64).
+#: Default tolerance of the residual checks (double precision, dim <= 64), and the
+#: fixed threshold of the kernel and model guards, which no check tolerance moves.
 DEFAULT_TOL = 1e-10
 
 
@@ -76,20 +77,21 @@ class HermitianEigen:
         return 0.5 * (out + adjoint(out))
 
 
-def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
+def hermitian_eig(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    The input must be Hermitian up to tol*||m|| and is symmetrized to
-    (m + m*)/2 before it is decomposed; larger asymmetry is an error rather
-    than a silent repair, since it indicates a construction bug upstream.
+    The input must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized
+    to (m + m*)/2 before it is decomposed; larger asymmetry is an error
+    rather than a silent repair, since it indicates a construction bug
+    upstream.
     """
     m = as_matrix(m)
     scale = frobenius(m)
     asym = frobenius(m - adjoint(m))
-    if asym > tol * max(scale, 1.0):
+    if asym > DEFAULT_TOL * max(scale, 1.0):
         raise LinalgError(
             f"input is not Hermitian: ||M - M*|| = {asym:.3e} "
-            f"exceeds {tol:.1e} * ||M||"
+            f"exceeds {DEFAULT_TOL:.1e} * ||M||"
         )
     try:
         lam, u = np.linalg.eigh(0.5 * (m + adjoint(m)))
@@ -98,11 +100,11 @@ def hermitian_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEigen:
     return HermitianEigen(lam, u)
 
 
-def singular_extremes(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def singular_extremes(m: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) singular values via the Hermitian spectrum of M*M."""
     m = as_matrix(m)
     gram = adjoint(m) @ m
-    lam = hermitian_eig(gram, tol).eigenvalues
+    lam = hermitian_eig(gram).eigenvalues
     return float(np.sqrt(max(lam[0], 0.0))), float(np.sqrt(max(lam[-1], 0.0)))
 
 
@@ -111,24 +113,19 @@ def operator_norm(m: np.ndarray) -> float:
     return singular_extremes(m)[1]
 
 
-def inverse(
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    extremes: tuple[float, float] | None = None,
-) -> np.ndarray:
+def inverse(m: np.ndarray, extremes: tuple[float, float]) -> np.ndarray:
     """Matrix inverse by an LU solve against the identity (numpy.linalg.solve).
 
-    The smallest singular value must exceed tol; numerically singular input
-    is rejected with the measured estimate.  extremes, the (smallest,
-    largest) singular values of m, skips their eigensolve when the caller
-    already holds them.  The residual ||m X - I|| must stay within
-    tol * cond(m).
+    extremes are the (smallest, largest) singular values of m, which the
+    caller already holds.  The smallest must exceed DEFAULT_TOL;
+    numerically singular input is rejected with the measured estimate.  The
+    residual ||m X - I|| must stay within DEFAULT_TOL * cond(m).
     """
     m = as_matrix(m)
-    smin, smax = singular_extremes(m, tol) if extremes is None else extremes
-    if smin <= tol:
+    smin, smax = extremes
+    if smin <= DEFAULT_TOL:
         raise LinalgError(
-            f"matrix is numerically singular: sigma_min = {smin:.6e} <= tol = {tol:.1e}"
+            f"matrix is numerically singular: sigma_min = {smin:.6e} <= {DEFAULT_TOL:.1e}"
         )
     eye = np.eye(m.shape[0], dtype=complex)
     try:
@@ -138,8 +135,9 @@ def inverse(
     require_finite(inv)
     residual = frobenius(m @ inv - eye)
     cond = smax / smin
-    if residual > tol * max(cond, 1.0):
+    if residual > DEFAULT_TOL * max(cond, 1.0):
         raise LinalgError(
-            f"inverse residual {residual:.3e} exceeds tol * cond = {tol * cond:.3e}"
+            f"inverse residual {residual:.3e} exceeds {DEFAULT_TOL:.1e} * cond(m) = "
+            f"{DEFAULT_TOL * cond:.3e}"
         )
     return inv

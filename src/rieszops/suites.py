@@ -146,7 +146,7 @@ def three_level_report(
         )
     )
 
-    pair = basis.from_generator(model.T, tol)
+    pair = basis.from_generator(model.T)
     bundle = factory.build_bundle(pair, np.array(model.eps, dtype=complex))
 
     report.add(_entrywise("three_level_H", bundle.H_phi_psi, model.H, tol))
@@ -273,9 +273,9 @@ def projection_report(
     rng = np.random.default_rng(seed)
     coeffs = _random_block(rng, support, 1)[:, 0]
     coeffs /= np.linalg.norm(coeffs)
-    model = models.projection_model(dim, coeffs, alpha.terms(dim), tol)
+    model = models.projection_model(dim, coeffs, alpha.terms(dim))
 
-    pair = basis.from_generator(model.T, tol)
+    pair = basis.from_generator(model.T)
     bundle = factory.build_bundle(pair, model.weights)
 
     report.add(
@@ -348,7 +348,7 @@ def random_report(
         },
     )
     rng = np.random.default_rng(seed)
-    pair = basis.from_generator(_random_generator(rng, dim), tol)
+    pair = basis.from_generator(_random_generator(rng, dim))
     bundle = factory.build_bundle(pair, alpha.terms(dim))
     _common_bundle_checks(report, bundle, rng, tol)
     _ladder_checks(report, bundle, gamma.terms(dim), rng, tol)

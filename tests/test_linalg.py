@@ -67,10 +67,16 @@ class TestHermitianEig:
     def test_symmetrizes_tiny_asymmetry(self, rng):
         m = random_hermitian(rng, 4)
         m[0, 1] += 1e-13
-        eig = hermitian_eig(m, tol=1e-10)
+        eig = hermitian_eig(m)
         sym = 0.5 * (m + m.conj().T)
         rebuilt = eig.with_eigenvalues(eig.eigenvalues)
         assert np.linalg.norm(rebuilt - sym) <= 1e-10 * np.linalg.norm(sym)
+
+
+def svd_extremes(m):
+    """(smallest, largest) singular values from numpy's SVD, not the kernel's."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[-1]), float(s[0])
 
 
 class TestInverse:
@@ -80,10 +86,10 @@ class TestInverse:
         p = np.outer(u, u.conj())
         t = np.eye(5) + 1j * p
         expected = np.eye(5) - ((1j + 1) / 2) * p
-        assert np.abs(inverse(t) - expected).max() <= 1e-12
+        assert np.abs(inverse(t, svd_extremes(t)) - expected).max() <= 1e-12
 
     def test_diagonal(self):
-        got = inverse(np.diag([2.0, 4.0]).astype(complex))
+        got = inverse(np.diag([2.0, 4.0]).astype(complex), (2.0, 4.0))
         np.testing.assert_allclose(got, np.diag([0.5, 0.25]), atol=1e-14)
 
     def test_random_residual(self):
@@ -91,20 +97,21 @@ class TestInverse:
         m = np.eye(8) + 0.3 * (
             rng.uniform(size=(8, 8)) + 1j * rng.uniform(size=(8, 8))
         )
-        assert np.linalg.norm(m @ inverse(m) - np.eye(8)) <= 1e-10
+        assert np.linalg.norm(m @ inverse(m, svd_extremes(m)) - np.eye(8)) <= 1e-10
 
     def test_involution(self, rng):
         m = np.eye(6) + 0.3 * (
             rng.uniform(size=(6, 6)) + 1j * rng.uniform(size=(6, 6))
         )
-        s = np.linalg.svd(m, compute_uv=False)
-        cond = s[0] / s[-1]
-        assert np.abs(inverse(inverse(m)) - m).max() <= 1e-10 * cond**2
+        smin, smax = svd_extremes(m)
+        inv = inverse(m, (smin, smax))
+        cond = smax / smin
+        assert np.abs(inverse(inv, (1.0 / smax, 1.0 / smin)) - m).max() <= 1e-10 * cond**2
 
     def test_rejects_singular(self):
         m = np.ones((3, 3), dtype=complex)
         with pytest.raises(LinalgError, match="singular"):
-            inverse(m)
+            inverse(m, svd_extremes(m))
 
 
 class TestOperatorNorm:
@@ -117,7 +124,8 @@ class TestOperatorNorm:
     def test_inverse_norm_ratio(self):
         model = three_level(0.3)
         norm_t = operator_norm(model.T)
-        assert abs(operator_norm(inverse(model.T)) - norm_t / 5) <= 1e-10
+        inv = inverse(model.T, svd_extremes(model.T))
+        assert abs(operator_norm(inv) - norm_t / 5) <= 1e-10
 
     def test_identity(self):
         assert abs(operator_norm(np.eye(5, dtype=complex)) - 1.0) <= 1e-12
