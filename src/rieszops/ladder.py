@@ -192,11 +192,12 @@ def check_commutator(
 
 def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> LadderPair:
     """Ladder pair with gamma_n = sqrt(alpha_n), requiring real alpha with
-    0 = alpha_0 < alpha_1 < ... (strictness tested with tolerance tol).
+    0 = alpha_0 < alpha_1 < ... (each tested with tolerance tol).
 
-    Verifies BA = H^alpha on the interior before returning.
+    Only these preconditions raise.  Under them BA = H^alpha holds on the
+    whole truncated space (B drops only gamma_N, which A never feeds), but
+    the product is not formed here: the reports record it as a check.
     """
-    pair = bundle.pair
     a = bundle.weights
     if not bundle.is_real:
         k = int(np.argmax(np.abs(a.imag)))
@@ -212,13 +213,4 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
             )
     roots = np.sqrt(np.clip(vals, 0.0, None))
     roots[0] = 0.0  # alpha_0 is zero within tol; pin the convention exactly
-    lp = build_ladder(pair, roots.astype(complex))
-    residual = frobenius(
-        (lp.B_phi_psi @ lp.A_phi_psi - bundle.H_phi_psi)
-        @ _interior_projector(pair, False)
-    )
-    if residual > tol:
-        raise ValueError(
-            f"factorization BA = H fails on the interior: residual {residual:.3e}"
-        )
-    return lp
+    return build_ladder(bundle.pair, roots.astype(complex))

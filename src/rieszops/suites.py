@@ -99,7 +99,7 @@ def _ladder_checks(
         f = bundle.pair.phi[:, :-1] @ coeffs
         report.add(ladder.check_commutator(lp, f, tol))
     try:
-        ladder.factorize_from_alpha(bundle, tol)
+        root = ladder.factorize_from_alpha(bundle, tol)
     except ValueError as exc:
         report.add(
             CheckResult(
@@ -112,11 +112,12 @@ def _ladder_checks(
         )
     else:
         report.add(
-            CheckResult.from_residual(
+            _entrywise(
                 "factorization",
-                0.0,
+                root.B_phi_psi @ root.A_phi_psi,
+                bundle.H_phi_psi,
                 tol,
-                note="gamma_n = sqrt(alpha_n) reproduces H = BA on the interior",
+                note="H = BA entrywise for gamma_n = sqrt(alpha_n)",
             )
         )
 
