@@ -114,12 +114,6 @@ def check_ladder_adjoints(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResu
     )
 
 
-def _interior_projector(pair: RieszBasisPair, skip_zero: bool) -> np.ndarray:
-    """sum_k phi_k outer conj(psi_k) over k = 0..N-2 (1..N-2 if skip_zero)."""
-    interior = slice(1 if skip_zero else 0, pair.dim - 1)
-    return pair.phi[:, interior] @ pair.psi[:, interior].conj().T
-
-
 def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     """Product identities on the interior range: (BA) phi_k = gamma_k^2 phi_k
     and (AB) phi_k = gamma_{k+1}^2 phi_k.
@@ -140,7 +134,8 @@ def check_products(lp: LadderPair, tol: float = DEFAULT_TOL) -> CheckResult:
     worst = worst_column_norm(np.hstack([r_ba, r_ab]))
     notes = [f"action residuals on interior 0..{pair.dim - 2}: {worst:.3e}"]
     if lp.abs_monotone:
-        proj = _interior_projector(pair, skip_zero)
+        interior = slice(1 if skip_zero else 0, pair.dim - 1)
+        proj = pair.phi[:, interior] @ pair.psi[:, interior].conj().T
         h_ba = build_H(pair, g**2, "phi_psi")
         h_ab = build_H(pair, np.concatenate([g[1:] ** 2, [0.0]]), "phi_psi")
         r_ba = frobenius((ba - h_ba) @ proj)
@@ -194,9 +189,9 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
     """Ladder pair with gamma_n = sqrt(alpha_n), requiring real alpha with
     0 = alpha_0 < alpha_1 < ... (each tested with tolerance tol).
 
-    Only these preconditions raise.  Under them BA = H^alpha holds on the
-    whole truncated space (B drops only gamma_N, which A never feeds), but
-    the product is not formed here: the reports record it as a check.
+    Only these preconditions raise.  Under them BA = H^alpha on the whole
+    truncated space (B drops only gamma_N, which A never feeds); the reports
+    check that product, this function does not form it.
     """
     a = bundle.weights
     if not bundle.is_real:

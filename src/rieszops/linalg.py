@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default tolerance of the residual checks (double precision, dim <= 64), and the
-#: fixed threshold of the kernel and model guards, which no check tolerance moves.
+#: Default check tolerance (double precision, dim <= 64); fixed for every guard.
 DEFAULT_TOL = 1e-10
 
 
@@ -80,10 +79,9 @@ class HermitianEigen:
 def hermitian_eig(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    The input must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized
-    to (m + m*)/2 before it is decomposed; larger asymmetry is an error
-    rather than a silent repair, since it indicates a construction bug
-    upstream.
+    The input must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized;
+    larger asymmetry is an error rather than a silent repair, since it
+    indicates a construction bug upstream.
     """
     m = as_matrix(m)
     scale = frobenius(m)
@@ -134,10 +132,9 @@ def inverse(m: np.ndarray, extremes: tuple[float, float]) -> np.ndarray:
         raise LinalgError(f"matrix is numerically singular: {exc}") from None
     require_finite(inv)
     residual = frobenius(m @ inv - eye)
-    cond = smax / smin
-    if residual > DEFAULT_TOL * max(cond, 1.0):
+    bound = DEFAULT_TOL * max(smax / smin, 1.0)
+    if residual > bound:
         raise LinalgError(
-            f"inverse residual {residual:.3e} exceeds {DEFAULT_TOL:.1e} * cond(m) = "
-            f"{DEFAULT_TOL * cond:.3e}"
+            f"inverse residual {residual:.3e} exceeds DEFAULT_TOL * cond = {bound:.3e}"
         )
     return inv

@@ -224,9 +224,7 @@ def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
     u_coeffs fills the first len(u_coeffs) coordinates (zeros allowed, so
     any support pattern inside that window works); it must be normalized
     within DEFAULT_TOL and have at least two entries above DEFAULT_TOL in
-    modulus, which form the support.  The closed forms are not checked
-    against each other here: the projection checks compare them with the
-    generic pipeline.
+    modulus, which form the support.
     """
     coeffs = np.asarray(u_coeffs, dtype=complex)
     if coeffs.ndim != 1 or not 1 <= coeffs.size <= dim:
