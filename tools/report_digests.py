@@ -13,8 +13,8 @@ same stdout bytes and the same exit code.  The corpus is fixed: verify
 random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
 alpha and gamma (closed forms and 64-term lists); verify and sweep
 projection; verify and sweep three-level across the admissible boundaries;
-domain over a spec grid.  The 1284 argv take about 7 s on a 2-vCPU x86_64
-host.
+domain over a spec grid; last, a few reports at extreme --tol values.  The
+1290 argv take about 7 s on a 2-vCPU x86_64 host.
 """
 
 from __future__ import annotations
@@ -51,6 +51,16 @@ THREE_LEVEL_RANGES = (
 DOMAIN_SPECS = (
     "poly:0", "poly:1", "poly:2", "sqrt-poly:1",
     "harmonic", "geometric:0.5", "geometric:1.01", "affine:1,2",
+)
+#: --tol at both extremes: far below rounding, every report still builds and
+#: fails as a document; far above it, nothing the models build may change
+TOL_FAMILY = (
+    ("verify", "three-level", "--t", "0.3", "--tol", "1e-16"),
+    ("verify", "random", "--dim", "8", "--tol", "1e-17"),
+    ("verify", "projection", "--dim", "8", "--tol", "1e-17"),
+    ("sweep", "three-level", "--t-max", "1", "--steps", "3", "--tol", "1e-16"),
+    ("verify", "random", "--dim", "8", "--tol", "5"),
+    ("verify", "projection", "--dim", "8", "--n", "5", "--tol", "0.3"),
 )
 
 
@@ -96,6 +106,7 @@ def corpus():
     yield ("domain", "--alpha", "geometric:0.9+0.2j", "--coeff", "poly:-2")
     yield ("domain", "--alpha", COMPLEX_LIST, "--coeff", "geometric:0.5", "--n-max", "64")
     yield ("domain", "--alpha", "affine:1j,1", "--coeff", "harmonic")
+    yield from TOL_FAMILY
 
 
 def run(main, argv) -> tuple[str, int]:
