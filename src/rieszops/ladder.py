@@ -185,9 +185,10 @@ def check_commutator(
     )
 
 
-def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> LadderPair:
+def factorize_from_alpha(bundle: OperatorBundle) -> LadderPair:
     """Ladder pair with gamma_n = sqrt(alpha_n), requiring real alpha with
-    0 = alpha_0 < alpha_1 < ... (each tested with tolerance tol).
+    0 = alpha_0 < alpha_1 < ..., each tested against DEFAULT_TOL: a guard,
+    not a verdict, so the check tolerance never moves it.
 
     Only these preconditions raise.  Under them BA = H^alpha on the whole
     truncated space (B drops only gamma_N, which A never feeds); the reports
@@ -198,14 +199,14 @@ def factorize_from_alpha(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> La
         k = int(np.argmax(np.abs(a.imag)))
         raise ValueError(f"alpha_{k} = {a[k]:.6g} is not real")
     vals = a.real
-    if abs(vals[0]) > tol:
+    if abs(vals[0]) > DEFAULT_TOL:
         raise ValueError(f"alpha_0 = {vals[0]:.6g} must be zero")
     for k in range(1, len(vals)):
-        if vals[k] - vals[k - 1] <= tol:
+        if vals[k] - vals[k - 1] <= DEFAULT_TOL:
             raise ValueError(
                 f"alpha must increase strictly from zero: violated at index {k} "
                 f"(alpha_{k} = {vals[k]:.6g} <= alpha_{k - 1} = {vals[k - 1]:.6g})"
             )
     roots = np.sqrt(np.clip(vals, 0.0, None))
-    roots[0] = 0.0  # alpha_0 is zero within tol; pin the convention exactly
+    roots[0] = 0.0  # alpha_0 is zero within DEFAULT_TOL; pin the convention exactly
     return build_ladder(bundle.pair, roots.astype(complex))

@@ -24,9 +24,10 @@ class ThreeLevelModel:
 
     The parameter domain is [0, 2pi); the eigenvalues are simple and
     increasing exactly on [0, pi/3) u (5pi/3, 2pi).  `admissible` records
-    that the smallest gap 2cos t - 1 exceeds tol, as the factorization
-    H = BA requires, so it is false at both ends and within about
-    tol/sqrt(3) of them.  The transported vectors Phi_n fix the third
+    that the smallest gap 2cos t - 1 exceeds DEFAULT_TOL, the strictness
+    `ladder.factorize_from_alpha` requires of these eigenvalues with the
+    same comparison, so it is false at both ends and within about
+    DEFAULT_TOL/sqrt(3) of them.  The transported vectors Phi_n fix the third
     components to sin(t/2) and cos(t/2): the factor-6 variants are
     inconsistent with orthonormality and with S_psi^{1/2} phi_n.
     """
@@ -46,14 +47,14 @@ class ThreeLevelModel:
     Phi: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def three_level(t: float, tol: float = DEFAULT_TOL) -> ThreeLevelModel:
+def three_level(t: float) -> ThreeLevelModel:
     """Instantiate the model at parameter t in [0, 2pi)."""
     if not 0.0 <= t < 2.0 * np.pi:
         raise ValueError(f"t = {t} outside the parameter domain [0, 2pi)")
     c, s = np.cos(t), np.sin(t)
     ch, sh = np.cos(t / 2.0), np.sin(t / 2.0)
     eps = (0.0, 2.0 * c - 1.0, 2.0 * c + 1.0)
-    admissible = bool(min(eps[1] - eps[0], eps[2] - eps[1]) > tol)
+    admissible = bool(min(eps[1] - eps[0], eps[2] - eps[1]) > DEFAULT_TOL)
     H = np.array(
         [
             [-3.0 * c / 5.0, s / 2.0, 3.0 * c / 5.0],

@@ -13,7 +13,12 @@ from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.cli import main
 from rieszops.report import VerificationReport
 from rieszops.sequences import poly, sqrt_poly
-from rieszops.suites import _ladder_checks, projection_report, random_report
+from rieszops.suites import (
+    _ladder_checks,
+    projection_report,
+    random_report,
+    three_level_report,
+)
 
 
 @pytest.mark.parametrize(
@@ -24,6 +29,7 @@ from rieszops.suites import _ladder_checks, projection_report, random_report
         (["verify", "projection", "--dim", "8", "--tol", "1e-17"], 1),
         (["sweep", "three-level", "--t-max", "1", "--steps", "3", "--tol", "1e-16"], 1),
         (["verify", "random", "--dim", "8", "--tol", "5"], 0),
+        (["verify", "three-level", "--t", "0.3", "--tol", "5"], 0),
     ],
 )
 def test_extreme_tol_gives_a_document(capsys, argv, code):
@@ -42,6 +48,9 @@ def _residuals_and_notes(report):
     [
         (lambda tol: projection_report(8, 5, seed=0, tol=tol), (1e-10, 0.3)),
         (lambda tol: random_report(8, seed=1, alpha=poly(2.0), tol=tol), (1e-16, 1e-3)),
+        (lambda tol: three_level_report(0.3, tol=tol), (1e-10, 5.0)),
+        (lambda tol: random_report(8, seed=0, tol=tol), (1e-10, 5.0)),
+        (lambda tol: projection_report(8, 3, seed=0, tol=tol), (1e-10, 5.0)),
     ],
 )
 def test_tol_moves_no_residual_or_note(make, tols):

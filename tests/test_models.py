@@ -47,10 +47,29 @@ class TestThreeLevel:
         assert not model.admissible
         assert model.eps[1] - model.eps[0] <= 1e-10
 
-    def test_admissibility_follows_tol(self):
-        t = np.pi / 3 - 1e-6  # gap about 1.7e-6
-        assert three_level(t).admissible
-        assert not three_level(t, tol=1e-5).admissible
+    @pytest.mark.parametrize("gap, admissible", [(2e-10, True), (5e-11, False)])
+    def test_admissibility_threshold_is_default_tol(self, gap, admissible):
+        # a guard at the fixed DEFAULT_TOL = 1e-10, not at the check tolerance
+        model = three_level(float(np.arccos((1.0 + gap) / 2.0)))
+        assert model.eps[1] == pytest.approx(gap, rel=1e-6)
+        assert model.admissible == admissible
+
+    @pytest.mark.parametrize(
+        "t",
+        [*np.linspace(0.0, 2 * np.pi, 24, endpoint=False),
+         5 * np.pi / 3, np.pi / 3 - 1e-12, 5 * np.pi / 3 + 1e-12, np.pi / 3],
+    )
+    def test_admissible_exactly_when_factorizable(self, t):
+        # both guards compare the same eigenvalue gaps with DEFAULT_TOL
+        model = three_level(float(t))
+        bundle = build_bundle(from_generator(model.T), np.array(model.eps, dtype=complex))
+        try:
+            factorize_from_alpha(bundle)
+        except ValueError:
+            factorizable = False
+        else:
+            factorizable = True
+        assert model.admissible == factorizable
 
     def test_parameter_domain_enforced(self):
         with pytest.raises(ValueError, match="parameter domain"):
