@@ -194,15 +194,6 @@ def three_level_report(
             note="||T^{-1}|| = ||T|| / 5",
         )
     )
-    sqrt_gap = float(np.abs(bundle.S_phi_sqrt - model.T).max())
-    report.add(
-        CheckResult.from_residual(
-            "sqrt_vs_generator",
-            max(0.0, 0.1 - sqrt_gap),
-            tol,
-            note=f"S_phi^(1/2) differs from T (max entry gap {sqrt_gap:.6g} > 0.1)",
-        )
-    )
 
     _common_bundle_checks(report, bundle, rng, tol, quasi_pairs=50)
 

@@ -107,6 +107,13 @@ class TestThreeLevel:
             model = three_level(float(t))
             assert abs(operator_norm(model.T) - expected) <= 1e-10
 
+    def test_metric_root_is_not_the_generator(self):
+        # S_phi^{1/2} - T has entries 2 + 2cos(t/2) and 6 - 6cos(t/2), one of
+        # which is >= 3 for every t: the closed-form root check implies it
+        for t in np.linspace(0.0, 2 * np.pi, 49, endpoint=False):
+            model = three_level(float(t))
+            assert np.abs(model.S_phi_sqrt - model.T).max() >= 3.0
+
     def test_printed_ladder_matrices_match_generic(self):
         for t in (0.0, 0.2, 0.9):
             model = three_level(t)

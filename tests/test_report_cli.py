@@ -178,7 +178,7 @@ class TestReportContainers:
 _THREE_LEVEL_MODEL = [
     "three_level_H", "three_level_psi", "three_level_S_phi", "three_level_S_psi",
     "three_level_S_phi_sqrt", "three_level_S_psi_sqrt", "three_level_h",
-    "three_level_Phi", "norm_T", "norm_T_inv", "sqrt_vs_generator",
+    "three_level_Phi", "norm_T", "norm_T_inv",
 ]
 _PROJECTION_MODEL = [
     "projection_T_inv", "projection_S_phi", "projection_S_phi_sqrt",
