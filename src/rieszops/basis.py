@@ -31,16 +31,16 @@ from .report import CheckResult
 
 @dataclass(frozen=True)
 class RieszBasisPair:
-    """Generator, its inverse, both basis families, the frame bounds, and
+    """Both basis families, the generator's inverse, the frame bounds, and
     the eigendecomposition of the metric operator S_phi = T T*.
 
     phi and psi are dim x dim matrices whose n-th columns are phi_n and
-    psi_n in ambient coordinates.  metric_eigen has eigenvalues
-    s_k^2 > DEFAULT_TOL^2, the squared singular values of T.
+    psi_n in ambient coordinates; phi is the generator T itself.
+    metric_eigen has eigenvalues s_k^2 > DEFAULT_TOL^2, the squared
+    singular values of T.
     """
 
     dim: int
-    generator: np.ndarray
     generator_inverse: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
@@ -68,7 +68,6 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(
         dim=t.shape[0],
-        generator=t,
         generator_inverse=t_inv,
         phi=t.copy(),
         psi=adjoint(t_inv),

@@ -49,7 +49,7 @@ def test_rejects_singular_generator():
 
 def test_frame_bounds_are_extreme_singular_values():
     pair = random_pair(8, 11)
-    s = np.linalg.svd(pair.generator, compute_uv=False)
+    s = np.linalg.svd(pair.phi, compute_uv=False)
     assert abs(pair.frame_lower - s[-1]) <= 1e-10
     assert abs(pair.frame_upper - s[0]) <= 1e-10
 
@@ -58,7 +58,7 @@ def test_frame_bounds_bracket_action_norms(rng):
     pair = random_pair(8, 12)
     for _ in range(20):
         f = random_vector(rng, 8)
-        ratio = np.linalg.norm(pair.generator @ f) / np.linalg.norm(f)
+        ratio = np.linalg.norm(pair.phi @ f) / np.linalg.norm(f)
         assert pair.frame_lower - 1e-10 <= ratio <= pair.frame_upper + 1e-10
 
 
