@@ -24,12 +24,12 @@ class ThreeLevelModel:
 
     The parameter domain is [0, 2pi); the eigenvalues are simple and
     increasing exactly on [0, pi/3) u (5pi/3, 2pi).  `admissible` records
-    that the smallest gap 2cos t - 1 exceeds DEFAULT_TOL, the strictness
-    `ladder.factorize_from_alpha` requires of these eigenvalues with the
-    same comparison, so it is false at both ends and within about
-    DEFAULT_TOL/sqrt(3) of them.  The transported vectors Phi_n fix the third
-    components to sin(t/2) and cos(t/2): the factor-6 variants are
-    inconsistent with orthonormality and with S_psi^{1/2} phi_n.
+    that the smallest gap 2cos t - 1 exceeds DEFAULT_TOL, the comparison
+    `ladder.factorize_from_alpha` makes on these eigenvalues, so it is
+    false at both ends and within about DEFAULT_TOL/sqrt(3) of them.  The
+    transported vectors Phi_n fix the third components to sin(t/2) and
+    cos(t/2): the factor-6 variants are inconsistent with orthonormality
+    and with S_psi^{1/2} phi_n.
     """
 
     t: float

@@ -62,7 +62,8 @@ class TestThreeLevel:
     def test_admissible_exactly_when_factorizable(self, t):
         # both guards compare the same eigenvalue gaps with DEFAULT_TOL
         model = three_level(float(t))
-        bundle = build_bundle(from_generator(model.T), np.array(model.eps, dtype=complex))
+        eps = np.array(model.eps, dtype=complex)
+        bundle = build_bundle(from_generator(model.T), eps)
         try:
             factorize_from_alpha(bundle)
         except ValueError:

@@ -14,7 +14,7 @@ random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
 alpha and gamma (closed forms and 64-term lists); verify and sweep
 projection; verify and sweep three-level across the admissible boundaries;
 domain over a spec grid; last, a few reports at extreme --tol values.  The
-1290 argv take about 7 s on a 2-vCPU x86_64 host.
+1292 argv take about 7 s on a 2-vCPU x86_64 host.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ TOL_FAMILY = (
     ("sweep", "three-level", "--t-max", "1", "--steps", "3", "--tol", "1e-16"),
     ("verify", "random", "--dim", "8", "--tol", "5"),
     ("verify", "projection", "--dim", "8", "--n", "5", "--tol", "0.3"),
+    ("verify", "three-level", "--t", "0.3", "--tol", "5"),
+    ("sweep", "three-level", "--t-max", "1", "--steps", "3", "--tol", "5"),
 )
 
 
