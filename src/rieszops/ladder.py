@@ -155,7 +155,7 @@ def check_commutator(
     lp: LadderPair, f: np.ndarray, tol: float = DEFAULT_TOL
 ) -> CheckResult:
     """(AB - BA) f = sum_{n<=N-2} (gamma_{n+1}^2 - gamma_n^2) <f, psi_n> phi_n
-    for f in the interior span.
+    for f in the interior span, with 0 in place of gamma_0^2: A phi_0 = 0.
 
     Vectors with coefficient mass on psi_{N-1} beyond DEFAULT_TOL*||f|| are
     rejected: the identity is a truncation artifact outside the interior span.
@@ -174,7 +174,9 @@ def check_commutator(
             f"= {edge_mass:.6e}"
         )
     lhs = (lp.A_phi_psi @ lp.B_phi_psi - lp.B_phi_psi @ lp.A_phi_psi) @ f
-    gaps = g[1:] ** 2 - g[:-1] ** 2
+    ba = g[:-1] ** 2
+    ba[:1] = 0.0  # A phi_0 = 0, so BA phi_0 = 0 whatever gamma_0 is
+    gaps = g[1:] ** 2 - ba
     rhs = pair.phi[:, :-1] @ (gaps * coeff[:-1])
     residual = float(np.linalg.norm(lhs - rhs)) / scale
     return CheckResult.from_residual(

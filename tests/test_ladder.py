@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from rieszops import (
     from_generator,
     sqrt_poly,
 )
+from rieszops.cli import main
 from rieszops.models import projection_model, three_level
 from rieszops.sequences import harmonic, parse_spec, poly
 from rieszops.suites import random_report
@@ -188,6 +191,13 @@ class TestCommutator:
         f = pair.phi[:, :7] @ random_vector(rng, 7)
         check = check_commutator(lp, f)
         assert check.passed and check.residual <= 1e-10
+
+    def test_nonzero_gamma_0_drops_out_of_the_ba_term(self, capsys):
+        # A phi_0 = 0, so BA contributes 0, not gamma_0^2, at index 0
+        assert main(["verify", "random", "--dim", "8", "--gamma", "geometric:1.1+0.3j"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        (check,) = [c for c in checks if c["name"] == "ladder_commutator"]
+        assert check["passed"] and check["residual"] <= 1e-13
 
     def test_rejects_vector_outside_interior_span(self):
         pair, lp = bosonic_ladder(5)
