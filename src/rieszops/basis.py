@@ -17,40 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    HermitianEigen,
-    LinalgError,
-    adjoint,
-    as_matrix,
-    hermitian_eig,
-    inverse,
-)
-from .report import CheckResult
+from .linalg import DEFAULT_TOL, HermitianEigen, adjoint, as_matrix, guard, hermitian_eig, inverse
+from .report import Check, notes
 
 
 @dataclass(frozen=True)
 class RieszBasisPair:
     """Both basis families, the generator's inverse, the frame bounds, and
-    the eigendecomposition of the metric operator S_phi = T T*.
+    the eigendecomposition of the metric operator S_phi = T T*, for each
+    point of a batch.
 
-    phi and psi are dim x dim matrices whose n-th columns are phi_n and
-    psi_n in ambient coordinates; phi is the generator T itself.
-    metric_eigen has eigenvalues s_k^2 > DEFAULT_TOL^2, the squared
-    singular values of T.
+    phi and psi are (..., dim, dim) stacks whose n-th columns are phi_n and
+    psi_n in ambient coordinates; phi is the generator T itself.  The frame
+    bounds are shaped like the batch.  metric_eigen has eigenvalues
+    s_k^2 > DEFAULT_TOL^2, the squared singular values of T.
     """
 
     dim: int
     generator_inverse: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    frame_lower: float
-    frame_upper: float
+    frame_lower: np.ndarray
+    frame_upper: np.ndarray
     metric_eigen: HermitianEigen
 
 
 def from_generator(t: np.ndarray) -> RieszBasisPair:
-    """Construct the basis pair from an invertible generator.
+    """Construct the basis pairs from a stack of invertible generators.
 
     Rejects generators with smallest singular value <= DEFAULT_TOL, an
     absolute threshold independent of any check tolerance, reporting the
@@ -59,15 +52,16 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     t = as_matrix(t)
     metric = hermitian_eig(t @ adjoint(t))
     s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
-    smin, smax = float(s[0]), float(s[-1])
-    if smin <= DEFAULT_TOL:
-        raise LinalgError(
-            f"generator is numerically singular (sigma_min = {smin:.6e}); "
-            "not a Riesz-basis generator"
-        )
+    smin, smax = s[..., 0], s[..., -1]
+    guard(
+        smin <= DEFAULT_TOL,
+        "generator is numerically singular (sigma_min = {:.6e}); "
+        "not a Riesz-basis generator",
+        smin,
+    )
     t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(
-        dim=t.shape[0],
+        dim=t.shape[-1],
         generator_inverse=t_inv,
         phi=t.copy(),
         psi=adjoint(t_inv),
@@ -77,72 +71,72 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     )
 
 
-def verify_biorthogonality(
-    pair: RieszBasisPair, tol: float = DEFAULT_TOL
-) -> CheckResult:
-    """max_{n,m} |<phi_n, psi_m> - delta_nm| against tol."""
+def verify_biorthogonality(pair: RieszBasisPair) -> Check:
+    """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
     gram = adjoint(pair.psi) @ pair.phi  # entry (m, n) = <phi_n, psi_m>
-    residual = float(np.abs(gram - np.eye(pair.dim)).max())
-    return CheckResult.from_residual(
+    return Check(
         "biorthogonality",
-        residual,
-        tol,
-        note="max |<phi_n,psi_m> - delta_nm| over all n, m",
+        np.abs(gram - np.eye(pair.dim)).max(axis=(-2, -1)),
+        "max |<phi_n,psi_m> - delta_nm| over all n, m",
     )
 
 
 def expand(pair: RieszBasisPair, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient families of the columns of a block f (dim, k).
+    """Both coefficient families of the columns of a block f (dim, k), one
+    block for every point or one per point.
 
-    Returns (coeff_psi, coeff_phi), shaped like f, with coeff_psi[n] =
-    <f, psi_n> (so that f = sum coeff_psi[n] phi_n) and coeff_phi[n] =
-    <f, phi_n> (so that f = sum coeff_phi[n] psi_n), column by column.
+    Returns (coeff_psi, coeff_phi), with coeff_psi[n] = <f, psi_n> (so that
+    f = sum coeff_psi[n] phi_n) and coeff_phi[n] = <f, phi_n> (so that
+    f = sum coeff_phi[n] psi_n), column by column.
     """
     f = np.asarray(f, dtype=complex)
-    if f.ndim != 2 or f.shape[0] != pair.dim:
+    if f.ndim < 2 or f.shape[-2] != pair.dim:
         raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
-    coeff_psi = adjoint(pair.psi) @ f
-    coeff_phi = adjoint(pair.phi) @ f
-    return coeff_psi, coeff_phi
+    return adjoint(pair.psi) @ f, adjoint(pair.phi) @ f
 
 
-def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> float:
+def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> np.ndarray:
     """Worse of the two reconstruction residuals, relative to ||f||, of the
-    worst column of the block f (dim, k)."""
+    worst column of the block f (dim, k), per point."""
     coeff_psi, coeff_phi = expand(pair, f)
-    scale = np.maximum(np.linalg.norm(f, axis=0), 1e-300)
+    scale = np.maximum(np.linalg.norm(f, axis=-2), 1e-300)
     residuals = np.maximum(
-        np.linalg.norm(pair.phi @ coeff_psi - f, axis=0),
-        np.linalg.norm(pair.psi @ coeff_phi - f, axis=0),
+        np.linalg.norm(pair.phi @ coeff_psi - f, axis=-2),
+        np.linalg.norm(pair.psi @ coeff_phi - f, axis=-2),
     )
-    return float((residuals / scale).max())
+    return (residuals / scale).max(axis=-1)
 
 
-def frame_inequality_check(
-    pair: RieszBasisPair,
-    alpha: np.ndarray,
-    f: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarray) -> Check:
     """Two-sided frame inequality for the weighted coefficient sums.
 
     Verifies  gamma_1^2 S <= ||sum_k alpha_k <f,psi_k> phi_k||^2 <= gamma_2^2 S
-    with S = sum_k |alpha_k <f,psi_k>|^2, each side with slack tol (scaled by
+    with S = sum_k |alpha_k <f,psi_k>|^2, each side with slack (scaled by
     the magnitude of the upper bound), for the weights alpha_0 ..
-    alpha_{dim-1} and each column of the block f (dim, k).  The result and
-    its note are those of the worst column.
+    alpha_{dim-1} and each column of the block f (dim, k).  The residual
+    and the note are those of the worst column.
     """
     coeff_psi, _ = expand(pair, f)
-    weighted = alpha[:, None] * coeff_psi
-    coeff_mass = np.sum(np.abs(weighted) ** 2, axis=0)
-    mid = np.linalg.norm(pair.phi @ weighted, axis=0) ** 2
-    lower = pair.frame_lower**2 * coeff_mass
-    upper = pair.frame_upper**2 * coeff_mass
+    weighted = alpha[..., :, None] * coeff_psi
+    coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
+    mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
+    lower = pair.frame_lower[..., None] ** 2 * coeff_mass
+    upper = pair.frame_upper[..., None] ** 2 * coeff_mass
     violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
-    k = int(np.argmax(violation))  # the first NaN column, if any
-    return CheckResult.from_residual(
+    worst = violation.argmax(axis=-1)  # the first NaN column, if any
+    rows = np.arange(worst.size), worst.ravel()
+
+    def at_worst(x):
+        return x.reshape(-1, x.shape[-1])[rows].reshape(worst.shape)
+
+    return Check(
         "frame_inequality",
-        max(float(violation[k]), 0.0),  # NaN stays NaN
-        tol,
-        note=f"lower {lower[k]:.6e} <= mid {mid[k]:.6e} <= upper {upper[k]:.6e}",
+        np.maximum(at_worst(violation), 0.0),  # NaN stays NaN
+        notes(
+            f"worst of {f.shape[-1]} samples: "
+            "lower {:.6e} <= mid {:.6e} <= upper {:.6e}",
+            at_worst(lower),
+            at_worst(mid),
+            at_worst(upper),
+        ),
     )

@@ -144,25 +144,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            common = {"seed": args.seed, "tol": args.tol}
             if args.suite == "three-level":
-                report = three_level_report(args.t, seed=args.seed, tol=args.tol)
-            elif args.suite == "projection":
-                report = projection_report(
-                    args.dim,
-                    args.n,
-                    seed=args.seed,
-                    alpha=parse_spec(args.alpha),
-                    gamma=parse_spec(args.gamma),
-                    tol=args.tol,
-                )
+                report = three_level_report(args.t, **common)
             else:
-                report = random_report(
-                    args.dim,
-                    seed=args.seed,
-                    alpha=parse_spec(args.alpha),
-                    gamma=parse_spec(args.gamma),
-                    tol=args.tol,
-                )
+                common.update(alpha=parse_spec(args.alpha), gamma=parse_spec(args.gamma))
+                if args.suite == "projection":
+                    report = projection_report(args.dim, args.n, **common)
+                else:
+                    report = random_report(args.dim, **common)
             _emit(report.to_json(), args.out)
             return 0 if report.all_passed else 1
 

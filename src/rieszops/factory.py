@@ -4,7 +4,8 @@ All operators are materialized as explicit sums of rank-one terms
 sum_n w_n (v_n w_n*), evaluated from the basis columns as one matrix
 product (V diag(w)) W*: the checks downstream must exercise the defining
 formulas, so no diagonalization shortcut (such as T diag(w) T^{-1}) is used.
-Every builder takes (dim,) weight arrays.
+Every builder takes (..., dim) weight arrays, one row per point of the
+pair's batch, and every check returns a residual per point.
 """
 
 from __future__ import annotations
@@ -14,28 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RieszBasisPair
-from .linalg import (
-    DEFAULT_TOL,
-    adjoint,
-    frobenius,
-    operator_norm,
-    require_finite,
-)
-from .report import CheckResult
+from .linalg import adjoint, frobenius, operator_norm, require_finite
+from .report import Check, notes
 
 
 def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_n weights[n] * (left_n outer conj(right_n)) over matrix columns."""
-    acc = (left * weights) @ right.conj().T
+    acc = (left * weights[..., None, :]) @ right.conj().mT
     require_finite(acc)
     return acc
 
 
 def _weight_array(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
-    """values as the (dim,) weight array; any other shape would broadcast."""
-    if np.shape(values) != (pair.dim,):
+    """values as the (..., dim) weight array of the pair's batch; any other
+    shape would broadcast."""
+    if np.shape(values) != pair.phi.shape[:-1]:
         raise ValueError(
-            f"weights have shape {np.shape(values)}, expected ({pair.dim},)"
+            f"weights have shape {np.shape(values)}, expected {pair.phi.shape[:-1]}"
         )
     return values
 
@@ -43,7 +39,7 @@ def _weight_array(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
 def build_H(
     pair: RieszBasisPair, alpha: np.ndarray, direction: str = "phi_psi"
 ) -> np.ndarray:
-    """H^alpha = sum_n alpha_n (v_n outer conj(w_n)), alpha a (dim,) array,
+    """H^alpha = sum_n alpha_n (v_n outer conj(w_n)), alpha a (..., dim) array,
     with (v, w) = (phi, psi) for direction 'phi_psi', (psi, phi) for 'psi_phi'."""
     if direction == "phi_psi":
         left, right = pair.phi, pair.psi
@@ -57,7 +53,7 @@ def build_H(
 def build_S_weighted(
     pair: RieszBasisPair, beta: np.ndarray, side: str = "phi"
 ) -> np.ndarray:
-    """S^beta = sum_n beta_n (v_n outer conj(v_n)), beta a (dim,) array, v phi or psi."""
+    """S^beta = sum_n beta_n (v_n outer conj(v_n)), beta a (..., dim) array, v phi or psi."""
     if side not in ("phi", "psi"):
         raise ValueError(f"unknown basis family '{side}'")
     cols = pair.phi if side == "phi" else pair.psi
@@ -66,15 +62,16 @@ def build_S_weighted(
 
 @dataclass(frozen=True)
 class OperatorBundle:
-    """Every operator attached to one (basis pair, alpha) instance, each
+    """Every operator attached to a batch of (basis pair, alpha) points, each
     built once: the checks read these fields and build none of their own."""
 
     pair: RieszBasisPair
-    #: alpha_0 .. alpha_{dim-1}
+    #: alpha_0 .. alpha_{dim-1} of each point
     weights: np.ndarray
-    #: no weight has an imaginary part: h is self-adjoint, the quasi-Hermitian
-    #: symmetry holds, and the conj(alpha) operators are the alpha ones
-    is_real: bool
+    #: per point, no weight has an imaginary part: h is self-adjoint, the
+    #: quasi-Hermitian symmetry holds, and the conj(alpha) operators are the
+    #: alpha ones
+    is_real: np.ndarray
     H_phi_psi: np.ndarray
     H_psi_phi: np.ndarray
     S_phi: np.ndarray
@@ -86,27 +83,27 @@ class OperatorBundle:
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
     #: the conj(alpha) operators the adjoint identities compare against;
-    #: the alpha operators themselves when is_real
+    #: the alpha operators themselves when every point is_real
     H_conj_psi_phi: np.ndarray
     S_conj_phi: np.ndarray
     S_conj_psi: np.ndarray
 
 
 def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
-    """Materialize, from the (dim,) array alpha_0 .. alpha_{dim-1}, H (both
-    directions), the metric operators and their principal square roots,
-    h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both sides, and the conj(alpha)
-    operators H_{psi,phi} and S on both sides.
+    """Materialize, from the (..., dim) array alpha_0 .. alpha_{dim-1}, H
+    (both directions), the metric operators and their principal square
+    roots, h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both sides, and the
+    conj(alpha) operators H_{psi,phi} and S on both sides.
 
-    Realness is decided here, once, from the weights themselves: at small
-    dim a truncated complex sequence can be real.
+    Realness is decided here, once per point, from the weights themselves:
+    at small dim a truncated complex sequence can be real.
 
     Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
     S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
-    unit = np.ones(pair.dim, dtype=complex)
+    unit = np.ones(pair.phi.shape[:-1], dtype=complex)
     weights = _weight_array(pair, weights)
-    is_real = not weights.imag.any()
+    is_real = ~weights.imag.any(axis=-1)
     s = np.sqrt(pair.metric_eigen.eigenvalues)
     s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
     s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
@@ -116,7 +113,7 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     s_alpha_psi = build_S_weighted(pair, weights, "psi")
     # real weights are their own conjugates: reuse the alpha operators
     h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
-    if not is_real:
+    if np.count_nonzero(is_real) < is_real.size:
         conj = weights.conj()
         h_conj = build_H(pair, conj, "psi_phi")
         s_conj_phi = build_S_weighted(pair, conj, "phi")
@@ -140,57 +137,52 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     )
 
 
-def check_eigen_action(
-    bundle: OperatorBundle, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def _max_entry(m: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def check_eigen_action(bundle: OperatorBundle) -> Check:
     """H_{phi,psi} phi_k = alpha_k phi_k and H_{psi,phi} psi_k = alpha_k psi_k."""
-    pair, weights = bundle.pair, bundle.weights
-    r_phi = np.abs(bundle.H_phi_psi @ pair.phi - pair.phi * weights).max()
-    r_psi = np.abs(bundle.H_psi_phi @ pair.psi - pair.psi * weights).max()
-    return CheckResult.from_residual(
-        "eigen_action",
-        max(r_phi, r_psi),
-        tol,
-        note="H phi_k = alpha_k phi_k, both directions",
+    pair, weights = bundle.pair, bundle.weights[..., None, :]
+    r_phi = _max_entry(bundle.H_phi_psi @ pair.phi - pair.phi * weights)
+    r_psi = _max_entry(bundle.H_psi_phi @ pair.psi - pair.psi * weights)
+    return Check(
+        "eigen_action", np.maximum(r_phi, r_psi), "H phi_k = alpha_k phi_k, both directions"
     )
 
 
-def check_adjoint_pair(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_adjoint_pair(bundle: OperatorBundle) -> Check:
     """(H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}, and the weighted-S
     analogue (S^beta)* = S^conj(beta) on both sides, with beta = alpha."""
     r_h = frobenius(adjoint(bundle.H_phi_psi) - bundle.H_conj_psi_phi)
     r_s_phi = frobenius(adjoint(bundle.S_alpha_phi) - bundle.S_conj_phi)
     r_s_psi = frobenius(adjoint(bundle.S_alpha_psi) - bundle.S_conj_psi)
-    residual = max(r_h, r_s_phi, r_s_psi)
-    return CheckResult.from_residual(
+    return Check(
         "adjoint_pair",
-        residual,
-        tol,
-        note=f"H* vs conj weights {r_h:.3e}; S_phi {r_s_phi:.3e}; S_psi {r_s_psi:.3e}",
+        np.maximum(np.maximum(r_h, r_s_phi), r_s_psi),
+        notes("H* vs conj weights {:.3e}; S_phi {:.3e}; S_psi {:.3e}", r_h, r_s_phi, r_s_psi),
     )
 
 
-def check_weighted_action(
-    bundle: OperatorBundle, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def check_weighted_action(bundle: OperatorBundle) -> Check:
     """S^beta_phi psi_k = beta_k phi_k and S^beta_psi phi_k = beta_k psi_k,
     with beta = alpha.
 
     The second identity is the corrected reading of the weighted-action pair:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
-    pair, weights = bundle.pair, bundle.weights
-    r1 = float(np.abs(bundle.S_alpha_phi @ pair.psi - pair.phi * weights).max())
-    r2 = float(np.abs(bundle.S_alpha_psi @ pair.phi - pair.psi * weights).max())
-    return CheckResult.from_residual(
+    pair, weights = bundle.pair, bundle.weights[..., None, :]
+    r1 = _max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights)
+    r2 = _max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights)
+    return Check(
         "weighted_action",
-        max(r1, r2),
-        tol,
-        note=f"S^b_phi psi_k = b_k phi_k ({r1:.3e}); S^b_psi phi_k = b_k psi_k ({r2:.3e})",
+        np.maximum(r1, r2),
+        notes("S^b_phi psi_k = b_k phi_k ({:.3e}); S^b_psi phi_k = b_k psi_k ({:.3e})", r1, r2),
     )
 
 
-def check_metric_pair(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_metric_pair(bundle: OperatorBundle) -> Check:
     """S_phi S_psi = I and the square-root consistency S_phi_sqrt^2 = S_phi,
     S_psi_sqrt = S_phi_sqrt^{-1} (so S_psi_sqrt^2 = S_psi)."""
     eye = np.eye(bundle.pair.dim)
@@ -198,16 +190,15 @@ def check_metric_pair(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> Check
     r_sqrt = frobenius(bundle.S_phi_sqrt @ bundle.S_phi_sqrt - bundle.S_phi)
     r_sqrt_inv = frobenius(bundle.S_psi_sqrt @ bundle.S_phi_sqrt - eye)
     r_psi_sqrt = frobenius(bundle.S_psi_sqrt @ bundle.S_psi_sqrt - bundle.S_psi)
-    r_roots = max(r_sqrt, r_sqrt_inv, r_psi_sqrt)
-    return CheckResult.from_residual(
+    r_roots = np.maximum(np.maximum(r_sqrt, r_sqrt_inv), r_psi_sqrt)
+    return Check(
         "metric_pair",
-        max(r_inv, r_roots),
-        tol,
-        note=f"S_phi S_psi = I ({r_inv:.3e}); sqrt consistency ({r_roots:.3e})",
+        np.maximum(r_inv, r_roots),
+        notes("S_phi S_psi = I ({:.3e}); sqrt consistency ({:.3e})", r_inv, r_roots),
     )
 
 
-def check_intertwining(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_intertwining(bundle: OperatorBundle) -> Check:
     """The four intertwining residuals linking H, S, and the weighted S:
 
         S_psi H_{phi,psi} = H_{psi,phi} S_psi = S^alpha_psi
@@ -221,35 +212,25 @@ def check_intertwining(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> Chec
         frobenius(lhs_phi - bundle.H_phi_psi @ bundle.S_phi),
         frobenius(lhs_phi - bundle.S_alpha_phi),
     )
-    return CheckResult.from_residual(
+    return Check(
         "intertwining",
-        max(residuals),
-        tol,
-        note=(
-            "residuals: S_psi H - H' S_psi %.3e; S_psi H - S^a_psi %.3e; "
-            "S_phi H' - H S_phi %.3e; S_phi H' - S^a_phi %.3e" % residuals
+        np.maximum(np.maximum(residuals[0], residuals[1]), np.maximum(*residuals[2:])),
+        notes(
+            "residuals: S_psi H - H' S_psi {:.3e}; S_psi H - S^a_psi {:.3e}; "
+            "S_phi H' - H S_phi {:.3e}; S_phi H' - S^a_phi {:.3e}",
+            *residuals,
         ),
     )
 
 
-def _stacked_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x_j, y_j> for stacked vectors x, y of shape (k, dim, 1)."""
-    return (y.conj().transpose(0, 2, 1) @ x)[:, 0, 0]
-
-
-def quasi_hermitian_symmetry(
-    bundle: OperatorBundle,
-    f: np.ndarray,
-    g: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+def quasi_hermitian_symmetry(bundle: OperatorBundle, f: np.ndarray, g: np.ndarray) -> Check:
     """Symmetry of H in the S-inner-product: <S_psi H f, g> = <S_psi f, H g>.
 
-    f and g are column blocks (dim, k) of paired vectors; the residual is
-    that of the worst pair (f_j, g_j).  Only asserted for real alpha;
-    complex weights are rejected.
+    f and g are column blocks (dim, k) of paired vectors, shared by every
+    point; the residual is that of the worst pair (f_j, g_j).  Only asserted
+    for real alpha; complex weights are rejected.
     """
-    if not bundle.is_real:
+    if not bundle.is_real.all():
         raise ValueError("quasi-Hermitian symmetry is only asserted for real alpha")
     if f.ndim != 2 or f.shape != g.shape:
         raise ValueError(f"unpaired (dim, k) blocks: f {f.shape}, g {g.shape}")
@@ -257,27 +238,23 @@ def quasi_hermitian_symmetry(
     # stacked (dim, 1) vectors: matrix-vector products round like one pair at
     # a time; block products measured twice as noisy on this cancellation
     f, g = f.T[:, :, None], g.T[:, :, None]
-    h = bundle.H_phi_psi
-    lhs = _stacked_inner(bundle.S_psi @ (h @ f), g)
-    rhs = _stacked_inner(bundle.S_psi @ f, h @ g)
-    residual = float((np.abs(lhs - rhs) / scale).max())
-    return CheckResult.from_residual(
+    h, s_psi = bundle.H_phi_psi[..., None, :, :], bundle.S_psi[..., None, :, :]
+    lhs = (adjoint(g) @ (s_psi @ (h @ f)))[..., 0, 0]
+    rhs = (adjoint(h @ g) @ (s_psi @ f))[..., 0, 0]
+    return Check(
         "quasi_hermitian_symmetry",
-        residual,
-        tol,
-        note="|<S_psi H f, g> - <S_psi f, H g>| / (||f|| ||g||)",
+        (np.abs(lhs - rhs) / scale).max(axis=-1),
+        f"worst over {f.shape[0]} random (f, g) pairs",
     )
 
 
-def check_norm_bound(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_norm_bound(bundle: OperatorBundle) -> Check:
     """Truncation proxy for boundedness: ||H|| <= (gamma_2/gamma_1) max|alpha_n|."""
     pair = bundle.pair
-    bound = pair.frame_upper / pair.frame_lower * float(np.abs(bundle.weights).max())
+    bound = pair.frame_upper / pair.frame_lower * np.abs(bundle.weights).max(axis=-1)
     norm = operator_norm(bundle.H_phi_psi)
-    excess = max(norm - bound, 0.0)
-    return CheckResult.from_residual(
+    return Check(
         "norm_bound",
-        excess,
-        tol,
-        note=f"||H|| = {norm:.6e} vs (g2/g1) max|alpha| = {bound:.6e}",
+        np.maximum(norm - bound, 0.0),
+        notes("||H|| = {:.6e} vs (g2/g1) max|alpha| = {:.6e}", norm, bound),
     )

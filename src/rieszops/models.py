@@ -12,15 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, worst_column_norm
-from .report import CheckResult
+from .linalg import DEFAULT_TOL, adjoint, guard, worst_column_norm
+from .report import Check
 
 _SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class ThreeLevelModel:
-    """One-parameter 3x3 model with spectrum (0, 2cos t - 1, 2cos t + 1).
+    """One-parameter 3x3 model with spectrum (0, 2cos t - 1, 2cos t + 1),
+    at every point of an array of t: each field carries t's shape first.
 
     The parameter domain is [0, 2pi); the eigenvalues are simple and
     increasing exactly on [0, pi/3) u (5pi/3, 2pi).  `admissible` records
@@ -32,9 +33,10 @@ class ThreeLevelModel:
     and with S_psi^{1/2} phi_n.
     """
 
-    t: float
-    admissible: bool
-    eps: tuple[float, float, float]
+    t: np.ndarray
+    admissible: np.ndarray
+    #: (..., 3) eigenvalues
+    eps: np.ndarray
     H: np.ndarray
     T: np.ndarray
     S_phi: np.ndarray
@@ -42,78 +44,71 @@ class ThreeLevelModel:
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
     h: np.ndarray
+    #: the vectors phi_n, psi_n and Phi_n, each (..., 3)
     phi: tuple[np.ndarray, np.ndarray, np.ndarray]
     psi: tuple[np.ndarray, np.ndarray, np.ndarray]
     Phi: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def three_level(t: float) -> ThreeLevelModel:
-    """Instantiate the model at parameter t in [0, 2pi)."""
-    if not 0.0 <= t < 2.0 * np.pi:
-        raise ValueError(f"t = {t} outside the parameter domain [0, 2pi)")
+def _entries(rows, shape: tuple) -> np.ndarray:
+    """Nested rows of scalars or `shape` arrays as one complex array of
+    shape + (rows, columns)."""
+    out = np.empty(shape + (len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            out[..., i, j] = value
+    return out
+
+
+def three_level(t) -> ThreeLevelModel:
+    """Instantiate the model at each parameter of t (a float or an array)
+    in [0, 2pi)."""
+    t = np.asarray(t, dtype=float)
+    guard(
+        ~((0.0 <= t) & (t < 2.0 * np.pi)),
+        "t = {} outside the parameter domain [0, 2pi)",
+        t,
+        error=ValueError,
+    )
     c, s = np.cos(t), np.sin(t)
     ch, sh = np.cos(t / 2.0), np.sin(t / 2.0)
-    eps = (0.0, 2.0 * c - 1.0, 2.0 * c + 1.0)
-    admissible = bool(min(eps[1] - eps[0], eps[2] - eps[1]) > DEFAULT_TOL)
-    H = np.array(
-        [
-            [-3.0 * c / 5.0, s / 2.0, 3.0 * c / 5.0],
-            [-2.0 * s / 5.0, c, 2.0 * s / 5.0],
-            [-18.0 * c / 5.0, 3.0 * s, 18.0 * c / 5.0],
-        ],
-        dtype=complex,
+    eps = np.stack([np.zeros(t.shape), 2.0 * c - 1.0, 2.0 * c + 1.0], axis=-1)
+
+    def constant(rows):
+        return np.broadcast_to(np.array(rows, dtype=complex), t.shape + (3, 3))
+
+    phi = _entries([[1.0, 0.0, 1.0], [sh, -2.0 * ch, 6.0 * sh], [ch, 2.0 * sh, 6.0 * ch]], t.shape)
+    psi = _entries(
+        [[6.0 / 5.0, 0.0, -1.0 / 5.0], [-sh / 5.0, -ch / 2.0, sh / 5.0],
+         [-ch / 5.0, sh / 2.0, ch / 5.0]],
+        t.shape,
     )
-    phi = (
-        np.array([1.0, 0.0, 1.0], dtype=complex),
-        np.array([sh, -2.0 * ch, 6.0 * sh], dtype=complex),
-        np.array([ch, 2.0 * sh, 6.0 * ch], dtype=complex),
-    )
-    T = np.column_stack(phi)
-    psi = (
-        np.array([6.0 / 5.0, 0.0, -1.0 / 5.0], dtype=complex),
-        np.array([-sh / 5.0, -ch / 2.0, sh / 5.0], dtype=complex),
-        np.array([-ch / 5.0, sh / 2.0, ch / 5.0], dtype=complex),
-    )
-    S_phi = np.array([[2, 0, 7], [0, 4, 0], [7, 0, 37]], dtype=complex)
-    S_psi = np.array(
-        [
-            [37.0 / 25.0, 0.0, -7.0 / 25.0],
-            [0.0, 1.0 / 4.0, 0.0],
-            [-7.0 / 25.0, 0.0, 2.0 / 25.0],
-        ],
-        dtype=complex,
-    )
-    S_phi_sqrt = np.array([[1, 0, 1], [0, 2, 0], [1, 0, 6]], dtype=complex)
-    S_psi_sqrt = np.array(
-        [
-            [6.0 / 5.0, 0.0, -1.0 / 5.0],
-            [0.0, 1.0 / 2.0, 0.0],
-            [-1.0 / 5.0, 0.0, 1.0 / 5.0],
-        ],
-        dtype=complex,
-    )
-    h = np.array(
-        [[0.0, 0.0, 0.0], [0.0, c, s], [0.0, s, 3.0 * c]], dtype=complex
-    )
-    Phi = (
-        np.array([1.0, 0.0, 0.0], dtype=complex),
-        np.array([0.0, -ch, sh], dtype=complex),
-        np.array([0.0, sh, ch], dtype=complex),
-    )
+    Phi = _entries([[1.0, 0.0, 0.0], [0.0, -ch, sh], [0.0, sh, ch]], t.shape)
     return ThreeLevelModel(
-        t=float(t),
-        admissible=admissible,
+        t=t,
+        admissible=np.diff(eps, axis=-1).min(axis=-1) > DEFAULT_TOL,
         eps=eps,
-        H=H,
-        T=T,
-        S_phi=S_phi,
-        S_psi=S_psi,
-        S_phi_sqrt=S_phi_sqrt,
-        S_psi_sqrt=S_psi_sqrt,
-        h=h,
-        phi=phi,
-        psi=psi,
-        Phi=Phi,
+        H=_entries(
+            [
+                [-3.0 * c / 5.0, s / 2.0, 3.0 * c / 5.0],
+                [-2.0 * s / 5.0, c, 2.0 * s / 5.0],
+                [-18.0 * c / 5.0, 3.0 * s, 18.0 * c / 5.0],
+            ],
+            t.shape,
+        ),
+        T=phi.swapaxes(-1, -2).copy(),
+        S_phi=constant([[2, 0, 7], [0, 4, 0], [7, 0, 37]]),
+        S_psi=constant(
+            [[37.0 / 25.0, 0.0, -7.0 / 25.0], [0.0, 1.0 / 4.0, 0.0], [-7.0 / 25.0, 0.0, 2.0 / 25.0]]
+        ),
+        S_phi_sqrt=constant([[1, 0, 1], [0, 2, 0], [1, 0, 6]]),
+        S_psi_sqrt=constant(
+            [[6.0 / 5.0, 0.0, -1.0 / 5.0], [0.0, 1.0 / 2.0, 0.0], [-1.0 / 5.0, 0.0, 1.0 / 5.0]]
+        ),
+        h=_entries([[0.0, 0.0, 0.0], [0.0, c, s], [0.0, s, 3.0 * c]], t.shape),
+        phi=tuple(phi[..., n, :] for n in range(3)),
+        psi=tuple(psi[..., n, :] for n in range(3)),
+        Phi=tuple(Phi[..., n, :] for n in range(3)),
     )
 
 
@@ -125,73 +120,45 @@ def three_level_ladder_closed_forms(
     Transcribed for completeness; the acceptance-bearing facts about the
     ladder are its basis actions, checked elsewhere.
     """
-    if not model.admissible:
+    if not model.admissible.all():
         raise ValueError("ladder closed forms need the admissible interval")
     t = model.t
-    e1, e2 = np.sqrt(model.eps[1]), np.sqrt(model.eps[2])
+    e1, e2 = np.sqrt(model.eps[..., 1]), np.sqrt(model.eps[..., 2])
     c, s = np.cos(t), np.sin(t)
     ch, sh = np.cos(t / 2.0), np.sin(t / 2.0)
-    A = np.array(
-        [
-            [
-                -(e1 + ch * e2) * sh / 5.0,
-                (-ch * e1 + e2 * sh**2) / 2.0,
-                (2.0 * e1 * sh + e2 * s) / 10.0,
-            ],
-            [(1.0 + c) * e2 / 5.0, -e2 * s / 2.0, -(1.0 + c) * e2 / 5.0],
-            [
-                (-e1 * sh - 3.0 * e2 * s) / 5.0,
-                -ch * e1 / 2.0 + 3.0 * e2 * sh**2,
-                (e1 * sh + 3.0 * e2 * s) / 5.0,
-            ],
-        ],
-        dtype=complex,
-    )
-    B = np.array(
-        [
-            [
-                6.0 * e1 * sh / 5.0 - e2 * s / 10.0,
-                -(1.0 + c) * e2 / 4.0,
-                (-2.0 * e1 * sh + e2 * s) / 10.0,
-            ],
-            [
-                -2.0 * (6.0 * ch * e1 + e2 * sh**2) / 5.0,
-                -e2 * s / 2.0,
-                2.0 * (ch * e1 + e2 * sh**2) / 5.0,
-            ],
-            [
-                3.0 * (12.0 * e1 * sh - e2 * s) / 5.0,
-                -3.0 * (1.0 + c) * e2 / 2.0,
-                3.0 * (-2.0 * e1 * sh + e2 * s) / 5.0,
-            ],
-        ],
-        dtype=complex,
-    )
-    return A, B
+    A = [
+        [-(e1 + ch * e2) * sh / 5.0, (-ch * e1 + e2 * sh**2) / 2.0,
+         (2.0 * e1 * sh + e2 * s) / 10.0],
+        [(1.0 + c) * e2 / 5.0, -e2 * s / 2.0, -(1.0 + c) * e2 / 5.0],
+        [(-e1 * sh - 3.0 * e2 * s) / 5.0, -ch * e1 / 2.0 + 3.0 * e2 * sh**2,
+         (e1 * sh + 3.0 * e2 * s) / 5.0],
+    ]
+    B = [
+        [6.0 * e1 * sh / 5.0 - e2 * s / 10.0, -(1.0 + c) * e2 / 4.0,
+         (-2.0 * e1 * sh + e2 * s) / 10.0],
+        [-2.0 * (6.0 * ch * e1 + e2 * sh**2) / 5.0, -e2 * s / 2.0,
+         2.0 * (ch * e1 + e2 * sh**2) / 5.0],
+        [3.0 * (12.0 * e1 * sh - e2 * s) / 5.0, -3.0 * (1.0 + c) * e2 / 2.0,
+         3.0 * (-2.0 * e1 * sh + e2 * s) / 5.0],
+    ]
+    return _entries(A, t.shape), _entries(B, t.shape)
 
 
-def three_level_hat_spectrum(
-    model: ThreeLevelModel,
-    A: np.ndarray,
-    B: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+def three_level_hat_spectrum(model: ThreeLevelModel, A: np.ndarray, B: np.ndarray) -> Check:
     """Relabeled spectrum of AB: phi_n are eigenvectors with eigenvalues
     (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with the same list.
     """
-    if not model.admissible:
+    if not model.admissible.all():
         raise ValueError("hat spectrum is defined on the admissible interval")
     hat = A @ B
-    phi, psi = np.column_stack(model.phi), np.column_stack(model.psi)
-    eigenvalues = np.array([model.eps[1], model.eps[2], 0.0])
-    r_phi = hat @ phi - phi * eigenvalues
-    r_psi = adjoint(hat) @ psi - psi * eigenvalues
-    worst = worst_column_norm(np.hstack([r_phi, r_psi]))
-    return CheckResult.from_residual(
+    phi, psi = np.stack(model.phi, axis=-1), np.stack(model.psi, axis=-1)
+    eigenvalues = np.stack([model.eps[..., 1], model.eps[..., 2], np.zeros(model.t.shape)], axis=-1)
+    r_phi = hat @ phi - phi * eigenvalues[..., None, :]
+    r_psi = adjoint(hat) @ psi - psi * eigenvalues[..., None, :]
+    return Check(
         "hat_spectrum",
-        worst,
-        tol,
-        note="AB phi_n and (AB)* psi_n actions with relabeled eigenvalues",
+        worst_column_norm(np.concatenate([r_phi, r_psi], axis=-1)),
+        "AB phi_n and (AB)* psi_n actions with relabeled eigenvalues",
     )
 
 

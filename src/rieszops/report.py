@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass
@@ -23,17 +26,43 @@ class CheckResult:
     tol: float
     note: str = ""
 
-    @classmethod
-    def from_residual(
-        cls, name: str, residual: float, tol: float, note: str = ""
-    ) -> "CheckResult":
-        return cls(
-            name=name,
-            passed=bool(residual <= tol),
-            residual=float(residual),
-            tol=float(tol),
-            note=note,
-        )
+
+class Check(NamedTuple):
+    """One named check over a batch of points: a residual per point (an array
+    shaped like the batch), and one note for every point or a list of
+    per-point notes in batch order."""
+
+    name: str
+    residual: np.ndarray
+    note: str | list[str] = ""
+
+    def notes(self) -> list[str]:
+        if isinstance(self.note, list):
+            return self.note
+        return [self.note] * self.residual.size
+
+    def results(self, tol: float) -> list[CheckResult]:
+        """One CheckResult per point, in batch order."""
+        name, note, tol = self.name, self.note, float(tol)
+        residuals = self.residual.ravel().tolist()
+        if isinstance(note, str):
+            return [CheckResult(name, r <= tol, r, tol, note) for r in residuals]
+        return [CheckResult(name, r <= tol, r, tol, n) for r, n in zip(residuals, note)]
+
+    @staticmethod
+    def merge(where, on: Check, off: Check) -> Check:
+        """One check from its results on the points where `where` holds and
+        on the others, each in batch order."""
+        residual = np.empty(np.shape(where))
+        residual[where], residual[~where] = on.residual, off.residual
+        picks = {True: iter(on.notes()), False: iter(off.notes())}
+        return Check(on.name, residual, [next(picks[w]) for w in where.ravel().tolist()])
+
+
+def notes(template: str, *values) -> list[str]:
+    """template.format(...) at each point, values being arrays shaped like
+    the batch."""
+    return list(map(template.format, *[v.ravel().tolist() for v in values]))
 
 
 @dataclass

@@ -9,27 +9,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factory import OperatorBundle
-from .linalg import DEFAULT_TOL, adjoint, frobenius
-from .report import CheckResult
+from .factory import OperatorBundle, _max_entry
+from .linalg import adjoint, frobenius
+from .report import Check, notes
 
 
-def check_selfadjoint_h(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_selfadjoint_h(bundle: OperatorBundle) -> Check:
     """Self-adjointness of h for real weights, and for any weights the
     adjoint relation h_{phi,psi}* = h_{psi,phi} built with conjugated weights."""
     conj_bundle_h = bundle.S_phi_sqrt @ bundle.H_conj_psi_phi @ bundle.S_psi_sqrt
     r_adjoint = frobenius(adjoint(bundle.h) - conj_bundle_h)
-    notes = [f"h* = h'(conj alpha) ({r_adjoint:.3e})"]
-    residual = r_adjoint
-    if bundle.is_real:
-        r_self = frobenius(bundle.h - adjoint(bundle.h))
-        residual = max(residual, r_self)
-        notes.insert(0, f"||h - h*|| ({r_self:.3e})")
-    else:
-        notes.append("self-adjointness skipped: complex alpha")
-    return CheckResult.from_residual(
-        "selfadjoint_h", residual, tol, note="; ".join(notes)
-    )
+    r_self = frobenius(bundle.h - adjoint(bundle.h))
+    real = notes("||h - h*|| ({:.3e}); h* = h'(conj alpha) ({:.3e})", r_self, r_adjoint)
+    skip = notes("h* = h'(conj alpha) ({:.3e}); self-adjointness skipped: complex alpha", r_adjoint)
+    pick = zip(bundle.is_real.ravel().tolist(), real, skip)
+    residual = np.where(bundle.is_real, np.maximum(r_adjoint, r_self), r_adjoint)
+    return Check("selfadjoint_h", residual, [r if is_real else s for is_real, r, s in pick])
 
 
 def transported_eigenbasis(bundle: OperatorBundle) -> np.ndarray:
@@ -37,41 +32,29 @@ def transported_eigenbasis(bundle: OperatorBundle) -> np.ndarray:
     return bundle.S_psi_sqrt @ bundle.pair.phi
 
 
-def check_transported_eigenbasis(
-    bundle: OperatorBundle, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def check_transported_eigenbasis(bundle: OperatorBundle) -> Check:
     """h Phi_n = alpha_n Phi_n and <Phi_n, Phi_m> = delta_nm."""
     phi_t = transported_eigenbasis(bundle)
-    r_action = float(np.abs(bundle.h @ phi_t - phi_t * bundle.weights).max())
-    gram = adjoint(phi_t) @ phi_t
-    r_onb = float(np.abs(gram - np.eye(bundle.pair.dim)).max())
-    return CheckResult.from_residual(
+    r_action = _max_entry(bundle.h @ phi_t - phi_t * bundle.weights[..., None, :])
+    r_onb = _max_entry(adjoint(phi_t) @ phi_t - np.eye(bundle.pair.dim))
+    return Check(
         "transported_eigenbasis",
-        max(r_action, r_onb),
-        tol,
-        note=f"eigen-action {r_action:.3e}; orthonormality {r_onb:.3e}",
+        np.maximum(r_action, r_onb),
+        notes("eigen-action {:.3e}; orthonormality {:.3e}", r_action, r_onb),
     )
 
 
-def check_similarity_consistency(
-    bundle: OperatorBundle, tol: float = DEFAULT_TOL
-) -> CheckResult:
+def check_similarity_consistency(bundle: OperatorBundle) -> Check:
     """Intertwining by the square root: S_phi^{1/2} h = H S_phi^{1/2}."""
-    residual = frobenius(
-        bundle.S_phi_sqrt @ bundle.h - bundle.H_phi_psi @ bundle.S_phi_sqrt
-    )
-    return CheckResult.from_residual(
-        "similarity_consistency",
-        residual,
-        tol,
-        note="S_phi^{1/2} h = H_{phi,psi} S_phi^{1/2}",
-    )
+    residual = frobenius(bundle.S_phi_sqrt @ bundle.h - bundle.H_phi_psi @ bundle.S_phi_sqrt)
+    return Check("similarity_consistency", residual, "S_phi^{1/2} h = H_{phi,psi} S_phi^{1/2}")
 
 
-def onb_in_HS(bundle: OperatorBundle, tol: float = DEFAULT_TOL) -> CheckResult:
+def onb_in_HS(bundle: OperatorBundle) -> Check:
     """phi_n is orthonormal in the S-inner-product: <S_psi phi_n, phi_m> = delta."""
     gram = adjoint(bundle.pair.phi) @ bundle.S_psi @ bundle.pair.phi
-    residual = float(np.abs(gram - np.eye(bundle.pair.dim)).max())
-    return CheckResult.from_residual(
-        "onb_in_HS", residual, tol, note="max |<phi_n, phi_m>_S - delta_nm|"
+    return Check(
+        "onb_in_HS",
+        _max_entry(gram - np.eye(bundle.pair.dim)),
+        "max |<phi_n, phi_m>_S - delta_nm|",
     )

@@ -5,19 +5,23 @@ Three suites exist.  `three-level` runs the generic pipeline against the
 model, and `random` against a seeded well-conditioned generator
 T = I + 0.3 R (R with entries uniform in the complex unit square, which
 keeps the smallest singular value comfortably away from zero).
+
+The battery runs on a batch of points: a three-level sweep is one stacked
+call, and a single report is a batch of one.  Checks return a residual per
+point; `_record` turns them into each point's CheckResults.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import basis, factory, ladder, models, sequences, similarity
-from .linalg import DEFAULT_TOL
-from .report import CheckResult, VerificationReport
+from .linalg import DEFAULT_TOL, adjoint, take
+from .report import Check, VerificationReport, notes
 
 _GENERATOR_SPREAD = 0.3
+#: the default weights: alpha_n = n and gamma_n = sqrt(n), so that gamma = sqrt(alpha)
+_ALPHA, _GAMMA = sequences.poly(1.0), sequences.sqrt_poly(1.0)
 
 
 def _random_block(rng, dim: int, k: int) -> np.ndarray:
@@ -36,214 +40,223 @@ def _random_generator(rng, dim: int) -> np.ndarray:
     return np.eye(dim) + _GENERATOR_SPREAD * (real + 1j * imag)
 
 
-def _entrywise(name: str, got, expected, tol: float, note: str = "") -> CheckResult:
-    residual = float(np.abs(np.asarray(got) - np.asarray(expected)).max())
-    return CheckResult.from_residual(name, residual, tol, note=note)
+def _entrywise(name: str, got, expected, note: str = "") -> Check:
+    """Largest entry modulus of got - expected at each point of the batch
+    (the leading axis of got)."""
+    diff = np.abs(got - expected)
+    return Check(name, diff.reshape(len(diff), -1).max(axis=1), note)
+
+
+def _record(reports: list[VerificationReport], tol: float, *checks: Check) -> None:
+    """The one place checks become CheckResults: each point's result joins
+    its report, in the order of the checks."""
+    for check in checks:
+        for report, result in zip(reports, check.results(tol)):
+            report.add(result)
+
+
+def _where(reports: list[VerificationReport], where: np.ndarray) -> list[VerificationReport]:
+    return [report for report, holds in zip(reports, where.tolist()) if holds]
 
 
 def _common_bundle_checks(
-    report: VerificationReport,
+    reports: list[VerificationReport],
     bundle: factory.OperatorBundle,
     rng,
     tol: float,
     quasi_pairs: int = 10,
 ) -> None:
     """Battery shared by every suite: basis identities, adjoints,
-    intertwining, similarity, and the metric inner-product facts."""
+    intertwining, similarity, and the metric inner-product facts.
+
+    Every point of the batch draws the same vectors from the one rng, which
+    is each point's own stream when the points share seed and dim and the
+    draw-deciding realness of alpha."""
     pair = bundle.pair
-    report.add(basis.verify_biorthogonality(pair, tol))
-    report.add(
-        CheckResult.from_residual(
+    reconstruction = basis.reconstruction_residual(pair, _random_block(rng, pair.dim, 10))
+    _record(
+        reports,
+        tol,
+        basis.verify_biorthogonality(pair),
+        Check(
             "reconstruction",
-            basis.reconstruction_residual(pair, _random_block(rng, pair.dim, 10)),
-            tol,
-            note="worst relative reconstruction residual over 10 random vectors",
-        )
+            reconstruction,
+            "worst relative reconstruction residual over 10 random vectors",
+        ),
+        basis.frame_inequality_check(pair, bundle.weights, _random_block(rng, pair.dim, 10)),
+        factory.check_eigen_action(bundle),
+        factory.check_weighted_action(bundle),
+        factory.check_adjoint_pair(bundle),
+        factory.check_metric_pair(bundle),
+        factory.check_intertwining(bundle),
     )
-    frame = basis.frame_inequality_check(
-        pair, bundle.weights, _random_block(rng, pair.dim, 10), tol
-    )
-    report.add(replace(frame, note=f"worst of 10 samples: {frame.note}"))
-    report.add(factory.check_eigen_action(bundle, tol))
-    report.add(factory.check_weighted_action(bundle, tol))
-    report.add(factory.check_adjoint_pair(bundle, tol))
-    report.add(factory.check_metric_pair(bundle, tol))
-    report.add(factory.check_intertwining(bundle, tol))
-    if bundle.is_real:
+    if np.count_nonzero(bundle.is_real):
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
         fg = _random_block(rng, pair.dim, 2 * quasi_pairs)
-        quasi = factory.quasi_hermitian_symmetry(bundle, fg[:, 0::2], fg[:, 1::2], tol)
-        report.add(
-            replace(quasi, note=f"worst over {quasi_pairs} random (f, g) pairs")
-        )
-    report.add(similarity.check_selfadjoint_h(bundle, tol))
-    report.add(similarity.check_transported_eigenbasis(bundle, tol))
-    report.add(similarity.check_similarity_consistency(bundle, tol))
-    report.add(similarity.onb_in_HS(bundle, tol))
-    report.add(factory.check_norm_bound(bundle, tol))
+        real = take(bundle, bundle.is_real)
+        quasi = factory.quasi_hermitian_symmetry(real, fg[:, 0::2], fg[:, 1::2])
+        _record(_where(reports, bundle.is_real), tol, quasi)
+    _record(
+        reports,
+        tol,
+        similarity.check_selfadjoint_h(bundle),
+        similarity.check_transported_eigenbasis(bundle),
+        similarity.check_similarity_consistency(bundle),
+        similarity.onb_in_HS(bundle),
+        factory.check_norm_bound(bundle),
+    )
 
 
 def _ladder_checks(
-    report: VerificationReport,
+    reports: list[VerificationReport],
     bundle: factory.OperatorBundle,
     gamma: np.ndarray,
     rng,
     tol: float,
 ) -> ladder.LadderPair | None:
     """Ladder block shared by every suite: the ladder for gamma, its actions,
-    adjoints, products and commutator, and H = BA for gamma_n = sqrt(alpha_n).
-    Returns the ladder for gamma, or None at dim 1, where there is no block."""
-    if bundle.pair.dim < 2:  # the interior 0..N-2 is empty: every entry is vacuous
+    adjoints, products and commutator, and H = BA for gamma_n = sqrt(alpha_n),
+    from the ladder for gamma when the roots equal it.  Returns the ladder
+    for gamma, or None at dim 1, where there is no block."""
+    pair = bundle.pair
+    if pair.dim < 2:  # the interior 0..N-2 is empty: every entry is vacuous
         return None
-    lp = ladder.build_ladder(bundle.pair, gamma)
-    report.add(ladder.check_ladder_actions(lp, tol))
-    report.add(ladder.check_ladder_adjoints(lp, tol))
-    report.add(ladder.check_products(lp, tol))
-    if lp.abs_monotone:
-        coeffs = _random_block(rng, bundle.pair.dim - 1, 1)[:, 0]
-        f = bundle.pair.phi[:, :-1] @ coeffs
-        report.add(ladder.check_commutator(lp, f, tol))
-    try:
-        root = ladder.factorize_from_alpha(bundle)
-    except ValueError as exc:
-        report.add(
-            CheckResult(
-                name="factorization",
-                passed=True,
-                residual=0.0,
-                tol=tol,
-                note=f"skipped: {exc}",
-            )
-        )
-    else:
-        report.add(
+    lp = ladder.build_ladder(pair, gamma)
+    _record(
+        reports,
+        tol,
+        ladder.check_ladder_actions(lp),
+        ladder.check_ladder_adjoints(lp),
+        ladder.check_products(lp),
+    )
+    monotone = lp.abs_monotone
+    if np.count_nonzero(monotone):
+        coeffs = _random_block(rng, pair.dim - 1, 1)[:, 0]
+        sub = take(lp, monotone)
+        f = sub.pair.phi[..., :, :-1] @ coeffs
+        _record(_where(reports, monotone), tol, ladder.check_commutator(sub, f))
+    roots, skipped, reasons = ladder.factorize_from_alpha(bundle)
+    if reasons:
+        skips = [f"skipped: {reason}" for reason in reasons]
+        _record(_where(reports, skipped), tol, Check("factorization", np.zeros(len(skips)), skips))
+    if len(reasons) < len(reports):
+        root = take(lp, ~skipped)
+        if not (roots[~skipped] == root.weights).all():
+            root = ladder.build_ladder(root.pair, roots[~skipped])
+        _record(
+            _where(reports, ~skipped),
+            tol,
             _entrywise(
                 "factorization",
-                root.B_phi_psi @ root.A_phi_psi,
-                bundle.H_phi_psi,
-                tol,
+                root.BA,
+                take(bundle.H_phi_psi, ~skipped),
                 note="H = BA entrywise for gamma_n = sqrt(alpha_n)",
-            )
+            ),
         )
     return lp
+
+
+def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[VerificationReport]:
+    """Full battery for the 3x3 model at every parameter of ts, as one stack."""
+    reports = [
+        VerificationReport(
+            suite="three-level", params={"t": t, "seed": int(seed), "tol": float(tol)}
+        )
+        for t in ts.tolist()
+    ]
+    rng = np.random.default_rng(seed)
+    model = models.three_level(ts)
+    gaps = np.diff(model.eps, axis=-1).min(axis=-1).tolist()
+    note = [
+        f"t {'inside' if a else 'outside'} the admissible interval: smallest eigenvalue gap "
+        f"{gap:.6e} {'>' if a else '<='} {DEFAULT_TOL:g}{'' if a else '; ladder checks skipped'}"
+        for a, gap in zip(model.admissible.tolist(), gaps)
+    ]
+    _record(reports, 0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note))
+
+    pair = basis.from_generator(model.T)
+    bundle = factory.build_bundle(pair, model.eps.astype(complex))
+    norm_t = pair.frame_upper
+    expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
+    _record(
+        reports,
+        tol,
+        _entrywise("three_level_H", bundle.H_phi_psi, model.H),
+        _entrywise("three_level_psi", pair.psi, np.stack(model.psi, axis=-1)),
+        _entrywise("three_level_S_phi", bundle.S_phi, model.S_phi),
+        _entrywise("three_level_S_psi", bundle.S_psi, model.S_psi),
+        _entrywise("three_level_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
+        _entrywise("three_level_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
+        _entrywise("three_level_h", bundle.h, model.h),
+        _entrywise(
+            "three_level_Phi",
+            similarity.transported_eigenbasis(bundle),
+            np.stack(model.Phi, axis=-1),
+            note="transported eigenvectors vs closed forms",
+        ),
+        Check(
+            "norm_T",
+            np.abs(norm_t - expected_norm),
+            notes(f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}", norm_t),
+        ),
+        Check(
+            "norm_T_inv", np.abs(1.0 / pair.frame_lower - norm_t / 5.0), "||T^{-1}|| = ||T|| / 5"
+        ),
+    )
+
+    _common_bundle_checks(reports, bundle, rng, tol, quasi_pairs=50)
+
+    admissible = model.admissible
+    if np.count_nonzero(admissible):
+        inside = _where(reports, admissible)
+        bundle, model = take(bundle, admissible), take(model, admissible)
+        lp = _ladder_checks(inside, bundle, np.sqrt(bundle.weights), rng, tol)
+        a_closed, b_closed = models.three_level_ladder_closed_forms(model)
+        _record(
+            inside,
+            tol,
+            # B* lowers and A* raises psi_n:
+            # B* psi_n = g_n psi_{n-1} and A* psi_n = g_{n+1} psi_{n+1}
+            Check(
+                "ladder_adjoint_actions",
+                ladder.shift_action_residual(
+                    adjoint(lp.B_phi_psi),
+                    adjoint(lp.A_phi_psi),
+                    np.stack(model.psi, axis=-1),
+                    lp.weights,
+                ),
+                "B* and A* shift actions on psi_n",
+            ),
+            models.three_level_hat_spectrum(model, lp.A_phi_psi, lp.B_phi_psi),
+            _entrywise(
+                "printed_ladder_matrices",
+                np.stack([lp.A_phi_psi, lp.B_phi_psi], axis=1),
+                np.stack([a_closed, b_closed], axis=1),
+                note="closed-form A(t), B(t) vs generic construction",
+            ),
+        )
+    return reports
 
 
 def three_level_report(
     t: float, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Full battery for the 3x3 model at parameter t."""
-    report = VerificationReport(
-        suite="three-level", params={"t": float(t), "seed": int(seed), "tol": float(tol)}
-    )
-    rng = np.random.default_rng(seed)
-    model = models.three_level(t)
-    min_gap = min(model.eps[1] - model.eps[0], model.eps[2] - model.eps[1])
-    where, above = ("inside", ">") if model.admissible else ("outside", "<=")
-    skipped = "" if model.admissible else "; ladder checks skipped"
-    report.add(
-        CheckResult(
-            name="admissible",
-            passed=model.admissible,
-            residual=0.0 if model.admissible else 1.0,
-            tol=0.5,
-            note=(
-                f"t {where} the admissible interval: smallest eigenvalue gap "
-                f"{min_gap:.6e} {above} {DEFAULT_TOL:g}{skipped}"
-            ),
-        )
-    )
-
-    pair = basis.from_generator(model.T)
-    bundle = factory.build_bundle(pair, np.array(model.eps, dtype=complex))
-
-    report.add(_entrywise("three_level_H", bundle.H_phi_psi, model.H, tol))
-    report.add(_entrywise("three_level_psi", pair.psi, np.column_stack(model.psi), tol))
-    report.add(_entrywise("three_level_S_phi", bundle.S_phi, model.S_phi, tol))
-    report.add(_entrywise("three_level_S_psi", bundle.S_psi, model.S_psi, tol))
-    report.add(
-        _entrywise("three_level_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt, tol)
-    )
-    report.add(
-        _entrywise("three_level_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt, tol)
-    )
-    report.add(_entrywise("three_level_h", bundle.h, model.h, tol))
-    report.add(
-        _entrywise(
-            "three_level_Phi",
-            similarity.transported_eigenbasis(bundle),
-            np.column_stack(model.Phi),
-            tol,
-            note="transported eigenvectors vs closed forms",
-        )
-    )
-    norm_t = pair.frame_upper
-    expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
-    report.add(
-        CheckResult.from_residual(
-            "norm_T",
-            abs(norm_t - expected_norm),
-            tol,
-            note=f"||T|| = {norm_t:.12g}, parameter-independent value {expected_norm:.12g}",
-        )
-    )
-    report.add(
-        CheckResult.from_residual(
-            "norm_T_inv",
-            abs(1.0 / pair.frame_lower - norm_t / 5.0),
-            tol,
-            note="||T^{-1}|| = ||T|| / 5",
-        )
-    )
-
-    _common_bundle_checks(report, bundle, rng, tol, quasi_pairs=50)
-
-    if model.admissible:
-        lp = _ladder_checks(report, bundle, np.sqrt(bundle.weights), rng, tol)
-        # B* lowers and A* raises psi_n:
-        # B* psi_n = g_n psi_{n-1} and A* psi_n = g_{n+1} psi_{n+1}
-        worst = ladder.shift_action_residual(
-            lp.B_phi_psi.conj().T,
-            lp.A_phi_psi.conj().T,
-            np.column_stack(model.psi),
-            lp.weights,
-        )
-        report.add(
-            CheckResult.from_residual(
-                "ladder_adjoint_actions",
-                worst,
-                tol,
-                note="B* and A* shift actions on psi_n",
-            )
-        )
-        report.add(
-            models.three_level_hat_spectrum(model, lp.A_phi_psi, lp.B_phi_psi, tol)
-        )
-        a_closed, b_closed = models.three_level_ladder_closed_forms(model)
-        report.add(
-            _entrywise(
-                "printed_ladder_matrices",
-                np.stack([lp.A_phi_psi, lp.B_phi_psi]),
-                np.stack([a_closed, b_closed]),
-                tol,
-                note="closed-form A(t), B(t) vs generic construction",
-            )
-        )
-    return report
+    """Full battery for the 3x3 model at parameter t: a sweep of one point."""
+    return _three_level_reports(np.array([float(t)]), seed, tol)[0]
 
 
 def projection_report(
     dim: int,
     support: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec | None = None,
-    gamma: sequences.SequenceSpec | None = None,
+    alpha: sequences.SequenceSpec = _ALPHA,
+    gamma: sequences.SequenceSpec = _GAMMA,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Full battery for a seeded projection model with the given support size."""
+    """Full battery for a seeded projection model with the given support
+    size: a batch of one point."""
     if not 2 <= support <= dim:
         raise ValueError(f"support size must be in 2..{dim}, got {support}")
-    alpha = alpha if alpha is not None else sequences.poly(1.0)
-    gamma = gamma if gamma is not None else sequences.sqrt_poly(1.0)
     report = VerificationReport(
         suite="projection",
         params={
@@ -260,68 +273,55 @@ def projection_report(
     coeffs /= np.linalg.norm(coeffs)
     model = models.projection_model(dim, coeffs, alpha.terms(dim))
 
-    pair = basis.from_generator(model.T)
-    bundle = factory.build_bundle(pair, model.weights)
-
-    report.add(
-        _entrywise("projection_T_inv", pair.generator_inverse, model.T_inv, tol)
-    )
-    report.add(_entrywise("projection_S_phi", bundle.S_phi, model.S_phi, tol))
-    report.add(
-        _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt, tol)
-    )
-    report.add(
-        _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt, tol)
-    )
+    pair = basis.from_generator(model.T[None])
+    bundle = factory.build_bundle(pair, model.weights[None])
     phi_closed, psi_closed = models.projection_phi_psi_closed_forms(model)
-    report.add(
+    outside = [k for k in range(dim) if k not in model.support]
+    deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
+    block_residual = np.maximum(
+        deviation[..., :, outside].max(axis=(-2, -1), initial=0.0),
+        deviation[..., outside, :].max(axis=(-2, -1), initial=0.0),
+    )
+    _record(
+        [report],
+        tol,
+        _entrywise("projection_T_inv", pair.generator_inverse, model.T_inv),
+        _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
+        _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
+        _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
         _entrywise(
             "projection_bases",
-            np.stack([pair.phi, pair.psi]),
+            np.stack([pair.phi, pair.psi], axis=1),
             np.stack([phi_closed, psi_closed]),
-            tol,
             note="phi_n and psi_n case formulas",
-        )
-    )
-    report.add(
+        ),
         _entrywise(
             "projection_H_split",
             bundle.H_phi_psi,
             models.projection_H_closed_form(model),
-            tol,
             note="H as support terms plus coordinate projections",
-        )
-    )
-    outside = [k for k in range(dim) if k not in model.support]
-    deviation = np.abs(bundle.h - np.diag(bundle.weights))
-    block_residual = max(
-        float(deviation[:, outside].max(initial=0.0)),
-        float(deviation[outside, :].max(initial=0.0)),
-    )
-    report.add(
-        CheckResult.from_residual(
+        ),
+        Check(
             "projection_h_block",
             block_residual,
-            tol,
-            note="h acts as the diagonal weights on coordinates off the support",
-        )
+            "h acts as the diagonal weights on coordinates off the support",
+        ),
     )
 
-    _common_bundle_checks(report, bundle, rng, tol)
-    _ladder_checks(report, bundle, gamma.terms(dim), rng, tol)
+    _common_bundle_checks([report], bundle, rng, tol)
+    _ladder_checks([report], bundle, gamma.terms(dim)[None], rng, tol)
     return report
 
 
 def random_report(
     dim: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec | None = None,
-    gamma: sequences.SequenceSpec | None = None,
+    alpha: sequences.SequenceSpec = _ALPHA,
+    gamma: sequences.SequenceSpec = _GAMMA,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Full battery for a seeded random well-conditioned generator."""
-    alpha = alpha if alpha is not None else sequences.poly(1.0)
-    gamma = gamma if gamma is not None else sequences.sqrt_poly(1.0)
+    """Full battery for a seeded random well-conditioned generator: a batch
+    of one point."""
     report = VerificationReport(
         suite="random",
         params={
@@ -333,22 +333,22 @@ def random_report(
         },
     )
     rng = np.random.default_rng(seed)
-    pair = basis.from_generator(_random_generator(rng, dim))
-    bundle = factory.build_bundle(pair, alpha.terms(dim))
-    _common_bundle_checks(report, bundle, rng, tol)
-    _ladder_checks(report, bundle, gamma.terms(dim), rng, tol)
+    pair = basis.from_generator(_random_generator(rng, dim)[None])
+    bundle = factory.build_bundle(pair, alpha.terms(dim)[None])
+    _common_bundle_checks([report], bundle, rng, tol)
+    _ladder_checks([report], bundle, gamma.terms(dim)[None], rng, tol)
     return report
 
 
 def sweep_three_level(
     t_min: float, t_max: float, steps: int, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
+    """three_level_report at each point of the grid, run as one stack."""
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
     if not t_min < t_max:
         raise ValueError("t-min must be strictly below t-max")
-    grid = np.linspace(t_min, t_max, steps)
-    return [three_level_report(float(t), seed=seed, tol=tol) for t in grid]
+    return _three_level_reports(np.linspace(t_min, t_max, steps), seed, tol)
 
 
 def sweep_projection(
@@ -356,9 +356,11 @@ def sweep_projection(
     n_min: int,
     n_max: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec | None = None,
+    alpha: sequences.SequenceSpec = _ALPHA,
     tol: float = DEFAULT_TOL,
 ) -> list[VerificationReport]:
+    """projection_report at each support size, one point at a time: a stack
+    would hold every point's operators at once."""
     if n_min > n_max:
         raise ValueError("n-min must not exceed n-max")
     return [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rieszops
-from rieszops import basis, build_bundle
+from rieszops import DEFAULT_TOL, basis, build_bundle, build_ladder, factorize_from_alpha
 
 #: the directory holding the rieszops package under test
 PACKAGE_ROOT = str(Path(rieszops.__file__).resolve().parents[1])
@@ -42,6 +42,20 @@ def three_level_gamma(model):
     """Closed-form factorization weights (0, sqrt(eps_1), sqrt(eps_2)) of an
     admissible three-level model."""
     return np.array([0.0, np.sqrt(model.eps[1]), np.sqrt(model.eps[2])])
+
+
+def result(check, tol=DEFAULT_TOL):
+    """The CheckResult of a check on a single point (a batch of shape ())."""
+    (single,) = check.results(tol)
+    return single
+
+
+def factorize(bundle):
+    """The ladder with gamma_n = sqrt(alpha_n) of a single point, which must
+    satisfy the factorization preconditions."""
+    roots, skipped, reasons = factorize_from_alpha(bundle)
+    assert not skipped and not reasons, reasons
+    return build_ladder(bundle.pair, roots)
 
 
 def random_pair(dim, seed):

@@ -14,6 +14,7 @@ from conftest import (
     cli_env,
     random_generator_matrix,
     random_vector,
+    result,
     three_level_gamma,
 )
 from oracles import (
@@ -126,7 +127,7 @@ def test_criterion_3_three_level_ladder_suite():
     for vec in actions:
         worst = max(worst, float(np.linalg.norm(vec)))
     worst = max(worst, float(np.abs(b @ a - model.H).max()))
-    hat_check = three_level_hat_spectrum(model, a, b, tol=1e-10)
+    hat_check = result(three_level_hat_spectrum(model, a, b), tol=1e-10)
     worst = max(worst, hat_check.residual)
     assert worst <= 1e-10, f"worst ladder residual {worst:.3e}"
     announce(3, f"12 ladder actions, H = BA, and the AB relabeling, worst {worst:.2e}")
@@ -197,23 +198,20 @@ def test_criterion_5_property_suite_random_generators():
         gamma = _property_gamma(rng, dim, complex_weights)
         bundle = build_bundle(pair, alpha)
         checks = [
-            verify_biorthogonality(pair, tol),
-            check_metric_pair(bundle, tol),
-            check_adjoint_pair(bundle, tol),
-            check_intertwining(bundle, tol),
-            check_selfadjoint_h(bundle, tol),
+            result(verify_biorthogonality(pair), tol),
+            result(check_metric_pair(bundle), tol),
+            result(check_adjoint_pair(bundle), tol),
+            result(check_intertwining(bundle), tol),
+            result(check_selfadjoint_h(bundle), tol),
         ]
         for _ in range(10):
-            checks.append(
-                frame_inequality_check(
-                    pair, bundle.weights, random_vector(rng, dim)[:, None], tol
-                )
-            )
+            frame = frame_inequality_check(pair, bundle.weights, random_vector(rng, dim)[:, None])
+            checks.append(result(frame, tol))
         lp = build_ladder(pair, gamma)
-        checks.append(check_ladder_adjoints(lp, tol))
-        checks.append(check_products(lp, tol))
+        checks.append(result(check_ladder_adjoints(lp), tol))
+        checks.append(result(check_products(lp), tol))
         interior_f = pair.phi[:, :-1] @ random_vector(rng, dim - 1)
-        checks.append(check_commutator(lp, interior_f, tol))
+        checks.append(result(check_commutator(lp, interior_f), tol))
         for check in checks:
             assert check.passed, f"seed {seed} dim {dim}: {check.name} {check.residual:.3e}"
             worst = max(worst, check.residual)

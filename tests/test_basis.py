@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector
+from conftest import random_pair, random_vector, result
 from rieszops import (
     LinalgError,
     expand,
@@ -65,15 +65,15 @@ def test_frame_bounds_bracket_action_norms(rng):
 class TestBiorthogonality:
     def test_three_level(self):
         pair = from_generator(three_level(0.3).T)
-        check = verify_biorthogonality(pair, tol=1e-12)
+        check = result(verify_biorthogonality(pair), tol=1e-12)
         assert check.passed and check.residual <= 1e-12
 
     def test_identity(self):
-        check = verify_biorthogonality(from_generator(np.eye(5, dtype=complex)))
+        check = result(verify_biorthogonality(from_generator(np.eye(5, dtype=complex))))
         assert check.residual == 0.0
 
     def test_random_dim_16(self):
-        check = verify_biorthogonality(random_pair(16, 16))
+        check = result(verify_biorthogonality(random_pair(16, 16)))
         assert check.passed and check.residual <= 1e-10
 
 
@@ -113,16 +113,16 @@ class TestExpand:
 class TestFrameInequality:
     def test_identity_generator_equalities(self, rng):
         pair = from_generator(np.eye(5, dtype=complex))
-        check = frame_inequality_check(
-            pair, poly(1.0).terms(5), random_vector(rng, 5)[:, None]
+        check = result(
+            frame_inequality_check(pair, poly(1.0).terms(5), random_vector(rng, 5)[:, None])
         )
         assert check.passed and check.residual <= 1e-12
 
     def test_three_level(self, rng):
         model = three_level(0.3)
         pair = from_generator(model.T)
-        check = frame_inequality_check(
-            pair, explicit(model.eps).terms(3), random_vector(rng, 3)[:, None]
+        check = result(
+            frame_inequality_check(pair, explicit(model.eps).terms(3), random_vector(rng, 3)[:, None])
         )
         assert check.passed
 
@@ -131,5 +131,5 @@ class TestFrameInequality:
         model = projection_model(6, np.array([0.6, 0.8]), alpha)
         pair = from_generator(model.T)
         for _ in range(10):
-            check = frame_inequality_check(pair, alpha, random_vector(rng, 6)[:, None])
+            check = result(frame_inequality_check(pair, alpha, random_vector(rng, 6)[:, None]))
             assert check.passed

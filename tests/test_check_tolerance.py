@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix
+from conftest import random_generator_matrix, result
 from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.cli import main
 from rieszops.report import VerificationReport
@@ -64,13 +64,14 @@ def _factorization(report):
 
 
 def test_perturbed_H_fails_factorization():
-    pair = from_generator(random_generator_matrix(np.random.default_rng(4), 8))
-    bundle = build_bundle(pair, poly(1.0).terms(8))
+    # a report is a batch of one point
+    pair = from_generator(random_generator_matrix(np.random.default_rng(4), 8)[None])
+    bundle = build_bundle(pair, poly(1.0).terms(8)[None])
     h = bundle.H_phi_psi.copy()
-    h[3, 5] += 1e-8
+    h[0, 3, 5] += 1e-8
     report = VerificationReport(suite="random", params={})
     _ladder_checks(
-        report, replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8),
+        [report], replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None],
         np.random.default_rng(0), 1e-10,
     )
     check = _factorization(report)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix, random_pair, random_vector
+from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
     build_bundle,
     build_ladder,
@@ -21,7 +21,7 @@ from rieszops import (
     reconstruction_residual,
     sqrt_poly,
 )
-from rieszops.report import CheckResult
+from rieszops.report import Check
 from rieszops.suites import _entrywise, _random_block, random_report
 
 
@@ -59,7 +59,7 @@ def test_commutator_coefficients_follow_sequential_draws(alpha):
     for _ in range(samples):
         random_vector(rng, dim)
     f = pair.phi[:, :-1] @ random_vector(rng, dim - 1)
-    expected = check_commutator(build_ladder(pair, gamma.terms(pair.dim)), f)
+    expected = result(check_commutator(build_ladder(pair, gamma.terms(pair.dim)), f))
     report = random_report(dim, seed=seed, alpha=alpha, gamma=gamma)
     (got,) = [c for c in report.checks if c.name == "ladder_commutator"]
     assert got.residual == expected.residual
@@ -73,8 +73,8 @@ def test_vectors_need_a_column_axis(check):
     calls = {
         "expand": lambda: expand(pair, f),
         "reconstruction": lambda: reconstruction_residual(pair, f),
-        "frame": lambda: frame_inequality_check(pair, poly(1.0).terms(4), f),
-        "quasi": lambda: quasi_hermitian_symmetry(build_bundle(pair, np.arange(4.0)), f, f),
+        "frame": lambda: result(frame_inequality_check(pair, poly(1.0).terms(4), f)),
+        "quasi": lambda: result(quasi_hermitian_symmetry(build_bundle(pair, np.arange(4.0)), f, f)),
     }
     with pytest.raises(ValueError, match=r"\(4, k\)|\(dim, k\)"):
         calls[check]()
@@ -106,31 +106,33 @@ class TestWorstColumn:
         tight = replace(pair, frame_lower=pair.frame_upper)
         alpha = poly(1.0).terms(8)
         residuals = [
-            frame_inequality_check(tight, alpha, f).residual for f in _columns(block)
+            result(frame_inequality_check(tight, alpha, f)).residual for f in _columns(block)
         ]
         block = block[:, np.argsort(residuals)]
-        worst = frame_inequality_check(tight, alpha, block[:, -1:])
+        worst = result(frame_inequality_check(tight, alpha, block[:, -1:]))
         assert min(residuals) > 0.0
-        check = frame_inequality_check(tight, alpha, block)
+        check = result(frame_inequality_check(tight, alpha, block))
         assert check.residual == pytest.approx(max(residuals), rel=1e-12)
         assert not check.passed
-        assert check.note.split()[::3] == ["lower", "mid", "upper"]
-        got = [float(v) for v in check.note.split()[1::3]]
-        want = [float(v) for v in worst.note.split()[1::3]]
+        assert check.note.startswith("worst of 10 samples: ")
+        bounds = check.note.partition(": ")[2]
+        assert bounds.split()[::3] == ["lower", "mid", "upper"]
+        got = [float(v) for v in bounds.split()[1::3]]
+        want = [float(v) for v in worst.note.partition(": ")[2].split()[1::3]]
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_quasi_is_max_of_columns(self, pair, block):
         bundle = build_bundle(pair, poly(2.0).terms(pair.dim))
         f, g = block[:, 0::2], block[:, 1::2]
         single = [
-            quasi_hermitian_symmetry(bundle, f[:, [j]], g[:, [j]]).residual
+            result(quasi_hermitian_symmetry(bundle, f[:, [j]], g[:, [j]])).residual
             for j in range(f.shape[1])
         ]
-        check = quasi_hermitian_symmetry(bundle, f, g)
+        check = result(quasi_hermitian_symmetry(bundle, f, g))
         assert check.residual == pytest.approx(max(single), rel=1e-12)
         with pytest.raises(ValueError, match="unpaired"):
-            quasi_hermitian_symmetry(bundle, f, g[:, :1])
-        assert check.note == quasi_hermitian_symmetry(bundle, f[:, :1], g[:, :1]).note
+            result(quasi_hermitian_symmetry(bundle, f, g[:, :1]))
+        assert check.note == "worst over 5 random (f, g) pairs"
 
 
 class TestNanColumn:
@@ -143,26 +145,28 @@ class TestNanColumn:
     def test_reconstruction(self, block):
         residual = reconstruction_residual(random_pair(6, 1), block)
         assert np.isnan(residual)
-        assert not CheckResult.from_residual("reconstruction", residual, 1e-10).passed
+        assert not result(Check("reconstruction", residual), 1e-10).passed
 
     def test_frame(self, block):
-        check = frame_inequality_check(random_pair(6, 1), poly(1.0).terms(6), block)
+        check = result(frame_inequality_check(random_pair(6, 1), poly(1.0).terms(6), block))
         assert np.isnan(check.residual) and not check.passed
 
     def test_quasi(self, block):
         bundle = build_bundle(random_pair(6, 1), poly(1.0).terms(6))
-        check = quasi_hermitian_symmetry(bundle, block, block[:, ::-1])
+        check = result(quasi_hermitian_symmetry(bundle, block, block[:, ::-1]))
         assert np.isnan(check.residual) and not check.passed
 
     def test_stacked_entrywise_reports_nan_pair(self):
         got = np.stack([np.eye(3), np.eye(3)]).astype(complex)
         expected = got.copy()
         got[1, 0, 2] = np.nan  # the second (got, expected) pair
-        check = _entrywise("x", got, expected, 1e-10)
+        # one point of a batch: the pairs stack along axis 1
+        check = result(_entrywise("x", got[None], expected[None]), 1e-10)
         assert np.isnan(check.residual) and not check.passed
         got[1, 0, 2] = 1e-12
         got[0, 1, 1] += 1e-11
-        assert _entrywise("x", got, expected, 1e-10).residual == pytest.approx(1e-11)
+        check = result(_entrywise("x", got[None], expected[None]), 1e-10)
+        assert check.residual == pytest.approx(1e-11)
 
 
 class TestSingleBadColumn:
@@ -190,9 +194,9 @@ class TestSingleBadColumn:
         pair = from_generator(np.eye(5, dtype=complex))
         bent = replace(pair, phi=np.diag([1.0, 1.0, 1.0, 1.0, 1.5]).astype(complex))
         alpha = poly(1.0).terms(5)
-        good = frame_inequality_check(bent, alpha, np.delete(block, 5, axis=1))
+        good = result(frame_inequality_check(bent, alpha, np.delete(block, 5, axis=1)))
         assert good.passed and good.residual <= 1e-14
-        check = frame_inequality_check(bent, alpha, block)
+        check = result(frame_inequality_check(bent, alpha, block))
         assert not check.passed and check.residual > 1e-3
 
     def test_quasi(self, block):
@@ -204,6 +208,6 @@ class TestSingleBadColumn:
         f, g = block, np.roll(block, 1, axis=1)
         g[-1, :] = 0.0
         good_cols = [j for j in range(8) if j != 5]
-        assert quasi_hermitian_symmetry(bad, f[:, good_cols], g[:, good_cols]).passed
-        check = quasi_hermitian_symmetry(bad, f, g)
+        assert result(quasi_hermitian_symmetry(bad, f[:, good_cols], g[:, good_cols])).passed
+        check = result(quasi_hermitian_symmetry(bad, f, g))
         assert not check.passed and check.residual > 1e-8

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector
+from conftest import random_pair, random_vector, result
 from rieszops import (
     build_bundle,
     build_H,
@@ -59,7 +59,7 @@ class TestBuildH:
         pair = random_pair(8, 5)
         alpha = explicit(np.linspace(0, 3, 8))
         bundle = build_bundle(pair, alpha.terms(pair.dim))
-        check = check_eigen_action(bundle)
+        check = result(check_eigen_action(bundle))
         assert check.passed and check.residual <= 1e-10
 
     def test_length_mismatch(self):
@@ -90,7 +90,7 @@ class TestBuildSWeighted:
 
     def test_weighted_actions_both_sides(self):
         pair = random_pair(8, 6)
-        check = check_weighted_action(build_bundle(pair, np.arange(8) + 0.5))
+        check = result(check_weighted_action(build_bundle(pair, np.arange(8) + 0.5)))
         assert check.passed and check.residual <= 1e-10
 
     def test_hermitian_for_real_weights(self):
@@ -114,7 +114,7 @@ class TestBuildSWeighted:
 class TestAdjointPair:
     def test_three_level(self):
         model, pair = three_level_pair(0.3)
-        check = check_adjoint_pair(build_bundle(pair, np.array(model.eps)), tol=1e-12)
+        check = result(check_adjoint_pair(build_bundle(pair, np.array(model.eps))), tol=1e-12)
         assert check.passed and check.residual <= 1e-12
 
     def test_real_weights_identity_generator_hermitian(self):
@@ -122,13 +122,13 @@ class TestAdjointPair:
         alpha = explicit([0.0, 1.0, 2.0, 3.0])
         h = build_H(pair, alpha.terms(4), "phi_psi")
         assert np.abs(h - h.conj().T).max() == 0.0
-        assert check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim))).residual <= 1e-14
+        assert result(check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim)))).residual <= 1e-14
 
     def test_random_complex_dim_16(self):
         pair = random_pair(16, 16)
         rng = np.random.default_rng(4)
         alpha = explicit(random_vector(rng, 16))
-        check = check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim)))
+        check = result(check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim))))
         assert check.passed and check.residual <= 1e-10
 
 
@@ -136,7 +136,7 @@ class TestIntertwining:
     def test_three_level_all_four_residuals(self):
         model, pair = three_level_pair(0.3)
         bundle = build_bundle(pair, np.array(model.eps))
-        check = check_intertwining(bundle, tol=1e-11)
+        check = result(check_intertwining(bundle), tol=1e-11)
         assert check.passed and check.residual <= 1e-11
         # the headline identity in the quasi-Hermitian reading
         lhs = bundle.H_phi_psi.conj().T @ bundle.S_psi
@@ -146,13 +146,13 @@ class TestIntertwining:
     def test_identity_generator_exact(self):
         pair = from_generator(np.eye(4, dtype=complex))
         bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert check_intertwining(bundle).residual <= 1e-13
+        assert result(check_intertwining(bundle)).residual <= 1e-13
 
     def test_projection_dim_8(self):
         model = projection_model(8, np.array([0.6, 0.8]), poly(1.0).terms(8))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
-        check = check_intertwining(bundle)
+        check = result(check_intertwining(bundle))
         assert check.passed and check.residual <= 1e-10
 
 
@@ -162,10 +162,10 @@ class TestQuasiHermitianSymmetry:
         bundle = build_bundle(pair, np.array(model.eps))
         rng = np.random.default_rng(17)
         worst = max(
-            quasi_hermitian_symmetry(
-                bundle,
-                random_vector(rng, 3)[:, None],
-                random_vector(rng, 3)[:, None],
+            result(
+                quasi_hermitian_symmetry(
+                    bundle, random_vector(rng, 3)[:, None], random_vector(rng, 3)[:, None]
+                ),
                 tol=1e-11,
             ).residual
             for _ in range(50)
@@ -175,16 +175,18 @@ class TestQuasiHermitianSymmetry:
     def test_eigenvector_pair(self):
         model, pair = three_level_pair(0.3)
         bundle = build_bundle(pair, np.array(model.eps))
-        check = quasi_hermitian_symmetry(
-            bundle, model.phi[0][:, None], model.phi[1][:, None]
+        check = result(
+            quasi_hermitian_symmetry(bundle, model.phi[0][:, None], model.phi[1][:, None])
         )
         assert check.passed and check.residual <= 1e-12
 
     def test_identity_generator(self, rng):
         pair = from_generator(np.eye(4, dtype=complex))
         bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0, 3.0]))
-        check = quasi_hermitian_symmetry(
-            bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
+        check = result(
+            quasi_hermitian_symmetry(
+                bundle, random_vector(rng, 4)[:, None], random_vector(rng, 4)[:, None]
+            )
         )
         assert check.passed
 
@@ -201,7 +203,7 @@ class TestMetricAndBounds:
     def test_metric_pair_identities(self):
         for seed in (1, 2, 3):
             bundle = build_bundle(random_pair(8, seed), poly(1.0).terms(8))
-            check = check_metric_pair(bundle)
+            check = result(check_metric_pair(bundle))
             assert check.passed, check.note
 
     def test_norm_bound_proxy_H(self):
@@ -209,7 +211,7 @@ class TestMetricAndBounds:
             pair = random_pair(8, seed)
             rng = np.random.default_rng(seed)
             bundle = build_bundle(pair, random_vector(rng, 8))
-            assert check_norm_bound(bundle).passed
+            assert result(check_norm_bound(bundle)).passed
 
     def test_norm_bound_proxy_S(self):
         # same boundedness proxy on the weighted S side:
@@ -256,14 +258,14 @@ class TestBundleFields:
     @pytest.mark.parametrize("field", sorted(READERS))
     def test_perturbed_field_fails_its_readers(self, field):
         for case, bundle in mutation_bundles():
-            assert all(check(bundle).passed for check in BUNDLE_CHECKS), case
+            assert all(result(check(bundle)).passed for check in BUNDLE_CHECKS), case
             mutated = getattr(bundle, field).copy()
             mutated[0, -1] += 1e-6
             perturbed = dataclasses.replace(bundle, **{field: mutated})
             failed = {
-                result.name
-                for result in (check(perturbed) for check in BUNDLE_CHECKS)
-                if not result.passed
+                check_result.name
+                for check_result in (result(check(perturbed)) for check in BUNDLE_CHECKS)
+                if not check_result.passed
             }
             assert failed == READERS[field], case
 
@@ -363,7 +365,7 @@ class TestLadderAdjointBuilds:
             return build(pair, weights)
 
         monkeypatch.setattr(ladder, "build_ladder", counting)
-        assert ladder.check_ladder_adjoints(lp).passed
+        assert result(ladder.check_ladder_adjoints(lp)).passed
         assert len(calls) == builds
 
 

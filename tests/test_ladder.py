@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector, three_level_gamma
+from conftest import (
+    factorize,
+    random_generator_matrix,
+    random_pair,
+    random_vector,
+    result,
+    three_level_gamma,
+)
 from oracles import conjugate
 from rieszops import (
     build_bundle,
@@ -66,8 +73,9 @@ class TestBuildLadder:
 
     def test_interior_bookkeeping(self):
         pair, lp = bosonic_ladder(6)
-        assert lp.gamma0_warning == ""
-        assert check_products(lp).note.startswith("action residuals on interior 0..4:")
+        note = result(check_products(lp)).note
+        assert note.startswith("action residuals on interior 0..4:")
+        assert "gamma_0" not in note
 
     def test_harmonic_gamma_is_monotone_at_dim_2_not_at_dim_3(self):
         # harmonic emits 0, 1, 1/2, ...: nondecreasing on its first two terms
@@ -80,15 +88,15 @@ class TestBuildLadder:
     def test_gamma0_warning_recorded(self):
         pair = random_pair(4, 2)
         lp = build_ladder(pair, np.array([0.5, 1.0, 2.0, 3.0]))
-        assert "gamma_0" in lp.gamma0_warning
-        check = check_products(lp)
+        check = result(check_products(lp))
         assert check.passed
+        assert "gamma_0 = 0.5 != 0" in check.note
         assert "skip index 0" in check.note
 
     def test_action_check_random_pair(self):
         pair = random_pair(8, 14)
         lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
-        check = check_ladder_actions(lp)
+        check = result(check_ladder_actions(lp))
         assert check.passed and check.residual <= 1e-10
 
 
@@ -113,7 +121,7 @@ class TestLadderAdjoints:
         pair = random_pair(16, 6)
         rng = np.random.default_rng(61)
         lp = build_ladder(pair, random_vector(rng, 16))
-        check = check_ladder_adjoints(lp)
+        check = result(check_ladder_adjoints(lp))
         assert check.passed and check.residual <= 1e-10
 
     def test_all_four_variants(self):
@@ -156,14 +164,14 @@ class TestProducts:
     def test_product_check_random_monotone(self):
         pair = random_pair(8, 63)
         lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
-        check = check_products(lp)
+        check = result(check_products(lp))
         assert check.passed and check.residual <= 1e-10
         assert "matrix-level" in check.note
 
     def test_non_monotone_gamma_runs_action_checks_only(self):
         pair = random_pair(4, 64)
         lp = build_ladder(pair, np.array([0.0, 2.0, 1.0, 3.0]))
-        check = check_products(lp)
+        check = result(check_products(lp))
         assert check.passed
         assert "skipped: gamma not" in check.note
 
@@ -172,7 +180,7 @@ class TestCommutator:
     def test_bosonic_canonical_commutation(self):
         _, lp = bosonic_ladder(8)
         f = np.eye(8)[3].astype(complex)
-        check = check_commutator(lp, f)
+        check = result(check_commutator(lp, f))
         assert check.passed
         comm = lp.A_phi_psi @ lp.B_phi_psi - lp.B_phi_psi @ lp.A_phi_psi
         np.testing.assert_allclose(comm @ f, f, atol=1e-12)
@@ -182,14 +190,14 @@ class TestCommutator:
         comm = lp.A_phi_psi @ lp.B_phi_psi - lp.B_phi_psi @ lp.A_phi_psi
         expected = model.eps[1] * model.phi[0]
         assert np.linalg.norm(comm @ model.phi[0] - expected) <= 1e-11
-        assert check_commutator(lp, model.phi[0]).passed
+        assert result(check_commutator(lp, model.phi[0])).passed
 
     def test_projection_pair_random_interior(self, rng):
         model = projection_model(8, np.array([0.6, 0.8j]), poly(1.0).terms(8))
         pair = from_generator(model.T)
         lp = build_ladder(pair, sqrt_poly(1.0).terms(pair.dim))
         f = pair.phi[:, :7] @ random_vector(rng, 7)
-        check = check_commutator(lp, f)
+        check = result(check_commutator(lp, f))
         assert check.passed and check.residual <= 1e-10
 
     def test_nonzero_gamma_0_drops_out_of_the_ba_term(self, capsys):
@@ -216,7 +224,7 @@ class TestFactorizeFromAlpha:
         model = three_level(0.3)
         pair = from_generator(model.T)
         bundle = build_bundle(pair, np.array(model.eps))
-        lp = factorize_from_alpha(bundle)
+        lp = factorize(bundle)
         np.testing.assert_allclose(
             lp.weights, three_level_gamma(model), atol=1e-12
         )
@@ -225,34 +233,47 @@ class TestFactorizeFromAlpha:
     def test_bosonic(self):
         pair = from_generator(np.eye(6, dtype=complex))
         bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
-        lp = factorize_from_alpha(bundle)
+        lp = factorize(bundle)
         np.testing.assert_allclose(
             lp.B_phi_psi @ lp.A_phi_psi, np.diag(np.arange(6.0)), atol=1e-12
         )
 
+    @staticmethod
+    def reason(bundle):
+        _, skipped, (reason,) = factorize_from_alpha(bundle)
+        assert skipped
+        return reason
+
     def test_rejects_disordered_alpha(self):
         pair = random_pair(3, 66)
         bundle = build_bundle(pair, np.array([0.0, 2.0, 1.0]))
-        with pytest.raises(ValueError, match="index 2"):
-            factorize_from_alpha(bundle)
+        assert "index 2" in self.reason(bundle)
 
     def test_rejects_nonzero_start(self):
         pair = random_pair(3, 67)
         bundle = build_bundle(pair, np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError, match="alpha_0"):
-            factorize_from_alpha(bundle)
+        assert "alpha_0" in self.reason(bundle)
 
     def test_rejects_complex_alpha(self):
         pair = random_pair(3, 68)
         bundle = build_bundle(pair, np.array([0.0, 1j, 2.0]))
-        with pytest.raises(ValueError, match="not real"):
-            factorize_from_alpha(bundle)
+        assert "not real" in self.reason(bundle)
 
     def test_near_real_alpha_is_not_real(self):
         # an imaginary part far below tol still makes alpha complex
         alpha = parse_spec("list:0,1+1e-12j,2")
-        with pytest.raises(ValueError, match="alpha_1 = 1\\+1e-12j is not real"):
-            factorize_from_alpha(build_bundle(random_pair(3, 68), alpha.terms(3)))
+        reason = self.reason(build_bundle(random_pair(3, 68), alpha.terms(3)))
+        assert reason == "alpha_1 = 1+1e-12j is not real"
         report = random_report(3, seed=1, alpha=alpha)
         (check,) = [c for c in report.checks if c.name == "factorization"]
         assert check.note == "skipped: alpha_1 = 1+1e-12j is not real"
+
+    def test_preconditions_are_decided_per_point(self):
+        # a stack of three points: each gets its own reason, and the roots
+        # of a factorizable point do not depend on its neighbours
+        gens = np.stack([random_generator_matrix(np.random.default_rng(s), 3) for s in (1, 2, 3)])
+        alpha = np.array([[0.0, 2.0, 1.0], [0.0, 1.0, 4.0], [1.0, 2.0, 3.0]], dtype=complex)
+        roots, skipped, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        assert skipped.tolist() == [True, False, True]
+        assert "index 2" in reasons[0] and "alpha_0" in reasons[1]
+        np.testing.assert_array_equal(roots[1], [0.0, 1.0, 2.0])

@@ -8,6 +8,7 @@ import pytest
 from conftest import cli_command, cli_env
 from rieszops.cli import build_parser, main
 from rieszops.report import (
+    Check,
     CheckResult,
     VerificationReport,
     render_json,
@@ -98,7 +99,8 @@ def edge_report(residuals, params):
     notes = ("line\nbreak", "tab\there", 'quote " and \\', "S^b_\u03c6 \u2264 1", "")
     for k, residual in enumerate(residuals):
         note = notes[k % len(notes)]
-        report.add(CheckResult.from_residual(f"check_{k}", residual, 1e-10, note=note))
+        (result,) = Check(f"check_{k}", np.array(residual), note).results(1e-10)
+        report.add(result)
     return report
 
 
@@ -160,9 +162,9 @@ class TestTemplateOracle:
 
 
 class TestReportContainers:
-    def test_from_residual_boundary(self):
-        assert CheckResult.from_residual("x", 1e-10, 1e-10).passed
-        assert not CheckResult.from_residual("x", 1.1e-10, 1e-10).passed
+    def test_results_boundary(self):
+        at, above = Check("x", np.array([1e-10, 1.1e-10])).results(1e-10)
+        assert at.passed and not above.passed
 
     def test_summary_counts(self):
         report = VerificationReport(suite="s", params={})

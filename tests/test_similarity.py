@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair
+from conftest import random_pair, result
 from rieszops import (
     build_bundle,
     check_selfadjoint_h,
@@ -48,20 +48,20 @@ class TestBuildH:
 class TestSelfadjointH:
     def test_three_level(self):
         _, bundle = three_level_bundle(0.3)
-        check = check_selfadjoint_h(bundle, tol=1e-11)
+        check = result(check_selfadjoint_h(bundle), tol=1e-11)
         assert check.passed and check.residual <= 1e-11
 
     def test_complex_alpha_adjoint_relation(self):
         pair = random_pair(3, 13)
         bundle = build_bundle(pair, np.array([1j, 1 + 1j, 2.0]))
-        check = check_selfadjoint_h(bundle)
+        check = result(check_selfadjoint_h(bundle))
         assert check.passed and check.residual <= 1e-10
         assert "complex alpha" in check.note
 
     def test_identity_generator_real_alpha(self):
         pair = from_generator(np.eye(3, dtype=complex))
         bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0]))
-        assert check_selfadjoint_h(bundle).residual <= 1e-14
+        assert result(check_selfadjoint_h(bundle)).residual <= 1e-14
 
     @pytest.mark.parametrize("dim", [16, 32, 64])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -79,7 +79,7 @@ class TestTransportedEigenbasis:
 
     def test_three_level_is_orthonormal_eigenbasis(self):
         _, bundle = three_level_bundle(0.8)
-        check = check_transported_eigenbasis(bundle)
+        check = result(check_transported_eigenbasis(bundle))
         assert check.passed and check.residual <= 1e-11
 
     def test_identity_generator(self):
@@ -91,32 +91,32 @@ class TestTransportedEigenbasis:
         for seed in (1, 9):
             pair = random_pair(8, seed)
             bundle = build_bundle(pair, np.linspace(0, 2, 8))
-            assert check_transported_eigenbasis(bundle).residual <= 1e-10
+            assert result(check_transported_eigenbasis(bundle)).residual <= 1e-10
 
 
 class TestSimilarityConsistency:
     def test_random_pairs(self):
         for seed in (2, 7):
             bundle = build_bundle(random_pair(8, seed), poly(1.0).terms(8))
-            check = check_similarity_consistency(bundle)
+            check = result(check_similarity_consistency(bundle))
             assert check.passed and check.residual <= 1e-10
 
 
 class TestOnbInHS:
     def test_three_level(self):
         _, bundle = three_level_bundle(0.3)
-        check = onb_in_HS(bundle, tol=1e-12)
+        check = result(onb_in_HS(bundle), tol=1e-12)
         assert check.passed and check.residual <= 1e-12
 
     def test_identity_generator(self):
         pair = from_generator(np.eye(5, dtype=complex))
         bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
-        assert onb_in_HS(bundle).residual <= 1e-14
+        assert result(onb_in_HS(bundle)).residual <= 1e-14
 
     def test_projection_dim_8(self):
         model = projection_model(8, np.array([0.6, 0.8]), poly(1.0).terms(8))
         bundle = build_bundle(from_generator(model.T), model.weights)
-        assert onb_in_HS(bundle).residual <= 1e-10
+        assert result(onb_in_HS(bundle)).residual <= 1e-10
 
 
 def test_sqrt_metric_never_equals_generator():

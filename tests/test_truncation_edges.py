@@ -4,7 +4,7 @@ dimensions where interior ranges collapse."""
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix
+from conftest import random_generator_matrix, result
 from rieszops import (
     build_bundle,
     build_ladder,
@@ -23,23 +23,23 @@ def test_dim_1_pipeline():
     assert bundle.H_phi_psi[0, 0] == pytest.approx(3.0)
     assert bundle.S_phi[0, 0] == pytest.approx(5.0)  # |2+i|^2
     assert bundle.h[0, 0] == pytest.approx(3.0)
-    assert check_metric_pair(bundle).passed
+    assert result(check_metric_pair(bundle)).passed
 
 
 def test_dim_1_ladder_is_zero():
     pair = from_generator(np.array([[1.0 + 0.0j]]))
     lp = build_ladder(pair, np.array([0.0]))
     assert np.all(lp.A_phi_psi == 0) and np.all(lp.B_phi_psi == 0)
-    assert check_ladder_actions(lp).passed
+    assert result(check_ladder_actions(lp)).passed
 
 
 def test_dim_2_interior_is_single_index():
     rng = np.random.default_rng(5)
     pair = from_generator(random_generator_matrix(rng, 2))
     lp = build_ladder(pair, np.array([0.0, 1.5]))
-    assert check_ladder_actions(lp).passed
-    assert check_ladder_adjoints(lp).passed
-    products = check_products(lp)
+    assert result(check_ladder_actions(lp)).passed
+    assert result(check_ladder_adjoints(lp)).passed
+    products = result(check_products(lp))
     assert products.passed
     assert products.note.startswith("action residuals on interior 0..0:")
     # B annihilates the top basis vector at truncation
