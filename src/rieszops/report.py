@@ -89,14 +89,17 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
     def to_json(self) -> str:
-        """render_json of the report document, through fixed templates."""
+        """render_json of the report document, through fixed templates.  Each
+        distinct tol (the checks share one; `admissible` has its own) is
+        rendered once."""
+        tols = {c.tol: _render_float(c.tol) for c in self.checks}
         checks = [
             _CHECK
             % (
                 encode_basestring(c.name),
                 "true" if c.passed else "false",
                 _render_float(c.residual),
-                _render_float(c.tol),
+                tols[c.tol],
                 encode_basestring(c.note),
             )
             for c in self.checks
