@@ -13,8 +13,9 @@ same stdout bytes and the same exit code.  The corpus is fixed: verify
 random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
 alpha and gamma (closed forms and 64-term lists); verify and sweep
 projection; verify and sweep three-level across the admissible boundaries;
-domain over a spec grid; last, a few reports at extreme --tol values.  The
-1292 argv take about 7 s on a 2-vCPU x86_64 host.
+domain over a spec grid; a few reports at extreme --tol values; last, the
+largest three-level sweep the CLI allows (1000 steps).  The 1293 argv take
+about 3 s on a 2-vCPU x86_64 host.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def corpus():
     yield ("domain", "--alpha", COMPLEX_LIST, "--coeff", "geometric:0.5", "--n-max", "64")
     yield ("domain", "--alpha", "affine:1j,1", "--coeff", "harmonic")
     yield from TOL_FAMILY
+    # the largest grid the CLI allows, last so that earlier lines stay comparable
+    yield ("sweep", "three-level", "--t-max", "6.28", "--steps", "1000", "--seed", "3")
 
 
 def run(main, argv) -> tuple[str, int]:
