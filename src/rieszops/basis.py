@@ -124,19 +124,17 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     upper = pair.frame_upper[..., None] ** 2 * coeff_mass
     violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
     worst = violation.argmax(axis=-1)  # the first NaN column, if any
-    rows = np.arange(worst.size), worst.ravel()
-
-    def at_worst(x):
-        return x.reshape(-1, x.shape[-1])[rows].reshape(worst.shape)
-
+    at = np.arange(worst.size), worst.ravel()
+    lower, mid, upper, violation = (
+        x.reshape(-1, x.shape[-1])[at].reshape(worst.shape) for x in (lower, mid, upper, violation)
+    )
     return Check(
         "frame_inequality",
-        np.maximum(at_worst(violation), 0.0),  # NaN stays NaN
+        np.maximum(violation, 0.0),  # NaN stays NaN
         notes(
-            f"worst of {f.shape[-1]} samples: "
-            "lower {:.6e} <= mid {:.6e} <= upper {:.6e}",
-            at_worst(lower),
-            at_worst(mid),
-            at_worst(upper),
+            f"worst of {f.shape[-1]} samples: lower {{:.6e}} <= mid {{:.6e}} <= upper {{:.6e}}",
+            lower,
+            mid,
+            upper,
         ),
     )

@@ -98,13 +98,9 @@ def three_level(t) -> ThreeLevelModel:
         ),
         T=phi.swapaxes(-1, -2).copy(),
         S_phi=constant([[2, 0, 7], [0, 4, 0], [7, 0, 37]]),
-        S_psi=constant(
-            [[37.0 / 25.0, 0.0, -7.0 / 25.0], [0.0, 1.0 / 4.0, 0.0], [-7.0 / 25.0, 0.0, 2.0 / 25.0]]
-        ),
+        S_psi=constant([[37 / 25, 0, -7 / 25], [0, 1 / 4, 0], [-7 / 25, 0, 2 / 25]]),
         S_phi_sqrt=constant([[1, 0, 1], [0, 2, 0], [1, 0, 6]]),
-        S_psi_sqrt=constant(
-            [[6.0 / 5.0, 0.0, -1.0 / 5.0], [0.0, 1.0 / 2.0, 0.0], [-1.0 / 5.0, 0.0, 1.0 / 5.0]]
-        ),
+        S_psi_sqrt=constant([[6 / 5, 0, -1 / 5], [0, 1 / 2, 0], [-1 / 5, 0, 1 / 5]]),
         h=_entries([[0.0, 0.0, 0.0], [0.0, c, s], [0.0, s, 3.0 * c]], t.shape),
         phi=tuple(phi[..., n, :] for n in range(3)),
         psi=tuple(psi[..., n, :] for n in range(3)),

@@ -158,12 +158,8 @@ def _ladder_checks(
 
 def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[VerificationReport]:
     """Full battery for the 3x3 model at every parameter of ts, as one stack."""
-    reports = [
-        VerificationReport(
-            suite="three-level", params={"t": t, "seed": int(seed), "tol": float(tol)}
-        )
-        for t in ts.tolist()
-    ]
+    params = [{"t": t, "seed": int(seed), "tol": float(tol)} for t in ts.tolist()]
+    reports = [VerificationReport(suite="three-level", params=p) for p in params]
     rng = np.random.default_rng(seed)
     model = models.three_level(ts)
     gaps = np.diff(model.eps, axis=-1).min(axis=-1).tolist()
