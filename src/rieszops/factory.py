@@ -113,7 +113,7 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     s_alpha_psi = build_S_weighted(pair, weights, "psi")
     # real weights are their own conjugates: reuse the alpha operators
     h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
-    if np.count_nonzero(is_real) < is_real.size:
+    if not is_real.all():
         conj = weights.conj()
         h_conj = build_H(pair, conj, "psi_phi")
         s_conj_phi = build_S_weighted(pair, conj, "phi")

@@ -92,7 +92,7 @@ class VerificationReport:
         """render_json of the report document, through fixed templates.  Each
         distinct tol (the checks share one; `admissible` has its own) is
         rendered once."""
-        tols = {c.tol: _render_float(c.tol) for c in self.checks}
+        tols = {tol: _render_float(tol) for tol in {c.tol for c in self.checks}}
         checks = [
             _CHECK
             % (

@@ -90,7 +90,7 @@ def _common_bundle_checks(
         factory.check_metric_pair(bundle),
         factory.check_intertwining(bundle),
     )
-    if np.count_nonzero(bundle.is_real):
+    if bundle.is_real.any():
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
         fg = _random_block(rng, pair.dim, 2 * quasi_pairs)
         real = take(bundle, bundle.is_real)
@@ -130,16 +130,16 @@ def _ladder_checks(
         ladder.check_products(lp),
     )
     monotone = lp.abs_monotone
-    if np.count_nonzero(monotone):
+    if monotone.any():
         coeffs = _random_block(rng, pair.dim - 1, 1)[:, 0]
         sub = take(lp, monotone)
         f = sub.pair.phi[..., :, :-1] @ coeffs
         _record(_where(reports, monotone), tol, ladder.check_commutator(sub, f))
     roots, skipped, reasons = ladder.factorize_from_alpha(bundle)
-    if reasons:
+    if skipped.any():
         skips = [f"skipped: {reason}" for reason in reasons]
         _record(_where(reports, skipped), tol, Check("factorization", np.zeros(len(skips)), skips))
-    if len(reasons) < len(reports):
+    if not skipped.all():
         root = take(lp, ~skipped)
         if not (roots[~skipped] == root.weights).all():
             root = ladder.build_ladder(root.pair, roots[~skipped])
@@ -203,7 +203,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
     _common_bundle_checks(reports, bundle, rng, tol, quasi_pairs=50)
 
     admissible = model.admissible
-    if np.count_nonzero(admissible):
+    if admissible.any():
         inside = _where(reports, admissible)
         bundle, model = take(bundle, admissible), take(model, admissible)
         lp = _ladder_checks(inside, bundle, np.sqrt(bundle.weights), rng, tol)
