@@ -3,12 +3,14 @@
 Everything downstream (basis pairs, weighted frame operators, metric square
 roots, ladder operators) reduces to three primitives on small dense complex
 matrices: a Hermitian eigendecomposition, inversion, and the operator
-(spectral) norm.  Every function takes a stack (..., d, d) of matrices: the
-leading axes are a batch of independent points, and a single matrix is the
-batch of shape ().  Each slice of a stacked result is bit-identical to the
-same call on that slice alone, and a guard that fails raises the message of
-its first failing point in batch order.  The metric square roots are matrix functions of the one
+(spectral) norm.  The metric square roots are matrix functions of the one
 eigendecomposition each basis pair holds (HermitianEigen.with_eigenvalues).
+
+Every function takes a stack (..., d, d) of matrices: the leading axes are a
+batch of independent points, and a single matrix is the batch of shape ().
+Each slice of a stacked result is bit-identical to the same call on that
+slice alone, and a guard that fails raises the message of its first failing
+point in batch order.
 
 The factorizations are LAPACK's, through numpy.linalg: eigh for Hermitian
 eigendecompositions and solve for inverses; this module adds the
