@@ -116,7 +116,8 @@ def test_per_point_branches_match_single_points(check):
 
 def test_realness_is_decided_per_point():
     gens, _ = _stack_of_ladders()
-    alpha = np.stack([np.arange(6.0), geometric(0.9 + 0.2j).terms(6).real, geometric(0.9 + 0.2j).terms(6)])
+    complex_alpha = geometric(0.9 + 0.2j).terms(6)
+    alpha = np.stack([np.arange(6.0), complex_alpha.real, complex_alpha])
     bundle = build_bundle(from_generator(gens), alpha.astype(complex))
     assert bundle.is_real.tolist() == [True, True, False]
     stacked = check_selfadjoint_h(bundle)
