@@ -20,8 +20,6 @@ from .linalg import DEFAULT_TOL, adjoint, take
 from .report import Check, VerificationReport, notes
 
 _GENERATOR_SPREAD = 0.3
-#: the default weights: alpha_n = n and gamma_n = sqrt(n), so that gamma = sqrt(alpha)
-_ALPHA, _GAMMA = sequences.poly(1.0), sequences.sqrt_poly(1.0)
 
 
 def _random_block(rng, dim: int, k: int) -> np.ndarray:
@@ -245,8 +243,8 @@ def projection_report(
     dim: int,
     support: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec = _ALPHA,
-    gamma: sequences.SequenceSpec = _GAMMA,
+    alpha: sequences.SequenceSpec = sequences.poly(1.0),
+    gamma: sequences.SequenceSpec = sequences.sqrt_poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Full battery for a seeded projection model with the given support
@@ -312,8 +310,8 @@ def projection_report(
 def random_report(
     dim: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec = _ALPHA,
-    gamma: sequences.SequenceSpec = _GAMMA,
+    alpha: sequences.SequenceSpec = sequences.poly(1.0),
+    gamma: sequences.SequenceSpec = sequences.sqrt_poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Full battery for a seeded random well-conditioned generator: a batch
@@ -352,7 +350,7 @@ def sweep_projection(
     n_min: int,
     n_max: int,
     seed: int = 0,
-    alpha: sequences.SequenceSpec = _ALPHA,
+    alpha: sequences.SequenceSpec = sequences.poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> list[VerificationReport]:
     """projection_report at each support size, one point at a time: a stack
