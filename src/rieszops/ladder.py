@@ -1,13 +1,18 @@
 """Generalized lowering and raising operators and the factorization H = BA.
 
-At truncation level N the raising operator drops its gamma_N term, so B
-annihilates phi_{N-1} and the product identities for AB hold only on the
-interior index range 0..N-2.  BA = H with weights gamma_n^2 additionally
-needs gamma_0 = 0 (BA phi_0 is always zero); a nonzero gamma_0 is recorded
-as a warning and the k = 0 comparison is skipped rather than failed.
-The matrix-level products and the commutator need |gamma_n| nondecreasing
-(LadderPair.abs_monotone).  Like the operators they are built from, ladders
-carry a batch of points; every branch above is decided per point.
+At truncation level N the lowering operator A annihilates phi_0 and the
+raising operator B, which drops its gamma_N term, annihilates phi_{N-1}.  So
+for every gamma, on the whole truncated space,
+
+    BA = H^{(0, gamma_1^2, ..., gamma_{N-1}^2)},
+    AB = H^{(gamma_1^2, ..., gamma_{N-1}^2, 0)},
+
+and, because sum_n phi_n psi_n* = I, the ladder with weights
+gamma_n = sqrt(alpha_n - alpha_0) factorizes H - alpha_0 I = BA for every
+alpha.  The paper's hypotheses (alpha real and strictly increasing,
+|gamma_n| nondecreasing) concern the domains of the infinite-dimensional
+operators; here they decide no check and are recorded in the notes.  Like
+the operators they are built from, ladders carry a batch of points.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .basis import RieszBasisPair
 from .factory import OperatorBundle, _rank_one_sum, _weight_array, build_H
-from .linalg import DEFAULT_TOL, adjoint, frobenius, guard, take, worst_column_norm
+from .linalg import DEFAULT_TOL, adjoint, frobenius, max_entry, worst_column_norm
 from .report import Check, notes
 
 
@@ -28,8 +33,8 @@ class LadderPair:
     pair: RieszBasisPair
     #: gamma_0 .. gamma_{dim-1} of each point
     weights: np.ndarray
-    #: per point, |gamma_0| <= ... <= |gamma_{dim-1}|: needed by the
-    #: matrix-level products
+    #: per point, |gamma_0| <= ... <= |gamma_{dim-1}|: the paper's hypothesis
+    #: on gamma, recorded in the ladder_products note
     abs_monotone: np.ndarray
     A_phi_psi: np.ndarray
     B_phi_psi: np.ndarray
@@ -45,6 +50,18 @@ class LadderPair:
     @cached_property
     def AB(self) -> np.ndarray:
         return self.A_phi_psi @ self.B_phi_psi
+
+    @cached_property
+    def shifted_H(self) -> tuple[np.ndarray, np.ndarray]:
+        """What BA and AB are at truncation, built once for the products
+        and the commutator: H^{(0, gamma_1^2, ..., gamma_{N-1}^2)} and
+        H^{(gamma_1^2, ..., gamma_{N-1}^2, 0)} of the phi,psi pair."""
+        squares = self.weights[..., 1:] ** 2
+        zero = np.zeros_like(self.weights[..., :1])
+        return (
+            build_H(self.pair, np.concatenate([zero, squares], axis=-1), "phi_psi"),
+            build_H(self.pair, np.concatenate([squares, zero], axis=-1), "phi_psi"),
+        )
 
 
 def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
@@ -117,118 +134,60 @@ def check_ladder_adjoints(lp: LadderPair) -> Check:
 
 
 def check_products(lp: LadderPair) -> Check:
-    """Product identities on the interior range: (BA) phi_k = gamma_k^2 phi_k
-    and (AB) phi_k = gamma_{k+1}^2 phi_k; index 0 of the BA part is skipped,
-    with a warning, where gamma_0 != 0.
-
-    For |.|-monotone gamma the matrix-level identities BA = H^{gamma_n^2} and
-    AB = H^{gamma_{n+1}^2} are additionally asserted, restricted to the
-    interior through the oblique projector sum phi_k psi_k*.
-    """
-    skip = np.abs(lp.weights[..., 0]) > 0.0
-    counts = []
-    for flag in (skip, lp.abs_monotone):  # the columns differ: split the batch
-        counts.append(np.count_nonzero(flag))
-        if 0 < counts[-1] < flag.size:
-            on, off = check_products(take(lp, flag)), check_products(take(lp, ~flag))
-            return Check.merge(flag, on, off)
-    pair, g = lp.pair, lp.weights
-    skip_zero, monotone = (bool(count) for count in counts)
-    ba, ab = lp.BA, lp.AB
-    ks = np.arange(pair.dim - 1)
-    ks_ba = ks[ks != 0] if skip_zero else ks
-    cols_ba, cols_ab = pair.phi[..., ks_ba], pair.phi[..., ks]
-    r_ba = ba @ cols_ba - cols_ba * g[..., None, ks_ba] ** 2
-    r_ab = ab @ cols_ab - cols_ab * g[..., None, ks + 1] ** 2
-    worst = worst_column_norm(np.concatenate([r_ba, r_ab], axis=-1))
-    parts = [notes(f"action residuals on interior 0..{pair.dim - 2}: {{:.3e}}", worst)]
-    if monotone:
-        interior = slice(1 if skip_zero else 0, pair.dim - 1)
-        proj = pair.phi[..., interior] @ adjoint(pair.psi[..., interior])
-        h_ba = build_H(pair, g**2, "phi_psi")
-        shifted = np.concatenate([g[..., 1:] ** 2, np.zeros_like(g[..., :1])], axis=-1)
-        h_ab = build_H(pair, shifted, "phi_psi")
-        r_ba = frobenius((ba - h_ba) @ proj)
-        r_ab = frobenius((ab - h_ab) @ proj)
-        worst = np.maximum(np.maximum(worst, r_ba), r_ab)
-        parts.append(notes("matrix-level BA {:.3e}, AB {:.3e}", r_ba, r_ab))
-    else:
-        parts.append(["matrix-level identities skipped: gamma not |.|-monotone"] * worst.size)
-    if skip_zero:
-        parts.append(notes(
-            "gamma_0 = {:.6g} != 0: BA cannot reproduce the k=0 term; product checks skip index 0",
-            g[..., 0],
-        ))
-    return Check("ladder_products", worst, ["; ".join(p) for p in zip(*parts)])
-
-
-def check_commutator(lp: LadderPair, f: np.ndarray) -> Check:
-    """(AB - BA) f = sum_{n<=N-2} (gamma_{n+1}^2 - gamma_n^2) <f, psi_n> phi_n
-    for f in the interior span, with 0 in place of gamma_0^2: A phi_0 = 0.
-    f holds one vector per point, (..., dim).
-
-    Vectors with coefficient mass on psi_{N-1} beyond DEFAULT_TOL*||f|| are
-    rejected: the identity is a truncation artifact outside the interior span.
-    """
-    if not lp.abs_monotone.all():
-        raise ValueError("commutator identity requires |.|-monotone gamma")
-    pair, g = lp.pair, lp.weights
-    f = np.asarray(f, dtype=complex)[..., None]
-    coeff = adjoint(pair.psi) @ f
-    scale = np.maximum(frobenius(f), 1e-300)
-    edge_mass = np.abs(coeff[..., -1, 0])
-    guard(
-        edge_mass > DEFAULT_TOL * scale,
-        f"vector lies outside the interior span: |<f, psi_{pair.dim - 1}>| = {{:.6e}}",
-        edge_mass,
-        error=ValueError,
+    """BA = H^{(0, gamma_1^2, ...)} and AB = H^{(..., gamma_{N-1}^2, 0)} on
+    the whole truncated space, for every gamma: the largest entry modulus
+    of either difference."""
+    h_ba, h_ab = lp.shifted_H
+    r_ba, r_ab = max_entry(lp.BA - h_ba), max_entry(lp.AB - h_ab)
+    return Check(
+        "ladder_products",
+        np.maximum(r_ba, r_ab),
+        notes(
+            "max-entry BA {:.3e}, AB {:.3e} vs H of the shifted gamma_n^2; "
+            "gamma {}|.|-monotone",
+            r_ba,
+            r_ab,
+            np.where(lp.abs_monotone, "", "not "),
+        ),
     )
-    lhs = (lp.AB - lp.BA) @ f
-    ba = g[..., :-1] ** 2
-    ba[..., :1] = 0.0  # A phi_0 = 0, so BA phi_0 = 0 whatever gamma_0 is
-    gaps = g[..., 1:] ** 2 - ba
-    rhs = pair.phi[..., :, :-1] @ (gaps[..., None] * coeff[..., :-1, :])
+
+
+def check_commutator(lp: LadderPair) -> Check:
+    """AB - BA = H^{(gamma_1^2 - 0, gamma_2^2 - gamma_1^2, ..., 0 - gamma_{N-1}^2)},
+    the difference of the two shifted H: 0 stands in for gamma_0^2 because
+    A phi_0 = 0, and for gamma_N^2 because B drops it."""
+    h_ba, h_ab = lp.shifted_H
     return Check(
         "ladder_commutator",
-        frobenius(lhs - rhs) / scale,
-        "(AB - BA) f vs weighted interior expansion, relative to ||f||",
+        max_entry((lp.AB - lp.BA) - (h_ab - h_ba)),
+        "max-entry AB - BA vs the difference of the shifted H",
     )
 
 
-def _alpha_precondition(a: np.ndarray) -> str:
-    """Why one point's alpha (dim,) admits no factorization."""
+def _hypothesis_failure(a: np.ndarray) -> str:
+    """Which of the paper's hypotheses one point's alpha (dim,) fails."""
     if a.imag.any():
         k = int(np.argmax(np.abs(a.imag)))
         return f"alpha_{k} = {a[k]:.6g} is not real"
     vals = a.real
-    if abs(vals[0]) > DEFAULT_TOL:
-        return f"alpha_0 = {vals[0]:.6g} must be zero"
     k = int(np.argmax(np.diff(vals) <= DEFAULT_TOL)) + 1
     return (
-        f"alpha must increase strictly from zero: violated at index {k} "
+        f"alpha does not increase strictly: violated at index {k} "
         f"(alpha_{k} = {vals[k]:.6g} <= alpha_{k - 1} = {vals[k - 1]:.6g})"
     )
 
 
 def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Ladder weights gamma_n = sqrt(alpha_n), where alpha is real with
-    0 = alpha_0 < alpha_1 < ..., each tested against DEFAULT_TOL: a guard,
-    not a verdict, so the check tolerance never moves it.
+    """Ladder weights gamma_n = sqrt(alpha_n - alpha_0), principal branch,
+    whose ladder factorizes H - alpha_0 I = BA for every alpha; the reports
+    check that product, this function does not form it.
 
-    Returns the roots, the points where a precondition fails, and the
-    failing precondition of each of those points in batch order.  Under
-    them BA = H^alpha on the whole truncated space (B drops only gamma_N,
-    which A never feeds); the reports check that product, this function
-    does not form it.
+    Returns the roots, the points where the paper's hypotheses fail (alpha
+    real and strictly increasing, tested against DEFAULT_TOL: a fact, not
+    a verdict, so the check tolerance never moves it), and what fails at
+    each of those points in batch order.
     """
     a = bundle.weights
-    vals = a.real
-    failed = (
-        ~bundle.is_real
-        | (np.abs(vals[..., 0]) > DEFAULT_TOL)
-        | (vals[..., 1:] - vals[..., :-1] <= DEFAULT_TOL).any(axis=-1)
-    )
-    reasons = [_alpha_precondition(point) for point in a[failed]]
-    roots = np.sqrt(np.maximum(vals, 0.0))
-    roots[..., 0] = 0.0  # alpha_0 is zero within DEFAULT_TOL; pin the convention exactly
-    return roots.astype(complex), failed, reasons
+    failed = ~bundle.is_real | (np.diff(a.real, axis=-1) <= DEFAULT_TOL).any(axis=-1)
+    reasons = [_hypothesis_failure(point) for point in a[failed]]
+    return np.sqrt((a - a[..., :1]).astype(complex)), failed, reasons

@@ -89,6 +89,11 @@ def frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def max_entry(m: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a stack; NaN propagates."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
 def worst_column_norm(m: np.ndarray) -> np.ndarray:
     """Largest Euclidean column norm of each matrix, 0 without columns; NaN
     propagates."""

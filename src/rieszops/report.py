@@ -36,11 +36,6 @@ class Check(NamedTuple):
     residual: np.ndarray
     note: str | list[str] = ""
 
-    def notes(self) -> list[str]:
-        if isinstance(self.note, list):
-            return self.note
-        return [self.note] * self.residual.size
-
     def results(self, tol: float) -> list[CheckResult]:
         """One CheckResult per point, in batch order."""
         name, note, tol = self.name, self.note, float(tol)
@@ -48,15 +43,6 @@ class Check(NamedTuple):
         if isinstance(note, str):
             return [CheckResult(name, r <= tol, r, tol, note) for r in residuals]
         return [CheckResult(name, r <= tol, r, tol, n) for r, n in zip(residuals, note)]
-
-    @staticmethod
-    def merge(where, on: Check, off: Check) -> Check:
-        """One check from its results on the points where `where` holds and
-        on the others, each in batch order."""
-        residual = np.empty(np.shape(where))
-        residual[where], residual[~where] = on.residual, off.residual
-        picks = {True: iter(on.notes()), False: iter(off.notes())}
-        return Check(on.name, residual, [next(picks[w]) for w in where.ravel().tolist()])
 
 
 def notes(template: str, *values) -> list[str]:

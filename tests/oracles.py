@@ -1,10 +1,12 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
 Hermitian eigensolver and the sequence terms, the conjugate of a sequence
 from conjugated parameters (the library conjugates the emitted weights),
-and the per-operator domain read-offs.
+the ladder identities at truncation in exact arithmetic, and the
+per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
-a cyclic Jacobi iteration, or term by term, deliberately sharing no code
+a cyclic Jacobi iteration, as sympy sums over symbolic weights, or term by
+term, deliberately sharing no code
 path with the library's constructions (which use BLAS products, LAPACK and
 array evaluation).  The domain read-offs map an operator kind to the weight
 sequence of its domain predicate; the library judges one weight/coefficient
@@ -71,6 +73,54 @@ def literal_raising(pair, weights, direction):
     shifted_left = [v[n + 1] for n in range(pair.dim - 1)]
     shifted_right = [w[n] for n in range(pair.dim - 1)]
     return literal_rank_one_sum(weights[1:], shifted_left, shifted_right)
+
+
+def symbolic_ladder_identities(dim=4):
+    """The three ladder identities at truncation, in exact arithmetic, for
+    T = I + cJ with c = 1/2 + i/3 (J the superdiagonal shift):
+
+        BA - H^{(0, gamma_1^2, ..., gamma_{dim-1}^2)},
+        AB - H^{(gamma_1^2, ..., gamma_{dim-1}^2, 0)},
+        BA - (H^a - a_0 I) for the ladder gamma_n = sqrt(a_n - a_0),
+
+    with A, B and H built as literal rank-one sums over the columns phi_n of
+    T and psi_n of (T^{-1})*, and gamma_n, a_n symbols.  Returns the three
+    differences, each entry expanded: an identity holds when its difference
+    is the zero matrix.
+    """
+    import sympy as sp
+
+    c = sp.Rational(1, 2) + sp.I / 3
+    t = sp.eye(dim) + c * sp.Matrix(dim, dim, lambda i, j: int(j == i + 1))
+    phi = [t[:, n] for n in range(dim)]
+    psi = [t.inv().H[:, n] for n in range(dim)]
+
+    def rank_one_sum(terms):
+        """sum of w (left outer conj(right)) over (w, left, right)."""
+        out = sp.zeros(dim, dim)
+        for weight, left, right in terms:
+            out += weight * left * right.H
+        return out
+
+    def ladder(g):
+        lower = rank_one_sum((g[n], phi[n - 1], psi[n]) for n in range(1, dim))
+        upper = rank_one_sum((g[n + 1], phi[n + 1], psi[n]) for n in range(dim - 1))
+        return lower, upper
+
+    def weighted_h(w):
+        return rank_one_sum((w[n], phi[n], psi[n]) for n in range(dim))
+
+    gamma = sp.symbols(f"gamma_0:{dim}")
+    squares = [g**2 for g in gamma[1:]]
+    a_op, b_op = ladder(gamma)
+    a = sp.symbols(f"a_0:{dim}")
+    a_root, b_root = ladder([sp.sqrt(a_n - a[0]) for a_n in a])
+    diffs = (
+        b_op * a_op - weighted_h([0, *squares]),
+        a_op * b_op - weighted_h([*squares, 0]),
+        b_root * a_root - (weighted_h(a) - a[0] * sp.eye(dim)),
+    )
+    return [diff.applyfunc(sp.expand) for diff in diffs]
 
 
 def jacobi_eigh(m, target=1e-13, max_sweeps=100):

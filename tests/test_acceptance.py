@@ -210,8 +210,7 @@ def test_criterion_5_property_suite_random_generators():
         lp = build_ladder(pair, gamma)
         checks.append(result(check_ladder_adjoints(lp), tol))
         checks.append(result(check_products(lp), tol))
-        interior_f = pair.phi[:, :-1] @ random_vector(rng, dim - 1)
-        checks.append(result(check_commutator(lp, interior_f), tol))
+        checks.append(result(check_commutator(lp), tol))
         for check in checks:
             assert check.passed, f"seed {seed} dim {dim}: {check.name} {check.residual:.3e}"
             worst = max(worst, check.residual)

@@ -11,6 +11,7 @@ from rieszops import (
     LinalgError,
     build_bundle,
     build_ladder,
+    check_commutator,
     check_ladder_actions,
     check_ladder_adjoints,
     check_products,
@@ -89,10 +90,13 @@ def test_sweep_makes_two_eigensolves(monkeypatch, steps):
     assert shapes == [(steps, 3, 3), (steps, 3, 3)]
 
 
+def _notes(check):
+    return [r.note for r in check.results(0.0)]
+
+
 def _stack_of_ladders():
-    """Three points whose per-point branches differ: gamma_0 = 0 and
-    |.|-monotone; gamma_0 != 0 and not monotone; gamma_0 != 0, monotone and
-    complex."""
+    """Three points whose gamma differ in kind: gamma_0 = 0 and |.|-monotone;
+    gamma_0 != 0 and not monotone; gamma_0 != 0, monotone and complex."""
     dim = 6
     gens = np.stack([random_generator_matrix(np.random.default_rng(s), dim) for s in (1, 2, 3)])
     gammas = np.stack(
@@ -105,13 +109,15 @@ def _stack_of_ladders():
     return gens, gammas
 
 
-@pytest.mark.parametrize("check", [check_ladder_actions, check_ladder_adjoints, check_products])
+@pytest.mark.parametrize(
+    "check", [check_ladder_actions, check_ladder_adjoints, check_products, check_commutator]
+)
 def test_per_point_branches_match_single_points(check):
     gens, gammas = _stack_of_ladders()
     stacked = check(build_ladder(from_generator(gens), gammas))
     singles = [check(build_ladder(from_generator(g), w)) for g, w in zip(gens, gammas)]
     assert stacked.residual.tolist() == [float(c.residual) for c in singles]
-    assert stacked.notes() == [c.notes()[0] for c in singles]
+    assert _notes(stacked) == [_notes(c)[0] for c in singles]
 
 
 def test_realness_is_decided_per_point():
@@ -122,5 +128,5 @@ def test_realness_is_decided_per_point():
     assert bundle.is_real.tolist() == [True, True, False]
     stacked = check_selfadjoint_h(bundle)
     singles = [check_selfadjoint_h(build_bundle(from_generator(g), a)) for g, a in zip(gens, alpha)]
-    assert stacked.notes() == [c.notes()[0] for c in singles]
-    assert "skipped: complex alpha" in stacked.notes()[2]
+    assert _notes(stacked) == [_notes(c)[0] for c in singles]
+    assert "skipped: complex alpha" in _notes(stacked)[2]

@@ -70,10 +70,7 @@ def test_perturbed_H_fails_factorization():
     h = bundle.H_phi_psi.copy()
     h[0, 3, 5] += 1e-8
     report = VerificationReport(suite="random", params={})
-    _ladder_checks(
-        [report], replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None],
-        np.random.default_rng(0), 1e-10,
-    )
+    _ladder_checks([report], replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None], 1e-10)
     check = _factorization(report)
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=1e-3)
@@ -87,7 +84,10 @@ def test_factorization_residual_is_whole_space_max():
     expected = np.abs(lp.B_phi_psi @ lp.A_phi_psi - build_bundle(pair, alpha).H_phi_psi)
     check = _factorization(random_report(64, seed=2, alpha=poly(2.0)))
     assert check.residual == float(expected.max())
-    assert check.note == "H = BA entrywise for gamma_n = sqrt(alpha_n)"
+    assert check.note == (
+        "H - alpha_0 I = BA entrywise for gamma_n = sqrt(alpha_n - alpha_0); "
+        "alpha is real and strictly increasing: the paper's hypotheses hold"
+    )
 
 
 def test_dim_1_report_has_no_ladder_block():
