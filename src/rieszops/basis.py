@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, HermitianEigen, adjoint, as_matrix, guard, hermitian_eig, inverse
+from .linalg import (
+    DEFAULT_TOL, HermitianEigen, adjoint, as_matrix, guard, hermitian_eig, inverse, max_entry
+)
 from .report import Check, notes
 
 
@@ -76,7 +78,7 @@ def verify_biorthogonality(pair: RieszBasisPair) -> Check:
     gram = adjoint(pair.psi) @ pair.phi  # entry (m, n) = <phi_n, psi_m>
     return Check(
         "biorthogonality",
-        np.abs(gram - np.eye(pair.dim)).max(axis=(-2, -1)),
+        max_entry(gram - np.eye(pair.dim)),
         "max |<phi_n,psi_m> - delta_nm| over all n, m",
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RieszBasisPair
-from .linalg import adjoint, frobenius, operator_norm, require_finite
+from .linalg import adjoint, frobenius, max_entry, operator_norm, require_finite
 from .report import Check, notes
 
 
@@ -137,16 +137,11 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     )
 
 
-def _max_entry(m: np.ndarray) -> np.ndarray:
-    """Largest entry modulus of each matrix of a stack."""
-    return np.abs(m).max(axis=(-2, -1))
-
-
 def check_eigen_action(bundle: OperatorBundle) -> Check:
     """H_{phi,psi} phi_k = alpha_k phi_k and H_{psi,phi} psi_k = alpha_k psi_k."""
     pair, weights = bundle.pair, bundle.weights[..., None, :]
-    r_phi = _max_entry(bundle.H_phi_psi @ pair.phi - pair.phi * weights)
-    r_psi = _max_entry(bundle.H_psi_phi @ pair.psi - pair.psi * weights)
+    r_phi = max_entry(bundle.H_phi_psi @ pair.phi - pair.phi * weights)
+    r_psi = max_entry(bundle.H_psi_phi @ pair.psi - pair.psi * weights)
     return Check(
         "eigen_action", np.maximum(r_phi, r_psi), "H phi_k = alpha_k phi_k, both directions"
     )
@@ -173,8 +168,8 @@ def check_weighted_action(bundle: OperatorBundle) -> Check:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
     pair, weights = bundle.pair, bundle.weights[..., None, :]
-    r1 = _max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights)
-    r2 = _max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights)
+    r1 = max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights)
+    r2 = max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights)
     return Check(
         "weighted_action",
         np.maximum(r1, r2),

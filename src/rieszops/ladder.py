@@ -38,8 +38,15 @@ class LadderPair:
     abs_monotone: np.ndarray
     A_phi_psi: np.ndarray
     B_phi_psi: np.ndarray
-    A_psi_phi: np.ndarray
-    B_psi_phi: np.ndarray
+
+    @cached_property
+    def A_psi_phi(self) -> np.ndarray:
+        """The psi,phi variants, formed only where the adjoint check reads them."""
+        return _shift_sum(self.weights, self.pair.psi, self.pair.phi, True)
+
+    @cached_property
+    def B_psi_phi(self) -> np.ndarray:
+        return _shift_sum(self.weights, self.pair.psi, self.pair.phi, False)
 
     @cached_property
     def BA(self) -> np.ndarray:
@@ -73,7 +80,8 @@ def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
 
 
 def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
-    """All four ladder variants from the (..., dim) array gamma_0 .. gamma_{dim-1}.
+    """The phi,psi ladder from the (..., dim) array gamma_0 .. gamma_{dim-1};
+    the psi,phi variants are formed on first use.
 
     |.|-monotonicity is decided here, once per point, from the weights
     themselves: at small dim a truncated non-monotone sequence can be
@@ -87,8 +95,6 @@ def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
         abs_monotone=(mags[..., 1:] >= mags[..., :-1]).all(axis=-1),
         A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
         B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
-        A_psi_phi=_shift_sum(g, pair.psi, pair.phi, True),
-        B_psi_phi=_shift_sum(g, pair.psi, pair.phi, False),
     )
 
 

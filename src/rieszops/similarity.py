@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factory import OperatorBundle, _max_entry
-from .linalg import adjoint, frobenius
+from .factory import OperatorBundle
+from .linalg import adjoint, frobenius, max_entry
 from .report import Check, notes
 
 
@@ -35,8 +35,8 @@ def transported_eigenbasis(bundle: OperatorBundle) -> np.ndarray:
 def check_transported_eigenbasis(bundle: OperatorBundle) -> Check:
     """h Phi_n = alpha_n Phi_n and <Phi_n, Phi_m> = delta_nm."""
     phi_t = transported_eigenbasis(bundle)
-    r_action = _max_entry(bundle.h @ phi_t - phi_t * bundle.weights[..., None, :])
-    r_onb = _max_entry(adjoint(phi_t) @ phi_t - np.eye(bundle.pair.dim))
+    r_action = max_entry(bundle.h @ phi_t - phi_t * bundle.weights[..., None, :])
+    r_onb = max_entry(adjoint(phi_t) @ phi_t - np.eye(bundle.pair.dim))
     return Check(
         "transported_eigenbasis",
         np.maximum(r_action, r_onb),
@@ -55,6 +55,6 @@ def onb_in_HS(bundle: OperatorBundle) -> Check:
     gram = adjoint(bundle.pair.phi) @ bundle.S_psi @ bundle.pair.phi
     return Check(
         "onb_in_HS",
-        _max_entry(gram - np.eye(bundle.pair.dim)),
+        max_entry(gram - np.eye(bundle.pair.dim)),
         "max |<phi_n, phi_m>_S - delta_nm|",
     )

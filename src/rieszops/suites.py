@@ -55,28 +55,38 @@ def _where(reports: list[VerificationReport], where: np.ndarray) -> list[Verific
     return [report for report, holds in zip(reports, where.tolist()) if holds]
 
 
-def _common_bundle_checks(
+def _battery(
     reports: list[VerificationReport],
-    bundle: factory.OperatorBundle,
+    generator: np.ndarray,
+    alpha: np.ndarray,
+    gamma: np.ndarray,
     rng,
     tol: float,
+    closed_forms=lambda bundle: (),
+    ladder_at=True,
     quasi_pairs: int = 10,
-) -> None:
-    """Battery shared by every suite: basis identities, adjoints,
-    intertwining, similarity, and the metric inner-product facts.
+) -> tuple[list[VerificationReport], ladder.LadderPair | None]:
+    """The chain every suite runs, in one order: the pair and the bundle of
+    the (k, d, d) generators and (k, d) alpha, the caller's closed-form
+    checks of the bundle, the common block (basis identities, adjoints,
+    intertwining, similarity, the metric inner-product facts), and the
+    ladder block for the (k, d) gamma.  The ladder block runs where dim >= 2
+    (A = B = 0 makes every identity vacuous) and the caller's mask holds;
+    returns those points' reports and their ladder, None without any.
 
     Every point of the batch draws the same vectors from the one rng, which
     is each point's own stream when the points share seed and dim and the
     draw-deciding realness of alpha."""
-    pair = bundle.pair
-    reconstruction = basis.reconstruction_residual(pair, _random_block(rng, pair.dim, 10))
+    pair = basis.from_generator(generator)
+    bundle = factory.build_bundle(pair, alpha)
     _record(
         reports,
         tol,
+        *closed_forms(bundle),
         basis.verify_biorthogonality(pair),
         Check(
             "reconstruction",
-            reconstruction,
+            basis.reconstruction_residual(pair, _random_block(rng, pair.dim, 10)),
             "worst relative reconstruction residual over 10 random vectors",
         ),
         basis.frame_inequality_check(pair, bundle.weights, _random_block(rng, pair.dim, 10)),
@@ -101,6 +111,11 @@ def _common_bundle_checks(
         similarity.onb_in_HS(bundle),
         factory.check_norm_bound(bundle),
     )
+    at = np.full(len(reports), pair.dim >= 2) & ladder_at
+    if not at.any():
+        return [], None
+    inside = _where(reports, at)
+    return inside, _ladder_checks(inside, take(bundle, at), take(gamma, at), tol)
 
 
 def _ladder_checks(
@@ -108,15 +123,12 @@ def _ladder_checks(
     bundle: factory.OperatorBundle,
     gamma: np.ndarray,
     tol: float,
-) -> ladder.LadderPair | None:
+) -> ladder.LadderPair:
     """Ladder block shared by every suite: the ladder for gamma, its actions,
     adjoints, products and commutator, and H - alpha_0 I = BA for
     gamma_n = sqrt(alpha_n - alpha_0), from the ladder for gamma when the
-    roots equal it.  Returns the ladder for gamma, or None at dim 1, where
-    there is no block."""
+    roots equal it.  Returns the ladder for gamma."""
     pair = bundle.pair
-    if pair.dim < 2:  # A = B = 0: every identity is vacuous
-        return None
     lp = ladder.build_ladder(pair, gamma)
     roots, failed, reasons = ladder.factorize_from_alpha(bundle)
     root = lp if (roots == lp.weights).all() else ladder.build_ladder(pair, roots)
@@ -157,44 +169,40 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         for a, gap in zip(model.admissible.tolist(), gaps)
     ]
     _record(reports, 0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note))
-
-    pair = basis.from_generator(model.T)
-    bundle = factory.build_bundle(pair, model.eps.astype(complex))
-    norm_t = pair.frame_upper
     expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
-    _record(
-        reports,
-        tol,
-        _entrywise("three_level_H", bundle.H_phi_psi, model.H),
-        _entrywise("three_level_psi", pair.psi, np.stack(model.psi, axis=-1)),
-        _entrywise("three_level_S_phi", bundle.S_phi, model.S_phi),
-        _entrywise("three_level_S_psi", bundle.S_psi, model.S_psi),
-        _entrywise("three_level_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
-        _entrywise("three_level_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
-        _entrywise("three_level_h", bundle.h, model.h),
-        _entrywise(
-            "three_level_Phi",
-            similarity.transported_eigenbasis(bundle),
-            np.stack(model.Phi, axis=-1),
-            note="transported eigenvectors vs closed forms",
-        ),
-        Check(
-            "norm_T",
-            np.abs(norm_t - expected_norm),
-            notes(f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}", norm_t),
-        ),
-        Check(
-            "norm_T_inv", np.abs(1.0 / pair.frame_lower - norm_t / 5.0), "||T^{-1}|| = ||T|| / 5"
-        ),
+    norm_note = f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}"
+
+    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
+        pair = bundle.pair
+        norm_t = pair.frame_upper
+        return (
+            _entrywise("three_level_H", bundle.H_phi_psi, model.H),
+            _entrywise("three_level_psi", pair.psi, np.stack(model.psi, axis=-1)),
+            _entrywise("three_level_S_phi", bundle.S_phi, model.S_phi),
+            _entrywise("three_level_S_psi", bundle.S_psi, model.S_psi),
+            _entrywise("three_level_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
+            _entrywise("three_level_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
+            _entrywise("three_level_h", bundle.h, model.h),
+            _entrywise(
+                "three_level_Phi",
+                similarity.transported_eigenbasis(bundle),
+                np.stack(model.Phi, axis=-1),
+                note="transported eigenvectors vs closed forms",
+            ),
+            Check("norm_T", np.abs(norm_t - expected_norm), notes(norm_note, norm_t)),
+            Check(
+                "norm_T_inv",
+                np.abs(1.0 / pair.frame_lower - norm_t / 5.0),
+                "||T^{-1}|| = ||T|| / 5",
+            ),
+        )
+
+    eps = model.eps.astype(complex)
+    inside, lp = _battery(
+        reports, model.T, eps, np.sqrt(eps), rng, tol, closed_forms, model.admissible, 50
     )
-
-    _common_bundle_checks(reports, bundle, rng, tol, quasi_pairs=50)
-
-    admissible = model.admissible
-    if admissible.any():
-        inside = _where(reports, admissible)
-        bundle, model = take(bundle, admissible), take(model, admissible)
-        lp = _ladder_checks(inside, bundle, np.sqrt(bundle.weights), tol)
+    if lp is not None:
+        model = take(model, model.admissible)
         a_closed, b_closed = models.three_level_ladder_closed_forms(model)
         _record(
             inside,
@@ -229,6 +237,11 @@ def three_level_report(
     return _three_level_reports(np.array([float(t)]), seed, tol)[0]
 
 
+def _check_support(dim: int, support: int) -> None:
+    if not 2 <= support <= dim:
+        raise ValueError(f"support size must be in 2..{dim}, got {support}")
+
+
 def projection_report(
     dim: int,
     support: int,
@@ -239,61 +252,50 @@ def projection_report(
 ) -> VerificationReport:
     """Full battery for a seeded projection model with the given support
     size: a batch of one point."""
-    if not 2 <= support <= dim:
-        raise ValueError(f"support size must be in 2..{dim}, got {support}")
-    report = VerificationReport(
-        suite="projection",
-        params={
-            "dim": int(dim),
-            "n": int(support),
-            "seed": int(seed),
-            "alpha": alpha.label,
-            "gamma": gamma.label,
-            "tol": float(tol),
-        },
-    )
+    _check_support(dim, support)
+    labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
+    params = {"dim": int(dim), "n": int(support), "seed": int(seed)} | labels
+    report = VerificationReport(suite="projection", params=params)
     rng = np.random.default_rng(seed)
     coeffs = _random_block(rng, support, 1)[:, 0]
     coeffs /= np.linalg.norm(coeffs)
     model = models.projection_model(dim, coeffs, alpha.terms(dim))
 
-    pair = basis.from_generator(model.T[None])
-    bundle = factory.build_bundle(pair, model.weights[None])
-    phi_closed, psi_closed = models.projection_phi_psi_closed_forms(model)
-    outside = [k for k in range(dim) if k not in model.support]
-    deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
-    block_residual = np.maximum(
-        deviation[..., :, outside].max(axis=(-2, -1), initial=0.0),
-        deviation[..., outside, :].max(axis=(-2, -1), initial=0.0),
-    )
-    _record(
-        [report],
-        tol,
-        _entrywise("projection_T_inv", pair.generator_inverse, model.T_inv),
-        _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
-        _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
-        _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
-        _entrywise(
-            "projection_bases",
-            np.concatenate([pair.phi, pair.psi], axis=-1),
-            np.concatenate([phi_closed, psi_closed], axis=-1),
-            note="phi_n and psi_n case formulas",
-        ),
-        _entrywise(
-            "projection_H_split",
-            bundle.H_phi_psi,
-            models.projection_H_closed_form(model),
-            note="H as support terms plus coordinate projections",
-        ),
-        Check(
-            "projection_h_block",
-            block_residual,
-            "h acts as the diagonal weights on coordinates off the support",
-        ),
-    )
+    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
+        pair = bundle.pair
+        phi_closed, psi_closed = models.projection_phi_psi_closed_forms(model)
+        outside = [k for k in range(dim) if k not in model.support]
+        deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
+        block_residual = np.maximum(
+            deviation[..., :, outside].max(axis=(-2, -1), initial=0.0),
+            deviation[..., outside, :].max(axis=(-2, -1), initial=0.0),
+        )
+        return (
+            _entrywise("projection_T_inv", pair.generator_inverse, model.T_inv),
+            _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
+            _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
+            _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
+            _entrywise(
+                "projection_bases",
+                np.concatenate([pair.phi, pair.psi], axis=-1),
+                np.concatenate([phi_closed, psi_closed], axis=-1),
+                note="phi_n and psi_n case formulas",
+            ),
+            _entrywise(
+                "projection_H_split",
+                bundle.H_phi_psi,
+                models.projection_H_closed_form(model),
+                note="H as support terms plus coordinate projections",
+            ),
+            Check(
+                "projection_h_block",
+                block_residual,
+                "h acts as the diagonal weights on coordinates off the support",
+            ),
+        )
 
-    _common_bundle_checks([report], bundle, rng, tol)
-    _ladder_checks([report], bundle, gamma.terms(dim)[None], tol)
+    gammas = gamma.terms(dim)[None]
+    _battery([report], model.T[None], model.weights[None], gammas, rng, tol, closed_forms)
     return report
 
 
@@ -306,21 +308,12 @@ def random_report(
 ) -> VerificationReport:
     """Full battery for a seeded random well-conditioned generator: a batch
     of one point."""
-    report = VerificationReport(
-        suite="random",
-        params={
-            "dim": int(dim),
-            "seed": int(seed),
-            "alpha": alpha.label,
-            "gamma": gamma.label,
-            "tol": float(tol),
-        },
-    )
+    labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
+    params = {"dim": int(dim), "seed": int(seed)} | labels
+    report = VerificationReport(suite="random", params=params)
     rng = np.random.default_rng(seed)
-    pair = basis.from_generator(_random_generator(rng, dim)[None])
-    bundle = factory.build_bundle(pair, alpha.terms(dim)[None])
-    _common_bundle_checks([report], bundle, rng, tol)
-    _ladder_checks([report], bundle, gamma.terms(dim)[None], tol)
+    generator = _random_generator(rng, dim)[None]
+    _battery([report], generator, alpha.terms(dim)[None], gamma.terms(dim)[None], rng, tol)
     return report
 
 
@@ -347,6 +340,8 @@ def sweep_projection(
     would hold every point's operators at once."""
     if n_min > n_max:
         raise ValueError("n-min must not exceed n-max")
+    for n in (n_min, n_max):
+        _check_support(dim, n)
     return [
         projection_report(dim, n, seed=seed, alpha=alpha, tol=tol)
         for n in range(n_min, n_max + 1)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
 Hermitian eigensolver and the sequence terms, the conjugate of a sequence
 from conjugated parameters (the library conjugates the emitted weights),
-the ladder identities at truncation in exact arithmetic, and the
+the ladder identities at truncation and the 3x3 model's closed forms in
+exact arithmetic, and the
 per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
@@ -121,6 +122,63 @@ def symbolic_ladder_identities(dim=4):
         b_root * a_root - (weighted_h(a) - a[0] * sp.eye(dim)),
     )
     return [diff.applyfunc(sp.expand) for diff in diffs]
+
+
+def symbolic_three_level():
+    """The 3x3 model derived in exact arithmetic from its phi_n rows and
+    eps(t) = (0, 2cos t - 1, 2cos t + 1) alone, in s = sin(t/2) and
+    c = cos(t/2), each entry reduced modulo c^2 + s^2 = 1:
+
+        T with columns phi_n, S_phi = T T*, psi_n the columns of (T^{-1})*,
+        H = T diag(eps) T^{-1}, the printed root R of S_phi, S_psi = S_phi^{-1},
+        S_psi^{1/2} = R^{-1}, h = R^{-1} H R, Phi = R^{-1} T,
+        ||T||^2 and ||T^{-1}||^2 from the extreme eigenvalues of S_phi,
+
+    and the ladder A = sum_{n>=1} g_n phi_{n-1} psi_n*, B = sum_{n<=1}
+    g_{n+1} phi_{n+1} psi_n* as literal shift sums in symbols g_1, g_2
+    (g_0 drops out), to be evaluated at g_n = sqrt(eps_n).  Returns a dict
+    of sympy matrices and numbers, and the symbols (s, c, g_1, g_2).
+    """
+    import sympy as sp
+
+    s, c, g1, g2 = sp.symbols("s c g_1 g_2", real=True)
+
+    def reduce(m):
+        return m.applyfunc(lambda e: sp.reduced(sp.expand(e), [c**2 + s**2 - 1], c, s)[1])
+
+    phi = [sp.Matrix([1, 0, 1]), sp.Matrix([s, -2 * c, 6 * s]), sp.Matrix([c, 2 * s, 6 * c])]
+    t = sp.Matrix.hstack(*phi)
+    cos_t = c**2 - s**2
+    eps = [0, 2 * cos_t - 1, 2 * cos_t + 1]
+    det = reduce(sp.Matrix([t.det()]))[0]
+    t_inv = reduce(t.adjugate() / det)
+    s_phi = reduce(t * t.T)
+    root = sp.Matrix([[1, 0, 1], [0, 2, 0], [1, 0, 6]])  # the printed S_phi^{1/2}
+    root_inv = root.inv()
+    h_op = reduce(t * sp.diag(*eps) * t_inv)
+    psi = t_inv.T
+    ladder_a = sum(
+        (g * phi[n - 1] * psi[:, n].T for n, g in ((1, g1), (2, g2))), sp.zeros(3, 3)
+    )
+    ladder_b = sum(
+        (g * phi[n + 1] * psi[:, n].T for n, g in ((0, g1), (1, g2))), sp.zeros(3, 3)
+    )
+    lams = sorted(s_phi.eigenvals(), key=lambda lam: float(lam))
+    return {
+        "det_T": det,
+        "S_phi": s_phi,
+        "S_psi": s_phi.inv(),
+        "psi": psi,
+        "H": h_op,
+        "S_phi_sqrt": root,
+        "S_psi_sqrt": root_inv,
+        "h": reduce(root_inv * h_op * root),
+        "Phi": reduce(root_inv * t),
+        "norm_T_squared": lams[-1],
+        "norm_T_inv_squared": 1 / lams[0],
+        "A": reduce(ladder_a),
+        "B": reduce(ladder_b),
+    }, (s, c, g1, g2)
 
 
 def jacobi_eigh(m, target=1e-13, max_sweeps=100):

@@ -351,3 +351,35 @@ class TestFactorizeFromAlpha:
         monkeypatch.setattr(ladder, "build_ladder", counting)
         make_report()
         assert len(calls) == builds
+
+    @pytest.mark.parametrize(
+        "make_report, sums",
+        [
+            (lambda: random_report(16, seed=1, alpha=poly(2.0)), 6),
+            (
+                lambda: random_report(
+                    16, seed=1, alpha=poly(2.0), gamma=parse_spec("geometric:1.1+0.3j")
+                ),
+                10,
+            ),
+            (lambda: random_report(16, seed=1), 4),
+            (lambda: three_level_report(0.3), 4),
+        ],
+        ids=["factorization-ladder", "conj-ladder", "one-ladder", "three-level"],
+    )
+    def test_psi_phi_variants_only_where_the_adjoints_read_them(
+        self, monkeypatch, make_report, sums
+    ):
+        # 4 shift sums for the gamma ladder, 4 for its conj(gamma) ladder when
+        # gamma is complex, and 2 for the factorization's own ladder, whose
+        # psi,phi variants nothing reads
+        calls = []
+        shift_sum = ladder._shift_sum
+
+        def counting(*args):
+            calls.append(args)
+            return shift_sum(*args)
+
+        monkeypatch.setattr(ladder, "_shift_sum", counting)
+        make_report()
+        assert len(calls) == sums

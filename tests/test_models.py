@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import factorize, random_vector, result
+from oracles import symbolic_three_level
 from rieszops import (
     build_bundle,
     from_generator,
@@ -119,6 +120,75 @@ class TestThreeLevel:
             a_closed, b_closed = three_level_ladder_closed_forms(model)
             assert np.abs(lp.A_phi_psi - a_closed).max() <= 1e-11
             assert np.abs(lp.B_phi_psi - b_closed).max() <= 1e-11
+
+
+@pytest.fixture(scope="module")
+def derived():
+    """The sympy derivation of the 3x3 model, and its matrices as functions
+    of (t, gamma_1, gamma_2)."""
+    sp = pytest.importorskip("sympy")
+    exact, symbols = symbolic_three_level()
+    lambdified = {
+        name: sp.lambdify(symbols, m, "numpy")
+        for name, m in exact.items()
+        if isinstance(m, sp.MatrixBase)
+    }
+
+    def at(name, t, g1=0.0, g2=0.0):
+        return np.array(lambdified[name](np.sin(t / 2), np.cos(t / 2), g1, g2), dtype=complex)
+
+    return sp, exact, at
+
+
+#: inside [0, pi/3), inside (5pi/3, 2pi), and outside both
+ADMISSIBLE_T = (0.0, 0.3, 0.8, 5.5, 6.1)
+INADMISSIBLE_T = (1.2, 2.0, 3.0, 4.5)
+
+
+class TestSymbolicThreeLevel:
+    """models.three_level's closed forms against a derivation in exact
+    arithmetic from the phi_n rows and eps(t) alone."""
+
+    def test_exact_facts(self, derived):
+        sp, exact, _ = derived
+        assert exact["det_T"] == -10
+        assert exact["S_phi"] == sp.Matrix([[2, 0, 7], [0, 4, 0], [7, 0, 37]])  # free of t
+        root = exact["S_phi_sqrt"]
+        assert root**2 == exact["S_phi"]
+        # symmetric positive definite: the principal square root
+        assert root.is_symmetric() and all(lam > 0 for lam in root.eigenvals())
+        norm_squared = exact["norm_T_squared"]
+        assert sp.simplify(norm_squared - (39 + 7 * sp.sqrt(29)) / 2) == 0
+        assert sp.simplify(exact["norm_T_inv_squared"] - norm_squared / 25) == 0
+
+    @pytest.mark.parametrize("t", ADMISSIBLE_T + INADMISSIBLE_T)
+    def test_closed_forms_match_the_derivation(self, derived, t):
+        sp, exact, at = derived
+        model = three_level(t)
+        expected = {
+            "S_phi": model.S_phi,
+            "S_psi": model.S_psi,
+            "S_phi_sqrt": model.S_phi_sqrt,
+            "S_psi_sqrt": model.S_psi_sqrt,
+            "psi": np.stack(model.psi, axis=-1),
+            "H": model.H,
+            "h": model.h,
+            "Phi": np.stack(model.Phi, axis=-1),
+        }
+        for name, closed in expected.items():
+            assert np.abs(closed - at(name, t)).max() <= 1e-12, name
+        pair = from_generator(model.T)
+        assert abs(pair.frame_upper - np.sqrt(float(exact["norm_T_squared"]))) <= 1e-12
+        assert abs(1.0 / pair.frame_lower - np.sqrt(float(exact["norm_T_inv_squared"]))) <= 1e-12
+
+    @pytest.mark.parametrize("t", ADMISSIBLE_T)
+    def test_printed_ladder_matches_literal_shift_sums(self, derived, t):
+        _, _, at = derived
+        model = three_level(t)
+        g1, g2 = np.sqrt(model.eps[1:])
+        a_closed, b_closed = three_level_ladder_closed_forms(model)
+        assert np.abs(a_closed - at("A", t, g1, g2)).max() <= 1e-12
+        assert np.abs(b_closed - at("B", t, g1, g2)).max() <= 1e-12
 
 
 class TestHatSpectrum:

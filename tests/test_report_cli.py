@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_command, cli_env
+from rieszops import basis
 from rieszops.cli import build_parser, main
 from rieszops.report import (
     Check,
@@ -246,6 +247,20 @@ class TestSuites:
         """The ordered check list of each report branch."""
         assert [c.name for c in make().checks] == expected
 
+    def test_suites_share_one_battery_order(self):
+        """random's checks are the shared battery: projection runs it after
+        its 7 closed forms, three-level between its closed forms and its 3
+        ladder extras."""
+        battery = [c.name for c in random_report(8).checks]
+        projection = [c.name for c in projection_report(8, 3).checks]
+        three = [c.name for c in three_level_report(0.3).checks]
+        assert len(battery) == 19
+        assert all(name.startswith("projection_") for name in projection[:7])
+        assert projection[7:] == battery
+        assert three[0] == "admissible"
+        assert three[three.index("norm_T_inv") + 1 : -3] == battery
+        assert three[-3:] == ["ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices"]
+
     @pytest.mark.parametrize("t", [0.3, 1.2])
     def test_three_level_report_runs_two_eigensolves(self, monkeypatch, t):
         """One eigensolve of TT* per pair gives ||T|| and ||T^{-1}||; the
@@ -385,6 +400,22 @@ class TestCli:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be in" in captured.err
+
+    @pytest.mark.parametrize("n_min, n_max, bad", [(5, 9, 9), (1, 4, 1)])
+    def test_sweep_projection_range_checked_before_any_report(
+        self, monkeypatch, capsys, n_min, n_max, bad
+    ):
+        built = []
+        build = basis.from_generator
+        monkeypatch.setattr(basis, "from_generator", lambda t: built.append(t) or build(t))
+        argv = ["sweep", "projection", "--dim", "8", "--n-min", str(n_min), "--n-max", str(n_max)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert built == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"support size must be in 2..8, got {bad}" in captured.err
 
     @pytest.mark.parametrize(
         "argv,dest,value",
