@@ -163,7 +163,7 @@ class TestSymbolicThreeLevel:
 
     @pytest.mark.parametrize("t", ADMISSIBLE_T + INADMISSIBLE_T)
     def test_closed_forms_match_the_derivation(self, derived, t):
-        sp, exact, at = derived
+        _, exact, at = derived
         model = three_level(t)
         expected = {
             "S_phi": model.S_phi,
