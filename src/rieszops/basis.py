@@ -32,7 +32,7 @@ class RieszBasisPair:
     phi and psi are (..., dim, dim) stacks whose n-th columns are phi_n and
     psi_n in ambient coordinates; phi is the generator T itself.  The frame
     bounds are shaped like the batch.  metric_eigen has eigenvalues
-    s_k^2 > DEFAULT_TOL^2, the squared singular values of T.
+    s_k^2 > (DEFAULT_TOL s_max)^2, the squared singular values of T.
     """
 
     dim: int
@@ -47,19 +47,20 @@ class RieszBasisPair:
 def from_generator(t: np.ndarray) -> RieszBasisPair:
     """Construct the basis pairs from a stack of invertible generators.
 
-    Rejects generators with smallest singular value <= DEFAULT_TOL, an
-    absolute threshold independent of any check tolerance, reporting the
-    measured value: those are not (numerically) Riesz-basis generators.
+    Rejects generators with sigma_min <= DEFAULT_TOL * sigma_max, a bound on
+    cond(T) alone, independent of scale and of any check tolerance, with the
+    measured values: those are not (numerically) Riesz-basis generators.
     """
     t = as_matrix(t)
     metric = hermitian_eig(t @ adjoint(t))
     s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
     smin, smax = s[..., 0], s[..., -1]
     guard(
-        smin <= DEFAULT_TOL,
-        "generator is numerically singular (sigma_min = {:.6e}); "
+        smin <= DEFAULT_TOL * smax,
+        "generator is numerically singular (sigma_min = {:.6e}, sigma_max = {:.6e}); "
         "not a Riesz-basis generator",
         smin,
+        smax,
     )
     t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(

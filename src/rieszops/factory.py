@@ -221,25 +221,26 @@ def check_intertwining(bundle: OperatorBundle) -> Check:
 def quasi_hermitian_symmetry(bundle: OperatorBundle, f: np.ndarray, g: np.ndarray) -> Check:
     """Symmetry of H in the S-inner-product: <S_psi H f, g> = <S_psi f, H g>.
 
-    f and g are column blocks (dim, k) of paired vectors, shared by every
-    point; the residual is that of the worst pair (f_j, g_j).  Only asserted
-    for real alpha; complex weights are rejected.
+    f and g are column blocks of paired vectors, (dim, k) or (1, dim, k)
+    shared by every point, or (points, dim, k) one per point; the residual
+    is that of the worst pair (f_j, g_j).  Only asserted for real alpha;
+    complex weights are rejected.
     """
     if not bundle.is_real.all():
         raise ValueError("quasi-Hermitian symmetry is only asserted for real alpha")
-    if f.ndim != 2 or f.shape != g.shape:
+    if f.ndim not in (2, 3) or f.shape != g.shape:
         raise ValueError(f"unpaired (dim, k) blocks: f {f.shape}, g {g.shape}")
-    scale = np.maximum(np.linalg.norm(f, axis=0) * np.linalg.norm(g, axis=0), 1e-300)
+    scale = np.maximum(np.linalg.norm(f, axis=-2) * np.linalg.norm(g, axis=-2), 1e-300)
     # stacked (dim, 1) vectors: matrix-vector products round like one pair at
     # a time; block products measured twice as noisy on this cancellation
-    f, g = f.T[:, :, None], g.T[:, :, None]
+    f, g = f.mT[..., None], g.mT[..., None]
     h, s_psi = bundle.H_phi_psi[..., None, :, :], bundle.S_psi[..., None, :, :]
     lhs = (adjoint(g) @ (s_psi @ (h @ f)))[..., 0, 0]
     rhs = (adjoint(h @ g) @ (s_psi @ f))[..., 0, 0]
     return Check(
         "quasi_hermitian_symmetry",
         (np.abs(lhs - rhs) / scale).max(axis=-1),
-        f"worst over {f.shape[0]} random (f, g) pairs",
+        f"worst over {f.shape[-3]} random (f, g) pairs",
     )
 
 

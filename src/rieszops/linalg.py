@@ -160,16 +160,19 @@ def inverse(m: np.ndarray, extremes: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     (numpy.linalg.solve).
 
     extremes are the (smallest, largest) singular values of m, which the
-    caller already holds.  The smallest must exceed DEFAULT_TOL;
-    numerically singular input is rejected with the measured estimate.  The
+    caller already holds.  The smallest must exceed DEFAULT_TOL times the
+    largest; numerically singular input is rejected with the measured
+    estimates.  The
     residual ||m X - I|| must stay within DEFAULT_TOL * cond(m).
     """
     m = as_matrix(m)
     smin, smax = extremes
     guard(
-        smin <= DEFAULT_TOL,
-        f"matrix is numerically singular: sigma_min = {{:.6e}} <= {DEFAULT_TOL:.1e}",
+        smin <= DEFAULT_TOL * smax,
+        f"matrix is numerically singular: sigma_min = {{:.6e}} <= {DEFAULT_TOL:.1e} "
+        "* sigma_max = {:.6e}",
         smin,
+        smax,
     )
     eye = np.eye(m.shape[-1], dtype=complex)
     try:

@@ -234,12 +234,11 @@ def projection_phi_psi_closed_forms(
 
         phi_n = e_n + i conj(u_n) u,    psi_n = e_n + (i-1)/2 conj(u_n) u
 
-    (both reduce to e_n off the support of u).  Returned as column matrices.
+    (both reduce to e_n off the support of u), the outer products u u* read
+    from P.  Returned as column matrices.
     """
     eye = np.eye(model.dim, dtype=complex)
-    phi = eye + 1j * np.outer(model.u, model.u.conj())
-    psi = eye + ((1j - 1.0) / 2.0) * np.outer(model.u, model.u.conj())
-    return phi, psi
+    return eye + 1j * model.P, eye + ((1j - 1.0) / 2.0) * model.P
 
 
 def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:

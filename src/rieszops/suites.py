@@ -6,8 +6,8 @@ model, and `random` against a seeded well-conditioned generator
 T = I + 0.3 R (R with entries uniform in the complex unit square, which
 keeps the smallest singular value comfortably away from zero).
 
-The battery runs on a batch of points: a three-level sweep is one stacked
-call, and a single report is a batch of one.  Checks return a residual per
+The battery runs on a batch of points: a sweep is a few stacked calls, and
+a single report is the sweep of one point.  Checks return a residual per
 point; `_record` turns them into each point's CheckResults.
 """
 
@@ -20,6 +20,8 @@ from .linalg import DEFAULT_TOL, adjoint, max_entry, take
 from .report import Check, VerificationReport, notes
 
 _GENERATOR_SPREAD = 0.3
+#: matrix entries per field of one dim-64 report: the most one stack may hold
+_STACK_ENTRIES = 64 * 64
 
 
 def _random_block(rng, dim: int, k: int) -> np.ndarray:
@@ -51,8 +53,21 @@ def _record(reports: list[VerificationReport], tol: float, *checks: Check) -> No
             report.add(result)
 
 
-def _where(reports: list[VerificationReport], where: np.ndarray) -> list[VerificationReport]:
-    return [report for report, holds in zip(reports, where.tolist()) if holds]
+def _where(items: list, where: np.ndarray) -> list:
+    return [item for item, holds in zip(items, where.tolist()) if holds]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays along a new leading axis; a single one is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stacked(reports_of, points, dim: int, *args) -> list[VerificationReport]:
+    """reports_of(stack, *args) on consecutive stacks of at most
+    max(1, _STACK_ENTRIES // dim**2) of the points, concatenated."""
+    size = max(1, _STACK_ENTRIES // dim**2)
+    stacks = (points[start : start + size] for start in range(0, len(points), size))
+    return [report for stack in stacks for report in reports_of(stack, *args)]
 
 
 def _battery(
@@ -60,7 +75,7 @@ def _battery(
     generator: np.ndarray,
     alpha: np.ndarray,
     gamma: np.ndarray,
-    rng,
+    rngs: list,
     tol: float,
     closed_forms=lambda bundle: (),
     ladder_at=True,
@@ -74,11 +89,16 @@ def _battery(
     (A = B = 0 makes every identity vacuous) and the caller's mask holds;
     returns those points' reports and their ladder, None without any.
 
-    Every point of the batch draws the same vectors from the one rng, which
-    is each point's own stream when the points share seed and dim and the
-    draw-deciding realness of alpha."""
+    The vectors come from rngs: one generator shared by every point, whose
+    (1, d, n) blocks every point reads (each point's own stream when all
+    share seed, dim and the realness of alpha), or one per point, each
+    drawing its slice of a (k, d, n) block, the quasi block where real."""
     pair = basis.from_generator(generator)
     bundle = factory.build_bundle(pair, alpha)
+
+    def draw(sources: list, n: int) -> np.ndarray:
+        return _stack([_random_block(rng, pair.dim, n) for rng in sources])
+
     _record(
         reports,
         tol,
@@ -86,10 +106,10 @@ def _battery(
         basis.verify_biorthogonality(pair),
         Check(
             "reconstruction",
-            basis.reconstruction_residual(pair, _random_block(rng, pair.dim, 10)),
+            basis.reconstruction_residual(pair, draw(rngs, 10)),
             "worst relative reconstruction residual over 10 random vectors",
         ),
-        basis.frame_inequality_check(pair, bundle.weights, _random_block(rng, pair.dim, 10)),
+        basis.frame_inequality_check(pair, bundle.weights, draw(rngs, 10)),
         factory.check_eigen_action(bundle),
         factory.check_weighted_action(bundle),
         factory.check_adjoint_pair(bundle),
@@ -98,9 +118,9 @@ def _battery(
     )
     if bundle.is_real.any():
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
-        fg = _random_block(rng, pair.dim, 2 * quasi_pairs)
+        fg = draw(rngs if len(rngs) == 1 else _where(rngs, bundle.is_real), 2 * quasi_pairs)
         real = take(bundle, bundle.is_real)
-        quasi = factory.quasi_hermitian_symmetry(real, fg[:, 0::2], fg[:, 1::2])
+        quasi = factory.quasi_hermitian_symmetry(real, fg[..., 0::2], fg[..., 1::2])
         _record(_where(reports, bundle.is_real), tol, quasi)
     _record(
         reports,
@@ -199,7 +219,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
 
     eps = model.eps.astype(complex)
     inside, lp = _battery(
-        reports, model.T, eps, np.sqrt(eps), rng, tol, closed_forms, model.admissible, 50
+        reports, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms, model.admissible, 50
     )
     if lp is not None:
         model = take(model, model.admissible)
@@ -230,16 +250,66 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
     return reports
 
 
-def three_level_report(
-    t: float, seed: int = 0, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def three_level_report(t: float, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Full battery for the 3x3 model at parameter t: a sweep of one point."""
-    return _three_level_reports(np.array([float(t)]), seed, tol)[0]
+    return _stacked(_three_level_reports, np.array([float(t)]), 3, seed, tol)[0]
 
 
 def _check_support(dim: int, support: int) -> None:
     if not 2 <= support <= dim:
         raise ValueError(f"support size must be in 2..{dim}, got {support}")
+
+
+def _projection_reports(
+    supports: list[int], dim: int, seed: int, alpha: sequences.SequenceSpec,
+    gamma: sequences.SequenceSpec, tol: float
+) -> list[VerificationReport]:
+    """Full battery for the seeded projection model at each support size, as
+    one stack; each point draws u, then its vectors, from its own rng."""
+    labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
+    params = [{"dim": int(dim), "n": int(n), "seed": int(seed)} | labels for n in supports]
+    reports = [VerificationReport(suite="projection", params=p) for p in params]
+    rngs = [np.random.default_rng(seed) for _ in supports]
+    weights = alpha.terms(dim)
+    points = []
+    for rng, support in zip(rngs, supports):
+        coeffs = _random_block(rng, support, 1)[:, 0]
+        points.append(models.projection_model(dim, coeffs / np.linalg.norm(coeffs), weights))
+    names = ("T", "T_inv", "S_phi", "S_phi_sqrt", "S_psi_sqrt", "weights")
+    model = {name: _stack([getattr(point, name) for point in points]) for name in names}
+    closed = [models.projection_phi_psi_closed_forms(point) for point in points]
+    off = _stack([np.bincount(point.support, minlength=dim) == 0 for point in points])
+
+    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
+        pair = bundle.pair
+        deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
+        return (
+            _entrywise("projection_T_inv", pair.generator_inverse, model["T_inv"]),
+            _entrywise("projection_S_phi", bundle.S_phi, model["S_phi"]),
+            _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model["S_phi_sqrt"]),
+            _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model["S_psi_sqrt"]),
+            _entrywise(
+                "projection_bases",
+                np.concatenate([pair.phi, pair.psi], axis=-1),
+                _stack([np.concatenate(phi_psi, axis=-1) for phi_psi in closed]),
+                note="phi_n and psi_n case formulas",
+            ),
+            _entrywise(
+                "projection_H_split",
+                bundle.H_phi_psi,
+                _stack([models.projection_H_closed_form(point) for point in points]),
+                note="H as support terms plus coordinate projections",
+            ),
+            Check(
+                "projection_h_block",
+                np.where(off[:, :, None] | off[:, None, :], deviation, 0.0).max(axis=(-2, -1)),
+                "h acts as the diagonal weights on coordinates off the support",
+            ),
+        )
+
+    gammas = _stack([gamma.terms(dim)] * len(points))
+    _battery(reports, model["T"], model["weights"], gammas, rngs, tol, closed_forms)
+    return reports
 
 
 def projection_report(
@@ -251,52 +321,9 @@ def projection_report(
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Full battery for a seeded projection model with the given support
-    size: a batch of one point."""
+    size: a sweep of one point."""
     _check_support(dim, support)
-    labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
-    params = {"dim": int(dim), "n": int(support), "seed": int(seed)} | labels
-    report = VerificationReport(suite="projection", params=params)
-    rng = np.random.default_rng(seed)
-    coeffs = _random_block(rng, support, 1)[:, 0]
-    coeffs /= np.linalg.norm(coeffs)
-    model = models.projection_model(dim, coeffs, alpha.terms(dim))
-
-    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
-        pair = bundle.pair
-        phi_closed, psi_closed = models.projection_phi_psi_closed_forms(model)
-        outside = [k for k in range(dim) if k not in model.support]
-        deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
-        block_residual = np.maximum(
-            deviation[..., :, outside].max(axis=(-2, -1), initial=0.0),
-            deviation[..., outside, :].max(axis=(-2, -1), initial=0.0),
-        )
-        return (
-            _entrywise("projection_T_inv", pair.generator_inverse, model.T_inv),
-            _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
-            _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
-            _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
-            _entrywise(
-                "projection_bases",
-                np.concatenate([pair.phi, pair.psi], axis=-1),
-                np.concatenate([phi_closed, psi_closed], axis=-1),
-                note="phi_n and psi_n case formulas",
-            ),
-            _entrywise(
-                "projection_H_split",
-                bundle.H_phi_psi,
-                models.projection_H_closed_form(model),
-                note="H as support terms plus coordinate projections",
-            ),
-            Check(
-                "projection_h_block",
-                block_residual,
-                "h acts as the diagonal weights on coordinates off the support",
-            ),
-        )
-
-    gammas = gamma.terms(dim)[None]
-    _battery([report], model.T[None], model.weights[None], gammas, rng, tol, closed_forms)
-    return report
+    return _stacked(_projection_reports, [support], dim, dim, seed, alpha, gamma, tol)[0]
 
 
 def random_report(
@@ -313,19 +340,19 @@ def random_report(
     report = VerificationReport(suite="random", params=params)
     rng = np.random.default_rng(seed)
     generator = _random_generator(rng, dim)[None]
-    _battery([report], generator, alpha.terms(dim)[None], gamma.terms(dim)[None], rng, tol)
+    _battery([report], generator, alpha.terms(dim)[None], gamma.terms(dim)[None], [rng], tol)
     return report
 
 
 def sweep_three_level(
     t_min: float, t_max: float, steps: int, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
-    """three_level_report at each point of the grid, run as one stack."""
+    """three_level_report at each point of the grid, in stacks of 455."""
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
     if not t_min < t_max:
         raise ValueError("t-min must be strictly below t-max")
-    return _three_level_reports(np.linspace(t_min, t_max, steps), seed, tol)
+    return _stacked(_three_level_reports, np.linspace(t_min, t_max, steps), 3, seed, tol)
 
 
 def sweep_projection(
@@ -336,13 +363,12 @@ def sweep_projection(
     alpha: sequences.SequenceSpec = sequences.poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> list[VerificationReport]:
-    """projection_report at each support size, one point at a time: a stack
-    would hold every point's operators at once."""
+    """projection_report at each support size, run in stacks of at most
+    max(1, 4096 // dim**2) points: a dim-64 sweep runs one point at a time."""
     if n_min > n_max:
         raise ValueError("n-min must not exceed n-max")
     for n in (n_min, n_max):
         _check_support(dim, n)
-    return [
-        projection_report(dim, n, seed=seed, alpha=alpha, tol=tol)
-        for n in range(n_min, n_max + 1)
-    ]
+    gamma = sequences.sqrt_poly(1.0)
+    supports = list(range(n_min, n_max + 1))
+    return _stacked(_projection_reports, supports, dim, dim, seed, alpha, gamma, tol)

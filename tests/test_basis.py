@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector, result
+from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
     LinalgError,
     expand,
@@ -12,6 +12,7 @@ from rieszops import (
     reconstruction_residual,
     verify_biorthogonality,
 )
+from rieszops.linalg import inverse
 from rieszops.models import projection_model, three_level
 
 
@@ -45,6 +46,25 @@ def test_projection_generator_case_formulas():
 def test_rejects_singular_generator():
     with pytest.raises(LinalgError, match="sigma_min"):
         from_generator(np.ones((3, 3), dtype=complex))
+
+
+def test_singularity_guard_ignores_scale():
+    """The guard reads cond(T): a tiny rescaled generator is still a Riesz
+    generator, with frame bounds and inverse scaled to match."""
+    t = random_generator_matrix(np.random.default_rng(5), 8)
+    pair, tiny = from_generator(t), from_generator(1e-12 * t)
+    assert tiny.frame_lower == pytest.approx(1e-12 * pair.frame_lower, rel=1e-9)
+    assert tiny.frame_upper == pytest.approx(1e-12 * pair.frame_upper, rel=1e-9)
+    np.testing.assert_allclose(tiny.generator_inverse, 1e12 * pair.generator_inverse, rtol=1e-9)
+
+
+def test_singularity_guard_is_relative_to_sigma_max():
+    """sigma_min = 5e-10 is above DEFAULT_TOL but below DEFAULT_TOL * sigma_max."""
+    t = np.diag([10.0, 1.0, 1.0, 5e-10]).astype(complex)
+    with pytest.raises(LinalgError, match=r"numerically singular.*sigma_max = 1\.000000e\+01"):
+        from_generator(t)
+    with pytest.raises(LinalgError, match="numerically singular"):
+        inverse(t, (5e-10, 10.0))
 
 
 def test_frame_bounds_are_extreme_singular_values():

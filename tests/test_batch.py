@@ -1,5 +1,6 @@
 """The leading batch axis: a stacked call gives, point for point, the bits a
-call on that point alone gives; a three-level sweep is one stacked battery."""
+call on that point alone gives; a sweep runs as stacked batteries of at most
+one dim-64 report's entries each."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import random_generator_matrix
 from rieszops import (
     LinalgError,
+    basis,
     build_bundle,
     build_ladder,
     check_commutator,
@@ -17,12 +19,19 @@ from rieszops import (
     check_products,
     check_selfadjoint_h,
     from_generator,
+    quasi_hermitian_symmetry,
     three_level,
 )
 from rieszops.linalg import frobenius
 from rieszops.report import render_reports
-from rieszops.sequences import geometric, parse_spec, sqrt_poly
-from rieszops.suites import sweep_three_level, three_level_report
+from rieszops.sequences import geometric, parse_spec, poly, sqrt_poly
+from rieszops.suites import (
+    _random_block,
+    projection_report,
+    sweep_projection,
+    sweep_three_level,
+    three_level_report,
+)
 
 THIRD = math.pi / 3.0
 
@@ -74,10 +83,7 @@ def test_model_domain_guard_names_the_first_bad_point():
         three_level(np.array([0.5, 7.0, -1.0]))
 
 
-@pytest.mark.parametrize("steps", [11, 40])
-def test_sweep_makes_two_eigensolves(monkeypatch, steps):
-    """The metric eigendecomposition of every TT* and every ||H||, each one
-    stacked call, however long the sweep."""
+def _eigh_shapes(monkeypatch, steps):
     eigh = np.linalg.eigh
     shapes = []
 
@@ -87,7 +93,19 @@ def test_sweep_makes_two_eigensolves(monkeypatch, steps):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sweep_three_level(0.8, 1.3, steps)
-    assert shapes == [(steps, 3, 3), (steps, 3, 3)]
+    return shapes
+
+
+@pytest.mark.parametrize("steps", [11, 40, 455])
+def test_sweep_makes_two_eigensolves(monkeypatch, steps):
+    """The metric eigendecomposition of every TT* and every ||H||, each one
+    stacked call, for any grid of at most 4096 // 3**2 = 455 steps."""
+    assert _eigh_shapes(monkeypatch, steps) == [(steps, 3, 3), (steps, 3, 3)]
+
+
+def test_long_sweep_runs_in_stacks_of_455(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch, 1000)
+    assert shapes == [(k, 3, 3) for k in (455, 455, 90) for _ in range(2)]
 
 
 def _notes(check):
@@ -130,3 +148,75 @@ def test_realness_is_decided_per_point():
     singles = [check_selfadjoint_h(build_bundle(from_generator(g), a)) for g, a in zip(gens, alpha)]
     assert _notes(stacked) == [_notes(c)[0] for c in singles]
     assert "skipped: complex alpha" in _notes(stacked)[2]
+
+
+@pytest.mark.parametrize(
+    "dim, n_min, n_max, alpha",
+    [
+        (2, 2, 2, "poly:2"),
+        (8, 2, 8, "geometric:0.9+0.2j"),
+        (16, 2, 16, "poly:1"),
+        (32, 2, 10, "poly:2"),  # stacks of 4, 4 and 1
+        (32, 3, 7, "geometric:0.9+0.2j"),  # stacks of 4 and 1, complex alpha
+        (48, 2, 3, "affine:-1,3"),
+        (64, 5, 6, "poly:1"),
+    ],
+)
+def test_projection_sweep_renders_the_single_point_reports(dim, n_min, n_max, alpha):
+    spec = parse_spec(alpha)
+    reports = sweep_projection(dim, n_min, n_max, seed=4, alpha=spec)
+    singles = [
+        projection_report(dim, n, seed=4, alpha=spec) for n in range(n_min, n_max + 1)
+    ]
+    assert render_reports(reports) == render_reports(singles)
+
+
+@pytest.mark.parametrize(
+    "dim, n_min, n_max, calls", [(32, 4, 6, 1), (64, 4, 6, 3), (32, 2, 32, 8)]
+)
+def test_projection_sweep_builds_one_pair_per_stack(monkeypatch, dim, n_min, n_max, calls):
+    """At most 4096 // dim**2 points share a stack: 4 at dim 32, 1 at dim 64."""
+    shapes = []
+    build = basis.from_generator
+
+    def counted(t):
+        shapes.append(t.shape)
+        return build(t)
+
+    monkeypatch.setattr(basis, "from_generator", counted)
+    sweep_projection(dim, n_min, n_max)
+    assert len(shapes) == calls
+    assert sum(shape[0] for shape in shapes) == n_max - n_min + 1
+    assert max(shape[0] for shape in shapes) <= max(1, 4096 // dim**2)
+
+
+@pytest.mark.parametrize("alpha", [poly(2.0), geometric(0.9 + 0.2j)])
+def test_projection_points_keep_their_own_streams(alpha):
+    """Each support size seeds its own rng: its report does not depend on
+    which other points share its stack, or where in the stack it sits."""
+    low = sweep_projection(32, 2, 9, seed=3, alpha=alpha)
+    high = sweep_projection(32, 5, 12, seed=3, alpha=alpha)
+    shared = range(5, 10)
+    assert [low[n - 2].to_json() for n in shared] == [high[n - 5].to_json() for n in shared]
+
+
+def test_quasi_symmetry_takes_one_block_per_point():
+    dim, pairs = 6, 5
+    gens = np.stack([random_generator_matrix(np.random.default_rng(s), dim) for s in (1, 2, 3)])
+    alpha = np.stack([np.arange(dim), np.arange(dim) ** 2, 3.0 - np.arange(dim)]).astype(complex)
+    rng = np.random.default_rng(9)
+    fg = np.stack([_random_block(rng, dim, 2 * pairs) for _ in range(3)])
+    f, g = fg[..., 0::2], fg[..., 1::2]
+    stacked = quasi_hermitian_symmetry(build_bundle(from_generator(gens), alpha), f, g)
+    singles = [
+        quasi_hermitian_symmetry(build_bundle(from_generator(gens[k]), alpha[k]), f[k], g[k])
+        for k in range(3)
+    ]
+    assert stacked.residual.tolist() == [float(c.residual) for c in singles]
+    assert _notes(stacked) == [_notes(c)[0] for c in singles]
+    # a block shared by every point, with or without its leading axis
+    shared = quasi_hermitian_symmetry(build_bundle(from_generator(gens), alpha), f[1], g[1])
+    broadcast = quasi_hermitian_symmetry(
+        build_bundle(from_generator(gens), alpha), f[1:2], g[1:2]
+    )
+    assert broadcast.residual.tolist() == shared.residual.tolist()

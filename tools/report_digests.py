@@ -112,6 +112,12 @@ def corpus():
     yield from TOL_FAMILY
     # the largest grid the CLI allows, last so that earlier lines stay comparable
     yield ("sweep", "three-level", "--t-max", "6.28", "--steps", "1000", "--seed", "3")
+    # projection sweeps across several stacks: real alpha, and complex alpha,
+    # which draws no quasi vectors and builds the conj(alpha) operators
+    yield ("sweep", "projection", "--dim", "32", "--n-min", "2", "--n-max", "32",
+           "--seed", "5", "--alpha", "poly:2")
+    yield ("sweep", "projection", "--dim", "16", "--n-min", "2", "--n-max", "16",
+           "--seed", "2", "--alpha", "geometric:0.9+0.2j")
 
 
 def run(main, argv) -> tuple[str, int]:
