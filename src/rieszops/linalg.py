@@ -162,8 +162,8 @@ def inverse(m: np.ndarray, extremes: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     extremes are the (smallest, largest) singular values of m, which the
     caller already holds.  The smallest must exceed DEFAULT_TOL times the
     largest; numerically singular input is rejected with the measured
-    estimates.  The
-    residual ||m X - I|| must stay within DEFAULT_TOL * cond(m).
+    estimates.  The residual ||m X - I|| must stay within DEFAULT_TOL *
+    cond(m).
     """
     m = as_matrix(m)
     smin, smax = extremes

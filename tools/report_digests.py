@@ -13,9 +13,10 @@ same stdout bytes and the same exit code.  The corpus is fixed: verify
 random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
 alpha and gamma (closed forms and 64-term lists); verify and sweep
 projection; verify and sweep three-level across the admissible boundaries;
-domain over a spec grid; a few reports at extreme --tol values; last, the
-largest three-level sweep the CLI allows (1000 steps).  The 1293 argv take
-about 3 s on a 2-vCPU x86_64 host.
+domain over a spec grid; a few reports at extreme --tol values; then the
+largest three-level sweep the CLI allows (1000 steps, three stacks); last,
+two projection sweeps of several stacks each.  The 1295 argv take 5-9 s on
+a 2-vCPU x86_64 host.
 """
 
 from __future__ import annotations
