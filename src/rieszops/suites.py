@@ -277,7 +277,7 @@ def _projection_reports(
         points.append(models.projection_model(dim, coeffs / np.linalg.norm(coeffs), weights))
     names = ("T", "T_inv", "S_phi", "S_phi_sqrt", "S_psi_sqrt", "weights")
     model = {name: _stack([getattr(point, name) for point in points]) for name in names}
-    closed = [models.projection_phi_psi_closed_forms(point) for point in points]
+    psi_closed = _stack([models.projection_phi_psi_closed_forms(point)[1] for point in points])
     off = _stack([np.bincount(point.support, minlength=dim) == 0 for point in points])
 
     def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
@@ -290,9 +290,9 @@ def _projection_reports(
             _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model["S_psi_sqrt"]),
             _entrywise(
                 "projection_bases",
-                np.concatenate([pair.phi, pair.psi], axis=-1),
-                _stack([np.concatenate(phi_psi, axis=-1) for phi_psi in closed]),
-                note="phi_n and psi_n case formulas",
+                pair.psi,
+                psi_closed,
+                note="psi_n case formula; phi_n = T e_n holds by construction",
             ),
             _entrywise(
                 "projection_H_split",
