@@ -69,7 +69,6 @@ from .similarity import (
     check_similarity_consistency,
     check_transported_eigenbasis,
     onb_in_HS,
-    transported_eigenbasis,
 )
 from .suites import (
     projection_report,

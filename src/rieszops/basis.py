@@ -7,8 +7,8 @@ delta_nm, and the tight frame bounds are the extreme singular values of T.
 
 One Hermitian eigendecomposition S_phi = T T* = U diag(s^2) U* per pair
 yields the singular values s of T (the frame bounds and the singularity
-test) and is kept on the pair, so that the metric square roots are built
-from it instead of from further eigensolves.
+test).  It is kept on the pair with S_phi itself, so that the metric and
+its square roots are built from them, not from further products and solves.
 """
 
 from __future__ import annotations
@@ -25,22 +25,22 @@ from .report import Check, notes
 
 @dataclass(frozen=True)
 class RieszBasisPair:
-    """Both basis families, the generator's inverse, the frame bounds, and
-    the eigendecomposition of the metric operator S_phi = T T*, for each
-    point of a batch.
+    """Both basis families, the frame bounds, the metric operator S_phi = T T*
+    and its eigendecomposition, for each point of a batch.
 
     phi and psi are (..., dim, dim) stacks whose n-th columns are phi_n and
-    psi_n in ambient coordinates; phi is the generator T itself.  The frame
+    psi_n in ambient coordinates: phi is the generator T itself, psi the
+    adjoint of its inverse.  The frame
     bounds are shaped like the batch.  metric_eigen has eigenvalues
     s_k^2 > (DEFAULT_TOL s_max)^2, the squared singular values of T.
     """
 
     dim: int
-    generator_inverse: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     frame_lower: np.ndarray
     frame_upper: np.ndarray
+    metric: np.ndarray
     metric_eigen: HermitianEigen
 
 
@@ -52,7 +52,8 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     measured values: those are not (numerically) Riesz-basis generators.
     """
     t = as_matrix(t)
-    metric = hermitian_eig(t @ adjoint(t))
+    s_phi = t @ adjoint(t)
+    metric = hermitian_eig(s_phi)
     s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
     smin, smax = s[..., 0], s[..., -1]
     guard(
@@ -65,11 +66,11 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(
         dim=t.shape[-1],
-        generator_inverse=t_inv,
         phi=t.copy(),
         psi=adjoint(t_inv),
         frame_lower=smin,
         frame_upper=smax,
+        metric=s_phi,
         metric_eigen=metric,
     )
 
@@ -84,17 +85,22 @@ def verify_biorthogonality(pair: RieszBasisPair) -> Check:
     )
 
 
+def _block(pair: RieszBasisPair, f: np.ndarray) -> np.ndarray:
+    """f as a complex (dim, k) column block, one for every point or one per point."""
+    f = np.asarray(f, dtype=complex)
+    if f.ndim < 2 or f.shape[-2] != pair.dim:
+        raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
+    return f
+
+
 def expand(pair: RieszBasisPair, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient families of the columns of a block f (dim, k), one
-    block for every point or one per point.
+    """Both coefficient families of the columns of a block f (dim, k).
 
     Returns (coeff_psi, coeff_phi), with coeff_psi[n] = <f, psi_n> (so that
     f = sum coeff_psi[n] phi_n) and coeff_phi[n] = <f, phi_n> (so that
     f = sum coeff_phi[n] psi_n), column by column.
     """
-    f = np.asarray(f, dtype=complex)
-    if f.ndim < 2 or f.shape[-2] != pair.dim:
-        raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
+    f = _block(pair, f)
     return adjoint(pair.psi) @ f, adjoint(pair.phi) @ f
 
 
@@ -119,8 +125,7 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     alpha_{dim-1} and each column of the block f (dim, k).  The residual
     and the note are those of the worst column.
     """
-    coeff_psi, _ = expand(pair, f)
-    weighted = alpha[..., :, None] * coeff_psi
+    weighted = alpha[..., :, None] * (adjoint(pair.psi) @ _block(pair, f))
     coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
     mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
     lower = pair.frame_lower[..., None] ** 2 * coeff_mass

@@ -79,6 +79,8 @@ class OperatorBundle:
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
     h: np.ndarray
+    #: Phi_n = S_psi^{1/2} phi_n as columns, the eigenvectors of h
+    Phi: np.ndarray
     #: S^alpha on both sides
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
@@ -92,16 +94,15 @@ class OperatorBundle:
 def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     """Materialize, from the (..., dim) array alpha_0 .. alpha_{dim-1}, H
     (both directions), the metric operators and their principal square
-    roots, h = S_psi^{1/2} H S_phi^{1/2}, S^alpha on both sides, and the
-    conj(alpha) operators H_{psi,phi} and S on both sides.
+    roots, h = S_psi^{1/2} H S_phi^{1/2} and Phi, S^alpha on both sides, and
+    the conj(alpha) operators H_{psi,phi} and S on both sides.
 
     Realness is decided here, once per point, from the weights themselves:
     at small dim a truncated complex sequence can be real.
 
-    Both roots come from the pair's eigendecomposition S_phi = U diag(s^2) U*:
-    S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
+    S_phi = T T* is the pair's, and so is its eigendecomposition U diag(s^2) U*,
+    which gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
-    unit = np.ones(pair.phi.shape[:-1], dtype=complex)
     weights = _weight_array(pair, weights)
     is_real = ~weights.imag.any(axis=-1)
     s = np.sqrt(pair.metric_eigen.eigenvalues)
@@ -124,11 +125,12 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
         is_real=is_real,
         H_phi_psi=h_phi_psi,
         H_psi_phi=h_psi_phi,
-        S_phi=build_S_weighted(pair, unit, "phi"),
-        S_psi=build_S_weighted(pair, unit, "psi"),
+        S_phi=pair.metric,
+        S_psi=build_S_weighted(pair, np.ones(pair.phi.shape[:-1], dtype=complex), "psi"),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
+        Phi=s_psi_sqrt @ pair.phi,
         S_alpha_phi=s_alpha_phi,
         S_alpha_psi=s_alpha_psi,
         H_conj_psi_phi=h_conj,

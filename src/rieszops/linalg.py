@@ -13,11 +13,11 @@ slice alone, and a guard that fails raises the message of its first failing
 point in batch order.
 
 The factorizations are LAPACK's, through numpy.linalg: eigh for Hermitian
-eigendecompositions and solve for inverses; this module adds the
-preconditions (finiteness, Hermitian input, singularity) and the residual
-checks.  No general non-Hermitian eigensolver is used on purpose: spectra of
-the non-normal operators built elsewhere are always verified constructively
-against known eigenvectors, never recomputed.
+matrices, eigvalsh where the eigenvalues alone are read (the operator norm),
+solve for inverses; this module adds the preconditions (finiteness,
+Hermitian input, singularity) and the residual checks.  No general
+non-Hermitian eigensolver is used on purpose: spectra of the non-normal
+operators built elsewhere are always verified against known eigenvectors.
 """
 
 from __future__ import annotations
@@ -120,14 +120,10 @@ class HermitianEigen:
         return 0.5 * (out + adjoint(out))
 
 
-def hermitian_eig(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of each Hermitian matrix of a stack by LAPACK
-    (numpy.linalg.eigh).
-
-    The input must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized;
-    larger asymmetry is an error rather than a silent repair, since it
-    indicates a construction bug upstream.
-    """
+def _hermitian_solve(solve, m: np.ndarray):
+    """solve (numpy.linalg.eigh or eigvalsh) on each matrix of a stack, which
+    must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized: larger
+    asymmetry means a construction bug upstream, an error, not a repair."""
     m = as_matrix(m)
     scale = frobenius(m)
     asym = frobenius(m - adjoint(m))
@@ -137,16 +133,20 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigen:
         asym,
     )
     try:
-        lam, u = np.linalg.eigh(0.5 * (m + adjoint(m)))
+        return solve(0.5 * (m + adjoint(m)))
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigensolver did not converge: {exc}") from None
-    return HermitianEigen(lam, u)
+
+
+def hermitian_eig(m: np.ndarray) -> HermitianEigen:
+    """Eigendecomposition of each Hermitian matrix of a stack (eigh)."""
+    return HermitianEigen(*_hermitian_solve(np.linalg.eigh, m))
 
 
 def singular_extremes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest, largest) singular values via the Hermitian spectrum of M*M."""
+    """(smallest, largest) singular values from the eigenvalues of M*M."""
     m = as_matrix(m)
-    lam = hermitian_eig(adjoint(m) @ m).eigenvalues
+    lam = _hermitian_solve(np.linalg.eigvalsh, adjoint(m) @ m)
     return np.sqrt(np.maximum(lam[..., 0], 0.0)), np.sqrt(np.maximum(lam[..., -1], 0.0))
 
 

@@ -205,7 +205,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
             _entrywise("three_level_h", bundle.h, model.h),
             _entrywise(
                 "three_level_Phi",
-                similarity.transported_eigenbasis(bundle),
+                bundle.Phi,
                 np.stack(model.Phi, axis=-1),
                 note="transported eigenvectors vs closed forms",
             ),
@@ -284,7 +284,7 @@ def _projection_reports(
         pair = bundle.pair
         deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
         return (
-            _entrywise("projection_T_inv", pair.generator_inverse, model["T_inv"]),
+            _entrywise("projection_T_inv", adjoint(pair.psi), model["T_inv"]),
             _entrywise("projection_S_phi", bundle.S_phi, model["S_phi"]),
             _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model["S_phi_sqrt"]),
             _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model["S_psi_sqrt"]),

@@ -58,6 +58,21 @@ def factorize(bundle):
     return build_ladder(bundle.pair, roots)
 
 
+def solver_shapes(monkeypatch, run):
+    """The argument shapes of every numpy.linalg.eigh and every eigvalsh
+    call that run() makes."""
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+
+        def counted(m, solve=getattr(np.linalg, name), calls=calls):
+            calls.append(m.shape)
+            return solve(m)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    run()
+    return shapes
+
+
 def random_pair(dim, seed):
     rng = np.random.default_rng(seed)
     return basis.from_generator(random_generator_matrix(rng, dim))

@@ -1,13 +1,13 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
-Hermitian eigensolver and the sequence terms, the conjugate of a sequence
+Hermitian eigensolver, the operator norm and the sequence terms, the conjugate of a sequence
 from conjugated parameters (the library conjugates the emitted weights),
 the ladder identities at truncation and the 3x3 model's closed forms in
 exact arithmetic, and the
 per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
-a cyclic Jacobi iteration, as sympy sums over symbolic weights, or term by
-term, deliberately sharing no code
+a cyclic Jacobi iteration, as an mpmath SVD at 50 digits, as sympy sums
+over symbolic weights, or term by term, deliberately sharing no code
 path with the library's constructions (which use BLAS products, LAPACK and
 array evaluation).  The domain read-offs map an operator kind to the weight
 sequence of its domain predicate; the library judges one weight/coefficient
@@ -234,6 +234,16 @@ def jacobi_metric_roots(generator):
     lam, u = jacobi_eigh(t @ t.conj().T)
     s = np.sqrt(lam)
     return (u * s) @ u.conj().T, (u / s) @ u.conj().T
+
+
+def mp_operator_norm(m, dps=50) -> float:
+    """Largest singular value of the float matrix m, by mpmath's complex SVD
+    of its exact entries at dps digits, rounded once to a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        exact = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
+        return float(max(mpmath.svd_c(exact, compute_uv=False)))
 
 
 def sequence_term(spec: SequenceSpec, n: int) -> complex:

@@ -55,7 +55,7 @@ def test_singularity_guard_ignores_scale():
     pair, tiny = from_generator(t), from_generator(1e-12 * t)
     assert tiny.frame_lower == pytest.approx(1e-12 * pair.frame_lower, rel=1e-9)
     assert tiny.frame_upper == pytest.approx(1e-12 * pair.frame_upper, rel=1e-9)
-    np.testing.assert_allclose(tiny.generator_inverse, 1e12 * pair.generator_inverse, rtol=1e-9)
+    np.testing.assert_allclose(tiny.psi, 1e12 * pair.psi, rtol=1e-9)
 
 
 def test_singularity_guard_is_relative_to_sigma_max():

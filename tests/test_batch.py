@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix
+from conftest import random_generator_matrix, solver_shapes
 from rieszops import (
     LinalgError,
     basis,
@@ -83,29 +83,19 @@ def test_model_domain_guard_names_the_first_bad_point():
         three_level(np.array([0.5, 7.0, -1.0]))
 
 
-def _eigh_shapes(monkeypatch, steps):
-    eigh = np.linalg.eigh
-    shapes = []
-
-    def counted(m):
-        shapes.append(m.shape)
-        return eigh(m)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    sweep_three_level(0.8, 1.3, steps)
-    return shapes
-
-
 @pytest.mark.parametrize("steps", [11, 40, 455])
 def test_sweep_makes_two_eigensolves(monkeypatch, steps):
-    """The metric eigendecomposition of every TT* and every ||H||, each one
-    stacked call, for any grid of at most 4096 // 3**2 = 455 steps."""
-    assert _eigh_shapes(monkeypatch, steps) == [(steps, 3, 3), (steps, 3, 3)]
+    """The metric eigendecomposition of every TT* and the eigenvalues alone
+    of every H*H (for ||H||), each one stacked call, for any grid of at most
+    4096 // 3**2 = 455 steps."""
+    shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, steps))
+    assert shapes == {"eigh": [(steps, 3, 3)], "eigvalsh": [(steps, 3, 3)]}
 
 
 def test_long_sweep_runs_in_stacks_of_455(monkeypatch):
-    shapes = _eigh_shapes(monkeypatch, 1000)
-    assert shapes == [(k, 3, 3) for k in (455, 455, 90) for _ in range(2)]
+    shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, 1000))
+    stacks = [(k, 3, 3) for k in (455, 455, 90)]
+    assert shapes == {"eigh": stacks, "eigvalsh": stacks}
 
 
 def _notes(check):

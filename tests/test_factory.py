@@ -291,11 +291,12 @@ class TestBundleFields:
     @pytest.mark.parametrize(
         "make_report, counts",
         [
-            # real alpha: the conj(alpha) operators are the alpha ones
-            (lambda: random_report(16, seed=3), (4, 4)),
-            (lambda: projection_report(16, 4, seed=3), (4, 4)),
-            (lambda: three_level_report(0.3), (4, 4)),
-            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), (5, 6)),
+            # real alpha: the conj(alpha) operators are the alpha ones; S_phi
+            # is the pair's TT*
+            (lambda: random_report(16, seed=3), (4, 3)),
+            (lambda: projection_report(16, 4, seed=3), (4, 3)),
+            (lambda: three_level_report(0.3), (4, 3)),
+            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), (5, 5)),
         ],
         ids=["random", "projection", "three-level", "random-complex"],
     )

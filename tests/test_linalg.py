@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix
-from oracles import jacobi_eigh, jacobi_metric_roots
-from rieszops import build_bundle, from_generator, poly
-from rieszops.linalg import LinalgError, hermitian_eig, inverse, operator_norm
+from conftest import random_generator_matrix, random_pair
+from oracles import jacobi_eigh, jacobi_metric_roots, mp_operator_norm
+from rieszops import build_bundle, from_generator, parse_spec, poly
+from rieszops.linalg import LinalgError, _hermitian_solve, hermitian_eig, inverse, operator_norm
 from rieszops.models import three_level
 
 S_PHI = np.array([[2, 0, 7], [0, 4, 0], [7, 0, 37]], dtype=complex)
@@ -63,6 +63,22 @@ class TestHermitianEig:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(LinalgError, match="not Hermitian"):
             hermitian_eig(m)
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "non-finite"])
+    def test_values_only_path_keeps_the_guards(self, rng, bad):
+        """The eigvalsh path behind operator_norm raises what eigh's raises,
+        and otherwise sees the same symmetrized input."""
+        m = random_hermitian(rng, 4)
+        m[0, 1] += 1e-3 if bad == "asymmetric" else np.nan
+        with pytest.raises(LinalgError) as full:
+            hermitian_eig(m)
+        with pytest.raises(LinalgError) as values:
+            _hermitian_solve(np.linalg.eigvalsh, m)
+        assert str(values.value) == str(full.value)
+        m = random_hermitian(rng, 4)
+        m[0, 1] += 1e-13
+        lam = _hermitian_solve(np.linalg.eigvalsh, m)
+        assert np.array_equal(lam, np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
 
     def test_symmetrizes_tiny_asymmetry(self, rng):
         m = random_hermitian(rng, 4)
@@ -135,6 +151,16 @@ class TestOperatorNorm:
             a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+@pytest.mark.parametrize("alpha", ["poly:2", "geometric:0.9+0.2j"])
+def test_operator_norm_matches_mpmath(dim, alpha):
+    """||H_{phi,psi}|| of a random generator, as norm_bound reads it, against
+    the 50-digit largest singular value of the same float matrix."""
+    bundle = build_bundle(random_pair(dim, dim), parse_spec(alpha).terms(dim))
+    exact = mp_operator_norm(bundle.H_phi_psi)
+    assert abs(operator_norm(bundle.H_phi_psi) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])

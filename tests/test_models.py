@@ -8,7 +8,6 @@ from rieszops import (
     from_generator,
     operator_norm,
     poly,
-    transported_eigenbasis,
 )
 from rieszops.ladder import factorize_from_alpha
 from rieszops.models import (
@@ -93,7 +92,7 @@ class TestThreeLevel:
             assert np.abs(bundle.h - model.h).max() <= 1e-10
             assert (
                 np.abs(
-                    transported_eigenbasis(bundle) - np.column_stack(model.Phi)
+                    bundle.Phi - np.column_stack(model.Phi)
                 ).max()
                 <= 1e-10
             )
@@ -289,7 +288,7 @@ class TestProjectionModel:
         alpha = poly(1.0)
         model = projection_model(10, coeffs, alpha.terms(10))
         bundle = build_bundle(from_generator(model.T), model.weights)
-        phi_t = transported_eigenbasis(bundle)
+        phi_t = bundle.Phi
         weights = alpha.terms(10)
         for n in range(10):
             assert (

@@ -5,7 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from conftest import cli_command, cli_env
+from conftest import cli_command, cli_env, solver_shapes
 from rieszops import basis
 from rieszops.cli import build_parser, main
 from rieszops.report import (
@@ -15,7 +15,7 @@ from rieszops.report import (
     render_json,
     render_reports,
 )
-from rieszops.sequences import geometric
+from rieszops.sequences import geometric, poly
 from rieszops.suites import (
     projection_report,
     random_report,
@@ -263,18 +263,17 @@ class TestSuites:
 
     @pytest.mark.parametrize("t", [0.3, 1.2])
     def test_three_level_report_runs_two_eigensolves(self, monkeypatch, t):
-        """One eigensolve of TT* per pair gives ||T|| and ||T^{-1}||; the
-        other is norm_bound's ||H||."""
-        eigh = np.linalg.eigh
-        calls = []
+        """One eigendecomposition of TT* per pair gives ||T||, ||T^{-1}|| and
+        the metric roots; the other solve is norm_bound's ||H||, from the
+        eigenvalues of H*H alone."""
+        shapes = solver_shapes(monkeypatch, lambda: three_level_report(t))
+        assert shapes == {"eigh": [(1, 3, 3)], "eigvalsh": [(1, 3, 3)]}
 
-        def counted(m):
-            calls.append(m.shape)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        three_level_report(t)
-        assert len(calls) == 2
+    @pytest.mark.parametrize("dim", [1, 16, 64])
+    @pytest.mark.parametrize("alpha", [poly(2.0), geometric(0.9 + 0.2j)])
+    def test_random_report_runs_one_eigendecomposition(self, monkeypatch, dim, alpha):
+        shapes = solver_shapes(monkeypatch, lambda: random_report(dim, seed=1, alpha=alpha))
+        assert shapes == {"eigh": [(1, dim, dim)], "eigvalsh": [(1, dim, dim)]}
 
     def test_sweep_three_level_grid(self):
         reports = sweep_three_level(0.0, 1.0, 11)

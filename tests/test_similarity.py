@@ -10,7 +10,6 @@ from rieszops import (
     from_generator,
     onb_in_HS,
     poly,
-    transported_eigenbasis,
 )
 from rieszops.models import projection_model, three_level
 
@@ -74,7 +73,7 @@ class TestSelfadjointH:
 class TestTransportedEigenbasis:
     def test_three_level_closed_forms(self):
         model, bundle = three_level_bundle(0.3)
-        got = transported_eigenbasis(bundle)
+        got = bundle.Phi
         np.testing.assert_allclose(got, np.column_stack(model.Phi), atol=1e-12)
 
     def test_three_level_is_orthonormal_eigenbasis(self):
@@ -85,7 +84,7 @@ class TestTransportedEigenbasis:
     def test_identity_generator(self):
         pair = from_generator(np.eye(4, dtype=complex))
         bundle = build_bundle(pair, np.array([0.0, 1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(transported_eigenbasis(bundle), np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(bundle.Phi, np.eye(4), atol=1e-13)
 
     def test_spectrum_transport_random_pairs(self):
         for seed in (1, 9):
