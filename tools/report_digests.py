@@ -1,6 +1,6 @@
 """Digest every document of a fixed CLI corpus, to compare two source trees.
 
-    python3 tools/report_digests.py SRC_DIR
+    python3 tools/report_digests.py [--failures] SRC_DIR
 
 imports `rieszops.cli` from SRC_DIR (the directory that holds the
 `rieszops` package), runs `cli.main(argv)` in this process for each argv
@@ -17,6 +17,13 @@ domain over a spec grid; a few reports at extreme --tol values; then the
 largest three-level sweep the CLI allows (1000 steps, three stacks); last,
 two projection sweeps of several stacks each.  The 1295 argv take 5-9 s on
 a 2-vCPU x86_64 host.
+
+With --failures it prints instead one row per check and argv family (the
+command and suite, with --dim where given; the extreme --tol argv form a
+family of their own): how many of the family's reports failed the check,
+out of how many ran it, and the largest residual any of them recorded, at
+17 significant digits.  Two trees with the same table have the same
+failure counts and the same worst residuals; other residuals may differ.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import shlex
 import sys
@@ -122,30 +130,66 @@ def corpus():
 
 
 def run(main, argv) -> tuple[str, int]:
-    """(sha256 of stdout, exit code) of main(argv) in this process."""
+    """(stdout, exit code) of main(argv) in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), int(code)
+    return out.getvalue(), int(code)
+
+
+def family(argv) -> str:
+    """The argv's command and suite, with its --dim; the --tol extremes apart."""
+    if argv in TOL_FAMILY:
+        return "tol-extremes"
+    words = list(argv[:1] if argv[0] == "domain" else argv[:2])
+    if "--dim" in argv:
+        words.append("--dim " + argv[argv.index("--dim") + 1])
+    return " ".join(words)
+
+
+def failure_table(main) -> list[str]:
+    """check x argv family -> failed, reports, worst residual (NaN worst)."""
+    rows: dict[tuple[str, str], list] = {}
+    for argv in corpus():
+        text, _ = run(main, argv)
+        docs = json.loads(text) if text else []  # a usage error prints nothing
+        for doc in docs if isinstance(docs, list) else [docs]:
+            for check in doc.get("checks", ()):
+                row = rows.setdefault((check["name"], family(argv)), [0, 0, 0.0])
+                residual = check["residual"]
+                row[0] += not check["passed"]
+                row[1] += 1
+                nan = math.isnan(row[2]) or math.isnan(residual)
+                row[2] = math.nan if nan else max(row[2], residual)
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{'check':<{width}}  {'family':<26} failed reports  worst residual"]
+    for (name, fam), (failed, total, worst) in sorted(rows.items()):
+        lines.append(f"{name:<{width}}  {fam:<26} {failed:>6} {total:>7}  {worst:.17g}")
+    return lines
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    table = args[:1] == ["--failures"]
+    if len(args) != 1 + table:
         sys.stderr.write(__doc__)
         return 2
-    src = Path(sys.argv[1]).resolve()
+    src = Path(args[-1]).resolve()
     sys.path.insert(0, str(src))
     from rieszops import cli
 
     if Path(cli.__file__).resolve().parents[1] != src:
         sys.stderr.write(f"rieszops imported from {cli.__file__}, not from {src}\n")
         return 2
+    if table:
+        print("\n".join(failure_table(cli.main)))
+        return 0
     for argv in corpus():
-        digest, code = run(cli.main, argv)
-        print(digest, code, shlex.join(argv))
+        text, code = run(cli.main, argv)
+        print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
     return 0
 
 
