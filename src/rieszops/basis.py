@@ -29,9 +29,8 @@ class RieszBasisPair:
     and its eigendecomposition, for each point of a batch.
 
     phi and psi are (..., dim, dim) stacks whose n-th columns are phi_n and
-    psi_n in ambient coordinates: phi is the generator T itself, psi the
-    adjoint of its inverse.  The frame
-    bounds are shaped like the batch.  metric_eigen has eigenvalues
+    psi_n in ambient coordinates: phi is T itself and psi is (T^{-1})*.  The
+    frame bounds are shaped like the batch.  metric_eigen has eigenvalues
     s_k^2 > (DEFAULT_TOL s_max)^2, the squared singular values of T.
     """
 

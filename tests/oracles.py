@@ -1,9 +1,9 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
-Hermitian eigensolver, the operator norm and the sequence terms, the conjugate of a sequence
-from conjugated parameters (the library conjugates the emitted weights),
-the ladder identities at truncation and the 3x3 model's closed forms in
-exact arithmetic, and the
-per-operator domain read-offs.
+Hermitian eigensolver, the operator norm and the sequence terms, the
+conjugate of a sequence from conjugated parameters (the library conjugates
+the emitted weights), the ladder identities at truncation and the 3x3
+model's closed forms in exact arithmetic, and the per-operator domain
+read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
 a cyclic Jacobi iteration, as an mpmath SVD at 50 digits, as sympy sums

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_pair, random_vector, result
+from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
     build_bundle,
     build_H,
@@ -255,6 +255,17 @@ def per_builder(built):
 
 
 class TestBundleFields:
+    @pytest.mark.parametrize("dim, points", [(1, 1), (3, 455), (16, 1), (32, 4), (64, 1)])
+    def test_s_phi_is_the_pairs_tt_star(self, dim, points):
+        """S_phi is the TT* the pair factorized, bit for bit the rank-one sum
+        S^1_phi that the bundle used to build."""
+        rngs = (np.random.default_rng(seed) for seed in range(points))
+        pair = from_generator(np.stack([random_generator_matrix(rng, dim) for rng in rngs]))
+        ones = np.ones((points, dim), dtype=complex)
+        bundle = build_bundle(pair, ones)
+        assert bundle.S_phi is pair.metric
+        assert np.array_equal(pair.metric, build_S_weighted(pair, ones, "phi"))
+
     @pytest.mark.parametrize("field", sorted(READERS))
     def test_perturbed_field_fails_its_readers(self, field):
         for case, bundle in mutation_bundles():

@@ -90,12 +90,7 @@ class TestThreeLevel:
             pair = from_generator(model.T)
             bundle = build_bundle(pair, np.array(model.eps))
             assert np.abs(bundle.h - model.h).max() <= 1e-10
-            assert (
-                np.abs(
-                    bundle.Phi - np.column_stack(model.Phi)
-                ).max()
-                <= 1e-10
-            )
+            assert np.abs(bundle.Phi - np.column_stack(model.Phi)).max() <= 1e-10
 
     def test_norm_constant_in_parameter(self):
         expected = np.sqrt((39 + 7 * np.sqrt(29)) / 2)
