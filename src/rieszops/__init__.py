@@ -39,9 +39,7 @@ from .ladder import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigen,
     LinalgError,
-    hermitian_eig,
     inverse,
     operator_norm,
 )

@@ -5,10 +5,11 @@ of T) and psi_n = (T^{-1})* e_n, with the standard coordinate basis fixed as
 the ambient orthonormal frame.  The pair is biorthogonal, <phi_n, psi_m> =
 delta_nm, and the tight frame bounds are the extreme singular values of T.
 
-One Hermitian eigendecomposition S_phi = T T* = U diag(s^2) U* per pair
-yields the singular values s of T (the frame bounds and the singularity
-test).  It is kept on the pair with S_phi itself, so that the metric and
-its square roots are built from them, not from further products and solves.
+One SVD T = U diag(s) V* per pair yields the singular values s of T (the
+frame bounds and the singularity test) to about cond(T) * eps.  U and s are
+kept on the pair with S_phi = T T* = U diag(s^2) U* itself, so that the
+metric square roots are built from them, not from further products and
+solves.  psi comes from the LU inverse of T, not from the SVD's factors.
 """
 
 from __future__ import annotations
@@ -17,21 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL, HermitianEigen, adjoint, as_matrix, guard, hermitian_eig, inverse, max_entry
-)
+from .linalg import DEFAULT_TOL, adjoint, as_matrix, guard, inverse, max_entry, svd
 from .report import Check, notes
 
 
 @dataclass(frozen=True)
 class RieszBasisPair:
     """Both basis families, the frame bounds, the metric operator S_phi = T T*
-    and its eigendecomposition, for each point of a batch.
+    and the SVD factors U and s of T, for each point of a batch.
 
     phi and psi are (..., dim, dim) stacks whose n-th columns are phi_n and
     psi_n in ambient coordinates: phi is T itself and psi is (T^{-1})*.  The
-    frame bounds are shaped like the batch.  metric_eigen has eigenvalues
-    s_k^2 > (DEFAULT_TOL s_max)^2, the squared singular values of T.
+    frame bounds are shaped like the batch.  singular_values (..., dim) are
+    descending, each above DEFAULT_TOL * s_max, and the columns of
+    singular_vectors (..., dim, dim) are the matching eigenvectors of S_phi.
     """
 
     dim: int
@@ -40,7 +40,8 @@ class RieszBasisPair:
     frame_lower: np.ndarray
     frame_upper: np.ndarray
     metric: np.ndarray
-    metric_eigen: HermitianEigen
+    singular_vectors: np.ndarray
+    singular_values: np.ndarray
 
 
 def from_generator(t: np.ndarray) -> RieszBasisPair:
@@ -51,10 +52,8 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     measured values: those are not (numerically) Riesz-basis generators.
     """
     t = as_matrix(t)
-    s_phi = t @ adjoint(t)
-    metric = hermitian_eig(s_phi)
-    s = np.sqrt(np.clip(metric.eigenvalues, 0.0, None))
-    smin, smax = s[..., 0], s[..., -1]
+    u, s, _ = svd(t)
+    smin, smax = s[..., -1], s[..., 0]
     guard(
         smin <= DEFAULT_TOL * smax,
         "generator is numerically singular (sigma_min = {:.6e}, sigma_max = {:.6e}); "
@@ -62,15 +61,15 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
         smin,
         smax,
     )
-    t_inv = inverse(t, (smin, smax))
     return RieszBasisPair(
         dim=t.shape[-1],
         phi=t.copy(),
-        psi=adjoint(t_inv),
+        psi=adjoint(inverse(t, (smin, smax))),
         frame_lower=smin,
         frame_upper=smax,
-        metric=s_phi,
-        metric_eigen=metric,
+        metric=t @ adjoint(t),
+        singular_vectors=u,
+        singular_values=s,
     )
 
 

@@ -26,6 +26,14 @@ def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> n
     return acc
 
 
+def _metric_function(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
+    """U diag(values) U* for the pair's S_phi = U diag(s^2) U*, symmetrized:
+    for real values it is Hermitian to the last bit."""
+    u = pair.singular_vectors
+    out = (u * values[..., None, :]) @ adjoint(u)
+    return 0.5 * (out + adjoint(out))
+
+
 def _weight_array(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
     """values as the (..., dim) weight array of the pair's batch; any other
     shape would broadcast."""
@@ -100,14 +108,14 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     Realness is decided here, once per point, from the weights themselves:
     at small dim a truncated complex sequence can be real.
 
-    S_phi = T T* is the pair's, and so is its eigendecomposition U diag(s^2) U*,
-    which gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
+    S_phi = T T* is the pair's, and so is the SVD T = U diag(s) V*, which
+    gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
     weights = _weight_array(pair, weights)
     is_real = ~weights.imag.any(axis=-1)
-    s = np.sqrt(pair.metric_eigen.eigenvalues)
-    s_phi_sqrt = pair.metric_eigen.with_eigenvalues(s)
-    s_psi_sqrt = pair.metric_eigen.with_eigenvalues(1.0 / s)
+    s = pair.singular_values
+    s_phi_sqrt = _metric_function(pair, s)
+    s_psi_sqrt = _metric_function(pair, 1.0 / s)
     h_phi_psi = build_H(pair, weights, "phi_psi")
     h_psi_phi = build_H(pair, weights, "psi_phi")
     s_alpha_phi = build_S_weighted(pair, weights, "phi")

@@ -1,10 +1,12 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (basis pairs, weighted frame operators, metric square
-roots, ladder operators) reduces to three primitives on small dense complex
-matrices: a Hermitian eigendecomposition, inversion, and the operator
-(spectral) norm.  The metric square roots are matrix functions of the one
-eigendecomposition each basis pair holds (HermitianEigen.with_eigenvalues).
+roots, ladder operators) reduces to two LAPACK factorizations of small dense
+complex matrices, through numpy.linalg: svd and solve.  A generator's SVD
+T = U diag(s) V* gives the frame bounds and, through U and s, the metric
+square roots; the singular values alone give the operator (spectral) norm;
+the LU solve gives inverses.  This module adds the preconditions
+(finiteness, singularity) and the residual checks.
 
 Every function takes a stack (..., d, d) of matrices: the leading axes are a
 batch of independent points, and a single matrix is the batch of shape ().
@@ -12,18 +14,14 @@ Each slice of a stacked result is bit-identical to the same call on that
 slice alone, and a guard that fails raises the message of its first failing
 point in batch order.
 
-The factorizations are LAPACK's, through numpy.linalg: eigh for Hermitian
-matrices, eigvalsh where the eigenvalues alone are read (the operator norm),
-solve for inverses; this module adds the preconditions (finiteness,
-Hermitian input, singularity) and the residual checks.  No general
-non-Hermitian eigensolver is used on purpose: spectra of the non-normal
-operators built elsewhere are always verified against known eigenvectors.
+No eigensolver is used on purpose: the eigenvalues of T T* would square
+cond(T) in the frame bounds, and spectra of the non-normal operators built
+elsewhere are always verified against known eigenvectors.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +30,8 @@ DEFAULT_TOL = 1e-10
 
 
 class LinalgError(ValueError):
-    """Raised when a kernel precondition fails (asymmetry, singularity,
-    indefiniteness) or the eigensolver does not converge."""
+    """Raised when a kernel precondition fails (non-finite entries,
+    singularity, an inverse residual) or the SVD does not converge."""
 
 
 def as_matrix(values) -> np.ndarray:
@@ -100,59 +98,19 @@ def worst_column_norm(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=-2).max(axis=-1, initial=0.0)
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition M = U diag(w) U* of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvector columns of U are
-    orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def with_eigenvalues(self, values: np.ndarray) -> np.ndarray:
-        """U diag(values) U*: the matrix function sending the k-th eigenvalue
-        to values[..., k].  Real values give a Hermitian result, symmetrized
-        here so that it is Hermitian to the last bit."""
-        u = self.eigenvectors
-        out = (u * values[..., None, :]) @ adjoint(u)
-        return 0.5 * (out + adjoint(out))
-
-
-def _hermitian_solve(solve, m: np.ndarray):
-    """solve (numpy.linalg.eigh or eigvalsh) on each matrix of a stack, which
-    must be Hermitian up to DEFAULT_TOL*||m|| and is symmetrized: larger
-    asymmetry means a construction bug upstream, an error, not a repair."""
+def svd(m: np.ndarray, compute_uv: bool = True):
+    """numpy.linalg.svd of each matrix of a stack: (U, s, V*), or s alone,
+    with s descending.  LAPACK non-convergence is a LinalgError."""
     m = as_matrix(m)
-    scale = frobenius(m)
-    asym = frobenius(m - adjoint(m))
-    guard(
-        asym > DEFAULT_TOL * np.maximum(scale, 1.0),
-        f"input is not Hermitian: ||M - M*|| = {{:.3e}} exceeds {DEFAULT_TOL:.1e} * ||M||",
-        asym,
-    )
     try:
-        return solve(0.5 * (m + adjoint(m)))
+        return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise LinalgError(f"eigensolver did not converge: {exc}") from None
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of each Hermitian matrix of a stack (eigh)."""
-    return HermitianEigen(*_hermitian_solve(np.linalg.eigh, m))
-
-
-def singular_extremes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(smallest, largest) singular values from the eigenvalues of M*M."""
-    m = as_matrix(m)
-    lam = _hermitian_solve(np.linalg.eigvalsh, adjoint(m) @ m)
-    return np.sqrt(np.maximum(lam[..., 0], 0.0)), np.sqrt(np.maximum(lam[..., -1], 0.0))
+        raise LinalgError(f"SVD did not converge: {exc}") from None
 
 
 def operator_norm(m: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix."""
-    return singular_extremes(m)[1]
+    return svd(m, compute_uv=False)[..., 0]
 
 
 def inverse(m: np.ndarray, extremes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

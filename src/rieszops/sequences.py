@@ -42,12 +42,21 @@ class SequenceSpec:
         return "list:" + ",".join(_format_number(v) for v in self.values)
 
     def terms(self, count: int) -> np.ndarray:
-        """First `count` terms as a complex array."""
+        """First `count` terms as a complex array; a closed form that overflows
+        is a ValueError naming the spec and its first non-finite index."""
         if self.length is not None and count > self.length:
             raise ValueError(
                 f"sequence '{self.label or self.kind}' emits only "
                 f"{self.length} terms, {count} requested"
             )
+        with np.errstate(all="ignore"):
+            out = self._evaluate(count)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise ValueError(f"sequence '{self.label or self.kind}' term {bad[0]} is not finite")
+        return out
+
+    def _evaluate(self, count: int) -> np.ndarray:
         if self.kind == "list":
             return np.array(self.values[:count], dtype=complex)
         n = np.arange(count, dtype=float)

@@ -59,18 +59,17 @@ def factorize(bundle):
 
 
 def solver_shapes(monkeypatch, run):
-    """The argument shapes of every numpy.linalg.eigh and every eigvalsh
-    call that run() makes."""
-    shapes = {"eigh": [], "eigvalsh": []}
-    for name, calls in shapes.items():
+    """(argument shape, compute_uv) of every numpy.linalg.svd call that run()
+    makes, in call order."""
+    calls = []
 
-        def counted(m, solve=getattr(np.linalg, name), calls=calls):
-            calls.append(m.shape)
-            return solve(m)
+    def counted(m, *args, solve=np.linalg.svd, **kwargs):
+        calls.append((m.shape, kwargs.get("compute_uv", True)))
+        return solve(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     run()
-    return shapes
+    return calls
 
 
 def random_pair(dim, seed):

@@ -246,6 +246,48 @@ def mp_operator_norm(m, dps=50) -> float:
         return float(max(mpmath.svd_c(exact, compute_uv=False)))
 
 
+def shift_generator(c: float, n: int) -> np.ndarray:
+    """T = I + cJ on C^n, J the superdiagonal shift: phi_k = e_k + c e_{k-1}.
+    Its frame lower bound falls like c^-n for c > 1 (||T^{-1}|| grows)."""
+    return np.eye(n, dtype=complex) + c * np.eye(n, k=1)
+
+
+def mp_shift_frame_lower(c: float, n: int, dps=60) -> float:
+    """sigma_min of shift_generator(c, n), as the square root of the smallest
+    eigenvalue of T^T T, by Sturm-count bisection at dps digits.
+
+    T^T T is real symmetric tridiagonal: diagonal 1, 1 + c^2, ..., 1 + c^2
+    and off-diagonal c.  The number of negative pivots of the LDL^T
+    factorization of T^T T - x is the number of eigenvalues below x.  The
+    bracket starts at [0, 1] (T^T T is positive definite and its (0, 0)
+    entry is 1) and is halved until it is 10^(10 - dps) of its upper end.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(c)
+        diag = [mpmath.mpf(1)] + [1 + c * c] * (n - 1)
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+
+        def below(x):
+            count, pivot = 0, diag[0] - x
+            for a in diag[1:] + [None]:
+                if pivot < 0:
+                    count += 1
+                if a is None:
+                    return count
+                pivot = a - x - c * c / (pivot if pivot != 0 else tiny)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while hi - lo > mpmath.mpf(10) ** (10 - dps) * hi:
+            mid = (lo + hi) / 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+        return float(mpmath.sqrt((lo + hi) / 2))
+
+
 def sequence_term(spec: SequenceSpec, n: int) -> complex:
     """The n-th term of a SequenceSpec, computed as a Python scalar."""
     if n < 0:

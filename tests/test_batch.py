@@ -84,18 +84,18 @@ def test_model_domain_guard_names_the_first_bad_point():
 
 
 @pytest.mark.parametrize("steps", [11, 40, 455])
-def test_sweep_makes_two_eigensolves(monkeypatch, steps):
-    """The metric eigendecomposition of every TT* and the eigenvalues alone
-    of every H*H (for ||H||), each one stacked call, for any grid of at most
-    4096 // 3**2 = 455 steps."""
+def test_sweep_makes_two_svds(monkeypatch, steps):
+    """The SVD of every generator T (frame bounds and metric roots) and the
+    singular values alone of every H (for ||H||), each one stacked call, for
+    any grid of at most 4096 // 3**2 = 455 steps."""
     shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, steps))
-    assert shapes == {"eigh": [(steps, 3, 3)], "eigvalsh": [(steps, 3, 3)]}
+    assert shapes == [((steps, 3, 3), True), ((steps, 3, 3), False)]
 
 
 def test_long_sweep_runs_in_stacks_of_455(monkeypatch):
     shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, 1000))
-    stacks = [(k, 3, 3) for k in (455, 455, 90)]
-    assert shapes == {"eigh": stacks, "eigvalsh": stacks}
+    stacks = [((k, 3, 3), uv) for k in (455, 455, 90) for uv in (True, False)]
+    assert shapes == stacks
 
 
 def _notes(check):

@@ -2,91 +2,85 @@ import numpy as np
 import pytest
 
 from conftest import random_generator_matrix, random_pair
-from oracles import jacobi_eigh, jacobi_metric_roots, mp_operator_norm
+from oracles import (
+    jacobi_eigh,
+    jacobi_metric_roots,
+    mp_operator_norm,
+    mp_shift_frame_lower,
+    shift_generator,
+)
 from rieszops import build_bundle, from_generator, parse_spec, poly
-from rieszops.linalg import LinalgError, _hermitian_solve, hermitian_eig, inverse, operator_norm
+from rieszops.linalg import LinalgError, inverse, operator_norm
 from rieszops.models import three_level
 
-S_PHI = np.array([[2, 0, 7], [0, 4, 0], [7, 0, 37]], dtype=complex)
 
+class TestGeneratorSVD:
+    """The one SVD T = U diag(s) V* of a basis pair, as from_generator keeps
+    it: singular_values s (descending) and singular_vectors U."""
 
-def random_hermitian(rng, dim):
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return x + x.conj().T
-
-
-class TestHermitianEig:
     def test_identity(self):
-        eig = hermitian_eig(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(eig.eigenvalues, [1, 1, 1], atol=1e-14)
-        u = eig.eigenvectors
+        pair = from_generator(np.eye(3, dtype=complex))
+        np.testing.assert_allclose(pair.singular_values, [1, 1, 1], atol=1e-14)
+        u = pair.singular_vectors
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 
     def test_three_level_metric_spectrum(self):
-        # trace 39, det 25 on the coupled 2x2 block -> (39 +- 7 sqrt(29)) / 2
-        eig = hermitian_eig(S_PHI)
-        expected = np.sort(
-            [4.0, (39 - 7 * np.sqrt(29)) / 2, (39 + 7 * np.sqrt(29)) / 2]
-        )
-        np.testing.assert_allclose(eig.eigenvalues, expected, atol=1e-12)
+        # T T* has trace 39 and det 25 on the coupled 2x2 block, and 4 on
+        # the third: s^2 = (39 +- 7 sqrt(29)) / 2 and 4, for every t
+        pair = from_generator(three_level(0.3).T)
+        lower, upper = (39 - 7 * np.sqrt(29)) / 2, (39 + 7 * np.sqrt(29)) / 2
+        np.testing.assert_allclose(pair.singular_values**2, [upper, 4.0, lower], atol=1e-12)
+        assert abs(pair.frame_lower**2 - lower) <= 1e-12
+        assert abs(pair.frame_upper**2 - upper) <= 1e-12
 
     def test_diagonal_permutation(self):
-        eig = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
-        # eigenvector columns must be the matching coordinate permutation
+        pair = from_generator(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        np.testing.assert_allclose(pair.singular_values, [3.0, 2.0, 1.0], atol=1e-14)
+        # singular vector columns must be the matching coordinate permutation
         expected = np.zeros((3, 3))
-        expected[1, 0] = expected[2, 1] = expected[0, 2] = 1.0
-        assert np.abs(np.abs(eig.eigenvectors) - expected).max() <= 1e-12
+        expected[0, 0] = expected[2, 1] = expected[1, 2] = 1.0
+        assert np.abs(np.abs(pair.singular_vectors) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 32, 64])
-    def test_reconstruction_and_lapack_agreement(self, dim):
-        rng = np.random.default_rng(dim)
-        m = random_hermitian(rng, dim)
-        eig = hermitian_eig(m)
-        scale = np.linalg.norm(m)
-        rebuilt = eig.with_eigenvalues(eig.eigenvalues)
-        assert np.linalg.norm(rebuilt - m) <= 1e-10 * scale
-        u = eig.eigenvectors
+    def test_metric_reconstruction_and_eigenvalue_agreement(self, dim):
+        """U diag(s^2) U* rebuilds S_phi = T T*, U is unitary, and s^2 are
+        the eigenvalues of T T*."""
+        pair = from_generator(random_generator_matrix(np.random.default_rng(dim), dim))
+        u, s = pair.singular_vectors, pair.singular_values
+        scale = np.linalg.norm(pair.metric)
+        assert np.linalg.norm((u * s**2) @ u.conj().T - pair.metric) <= 1e-10 * scale
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10
         np.testing.assert_allclose(
-            eig.eigenvalues, np.linalg.eigvalsh(m), atol=1e-10 * max(scale, 1)
+            s[::-1] ** 2, np.linalg.eigvalsh(pair.metric), atol=1e-10 * max(scale, 1)
         )
 
-    def test_eigenvalues_invariant_under_unitary_conjugation(self, rng):
-        m = random_hermitian(rng, 8)
+    def test_singular_values_invariant_under_unitary_conjugation(self, rng):
+        t = random_generator_matrix(rng, 8)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        lam1 = hermitian_eig(m).eigenvalues
-        lam2 = hermitian_eig(q @ m @ q.conj().T).eigenvalues
-        np.testing.assert_allclose(lam1, lam2, atol=1e-9)
+        s1 = from_generator(t).singular_values
+        s2 = from_generator(q @ t @ q.conj().T).singular_values
+        np.testing.assert_allclose(s1, s2, atol=1e-9)
 
-    def test_rejects_non_hermitian(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        with pytest.raises(LinalgError, match="not Hermitian"):
-            hermitian_eig(m)
+    def test_metric_roots_are_hermitian_to_the_last_bit(self, seeded_bundle):
+        for root in (seeded_bundle.S_phi_sqrt, seeded_bundle.S_psi_sqrt):
+            assert np.array_equal(root, root.conj().T)
 
-    @pytest.mark.parametrize("bad", ["asymmetric", "non-finite"])
-    def test_values_only_path_keeps_the_guards(self, rng, bad):
-        """The eigvalsh path behind operator_norm raises what eigh's raises,
-        and otherwise sees the same symmetrized input."""
-        m = random_hermitian(rng, 4)
-        m[0, 1] += 1e-3 if bad == "asymmetric" else np.nan
-        with pytest.raises(LinalgError) as full:
-            hermitian_eig(m)
-        with pytest.raises(LinalgError) as values:
-            _hermitian_solve(np.linalg.eigvalsh, m)
-        assert str(values.value) == str(full.value)
-        m = random_hermitian(rng, 4)
-        m[0, 1] += 1e-13
-        lam = _hermitian_solve(np.linalg.eigvalsh, m)
-        assert np.array_equal(lam, np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+    def test_non_finite_input_is_rejected_by_both_svd_paths(self, rng):
+        m = random_generator_matrix(rng, 4)
+        m[0, 1] = np.nan
+        for call in (from_generator, operator_norm):
+            with pytest.raises(LinalgError, match="non-finite"):
+                call(m)
 
-    def test_symmetrizes_tiny_asymmetry(self, rng):
-        m = random_hermitian(rng, 4)
-        m[0, 1] += 1e-13
-        eig = hermitian_eig(m)
-        sym = 0.5 * (m + m.conj().T)
-        rebuilt = eig.with_eigenvalues(eig.eigenvalues)
-        assert np.linalg.norm(rebuilt - sym) <= 1e-10 * np.linalg.norm(sym)
+    def test_svd_non_convergence_is_a_linalg_error(self, monkeypatch, rng):
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", diverge)
+        m = random_generator_matrix(rng, 4)
+        for call in (from_generator, operator_norm):
+            with pytest.raises(LinalgError, match="SVD did not converge"):
+                call(m)
 
 
 def svd_extremes(m):
@@ -163,21 +157,33 @@ def test_operator_norm_matches_mpmath(dim, alpha):
     assert abs(operator_norm(bundle.H_phi_psi) - exact) <= 1e-14 * exact
 
 
+@pytest.mark.parametrize("c, dim", [(1.1, 64), (1.3, 48)])
+def test_frame_lower_matches_mpmath_on_ill_conditioned_shifts(c, dim):
+    """frame_lower of T = I + cJ, cond(T) up to 1.3e6, against the 60-digit
+    sigma_min.  The SVD of T is off by 1.1e-15 and 1.4e-15 (relative) here;
+    the square root of the smallest eigenvalue of T T* is off by 2.3e-10
+    and 5.3e-5."""
+    exact = mp_shift_frame_lower(c, dim)
+    got = from_generator(shift_generator(c, dim)).frame_lower
+    assert abs(got - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
 def test_lapack_kernel_matches_jacobi_oracle(dim):
-    """Eigenvalues and both metric roots against the cyclic Jacobi oracle.
+    """Squared singular values and both metric roots against the cyclic
+    Jacobi oracle's eigendecomposition of T T*.
 
     The oracle stops at off-diagonal mass 1e-13 ||M||_F, which by Weyl moves
     each eigenvalue by at most that much; 1e-12 leaves room for LAPACK's own
     backward error.  The roots carry cond(T T*) on top, hence 1e-10.
     """
-    rng = np.random.default_rng(dim)
-    m = random_hermitian(rng, dim)
-    lam, _ = jacobi_eigh(m)
-    assert np.abs(hermitian_eig(m).eigenvalues - lam).max() <= 1e-12 * np.linalg.norm(m)
+    t = random_generator_matrix(np.random.default_rng(dim), dim)
+    pair = from_generator(t)
+    lam, _ = jacobi_eigh(pair.metric)
+    err = np.abs(pair.singular_values[::-1] ** 2 - lam).max()
+    assert err <= 1e-12 * np.linalg.norm(pair.metric)
 
-    t = random_generator_matrix(rng, dim)
-    bundle = build_bundle(from_generator(t), np.ones(dim))
+    bundle = build_bundle(pair, np.ones(dim))
     for got, want in zip(
         (bundle.S_phi_sqrt, bundle.S_psi_sqrt), jacobi_metric_roots(t)
     ):

@@ -1,6 +1,7 @@
 import json
 import math
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -262,18 +263,18 @@ class TestSuites:
         assert three[-3:] == ["ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices"]
 
     @pytest.mark.parametrize("t", [0.3, 1.2])
-    def test_three_level_report_runs_two_eigensolves(self, monkeypatch, t):
-        """One eigendecomposition of TT* per pair gives ||T||, ||T^{-1}|| and
-        the metric roots; the other solve is norm_bound's ||H||, from the
-        eigenvalues of H*H alone."""
+    def test_three_level_report_runs_two_svds(self, monkeypatch, t):
+        """One SVD of T per pair gives ||T||, ||T^{-1}|| and the metric
+        roots; the other solve is norm_bound's ||H||, from the singular
+        values of H alone."""
         shapes = solver_shapes(monkeypatch, lambda: three_level_report(t))
-        assert shapes == {"eigh": [(1, 3, 3)], "eigvalsh": [(1, 3, 3)]}
+        assert shapes == [((1, 3, 3), True), ((1, 3, 3), False)]
 
     @pytest.mark.parametrize("dim", [1, 16, 64])
     @pytest.mark.parametrize("alpha", [poly(2.0), geometric(0.9 + 0.2j)])
-    def test_random_report_runs_one_eigendecomposition(self, monkeypatch, dim, alpha):
+    def test_random_report_runs_one_singular_vector_svd(self, monkeypatch, dim, alpha):
         shapes = solver_shapes(monkeypatch, lambda: random_report(dim, seed=1, alpha=alpha))
-        assert shapes == {"eigh": [(1, dim, dim)], "eigvalsh": [(1, dim, dim)]}
+        assert shapes == [((1, dim, dim), True), ((1, dim, dim), False)]
 
     def test_sweep_three_level_grid(self):
         reports = sweep_three_level(0.0, 1.0, 11)
@@ -370,6 +371,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    def test_overflowing_spec_is_usage_error_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "random", "--dim", "4", "--alpha", "geometric:1e200"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rieszops: error: sequence 'geometric:1e+200' term 2 is not finite\n"
 
     def test_out_of_range_parameter_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,8 +13,8 @@ from rieszops import (
     check_metric_pair,
     check_products,
     from_generator,
-    hermitian_eig,
 )
+from rieszops.linalg import LinalgError
 
 
 def test_dim_1_pipeline():
@@ -46,12 +46,14 @@ def test_dim_2_interior_is_single_index():
     assert np.linalg.norm(lp.B_phi_psi @ pair.phi[:, 1]) <= 1e-12
 
 
-def test_zero_matrix_eigendecomposition():
-    eig = hermitian_eig(np.zeros((3, 3), dtype=complex))
-    np.testing.assert_allclose(eig.eigenvalues, np.zeros(3))
-    np.testing.assert_allclose(eig.eigenvectors, np.eye(3))
+def test_zero_generator_is_rejected_as_singular():
+    with pytest.raises(LinalgError, match=r"numerically singular \(sigma_min = 0\.0+e\+00"):
+        from_generator(np.zeros((3, 3), dtype=complex))
 
 
-def test_one_by_one_eigendecomposition():
-    eig = hermitian_eig(np.array([[4.0 + 0.0j]]))
-    assert eig.eigenvalues[0] == pytest.approx(4.0)
+def test_one_by_one_generator_svd():
+    pair = from_generator(np.array([[-2.0 + 0.0j]]))
+    assert pair.frame_lower == pair.frame_upper == pytest.approx(2.0)
+    assert pair.singular_values[0] == pytest.approx(2.0)
+    assert abs(pair.singular_vectors[0, 0]) == pytest.approx(1.0)
+    assert pair.metric[0, 0] == pytest.approx(4.0)
