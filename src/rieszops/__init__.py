@@ -31,7 +31,6 @@ from .factory import (
 from .ladder import (
     LadderPair,
     build_ladder,
-    check_commutator,
     check_ladder_actions,
     check_ladder_adjoints,
     check_products,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, adjoint, as_matrix, guard, inverse, max_entry, svd
-from .report import Check, notes
+from .report import Check
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     return Check(
         "frame_inequality",
         np.maximum(violation, 0.0),  # NaN stays NaN
-        notes(
-            f"worst of {f.shape[-1]} samples: lower {{:.6e}} <= mid {{:.6e}} <= upper {{:.6e}}",
-            lower,
-            mid,
-            upper,
-        ),
+        f"worst of {f.shape[-1]} samples: lower {{:.6e}} <= mid {{:.6e}} <= upper {{:.6e}}",
+        (lower, mid, upper),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import RieszBasisPair
 from .linalg import adjoint, frobenius, max_entry, operator_norm, require_finite
-from .report import Check, notes
+from .report import Check
 
 
 def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -160,13 +160,12 @@ def check_eigen_action(bundle: OperatorBundle) -> Check:
 def check_adjoint_pair(bundle: OperatorBundle) -> Check:
     """(H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}, and the weighted-S
     analogue (S^beta)* = S^conj(beta) on both sides, with beta = alpha."""
-    r_h = frobenius(adjoint(bundle.H_phi_psi) - bundle.H_conj_psi_phi)
-    r_s_phi = frobenius(adjoint(bundle.S_alpha_phi) - bundle.S_conj_phi)
-    r_s_psi = frobenius(adjoint(bundle.S_alpha_psi) - bundle.S_conj_psi)
-    return Check(
+    return Check.worst(
         "adjoint_pair",
-        np.maximum(np.maximum(r_h, r_s_phi), r_s_psi),
-        notes("H* vs conj weights {:.3e}; S_phi {:.3e}; S_psi {:.3e}", r_h, r_s_phi, r_s_psi),
+        "H* vs conj weights {:.3e}; S_phi {:.3e}; S_psi {:.3e}",
+        frobenius(adjoint(bundle.H_phi_psi) - bundle.H_conj_psi_phi),
+        frobenius(adjoint(bundle.S_alpha_phi) - bundle.S_conj_phi),
+        frobenius(adjoint(bundle.S_alpha_psi) - bundle.S_conj_psi),
     )
 
 
@@ -178,12 +177,11 @@ def check_weighted_action(bundle: OperatorBundle) -> Check:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
     pair, weights = bundle.pair, bundle.weights[..., None, :]
-    r1 = max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights)
-    r2 = max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights)
-    return Check(
+    return Check.worst(
         "weighted_action",
-        np.maximum(r1, r2),
-        notes("S^b_phi psi_k = b_k phi_k ({:.3e}); S^b_psi phi_k = b_k psi_k ({:.3e})", r1, r2),
+        "S^b_phi psi_k = b_k phi_k ({:.3e}); S^b_psi phi_k = b_k psi_k ({:.3e})",
+        max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights),
+        max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights),
     )
 
 
@@ -191,15 +189,18 @@ def check_metric_pair(bundle: OperatorBundle) -> Check:
     """S_phi S_psi = I and the square-root consistency S_phi_sqrt^2 = S_phi,
     S_psi_sqrt = S_phi_sqrt^{-1} (so S_psi_sqrt^2 = S_psi)."""
     eye = np.eye(bundle.pair.dim)
-    r_inv = frobenius(bundle.S_phi @ bundle.S_psi - eye)
-    r_sqrt = frobenius(bundle.S_phi_sqrt @ bundle.S_phi_sqrt - bundle.S_phi)
-    r_sqrt_inv = frobenius(bundle.S_psi_sqrt @ bundle.S_phi_sqrt - eye)
-    r_psi_sqrt = frobenius(bundle.S_psi_sqrt @ bundle.S_psi_sqrt - bundle.S_psi)
-    r_roots = np.maximum(np.maximum(r_sqrt, r_sqrt_inv), r_psi_sqrt)
-    return Check(
+    roots = np.stack(
+        [
+            bundle.S_phi_sqrt @ bundle.S_phi_sqrt - bundle.S_phi,
+            bundle.S_psi_sqrt @ bundle.S_phi_sqrt - eye,
+            bundle.S_psi_sqrt @ bundle.S_psi_sqrt - bundle.S_psi,
+        ]
+    )
+    return Check.worst(
         "metric_pair",
-        np.maximum(r_inv, r_roots),
-        notes("S_phi S_psi = I ({:.3e}); sqrt consistency ({:.3e})", r_inv, r_roots),
+        "S_phi S_psi = I ({:.3e}); sqrt consistency ({:.3e})",
+        frobenius(bundle.S_phi @ bundle.S_psi - eye),
+        frobenius(roots).max(axis=0),  # NaN stays NaN
     )
 
 
@@ -211,20 +212,14 @@ def check_intertwining(bundle: OperatorBundle) -> Check:
     """
     lhs_psi = bundle.S_psi @ bundle.H_phi_psi
     lhs_phi = bundle.S_phi @ bundle.H_psi_phi
-    residuals = (
+    return Check.worst(
+        "intertwining",
+        "residuals: S_psi H - H' S_psi {:.3e}; S_psi H - S^a_psi {:.3e}; "
+        "S_phi H' - H S_phi {:.3e}; S_phi H' - S^a_phi {:.3e}",
         frobenius(lhs_psi - bundle.H_psi_phi @ bundle.S_psi),
         frobenius(lhs_psi - bundle.S_alpha_psi),
         frobenius(lhs_phi - bundle.H_phi_psi @ bundle.S_phi),
         frobenius(lhs_phi - bundle.S_alpha_phi),
-    )
-    return Check(
-        "intertwining",
-        np.maximum(np.maximum(residuals[0], residuals[1]), np.maximum(*residuals[2:])),
-        notes(
-            "residuals: S_psi H - H' S_psi {:.3e}; S_psi H - S^a_psi {:.3e}; "
-            "S_phi H' - H S_phi {:.3e}; S_phi H' - S^a_phi {:.3e}",
-            *residuals,
-        ),
     )
 
 
@@ -262,5 +257,6 @@ def check_norm_bound(bundle: OperatorBundle) -> Check:
     return Check(
         "norm_bound",
         np.maximum(norm - bound, 0.0),
-        notes("||H|| = {:.6e} vs (g2/g1) max|alpha| = {:.6e}", norm, bound),
+        "||H|| = {:.6e} vs (g2/g1) max|alpha| = {:.6e}",
+        (norm, bound),
     )

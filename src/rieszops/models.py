@@ -140,17 +140,17 @@ def three_level_ladder_closed_forms(
     return _entries(A, t.shape), _entries(B, t.shape)
 
 
-def three_level_hat_spectrum(model: ThreeLevelModel, A: np.ndarray, B: np.ndarray) -> Check:
-    """Relabeled spectrum of AB: phi_n are eigenvectors with eigenvalues
-    (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with the same list.
+def three_level_hat_spectrum(model: ThreeLevelModel, AB: np.ndarray) -> Check:
+    """Relabeled spectrum of the ladder's AB: phi_n are eigenvectors with
+    eigenvalues (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with
+    the same list.
     """
     if not model.admissible.all():
         raise ValueError("hat spectrum is defined on the admissible interval")
-    hat = A @ B
     phi, psi = np.stack(model.phi, axis=-1), np.stack(model.psi, axis=-1)
     eigenvalues = np.stack([model.eps[..., 1], model.eps[..., 2], np.zeros(model.t.shape)], axis=-1)
-    r_phi = hat @ phi - phi * eigenvalues[..., None, :]
-    r_psi = adjoint(hat) @ psi - psi * eigenvalues[..., None, :]
+    r_phi = AB @ phi - phi * eigenvalues[..., None, :]
+    r_psi = adjoint(AB) @ psi - psi * eigenvalues[..., None, :]
     return Check(
         "hat_spectrum",
         worst_column_norm(np.concatenate([r_phi, r_psi], axis=-1)),
@@ -160,7 +160,8 @@ def three_level_hat_spectrum(model: ThreeLevelModel, A: np.ndarray, B: np.ndarra
 
 @dataclass(frozen=True)
 class ProjectionModel:
-    """Rank-one perturbation T = I + i(u x u*) of the identity generator.
+    """Rank-one perturbation T = I + i(u x u*) of the identity generator, at
+    every point of a batch: each field but dim carries the batch shape first.
 
     u is a normalized vector supported on finitely many coordinates (at
     least two nonzero coefficients, so the projection does not commute with
@@ -169,8 +170,10 @@ class ProjectionModel:
     """
 
     dim: int
+    #: (..., dim)
     u: np.ndarray
-    support: tuple[int, ...]
+    #: (..., dim) mask of the support of u
+    inside: np.ndarray
     P: np.ndarray
     T: np.ndarray
     T_inv: np.ndarray
@@ -182,47 +185,47 @@ class ProjectionModel:
 
 
 def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
-    """Build the projection model from the leading coefficients of u and
-    the weights alpha_0 .. alpha_{dim-1}.
+    """Build the projection model at each point of a batch from the leading
+    coefficients of u, (..., m), and the weights alpha_0 .. alpha_{dim-1},
+    (..., dim).
 
-    u_coeffs fills the first len(u_coeffs) coordinates (zeros allowed, so
-    any support pattern inside that window works); it must be normalized
-    within DEFAULT_TOL and have at least two entries above DEFAULT_TOL in
+    u_coeffs fills the first m coordinates (zeros allowed, so any support
+    pattern inside that window works); it must be normalized within
+    DEFAULT_TOL and have at least two entries above DEFAULT_TOL in
     modulus, which form the support.
     """
     coeffs = np.asarray(u_coeffs, dtype=complex)
-    if coeffs.ndim != 1 or not 1 <= coeffs.size <= dim:
+    if coeffs.ndim < 1 or not 1 <= coeffs.shape[-1] <= dim:
         raise ValueError(
-            f"u_coeffs must be a vector of length 1..{dim}, got shape {coeffs.shape}"
+            f"u_coeffs must have a last axis of length 1..{dim}, got shape {coeffs.shape}"
         )
-    norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"u must be normalized: ||u|| = {norm:.12g}")
-    support = tuple(int(k) for k in np.nonzero(np.abs(coeffs) > DEFAULT_TOL)[0])
-    if len(support) < 2:
-        raise ValueError(
-            "u needs at least two nonzero coefficients; "
-            f"found {len(support)} above {DEFAULT_TOL:g}"
-        )
-    u = np.zeros(dim, dtype=complex)
-    u[: coeffs.size] = coeffs
-    P = np.outer(u, u.conj())
+    norm = np.linalg.norm(coeffs, axis=-1)
+    guard(
+        np.abs(norm - 1.0) > DEFAULT_TOL, "u must be normalized: ||u|| = {:.12g}", norm,
+        error=ValueError,
+    )
+    u = np.zeros(coeffs.shape[:-1] + (dim,), dtype=complex)
+    u[..., : coeffs.shape[-1]] = coeffs
+    inside = np.abs(u) > DEFAULT_TOL
+    size = inside.sum(axis=-1)
+    guard(
+        size < 2,
+        f"u needs at least two nonzero coefficients; found {{}} above {DEFAULT_TOL:g}",
+        size,
+        error=ValueError,
+    )
+    P = u[..., :, None] * u[..., None, :].conj()
     eye = np.eye(dim, dtype=complex)
-    T = eye + 1j * P
-    T_inv = eye - ((1j + 1.0) / 2.0) * P
-    S_phi = eye + P
-    S_phi_sqrt = eye + (_SQRT2 - 1.0) * P
-    S_psi_sqrt = eye - ((2.0 - _SQRT2) / 2.0) * P
     return ProjectionModel(
         dim=dim,
         u=u,
-        support=support,
+        inside=inside,
         P=P,
-        T=T,
-        T_inv=T_inv,
-        S_phi=S_phi,
-        S_phi_sqrt=S_phi_sqrt,
-        S_psi_sqrt=S_psi_sqrt,
+        T=eye + 1j * P,
+        T_inv=eye - ((1j + 1.0) / 2.0) * P,
+        S_phi=eye + P,
+        S_phi_sqrt=eye + (_SQRT2 - 1.0) * P,
+        S_psi_sqrt=eye - ((2.0 - _SQRT2) / 2.0) * P,
         weights=alpha,
     )
 
@@ -247,8 +250,7 @@ def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:
     phi, psi = projection_phi_psi_closed_forms(model)
     eye = np.eye(model.dim, dtype=complex)
     # column k of each factor: phi_k, psi_k on the support, e_k off it
-    inside = np.zeros(model.dim, dtype=bool)
-    inside[list(model.support)] = True
+    inside = model.inside[..., None, :]
     left = np.where(inside, phi, eye)
     right = np.where(inside, psi, eye)
-    return (left * model.weights) @ right.conj().T
+    return (left * model.weights[..., None, :]) @ adjoint(right)

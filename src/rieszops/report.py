@@ -8,6 +8,7 @@ of its dicts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -29,26 +30,34 @@ class CheckResult:
 
 class Check(NamedTuple):
     """One named check over a batch of points: a residual per point (an array
-    shaped like the batch), and one note for every point or a list of
-    per-point notes in batch order."""
+    shaped like the batch) and its note.  Without values the note is one
+    text for every point.  With values, arrays shaped like the batch, the
+    note is a template, or an array of per-point templates, formatted at
+    each point with that point's values."""
 
     name: str
     residual: np.ndarray
-    note: str | list[str] = ""
+    note: str | np.ndarray = ""
+    values: tuple = ()
+
+    @classmethod
+    def worst(cls, name: str, note: str | np.ndarray, *parts: np.ndarray) -> Check:
+        """The largest of the parts at each point, NaN if any part is NaN,
+        with a note template that shows every part."""
+        return cls(name, functools.reduce(np.maximum, parts), note, parts)
 
     def results(self, tol: float) -> list[CheckResult]:
         """One CheckResult per point, in batch order."""
         name, note, tol = self.name, self.note, float(tol)
         residuals = self.residual.ravel().tolist()
-        if isinstance(note, str):
+        if not self.values:
             return [CheckResult(name, r <= tol, r, tol, note) for r in residuals]
-        return [CheckResult(name, r <= tol, r, tol, n) for r, n in zip(residuals, note)]
-
-
-def notes(template: str, *values) -> list[str]:
-    """template.format(...) at each point, values being arrays shaped like
-    the batch."""
-    return list(map(template.format, *[v.ravel().tolist() for v in values]))
+        columns = [v.ravel().tolist() for v in self.values]
+        if isinstance(note, str):
+            notes = map(note.format, *columns)
+        else:
+            notes = map(str.format, note.ravel().tolist(), *columns)
+        return [CheckResult(name, r <= tol, r, tol, n) for r, n in zip(residuals, notes)]
 
 
 @dataclass

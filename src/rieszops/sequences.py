@@ -30,8 +30,6 @@ class SequenceSpec:
     ratio: complex = 1.0
     slope: complex = 0.0
     offset: complex = 0.0
-    scale: complex = 1.0
-    length: int | None = None  # None = unbounded
     name: str = field(default="", compare=False)  # the given label
 
     @property
@@ -44,10 +42,9 @@ class SequenceSpec:
     def terms(self, count: int) -> np.ndarray:
         """First `count` terms as a complex array; a closed form that overflows
         is a ValueError naming the spec and its first non-finite index."""
-        if self.length is not None and count > self.length:
+        if self.kind == "list" and count > len(self.values):
             raise ValueError(
-                f"sequence '{self.label or self.kind}' emits only "
-                f"{self.length} terms, {count} requested"
+                f"sequence '{self.label}' emits only {len(self.values)} terms, {count} requested"
             )
         with np.errstate(all="ignore"):
             out = self._evaluate(count)
@@ -65,9 +62,9 @@ class SequenceSpec:
             base[1:] = n[1:] ** self.power  # 0 is never raised to the power
             if count and self.power == 0.0:
                 base[0] = 1.0
-            return self.scale * base
+            return base.astype(complex)
         if self.kind == "geometric":
-            return self.scale * self.ratio**n
+            return complex(self.ratio) ** n
         if self.kind == "affine":
             return self.slope * n + self.offset
         raise ValueError(f"unknown sequence kind '{self.kind}'")
@@ -85,13 +82,13 @@ class SequenceSpec:
                 return np.log(np.abs(self.terms(count)))
             n = np.arange(count, dtype=float)
             if self.kind == "poly":
-                out = np.full(count, np.log(abs(self.scale)))
+                out = np.zeros(count)
                 out[1:] += self.power * np.log(n[1:])
                 if self.power != 0.0:
                     out[0] = -np.inf
                 return out
             if self.kind == "geometric":
-                out = np.full(count, np.log(abs(self.scale)))
+                out = np.zeros(count)
                 out[1:] += n[1:] * np.log(abs(self.ratio))
                 return out
         raise ValueError(f"unknown sequence kind '{self.kind}'")
@@ -101,24 +98,16 @@ def explicit(values, label: str = "") -> SequenceSpec:
     vals = tuple(complex(v) for v in values)
     if not vals:
         raise ValueError("explicit sequence needs at least one term")
-    return SequenceSpec(kind="list", values=vals, length=len(vals), name=label)
+    return SequenceSpec(kind="list", values=vals, name=label)
 
 
-def poly(power: float, scale: complex = 1.0, label: str = "") -> SequenceSpec:
+def poly(power: float, label: str = "") -> SequenceSpec:
+    return SequenceSpec(kind="poly", power=float(power), name=label or f"poly:{power:g}")
+
+
+def geometric(ratio: complex, label: str = "") -> SequenceSpec:
     return SequenceSpec(
-        kind="poly",
-        power=float(power),
-        scale=complex(scale),
-        name=label or f"poly:{power:g}",
-    )
-
-
-def geometric(ratio: complex, scale: complex = 1.0, label: str = "") -> SequenceSpec:
-    return SequenceSpec(
-        kind="geometric",
-        ratio=complex(ratio),
-        scale=complex(scale),
-        name=label or f"geometric:{_format_number(ratio)}",
+        kind="geometric", ratio=complex(ratio), name=label or f"geometric:{_format_number(ratio)}"
     )
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,12 @@ def result(check, tol=DEFAULT_TOL):
     """The CheckResult of a check on a single point (a batch of shape ())."""
     (single,) = check.results(tol)
     return single
+
+
+def note_commutator(note: str) -> float:
+    """The commutator residual max |(AB - BA) - (H_ab - H_ba)| that a
+    ladder_products note records, at its printed 4 significant digits."""
+    return float(re.search(r"; commutator (\S+);", note).group(1))
 
 
 def factorize(bundle):

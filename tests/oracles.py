@@ -181,6 +181,30 @@ def symbolic_three_level():
     }, (s, c, g1, g2)
 
 
+def symbolic_projection(u, alpha):
+    """The projection model derived in exact arithmetic from the coefficients
+    u of a unit vector and the weights alpha (sympy numbers, one per
+    coordinate):
+
+        T = I + i u u*, T^{-1} by exact inversion, phi_n = T e_n,
+        psi_n = (T^{-1})* e_n, H = sum_n alpha_n phi_n psi_n*,
+
+    the last as a literal rank-one sum.  Returns (T^{-1}, phi, psi, H) as
+    sympy matrices, phi and psi as columns.
+    """
+    import sympy as sp
+
+    u = sp.Matrix(u)
+    dim = len(u)
+    t = sp.eye(dim) + sp.I * u * u.H
+    t_inv = t.inv()
+    psi = t_inv.H
+    h = sp.zeros(dim, dim)
+    for n in range(dim):
+        h += alpha[n] * t[:, n] * psi[:, n].H
+    return t_inv, t, psi, h
+
+
 def jacobi_eigh(m, target=1e-13, max_sweeps=100):
     """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
 
@@ -292,21 +316,20 @@ def sequence_term(spec: SequenceSpec, n: int) -> complex:
     """The n-th term of a SequenceSpec, computed as a Python scalar."""
     if n < 0:
         raise ValueError("sequence index must be >= 0")
-    if spec.length is not None and n >= spec.length:
-        raise ValueError(
-            f"sequence '{spec.label or spec.kind}' has length {spec.length}, "
-            f"index {n} requested"
-        )
     if spec.kind == "list":
+        if n >= len(spec.values):
+            raise ValueError(
+                f"sequence '{spec.label}' has length {len(spec.values)}, index {n} requested"
+            )
         return complex(spec.values[n])
     if spec.kind == "poly":
         if n == 0:
             base = 1.0 if spec.power == 0.0 else 0.0
         else:
             base = float(n) ** spec.power
-        return complex(spec.scale * base)
+        return complex(base)
     if spec.kind == "geometric":
-        return complex(spec.scale * spec.ratio**n)
+        return complex(spec.ratio**n)
     if spec.kind == "affine":
         return complex(spec.slope * n + spec.offset)
     raise ValueError(f"unknown sequence kind '{spec.kind}'")
@@ -321,7 +344,6 @@ def conjugate(spec: SequenceSpec) -> SequenceSpec:
         ratio=complex(spec.ratio).conjugate(),
         slope=complex(spec.slope).conjugate(),
         offset=complex(spec.offset).conjugate(),
-        scale=complex(spec.scale).conjugate(),
         name=f"conj({spec.label})" if spec.label else "",
     )
 

@@ -12,6 +12,7 @@ import numpy as np
 from conftest import (
     cli_command,
     cli_env,
+    note_commutator,
     random_generator_matrix,
     random_vector,
     result,
@@ -31,7 +32,6 @@ from rieszops import (
     build_ladder,
     build_S_weighted,
     check_adjoint_pair,
-    check_commutator,
     check_intertwining,
     check_ladder_adjoints,
     check_metric_pair,
@@ -126,7 +126,7 @@ def test_criterion_3_three_level_ladder_suite():
     for vec in actions:
         worst = max(worst, float(np.linalg.norm(vec)))
     worst = max(worst, float(np.abs(b @ a - model.H).max()))
-    hat_check = result(three_level_hat_spectrum(model, a, b), tol=1e-10)
+    hat_check = result(three_level_hat_spectrum(model, a @ b), tol=1e-10)
     worst = max(worst, hat_check.residual)
     assert worst <= 1e-10, f"worst ladder residual {worst:.3e}"
     announce(3, f"12 ladder actions, H = BA, and the AB relabeling, worst {worst:.2e}")
@@ -154,7 +154,7 @@ def test_criterion_4_projection_closed_forms():
         worst = max(worst, float(np.abs(h - h.conj().T).max()))
         weights = poly(1.0).terms(dim)
         for k in range(dim):
-            if k in model.support:
+            if model.inside[k]:
                 continue
             col = h[:, k].copy()
             col[k] -= weights[k]
@@ -208,8 +208,9 @@ def test_criterion_5_property_suite_random_generators():
             checks.append(result(frame, tol))
         lp = build_ladder(pair, gamma)
         checks.append(result(check_ladder_adjoints(lp), tol))
-        checks.append(result(check_products(lp), tol))
-        checks.append(result(check_commutator(lp), tol))
+        products = result(check_products(lp), tol)
+        checks.append(products)
+        assert note_commutator(products.note) <= tol, products.note
         for check in checks:
             assert check.passed, f"seed {seed} dim {dim}: {check.name} {check.residual:.3e}"
             worst = max(worst, check.residual)
@@ -257,11 +258,11 @@ def test_criterion_7_domain_diagnostics():
         if trial % 2 == 0:
             p = rng.uniform(0.5, 3.0)
             w_big = poly(p)
-            w_small = poly(p - rng.uniform(0.0, 0.5), scale=rng.uniform(0.2, 1.0))
+            w_small = poly(p - rng.uniform(0.0, 0.5))
         else:
             r = rng.uniform(1.0, 1.5)
             w_big = geometric(r)
-            w_small = geometric(rng.uniform(0.9, 1.0) * r, scale=rng.uniform(0.2, 1.0))
+            w_small = geometric(rng.uniform(0.9, 1.0) * r)
         coeffs = geometric(rng.uniform(0.3, 0.8))
         if summability_verdict(w_big, coeffs).verdict == "converged":
             assert summability_verdict(w_small, coeffs).verdict == "converged"

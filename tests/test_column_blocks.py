@@ -125,6 +125,11 @@ class TestNanColumn:
         residual = reconstruction_residual(random_pair(6, 1), block)
         assert np.isnan(residual)
         assert not result(Check("reconstruction", residual), 1e-10).passed
+        # the same NaN as the middle part of a worst-of-parts check
+        parts = (np.asarray(1e-12), residual, np.asarray(5e-12))
+        check = result(Check.worst("reconstruction", "{:.1e}, {:.1e}, {:.1e}", *parts), 1e-10)
+        assert np.isnan(check.residual) and not check.passed
+        assert check.note == "1.0e-12, nan, 5.0e-12"
 
     def test_frame(self, block):
         check = result(frame_inequality_check(random_pair(6, 1), poly(1.0).terms(6), block))

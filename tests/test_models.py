@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import factorize, random_vector, result
-from oracles import symbolic_three_level
+from oracles import symbolic_projection, symbolic_three_level
 from rieszops import (
     build_bundle,
     from_generator,
@@ -195,13 +195,13 @@ class TestHatSpectrum:
 
     def test_actions_at_0_3(self):
         model, lp = self.hat_inputs(0.3)
-        check = result(three_level_hat_spectrum(model, lp.A_phi_psi, lp.B_phi_psi), tol=1e-11)
+        check = result(three_level_hat_spectrum(model, lp.AB), tol=1e-11)
         assert check.passed and check.residual <= 1e-11
 
     def test_relabeling_at_zero(self):
         model, lp = self.hat_inputs(0.0)
         # eps = (0, 1, 3): AB phi_n = (1, 3, 0)_n phi_n
-        check = result(three_level_hat_spectrum(model, lp.A_phi_psi, lp.B_phi_psi))
+        check = result(three_level_hat_spectrum(model, lp.AB))
         assert check.passed and check.residual <= 1e-12
 
     def test_trace_cyclicity(self):
@@ -215,7 +215,36 @@ class TestHatSpectrum:
     def test_rejects_inadmissible(self):
         model = three_level(np.pi)
         with pytest.raises(ValueError, match="admissible"):
-            three_level_hat_spectrum(model, np.eye(3), np.eye(3))
+            three_level_hat_spectrum(model, np.eye(3))
+
+
+#: two exact unit vectors at N = 4, supports {0, 1} and {1, 3}, and weights
+PROJECTION_U = ((("3/5", "4/5*I"), (0, 1, 2 + 1j, -3)),
+                (("0", "5/13", "0", "12/13*I"), (1, -2, 0.5, 4j)))
+
+
+def test_projection_closed_forms_match_sympy():
+    """T^{-1}, the case formulas for phi_n and psi_n and the H split against
+    an exact derivation from u alone, one point at a time and as one
+    zero-padded stack."""
+    sp = pytest.importorskip("sympy")
+
+    def derived(model):
+        phi, psi = projection_phi_psi_closed_forms(model)
+        return model.T_inv, phi, psi, projection_H_closed_form(model)
+
+    padded = np.zeros((2, 4), dtype=complex)
+    alphas = np.array([alpha for _, alpha in PROJECTION_U], dtype=complex)
+    for k, (coeffs, _) in enumerate(PROJECTION_U):
+        padded[k, : len(coeffs)] = [complex(sp.sympify(c)) for c in coeffs]
+    stacked = derived(projection_model(4, padded, alphas))
+    for k, (coeffs, alpha) in enumerate(PROJECTION_U):
+        u = [sp.sympify(c) for c in coeffs] + [0] * (4 - len(coeffs))
+        exact = symbolic_projection(u, [sp.nsimplify(a) for a in alpha])
+        single = derived(projection_model(4, padded[k, : len(coeffs)], alphas[k]))
+        for got, stack, want in zip(single, stacked, exact):
+            assert np.abs(got - np.array(want.evalf(30), dtype=complex)).max() <= 1e-15
+            np.testing.assert_array_equal(stack[k], got)
 
 
 class TestProjectionModel:
@@ -254,7 +283,7 @@ class TestProjectionModel:
     def test_scattered_support(self):
         coeffs = np.array([0.6, 0.0, 0.8j])
         model = projection_model(8, coeffs, poly(1.0).terms(8))
-        assert model.support == (0, 2)
+        assert np.flatnonzero(model.inside).tolist() == [0, 2]
         phi, _ = projection_phi_psi_closed_forms(model)
         pair = from_generator(model.T)
         assert np.abs(pair.phi - phi).max() <= 1e-12

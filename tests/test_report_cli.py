@@ -196,8 +196,7 @@ _BATTERY = [
     "similarity_consistency", "onb_in_HS", "norm_bound",
 ]
 _LADDER = [
-    "ladder_actions", "ladder_adjoints", "ladder_products", "ladder_commutator",
-    "factorization",
+    "ladder_actions", "ladder_adjoints", "ladder_products", "factorization",
 ]
 _THREE_LEVEL_ADMISSIBLE = [
     "admissible", *_THREE_LEVEL_MODEL, *_BATTERY, *_LADDER,
@@ -255,7 +254,7 @@ class TestSuites:
         battery = [c.name for c in random_report(8).checks]
         projection = [c.name for c in projection_report(8, 3).checks]
         three = [c.name for c in three_level_report(0.3).checks]
-        assert len(battery) == 19
+        assert len(battery) == 18
         assert all(name.startswith("projection_") for name in projection[:7])
         assert projection[7:] == battery
         assert three[0] == "admissible"

@@ -36,7 +36,7 @@ class TestBuildH:
         bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
         h = bundle.h
         weights = poly(1.0).terms(8)
-        outside = [k for k in range(8) if k not in model.support]
+        outside = np.flatnonzero(~model.inside)
         for k in outside:
             col = h[:, k].copy()
             col[k] -= weights[k]
