@@ -36,12 +36,7 @@ from .ladder import (
     check_products,
     factorize_from_alpha,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    LinalgError,
-    inverse,
-    operator_norm,
-)
+from .linalg import DEFAULT_TOL, LinalgError, operator_norm
 from .models import (
     ProjectionModel,
     ThreeLevelModel,

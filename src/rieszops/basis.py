@@ -18,7 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, guard, inverse, max_entry, svd
+from .linalg import (
+    DEFAULT_TOL,
+    LinalgError,
+    adjoint,
+    as_matrix,
+    frobenius,
+    guard,
+    max_entry,
+    require_finite,
+    svd,
+)
 from .report import Check
 
 
@@ -50,6 +60,8 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     Rejects generators with sigma_min <= DEFAULT_TOL * sigma_max, a bound on
     cond(T) alone, independent of scale and of any check tolerance, with the
     measured values: those are not (numerically) Riesz-basis generators.
+    psi = (T^{-1})* is the LU solve T X = I; a solve LAPACK finds singular,
+    a non-finite X or ||T X - I||_F > DEFAULT_TOL * cond(T) is a LinalgError.
     """
     t = as_matrix(t)
     u, s, _ = svd(t)
@@ -61,10 +73,23 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
         smin,
         smax,
     )
+    eye = np.eye(t.shape[-1], dtype=complex)
+    try:
+        inv = np.linalg.solve(t, eye)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"generator is numerically singular: {exc}") from None
+    require_finite(inv)
+    residual, bound = frobenius(t @ inv - eye), DEFAULT_TOL * (smax / smin)
+    guard(
+        residual > bound,
+        "inverse residual {:.3e} exceeds DEFAULT_TOL * cond = {:.3e}",
+        residual,
+        bound,
+    )
     return RieszBasisPair(
         dim=t.shape[-1],
         phi=t.copy(),
-        psi=adjoint(inverse(t, (smin, smax))),
+        psi=adjoint(inv),
         frame_lower=smin,
         frame_upper=smax,
         metric=t @ adjoint(t),
@@ -130,9 +155,8 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     upper = pair.frame_upper[..., None] ** 2 * coeff_mass
     violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
     worst = violation.argmax(axis=-1)  # the first NaN column, if any
-    at = np.arange(worst.size), worst.ravel()
     lower, mid, upper, violation = (
-        x.reshape(-1, x.shape[-1])[at].reshape(worst.shape) for x in (lower, mid, upper, violation)
+        np.take_along_axis(x, worst[..., None], -1)[..., 0] for x in (lower, mid, upper, violation)
     )
     return Check(
         "frame_inequality",

@@ -9,6 +9,7 @@ producing a report, and so does an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
                 "n_max": args.n_max,
             },
         }
-        doc.update(verdict.to_dict())
+        doc.update(dataclasses.asdict(verdict))
         _emit(render_json(doc), args.out)
         return 0
     except (ValueError, OSError) as exc:

@@ -28,14 +28,6 @@ class DomainVerdict:
     tail_ratio: float
     n_max: int
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "partial_sum": self.partial_sum,
-            "tail_ratio": self.tail_ratio,
-            "n_max": self.n_max,
-        }
-
 
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.

@@ -5,8 +5,8 @@ roots, ladder operators) reduces to two LAPACK factorizations of small dense
 complex matrices, through numpy.linalg: svd and solve.  A generator's SVD
 T = U diag(s) V* gives the frame bounds and, through U and s, the metric
 square roots; the singular values alone give the operator (spectral) norm;
-the LU solve gives inverses.  This module adds the preconditions
-(finiteness, singularity) and the residual checks.
+basis.from_generator takes the one LU solve, T^{-1} for psi.  This module
+adds the preconditions (square, finite), the guards and the residual norms.
 
 Every function takes a stack (..., d, d) of matrices: the leading axes are a
 batch of independent points, and a single matrix is the batch of shape ().
@@ -111,39 +111,3 @@ def svd(m: np.ndarray, compute_uv: bool = True):
 def operator_norm(m: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix."""
     return svd(m, compute_uv=False)[..., 0]
-
-
-def inverse(m: np.ndarray, extremes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Inverse of each matrix by an LU solve against the identity
-    (numpy.linalg.solve).
-
-    extremes are the (smallest, largest) singular values of m, which the
-    caller already holds.  The smallest must exceed DEFAULT_TOL times the
-    largest; numerically singular input is rejected with the measured
-    estimates.  The residual ||m X - I|| must stay within DEFAULT_TOL *
-    cond(m).
-    """
-    m = as_matrix(m)
-    smin, smax = extremes
-    guard(
-        smin <= DEFAULT_TOL * smax,
-        f"matrix is numerically singular: sigma_min = {{:.6e}} <= {DEFAULT_TOL:.1e} "
-        "* sigma_max = {:.6e}",
-        smin,
-        smax,
-    )
-    eye = np.eye(m.shape[-1], dtype=complex)
-    try:
-        inv = np.linalg.solve(m, eye)
-    except np.linalg.LinAlgError as exc:
-        raise LinalgError(f"matrix is numerically singular: {exc}") from None
-    require_finite(inv)
-    residual = frobenius(m @ inv - eye)
-    bound = DEFAULT_TOL * np.maximum(smax / smin, 1.0)
-    guard(
-        residual > bound,
-        "inverse residual {:.3e} exceeds DEFAULT_TOL * cond = {:.3e}",
-        residual,
-        bound,
-    )
-    return inv

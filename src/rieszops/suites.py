@@ -84,15 +84,17 @@ def _battery(
     """The chain every suite runs, in one order: the pair and the bundle of
     the (k, d, d) generators and (k, d) alpha, the caller's closed-form
     checks of the bundle, the common block (basis identities, adjoints,
-    intertwining, similarity, the metric inner-product facts), and the
-    ladder block for the (k, d) gamma.  The ladder block runs where dim >= 2
-    (A = B = 0 makes every identity vacuous) and the caller's mask holds;
-    returns those points' reports and their ladder, None without any.
+    intertwining, similarity, the metric inner-product facts, and the
+    quasi-Hermitian symmetry when every alpha is real: no suite's stack
+    mixes realness), and the ladder block for the (k, d) gamma.  The ladder
+    block runs where dim >= 2 (A = B = 0 makes every identity vacuous) and
+    the caller's mask holds; returns those points' reports and their
+    ladder, None without any.
 
     The vectors come from rngs: one generator shared by every point, whose
     (1, d, n) blocks every point reads (each point's own stream when all
     share seed, dim and the realness of alpha), or one per point, each
-    drawing its slice of a (k, d, n) block, the quasi block where real."""
+    drawing its slice of a (k, d, n) block."""
     pair = basis.from_generator(generator)
     bundle = factory.build_bundle(pair, alpha)
 
@@ -116,12 +118,11 @@ def _battery(
         factory.check_metric_pair(bundle),
         factory.check_intertwining(bundle),
     )
-    if bundle.is_real.any():
+    if bundle.is_real.all():
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
-        fg = draw(rngs if len(rngs) == 1 else _where(rngs, bundle.is_real), 2 * quasi_pairs)
-        real = take(bundle, bundle.is_real)
-        quasi = factory.quasi_hermitian_symmetry(real, fg[..., 0::2], fg[..., 1::2])
-        _record(_where(reports, bundle.is_real), tol, quasi)
+        fg = draw(rngs, 2 * quasi_pairs)
+        quasi = factory.quasi_hermitian_symmetry(bundle, fg[..., 0::2], fg[..., 1::2])
+        _record(reports, tol, quasi)
     _record(
         reports,
         tol,

@@ -1,15 +1,16 @@
 """Independent brute-force oracles for the rank-one-sum operators, the
-Hermitian eigensolver, the operator norm and the sequence terms, the
-conjugate of a sequence from conjugated parameters (the library conjugates
-the emitted weights), the ladder identities at truncation and the 3x3
-model's closed forms in exact arithmetic, and the per-operator domain
-read-offs.
+Hermitian eigensolver, the spectral projectors of H, the operator norm and
+the sequence terms, the conjugate of a sequence from conjugated parameters
+(the library conjugates the emitted weights), the ladder identities at
+truncation and the 3x3 model's closed forms in exact arithmetic, and the
+per-operator domain read-offs.
 
 The oracles are written as literal scalar loops over the defining sums, as
-a cyclic Jacobi iteration, as an mpmath SVD at 50 digits, as sympy sums
-over symbolic weights, or term by term, deliberately sharing no code
-path with the library's constructions (which use BLAS products, LAPACK and
-array evaluation).  The domain read-offs map an operator kind to the weight
+a cyclic Jacobi iteration, as numpy's non-Hermitian eig (which src/ never
+calls), as an mpmath SVD at 50 digits, as sympy sums over symbolic
+weights, or term by term, deliberately sharing no code path with the
+library's constructions (which use BLAS products, LAPACK and array
+evaluation).  The domain read-offs map an operator kind to the weight
 sequence of its domain predicate; the library judges one weight/coefficient
 pair at a time (summability_verdict), and these name which pair belongs to
 which operator.
@@ -258,6 +259,18 @@ def jacobi_metric_roots(generator):
     lam, u = jacobi_eigh(t @ t.conj().T)
     s = np.sqrt(lam)
     return (u * s) @ u.conj().T, (u / s) @ u.conj().T
+
+
+def spectral_projectors(h):
+    """(eigenvalues, projectors) of a matrix with simple spectrum, from H
+    alone: numpy's non-Hermitian eig, sorted by real part, the eigenvectors
+    phi_n as columns of V and psi_n* as the rows of V^{-1}, so that the n-th
+    projector P_n = phi_n psi_n* does not depend on how eig scaled phi_n."""
+    lam, v = np.linalg.eig(np.asarray(h, dtype=complex))
+    order = np.argsort(lam.real, kind="stable")
+    v = v[:, order]
+    w = np.linalg.inv(v)
+    return lam[order], np.array([np.outer(v[:, n], w[n]) for n in range(len(lam))])
 
 
 def mp_operator_norm(m, dps=50) -> float:

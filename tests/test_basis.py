@@ -12,7 +12,6 @@ from rieszops import (
     reconstruction_residual,
     verify_biorthogonality,
 )
-from rieszops.linalg import inverse
 from rieszops.models import projection_model, three_level
 
 
@@ -59,12 +58,56 @@ def test_singularity_guard_ignores_scale():
 
 
 def test_singularity_guard_is_relative_to_sigma_max():
-    """sigma_min = 5e-10 is above DEFAULT_TOL but below DEFAULT_TOL * sigma_max."""
+    """sigma_min = 5e-10 is above DEFAULT_TOL but below DEFAULT_TOL * sigma_max;
+    at 2e-9 it is above both, and psi is the exact inverse's adjoint."""
     t = np.diag([10.0, 1.0, 1.0, 5e-10]).astype(complex)
     with pytest.raises(LinalgError, match=r"numerically singular.*sigma_max = 1\.000000e\+01"):
         from_generator(t)
-    with pytest.raises(LinalgError, match="numerically singular"):
-        inverse(t, (5e-10, 10.0))
+    t[3, 3] = 2e-9
+    np.testing.assert_allclose(from_generator(t).psi, np.diag([0.1, 1.0, 1.0, 5e8]), rtol=1e-15)
+
+
+class TestInverse:
+    """psi = (T^{-1})*: the LU solve from_generator takes, and its guards."""
+
+    def test_projection_generator_closed_form(self, rng):
+        u = rng.normal(size=5) + 1j * rng.normal(size=5)
+        u /= np.linalg.norm(u)
+        p = np.outer(u, u.conj())
+        t = np.eye(5) + 1j * p
+        expected = np.eye(5) - ((1j + 1) / 2) * p
+        assert np.abs(from_generator(t).psi.conj().T - expected).max() <= 1e-12
+
+    def test_diagonal(self):
+        got = from_generator(np.diag([2.0, 4.0]).astype(complex)).psi
+        np.testing.assert_allclose(got, np.diag([0.5, 0.25]), atol=1e-14)
+
+    def test_random_residual(self):
+        m = random_generator_matrix(np.random.default_rng(8), 8)
+        assert np.linalg.norm(m @ from_generator(m).psi.conj().T - np.eye(8)) <= 1e-10
+
+    def test_involution(self, rng):
+        m = random_generator_matrix(rng, 6)
+        pair = from_generator(m)
+        inv = pair.psi.conj().T
+        cond = pair.frame_upper / pair.frame_lower
+        assert np.abs(from_generator(inv).psi.conj().T - m).max() <= 1e-10 * cond**2
+
+    def test_residual_guard(self, monkeypatch, rng):
+        """A solve off by 1e-6 in every entry leaves ||T X - I|| far above
+        DEFAULT_TOL * cond(T), so the pair is refused."""
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+        with pytest.raises(LinalgError, match=r"inverse residual .* exceeds DEFAULT_TOL \* cond"):
+            from_generator(random_generator_matrix(rng, 4))
+
+    def test_lapack_singularity_is_a_linalg_error(self, monkeypatch, rng):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(LinalgError, match="numerically singular: Singular matrix"):
+            from_generator(random_generator_matrix(rng, 4))
 
 
 def test_frame_bounds_are_extreme_singular_values():

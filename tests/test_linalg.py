@@ -10,7 +10,7 @@ from oracles import (
     shift_generator,
 )
 from rieszops import build_bundle, from_generator, parse_spec, poly
-from rieszops.linalg import LinalgError, inverse, operator_norm
+from rieszops.linalg import LinalgError, operator_norm
 from rieszops.models import three_level
 
 
@@ -83,47 +83,6 @@ class TestGeneratorSVD:
                 call(m)
 
 
-def svd_extremes(m):
-    """(smallest, largest) singular values from numpy's SVD, not the kernel's."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
-class TestInverse:
-    def test_projection_generator_closed_form(self, rng):
-        u = rng.normal(size=5) + 1j * rng.normal(size=5)
-        u /= np.linalg.norm(u)
-        p = np.outer(u, u.conj())
-        t = np.eye(5) + 1j * p
-        expected = np.eye(5) - ((1j + 1) / 2) * p
-        assert np.abs(inverse(t, svd_extremes(t)) - expected).max() <= 1e-12
-
-    def test_diagonal(self):
-        got = inverse(np.diag([2.0, 4.0]).astype(complex), (2.0, 4.0))
-        np.testing.assert_allclose(got, np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(8)
-        m = np.eye(8) + 0.3 * (
-            rng.uniform(size=(8, 8)) + 1j * rng.uniform(size=(8, 8))
-        )
-        assert np.linalg.norm(m @ inverse(m, svd_extremes(m)) - np.eye(8)) <= 1e-10
-
-    def test_involution(self, rng):
-        m = np.eye(6) + 0.3 * (
-            rng.uniform(size=(6, 6)) + 1j * rng.uniform(size=(6, 6))
-        )
-        smin, smax = svd_extremes(m)
-        inv = inverse(m, (smin, smax))
-        cond = smax / smin
-        assert np.abs(inverse(inv, (1.0 / smax, 1.0 / smin)) - m).max() <= 1e-10 * cond**2
-
-    def test_rejects_singular(self):
-        m = np.ones((3, 3), dtype=complex)
-        with pytest.raises(LinalgError, match="singular"):
-            inverse(m, svd_extremes(m))
-
-
 class TestOperatorNorm:
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 5.5])
     def test_generator_norm_parameter_free(self, t):
@@ -134,8 +93,8 @@ class TestOperatorNorm:
     def test_inverse_norm_ratio(self):
         model = three_level(0.3)
         norm_t = operator_norm(model.T)
-        inv = inverse(model.T, svd_extremes(model.T))
-        assert abs(operator_norm(inv) - norm_t / 5) <= 1e-10
+        psi = from_generator(model.T).psi  # (T^{-1})*, of the same norm
+        assert abs(operator_norm(psi) - norm_t / 5) <= 1e-10
 
     def test_identity(self):
         assert abs(operator_norm(np.eye(5, dtype=complex)) - 1.0) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import factorize, random_vector, result
-from oracles import symbolic_projection, symbolic_three_level
+from oracles import spectral_projectors, symbolic_projection, symbolic_three_level
 from rieszops import (
     build_bundle,
     from_generator,
@@ -245,6 +245,41 @@ def test_projection_closed_forms_match_sympy():
         for got, stack, want in zip(single, stacked, exact):
             assert np.abs(got - np.array(want.evalf(30), dtype=complex)).max() <= 1e-15
             np.testing.assert_array_equal(stack[k], got)
+
+
+def assert_projectors_match(h, bundle):
+    """The projectors phi_n psi_n* of the bundle's pair against those that H
+    alone determines, within 100 eps / gap: eig's eigenvectors lose about
+    eps / gap as two eigenvalues close in.  alpha is the spectrum and
+    increases, so the oracle's order by real part is the pair's order."""
+    alpha = bundle.weights.real
+    gap = np.diff(alpha).min()
+    lam, projectors = spectral_projectors(h)
+    pair = bundle.pair
+    ours = np.einsum("in,jn->nij", pair.phi, pair.psi.conj())
+    assert np.abs(lam - alpha).max() <= 1e-13 * np.abs(alpha).max()
+    assert np.abs(projectors - ours).max() <= 100 * np.finfo(float).eps / gap
+
+
+class TestSpectralProjectors:
+    """From H to the pair: eig of the closed-form H and of the bundle's H
+    recovers the library's spectral projectors."""
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, np.pi / 3 - 1e-3, np.pi / 3 - 1e-6])
+    def test_three_level_up_to_the_closing_gap(self, t):
+        model = three_level(t)
+        bundle = build_bundle(from_generator(model.T), model.eps.astype(complex))
+        for h in (model.H, bundle.H_phi_psi):
+            assert_projectors_match(h, bundle)
+
+    @pytest.mark.parametrize("support", range(2, 9))
+    def test_projection(self, support):
+        for seed in range(5):
+            coeffs = random_vector(np.random.default_rng(seed), support)
+            model = projection_model(8, coeffs / np.linalg.norm(coeffs), poly(1.0).terms(8))
+            bundle = build_bundle(from_generator(model.T), model.weights)
+            for h in (projection_H_closed_form(model), bundle.H_phi_psi):
+                assert_projectors_match(h, bundle)
 
 
 class TestProjectionModel:
