@@ -9,9 +9,11 @@ producing a report, and so does an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import math
+import platform
 import sys
 
 from .domains import DEFAULT_N_MAX, summability_verdict
@@ -132,6 +134,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Keep freed heap memory in the process, once per process, on glibc.
+
+    A report at dim 48 or 64, or a stack of sweep points, frees more than
+    glibc's default 128 KiB trim threshold, so free() hands the top of the
+    heap back to the kernel and the next operator page-faults it in again.
+    Any mallopt call also freezes glibc's dynamic mmap threshold, so it is
+    raised too: frozen at 128 KiB, every 16384-term domain array would be
+    mmapped afresh.  Neither setting changes a computed value.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # a refused setting (mallopt returns 0) only leaves glibc's default
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's maximum
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text + "\n")
@@ -141,6 +163,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -32,7 +32,9 @@ class DomainVerdict:
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
-    weights and coeffs need only log_abs_terms(count), as a parsed sequence spec has.
+    weights and coeffs need only log_abs_terms(count), as a parsed sequence
+    spec has; the weights' array must be a fresh float array, since the
+    terms are accumulated into it.
 
     Dyadic blocks B_j cover [2^j, 2^{j+1}); converged needs the last three
     block ratios below 0.9, diverged needs either the partial sum past 1e12
@@ -41,16 +43,15 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     """
     if n_max < 64:
         raise ValueError(f"n_max must be >= 64, got {n_max}")
-    log_terms = weights.log_abs_terms(n_max) + coeffs.log_abs_terms(n_max)
+    terms = weights.log_abs_terms(n_max)
+    terms += coeffs.log_abs_terms(n_max)
+    terms *= 2.0
+    top = int(n_max).bit_length() - 1  # blocks B_0 .. B_{top-1}; top >= 6
     with np.errstate(over="ignore"):
-        terms = np.exp(2.0 * log_terms)
+        np.exp(terms, out=terms)
         partial = float(terms.sum())
-
-        blocks = []
-        j = 0
-        while 2 ** (j + 1) <= n_max:
-            blocks.append(float(terms[2**j : 2 ** (j + 1)].sum()))
-            j += 1
+        # the final four blocks, the only ones the verdict reads
+        blocks = [float(terms[2**j : 2 ** (j + 1)].sum()) for j in range(top - 4, top)]
     last3 = blocks[-3:]
     pairs = list(zip(blocks[-4:-1], blocks[-3:]))  # (B_j, B_{j+1}) final three
 

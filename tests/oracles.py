@@ -13,9 +13,13 @@ library's constructions (which use BLAS products, LAPACK and array
 evaluation).  The domain read-offs map an operator kind to the weight
 sequence of its domain predicate; the library judges one weight/coefficient
 pair at a time (summability_verdict), and these name which pair belongs to
-which operator.
+which operator.  The literal verdict restates summability_verdict's
+defining formula with fresh arrays and every dyadic block, so the
+library's in-place, last-blocks-only evaluation can be held to it bit for
+bit.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -431,3 +435,33 @@ def domain_inclusion(wa, wb, n_max: int = DEFAULT_N_MAX) -> bool:
     head = float(log_ratio[: n_max // 2].max())
     tail = float(log_ratio.max())
     return tail <= head + np.log(1.01)
+
+
+def literal_summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX):
+    """(verdict, partial_sum, tail_ratio) by the defining formula: the terms
+    exp(2 (log|w_n| + log|c_n|)) as a fresh array, their numpy sum, and
+    every dyadic block B_j = sum over [2^j, 2^{j+1}) with 2^{j+1} <= n_max,
+    read off by the rules summability_verdict documents."""
+    log_terms = weights.log_abs_terms(n_max) + coeffs.log_abs_terms(n_max)
+    with np.errstate(over="ignore"):
+        terms = np.exp(2.0 * log_terms)
+        partial = float(terms.sum())
+        blocks = []
+        j = 0
+        while 2 ** (j + 1) <= n_max:
+            blocks.append(float(terms[2**j : 2 ** (j + 1)].sum()))
+            j += 1
+    ratios = []
+    for prev, curr in zip(blocks[-4:-1], blocks[-3:]):
+        if prev == 0.0:
+            ratios.append(0.0 if curr == 0.0 else math.inf)
+        else:
+            ratios.append(curr / prev)
+    last3 = blocks[-3:]
+    if all(b == 0.0 for b in last3) or all(r < 0.9 for r in ratios):
+        verdict = "converged"
+    elif partial > 1e12 or (last3[-1] > 0.0 and last3[0] <= last3[1] <= last3[2]):
+        verdict = "diverged"
+    else:
+        verdict = "inconclusive"
+    return verdict, partial, ratios[-1]

@@ -1,9 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import DomainWeights, domain_inclusion, domain_of
+from oracles import DomainWeights, domain_inclusion, domain_of, literal_summability_verdict
 from rieszops.domains import summability_verdict
-from rieszops.sequences import affine, explicit, geometric, harmonic, poly, sqrt_poly
+from rieszops.sequences import (
+    affine,
+    explicit,
+    geometric,
+    harmonic,
+    parse_spec,
+    poly,
+    sqrt_poly,
+)
+
+#: the weight and coefficient specs of the CLI's domain grid
+DOMAIN_SPECS = (
+    "poly:0", "poly:1", "poly:2", "sqrt-poly:1",
+    "harmonic", "geometric:0.5", "geometric:1.01", "affine:1,2",
+)
 
 
 class TestSummabilityVerdict:
@@ -71,6 +87,18 @@ class TestSummabilityVerdict:
                 for n_max in (64, 128, 1024, 4096, 8192)
             }
             assert not {"converged", "diverged"} <= verdicts
+
+
+    @pytest.mark.parametrize("n_max", [4096, 5000, 8192, 16384])
+    def test_equals_literal_formula_bit_for_bit(self, n_max):
+        for alpha, coeff in itertools.product(DOMAIN_SPECS, repeat=2):
+            weights, coeffs = parse_spec(alpha), parse_spec(coeff)
+            got = summability_verdict(weights, coeffs, n_max)
+            expected = literal_summability_verdict(weights, coeffs, n_max)
+            assert (got.verdict, got.partial_sum, got.tail_ratio) == expected, (
+                alpha,
+                coeff,
+            )
 
 
 class TestDomainOf:

@@ -15,8 +15,10 @@ alpha and gamma (closed forms and 64-term lists); verify and sweep
 projection; verify and sweep three-level across the admissible boundaries;
 domain over a spec grid; a few reports at extreme --tol values; then the
 largest three-level sweep the CLI allows (1000 steps, three stacks); last,
-two projection sweeps of several stacks each.  The 1295 argv take 5-9 s on
-a 2-vCPU x86_64 host.
+two projection sweeps of several stacks each.  After the digest lines it
+writes to stderr the argv count, the wall time since it started and the
+process's minor page faults (ru_minflt), so stdout stays comparable.
+The 1295 argv take about 5 s on a 2-vCPU x86_64 host.
 
 With --failures it prints instead one row per check and argv family (the
 command and suite, with --dim where given; the extreme --tol argv form a
@@ -33,8 +35,10 @@ import hashlib
 import io
 import json
 import math
+import resource
 import shlex
 import sys
+import time
 from pathlib import Path
 
 
@@ -172,6 +176,7 @@ def failure_table(main) -> list[str]:
 
 
 def main() -> int:
+    start = time.perf_counter()
     args = sys.argv[1:]
     table = args[:1] == ["--failures"]
     if len(args) != 1 + table:
@@ -187,9 +192,16 @@ def main() -> int:
     if table:
         print("\n".join(failure_table(cli.main)))
         return 0
-    for argv in corpus():
+    argvs = list(corpus())
+    for argv in argvs:
         text, code = run(cli.main, argv)
         print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sys.stdout.flush()
+    sys.stderr.write(
+        f"{len(argvs)} argv in {time.perf_counter() - start:.2f} s wall, "
+        f"{faults} minor page faults\n"
+    )
     return 0
 
 
