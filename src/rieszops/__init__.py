@@ -18,8 +18,6 @@ from .domains import DEFAULT_N_MAX, DomainVerdict, summability_verdict
 from .factory import (
     OperatorBundle,
     build_bundle,
-    build_H,
-    build_S_weighted,
     check_adjoint_pair,
     check_eigen_action,
     check_intertwining,
@@ -27,6 +25,7 @@ from .factory import (
     check_norm_bound,
     check_weighted_action,
     quasi_hermitian_symmetry,
+    rank_one_sum,
 )
 from .ladder import (
     LadderPair,

@@ -1,11 +1,12 @@
 """Weighted operators H and S built from a basis pair, and their identities.
 
-All operators are materialized as explicit sums of rank-one terms
-sum_n w_n (v_n w_n*), evaluated from the basis columns as one matrix
-product (V diag(w)) W*: the checks downstream must exercise the defining
-formulas, so no diagonalization shortcut (such as T diag(w) T^{-1}) is used.
-Every builder takes (..., dim) weight arrays, one row per point of the
-pair's batch, and every check returns a residual per point.
+Every operator is a rank-one sum sum_n c_n (v_n outer conj(w_n)) over paired
+columns, formed by rank_one_sum as one matrix product (V diag(c)) W*: H
+pairs phi with psi, S a family with itself, the metric roots U with itself.
+The checks downstream must exercise the defining formulas, so no
+diagonalization shortcut (such as T diag(w) T^{-1}) is used.  Weights are
+(..., m) arrays, one row per point of the pair's batch, and every check
+returns a residual per point.
 """
 
 from __future__ import annotations
@@ -19,53 +20,18 @@ from .linalg import adjoint, frobenius, max_entry, operator_norm, require_finite
 from .report import Check
 
 
-def _rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_n weights[n] * (left_n outer conj(right_n)) over matrix columns."""
-    acc = (left * weights[..., None, :]) @ right.conj().mT
+def rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_n weights[..., n] (left_n outer conj(right_n)) over the columns of
+    the (..., dim, m) stacks left and right, weights a (..., m) array; any
+    other weight shape would broadcast.  An overflowing product is the
+    LinalgError of require_finite, not a floating-point warning."""
+    expected = left.shape[:-2] + left.shape[-1:]
+    if np.shape(weights) != expected:
+        raise ValueError(f"weights have shape {np.shape(weights)}, expected {expected}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = (left * weights[..., None, :]) @ right.conj().mT
     require_finite(acc)
     return acc
-
-
-def _metric_function(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
-    """U diag(values) U* for the pair's S_phi = U diag(s^2) U*, symmetrized:
-    for real values it is Hermitian to the last bit."""
-    u = pair.singular_vectors
-    out = (u * values[..., None, :]) @ adjoint(u)
-    return 0.5 * (out + adjoint(out))
-
-
-def _weight_array(pair: RieszBasisPair, values: np.ndarray) -> np.ndarray:
-    """values as the (..., dim) weight array of the pair's batch; any other
-    shape would broadcast."""
-    if np.shape(values) != pair.phi.shape[:-1]:
-        raise ValueError(
-            f"weights have shape {np.shape(values)}, expected {pair.phi.shape[:-1]}"
-        )
-    return values
-
-
-def build_H(
-    pair: RieszBasisPair, alpha: np.ndarray, direction: str = "phi_psi"
-) -> np.ndarray:
-    """H^alpha = sum_n alpha_n (v_n outer conj(w_n)), alpha a (..., dim) array,
-    with (v, w) = (phi, psi) for direction 'phi_psi', (psi, phi) for 'psi_phi'."""
-    if direction == "phi_psi":
-        left, right = pair.phi, pair.psi
-    elif direction == "psi_phi":
-        left, right = pair.psi, pair.phi
-    else:
-        raise ValueError(f"unknown direction '{direction}'")
-    return _rank_one_sum(_weight_array(pair, alpha), left, right)
-
-
-def build_S_weighted(
-    pair: RieszBasisPair, beta: np.ndarray, side: str = "phi"
-) -> np.ndarray:
-    """S^beta = sum_n beta_n (v_n outer conj(v_n)), beta a (..., dim) array, v phi or psi."""
-    if side not in ("phi", "psi"):
-        raise ValueError(f"unknown basis family '{side}'")
-    cols = pair.phi if side == "phi" else pair.psi
-    return _rank_one_sum(_weight_array(pair, beta), cols, cols)
 
 
 @dataclass(frozen=True)
@@ -111,22 +77,22 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     S_phi = T T* is the pair's, and so is the SVD T = U diag(s) V*, which
     gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
     """
-    weights = _weight_array(pair, weights)
+    phi, psi, u, s = pair.phi, pair.psi, pair.singular_vectors, pair.singular_values
     is_real = ~weights.imag.any(axis=-1)
-    s = pair.singular_values
-    s_phi_sqrt = _metric_function(pair, s)
-    s_psi_sqrt = _metric_function(pair, 1.0 / s)
-    h_phi_psi = build_H(pair, weights, "phi_psi")
-    h_psi_phi = build_H(pair, weights, "psi_phi")
-    s_alpha_phi = build_S_weighted(pair, weights, "phi")
-    s_alpha_psi = build_S_weighted(pair, weights, "psi")
+    # U diag(s^{+-1}) U*, symmetrized: Hermitian to the last bit
+    roots = [rank_one_sum(values, u, u) for values in (s, 1.0 / s)]
+    s_phi_sqrt, s_psi_sqrt = (0.5 * (root + adjoint(root)) for root in roots)
+    h_phi_psi = rank_one_sum(weights, phi, psi)
+    h_psi_phi = rank_one_sum(weights, psi, phi)
+    s_alpha_phi = rank_one_sum(weights, phi, phi)
+    s_alpha_psi = rank_one_sum(weights, psi, psi)
     # real weights are their own conjugates: reuse the alpha operators
     h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
     if not is_real.all():
         conj = weights.conj()
-        h_conj = build_H(pair, conj, "psi_phi")
-        s_conj_phi = build_S_weighted(pair, conj, "phi")
-        s_conj_psi = build_S_weighted(pair, conj, "psi")
+        h_conj = rank_one_sum(conj, psi, phi)
+        s_conj_phi = rank_one_sum(conj, phi, phi)
+        s_conj_psi = rank_one_sum(conj, psi, psi)
     return OperatorBundle(
         pair=pair,
         weights=weights,
@@ -134,11 +100,11 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
         H_phi_psi=h_phi_psi,
         H_psi_phi=h_psi_phi,
         S_phi=pair.metric,
-        S_psi=build_S_weighted(pair, np.ones(pair.phi.shape[:-1], dtype=complex), "psi"),
+        S_psi=rank_one_sum(np.ones(psi.shape[:-1], dtype=complex), psi, psi),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
-        Phi=s_psi_sqrt @ pair.phi,
+        Phi=s_psi_sqrt @ phi,
         S_alpha_phi=s_alpha_phi,
         S_alpha_psi=s_alpha_psi,
         H_conj_psi_phi=h_conj,

@@ -1,8 +1,11 @@
 """Generalized lowering and raising operators and the factorization H = BA.
 
-At truncation level N the lowering operator A annihilates phi_0 and the
-raising operator B, which drops its gamma_N term, annihilates phi_{N-1}.  So
-for every gamma, on the whole truncated space,
+At truncation level N the lowering operator A = sum_{n>=1} gamma_n
+(phi_{n-1} outer conj(psi_n)) annihilates phi_0, and the raising operator
+B = sum_{n<=N-2} gamma_{n+1} (phi_{n+1} outer conj(psi_n)), which drops its
+gamma_N term, annihilates phi_{N-1}: rank-one sums over the column slices
+[..., :, :-1] and [..., :, 1:], and over psi and phi swapped for the psi,phi
+variants.  So for every gamma, on the whole truncated space,
 
     BA = H^{(0, gamma_1^2, ..., gamma_{N-1}^2)},
     AB = H^{(gamma_1^2, ..., gamma_{N-1}^2, 0)},
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import RieszBasisPair
-from .factory import OperatorBundle, _rank_one_sum, _weight_array, build_H
+from .factory import OperatorBundle, rank_one_sum
 from .linalg import DEFAULT_TOL, adjoint, frobenius, max_entry, worst_column_norm
 from .report import Check
 
@@ -42,11 +45,13 @@ class LadderPair:
     @cached_property
     def A_psi_phi(self) -> np.ndarray:
         """The psi,phi variants, formed only where the adjoint check reads them."""
-        return _shift_sum(self.weights, self.pair.psi, self.pair.phi, True)
+        psi, phi = self.pair.psi, self.pair.phi
+        return rank_one_sum(self.weights[..., 1:], psi[..., :, :-1], phi[..., :, 1:])
 
     @cached_property
     def B_psi_phi(self) -> np.ndarray:
-        return _shift_sum(self.weights, self.pair.psi, self.pair.phi, False)
+        psi, phi = self.pair.psi, self.pair.phi
+        return rank_one_sum(self.weights[..., 1:], psi[..., :, 1:], phi[..., :, :-1])
 
     @cached_property
     def BA(self) -> np.ndarray:
@@ -61,14 +66,6 @@ class LadderPair:
         return self.A_phi_psi @ self.B_phi_psi
 
 
-def _shift_sum(weights, left, right, lower_shift: bool) -> np.ndarray:
-    """Lowering: sum_{n>=1} w_n (left_{n-1} outer conj(right_n));
-    raising: sum_{n<=N-2} w_{n+1} (left_{n+1} outer conj(right_n))."""
-    if lower_shift:
-        return _rank_one_sum(weights[..., 1:], left[..., :, :-1], right[..., :, 1:])
-    return _rank_one_sum(weights[..., 1:], left[..., :, 1:], right[..., :, :-1])
-
-
 def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
     """The phi,psi ladder from the (..., dim) array gamma_0 .. gamma_{dim-1};
     the psi,phi variants are formed on first use.
@@ -77,14 +74,16 @@ def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
     themselves: at small dim a truncated non-monotone sequence can be
     monotone.
     """
-    g = _weight_array(pair, weights)
-    mags = np.abs(g)
+    expected = pair.phi.shape[:-1]  # rank_one_sum sees only the shifted slices
+    if np.shape(weights) != expected:
+        raise ValueError(f"weights have shape {np.shape(weights)}, expected {expected}")
+    mags, phi, psi = np.abs(weights), pair.phi, pair.psi
     return LadderPair(
         pair=pair,
-        weights=g,
+        weights=weights,
         abs_monotone=(mags[..., 1:] >= mags[..., :-1]).all(axis=-1),
-        A_phi_psi=_shift_sum(g, pair.phi, pair.psi, True),
-        B_phi_psi=_shift_sum(g, pair.phi, pair.psi, False),
+        A_phi_psi=rank_one_sum(weights[..., 1:], phi[..., :, :-1], psi[..., :, 1:]),
+        B_phi_psi=rank_one_sum(weights[..., 1:], phi[..., :, 1:], psi[..., :, :-1]),
     )
 
 
@@ -140,8 +139,9 @@ def check_products(lp: LadderPair) -> Check:
     """
     squares = lp.weights[..., 1:] ** 2
     zero = np.zeros_like(lp.weights[..., :1])
-    d_ba = lp.BA - build_H(lp.pair, np.concatenate([zero, squares], axis=-1), "phi_psi")
-    d_ab = lp.AB - build_H(lp.pair, np.concatenate([squares, zero], axis=-1), "phi_psi")
+    phi, psi = lp.pair.phi, lp.pair.psi
+    d_ba = lp.BA - rank_one_sum(np.concatenate([zero, squares], axis=-1), phi, psi)
+    d_ab = lp.AB - rank_one_sum(np.concatenate([squares, zero], axis=-1), phi, psi)
     r_ba, r_ab = max_entry(d_ba), max_entry(d_ab)
     return Check(
         "ladder_products",

@@ -170,8 +170,6 @@ class ProjectionModel:
     """
 
     dim: int
-    #: (..., dim)
-    u: np.ndarray
     #: (..., dim) mask of the support of u
     inside: np.ndarray
     P: np.ndarray
@@ -218,7 +216,6 @@ def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
     eye = np.eye(dim, dtype=complex)
     return ProjectionModel(
         dim=dim,
-        u=u,
         inside=inside,
         P=P,
         T=eye + 1j * P,

@@ -28,9 +28,7 @@ from oracles import (
 )
 from rieszops import (
     build_bundle,
-    build_H,
     build_ladder,
-    build_S_weighted,
     check_adjoint_pair,
     check_intertwining,
     check_ladder_adjoints,
@@ -43,6 +41,7 @@ from rieszops import (
     harmonic,
     operator_norm,
     poly,
+    rank_one_sum,
     sqrt_poly,
     summability_verdict,
     verify_biorthogonality,
@@ -227,18 +226,12 @@ def test_criterion_6_brute_force_oracle_equivalence():
     gamma = np.concatenate([[0.0], random_vector(rng, 3)])
     lp = build_ladder(pair, gamma)
     comparisons = [
-        (build_H(pair, alpha, "phi_psi"), literal_H(pair, alpha, "phi_psi")),
-        (build_H(pair, alpha, "psi_phi"), literal_H(pair, alpha, "psi_phi")),
-        (build_S_weighted(pair, beta, "phi"), literal_S(pair, beta, "phi")),
-        (build_S_weighted(pair, beta, "psi"), literal_S(pair, beta, "psi")),
-        (
-            build_S_weighted(pair, np.ones(4), "phi"),
-            literal_S(pair, np.ones(4), "phi"),
-        ),
-        (
-            build_S_weighted(pair, np.ones(4), "psi"),
-            literal_S(pair, np.ones(4), "psi"),
-        ),
+        (rank_one_sum(alpha, pair.phi, pair.psi), literal_H(pair, alpha, "phi_psi")),
+        (rank_one_sum(alpha, pair.psi, pair.phi), literal_H(pair, alpha, "psi_phi")),
+        (rank_one_sum(beta, pair.phi, pair.phi), literal_S(pair, beta, "phi")),
+        (rank_one_sum(beta, pair.psi, pair.psi), literal_S(pair, beta, "psi")),
+        (rank_one_sum(np.ones(4), pair.phi, pair.phi), literal_S(pair, np.ones(4), "phi")),
+        (rank_one_sum(np.ones(4), pair.psi, pair.psi), literal_S(pair, np.ones(4), "psi")),
         (lp.A_phi_psi, literal_lowering(pair, gamma, "phi_psi")),
         (lp.A_psi_phi, literal_lowering(pair, gamma, "psi_phi")),
         (lp.B_phi_psi, literal_raising(pair, gamma, "phi_psi")),

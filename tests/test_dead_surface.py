@@ -3,8 +3,10 @@
 A module-level function, class or UPPERCASE constant is live only when its
 own module loads its name, or another module imports it and reads it
 (`from .m import name`, or `m.name` after `from . import m`); a public
-method is live when any module reads an attribute of that name.  Modules
-count except __init__.py: a re-export is not a use, and neither is a test.
+method, and a field of a dataclass or NamedTuple, is live when any module
+reads an attribute of that name.  Modules count except __init__.py: a
+re-export is not a use, and neither is a test.  No module imports a private
+(underscore) name from a sibling module or reads one as an attribute of it.
 """
 
 import ast
@@ -17,6 +19,11 @@ PACKAGE = Path(rieszops.__file__).resolve().parent
 #: names reached only from outside src/, each with the reason
 REACHED_FROM_OUTSIDE = {
     ("cli", "main"): "console-script entry point in pyproject.toml",
+}
+
+#: dataclasses and NamedTuples whose fields are read whole, each with the reason
+READ_WHOLE = {
+    ("domains", "DomainVerdict"): "cli renders it whole through dataclasses.asdict",
 }
 
 
@@ -61,6 +68,23 @@ def _definitions(tree):
                     yield target.id
 
 
+def _records(tree):
+    """The module-level dataclasses and NamedTuples."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {ast.unparse(m).rpartition(".")[2] for m in marks + node.bases}
+            if names & {"dataclass", "NamedTuple"}:
+                yield node
+
+
+def _fields(record):
+    """Names of a record's annotated fields."""
+    for item in record.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+
+
 def dead_names(sources, exempt=()):
     """'module.name' of every definition in sources ({module: source text})
     that no module other than __init__ reads, by the rules above."""
@@ -84,6 +108,52 @@ def dead_names(sources, exempt=()):
     )
 
 
+def dead_fields(sources, exempt=()):
+    """'module.Class.field' of every field of a dataclass or NamedTuple in
+    sources whose name no module other than __init__ reads as an attribute;
+    exempt holds (module, Class) pairs read whole."""
+    trees = {m: ast.parse(text) for m, text in sources.items() if m != "__init__"}
+    attrs = set().union(*(_reads(module, tree)[1] for module, tree in trees.items()))
+    return sorted(
+        f"{module}.{record.name}.{name}"
+        for module, tree in trees.items()
+        for record in _records(tree)
+        if (module, record.name) not in exempt
+        for name in _fields(record)
+        if name not in attrs
+    )
+
+
+def private_reach_ins(sources):
+    """'module: sibling._name' for every private name a module imports from a
+    sibling (`from .sibling import _name`) or reads on one (`sibling._name`
+    after `from . import sibling`)."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        siblings = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found += [
+                    f"{module}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+                and node.attr.startswith("_")
+            ):
+                found.append(f"{module}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
 def _package_sources():
     return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
 
@@ -93,10 +163,23 @@ def test_no_dead_module_level_definitions():
     assert not dead, f"defined but never read in src/rieszops: {dead}"
 
 
+def test_no_dead_record_fields():
+    dead = dead_fields(_package_sources(), READ_WHOLE)
+    assert not dead, f"fields never read in src/rieszops: {dead}"
+
+
+def test_no_private_reach_ins():
+    found = private_reach_ins(_package_sources())
+    assert not found, f"private names read across modules: {found}"
+
+
 def test_exemptions_are_still_defined():
     sources = _package_sources()
     for module, name in REACHED_FROM_OUTSIDE:
         assert name in set(_definitions(ast.parse(sources[module]))), (module, name)
+    for module, name in READ_WHOLE:
+        records = {record.name for record in _records(ast.parse(sources[module]))}
+        assert name in records, (module, name)
 
 
 def test_guard_counts_only_reads_outside_init():
@@ -150,3 +233,44 @@ def test_guard_resolves_imports():
         ),
     }
     assert dead_names(sources, {("b", "run"): "entry point"}) == ["a.inner", "a.norm"]
+
+
+def test_field_guard_counts_attribute_reads_outside_init():
+    sources = {
+        "__init__": "from .a import Point\n\ndef show(p):\n    return p.hidden\n",
+        "a": (
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n"
+            "@dataclass(frozen=True)\n"
+            "class Point:\n"
+            "    x: float\n"
+            "    hidden: float\n"
+            "    LIMIT = 3\n"
+            "class Pair(NamedTuple):\n"
+            "    left: int\n"
+            "    right: int\n"
+            "class Whole(NamedTuple):\n"
+            "    unread: int\n"
+            "class Plain:\n"
+            "    untracked: int\n"
+        ),
+        "b": "def run(p, q):\n    return p.x + q.left\n",
+    }
+    assert dead_fields(sources) == ["a.Pair.right", "a.Point.hidden", "a.Whole.unread"]
+    assert dead_fields(sources, {("a", "Whole"): "read whole"}) == [
+        "a.Pair.right",
+        "a.Point.hidden",
+    ]
+
+
+def test_reach_in_guard_finds_imports_and_attributes():
+    sources = {
+        "a": "def _helper():\n    return 1\n\ndef public():\n    return _helper()\n",
+        "b": (
+            "from . import a\n"
+            "from .a import _helper, public\n"
+            "def run(obj):\n"
+            "    return a._helper() + a.public() + obj._cache + _helper()\n"
+        ),
+    }
+    assert private_reach_ins(sources) == ["b: a._helper", "b: a._helper"]

@@ -7,8 +7,6 @@ import pytest
 from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
     build_bundle,
-    build_H,
-    build_S_weighted,
     check_adjoint_pair,
     check_eigen_action,
     check_intertwining,
@@ -24,6 +22,7 @@ from rieszops import (
     operator_norm,
     poly,
     quasi_hermitian_symmetry,
+    rank_one_sum,
 )
 from rieszops.models import projection_model, three_level
 from rieszops.sequences import SequenceSpec
@@ -39,20 +38,20 @@ class TestBuildH:
     def test_unit_weights_give_identity_both_directions(self):
         _, pair = three_level_pair()
         np.testing.assert_allclose(
-            build_H(pair, np.ones(3), "phi_psi"), np.eye(3), atol=1e-12
+            rank_one_sum(np.ones(3), pair.phi, pair.psi), np.eye(3), atol=1e-12
         )
         np.testing.assert_allclose(
-            build_H(pair, np.ones(3), "psi_phi"), np.eye(3), atol=1e-12
+            rank_one_sum(np.ones(3), pair.psi, pair.phi), np.eye(3), atol=1e-12
         )
 
     def test_three_level_entrywise(self):
         model, pair = three_level_pair(0.3)
-        got = build_H(pair, np.array(model.eps), "phi_psi")
+        got = rank_one_sum(np.array(model.eps), pair.phi, pair.psi)
         assert np.abs(got - model.H).max() <= 1e-12
 
     def test_identity_generator_gives_diagonal(self):
         pair = from_generator(np.eye(3, dtype=complex))
-        got = build_H(pair, np.array([1.0, 2.0, 3.0]), "phi_psi")
+        got = rank_one_sum(np.array([1.0, 2.0, 3.0]), pair.phi, pair.psi)
         np.testing.assert_allclose(got, np.diag([1.0, 2.0, 3.0]), atol=1e-15)
 
     def test_eigen_action_all_indices(self):
@@ -65,26 +64,21 @@ class TestBuildH:
     def test_length_mismatch(self):
         _, pair = three_level_pair()
         with pytest.raises(ValueError, match=r"shape \(2,\), expected \(3,\)"):
-            build_H(pair, np.array([1.0, 2.0]), "phi_psi")
-
-    def test_unknown_direction_rejected(self):
-        _, pair = three_level_pair()
-        with pytest.raises(ValueError, match="unknown direction 'phi_phi'"):
-            build_H(pair, np.ones(3), "phi_phi")
+            rank_one_sum(np.array([1.0, 2.0]), pair.phi, pair.psi)
 
 
 class TestBuildSWeighted:
     def test_unit_weights_match_metric_displays(self):
         model, pair = three_level_pair(0.7)
-        s_phi = build_S_weighted(pair, np.ones(3), "phi")
-        s_psi = build_S_weighted(pair, np.ones(3), "psi")
+        s_phi = rank_one_sum(np.ones(3), pair.phi, pair.phi)
+        s_psi = rank_one_sum(np.ones(3), pair.psi, pair.psi)
         assert np.abs(s_phi - model.S_phi).max() <= 1e-12
         assert np.abs(s_psi - model.S_psi).max() <= 1e-12
 
     def test_identity_generator_diagonal_selfadjoint(self):
         pair = from_generator(np.eye(4, dtype=complex))
         beta = np.array([0.5, 1.5, 2.5, 3.5])
-        s = build_S_weighted(pair, beta, "phi")
+        s = rank_one_sum(beta, pair.phi, pair.phi)
         np.testing.assert_allclose(s, np.diag(beta), atol=1e-15)
         assert np.abs(s - s.conj().T).max() <= 1e-15
 
@@ -95,20 +89,14 @@ class TestBuildSWeighted:
 
     def test_hermitian_for_real_weights(self):
         pair = random_pair(8, 7)
-        for side in ("phi", "psi"):
-            s = build_S_weighted(pair, poly(1.0).terms(8), side)
+        for cols in (pair.phi, pair.psi):
+            s = rank_one_sum(poly(1.0).terms(8), cols, cols)
             assert np.abs(s - s.conj().T).max() <= 1e-10
 
     def test_not_hermitian_for_complex_weights(self):
         pair = random_pair(4, 8)
-        s = build_S_weighted(pair, np.array([1j, 2.0, 1.0, 0.5]), "phi")
+        s = rank_one_sum(np.array([1j, 2.0, 1.0, 0.5]), pair.phi, pair.phi)
         assert np.abs(s - s.conj().T).max() > 1e-6
-
-
-    def test_unknown_side_rejected(self):
-        _, pair = three_level_pair()
-        with pytest.raises(ValueError, match="unknown basis family 'chi'"):
-            build_S_weighted(pair, np.ones(3), "chi")
 
 
 class TestAdjointPair:
@@ -120,7 +108,7 @@ class TestAdjointPair:
     def test_real_weights_identity_generator_hermitian(self):
         pair = from_generator(np.eye(4, dtype=complex))
         alpha = explicit([0.0, 1.0, 2.0, 3.0])
-        h = build_H(pair, alpha.terms(4), "phi_psi")
+        h = rank_one_sum(alpha.terms(4), pair.phi, pair.psi)
         assert np.abs(h - h.conj().T).max() == 0.0
         assert result(check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim)))).residual <= 1e-14
 
@@ -219,7 +207,7 @@ class TestMetricAndBounds:
         pair = random_pair(8, 6)
         rng = np.random.default_rng(6)
         beta = explicit(random_vector(rng, 8))
-        s = build_S_weighted(pair, beta.terms(8), "phi")
+        s = rank_one_sum(beta.terms(8), pair.phi, pair.phi)
         bound = pair.frame_upper**2 * float(np.abs(beta.terms(8)).max())
         assert operator_norm(s) <= bound + 1e-10
 
@@ -246,14 +234,6 @@ def mutation_bundles():
     yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j).terms(16))
 
 
-def per_builder(built):
-    """Calls per builder name from the counts of TestBundleFields.count_builds."""
-    calls = Counter()
-    for (name, _, _), n in built.items():
-        calls[name] += n
-    return calls
-
-
 class TestBundleFields:
     @pytest.mark.parametrize("dim, points", [(1, 1), (3, 455), (16, 1), (32, 4), (64, 1)])
     def test_s_phi_is_the_pairs_tt_star(self, dim, points):
@@ -264,7 +244,7 @@ class TestBundleFields:
         ones = np.ones((points, dim), dtype=complex)
         bundle = build_bundle(pair, ones)
         assert bundle.S_phi is pair.metric
-        assert np.array_equal(pair.metric, build_S_weighted(pair, ones, "phi"))
+        assert np.array_equal(pair.metric, rank_one_sum(ones, pair.phi, pair.phi))
 
     @pytest.mark.parametrize("field", sorted(READERS))
     def test_perturbed_field_fails_its_readers(self, field):
@@ -282,46 +262,49 @@ class TestBundleFields:
 
     @staticmethod
     def count_builds(monkeypatch):
+        """Calls of rank_one_sum per (weights, left, right) operands."""
         built = Counter()
 
-        def counting(builder):
-            def build(pair, weights, family):
-                built[builder.__name__, weights.tobytes(), family] += 1
-                return builder(pair, weights, family)
+        def build(weights, left, right):
+            built[weights.tobytes(), left.tobytes(), right.tobytes()] += 1
+            return rank_one_sum(weights, left, right)
 
-            return build
-
-        build_H = counting(factory.build_H)
-        monkeypatch.setattr(factory, "build_H", build_H)
-        monkeypatch.setattr(ladder, "build_H", build_H)  # imported by name
-        monkeypatch.setattr(
-            factory, "build_S_weighted", counting(factory.build_S_weighted)
-        )
+        monkeypatch.setattr(factory, "rank_one_sum", build)
+        monkeypatch.setattr(ladder, "rank_one_sum", build)  # imported by name
         return built
 
     @pytest.mark.parametrize(
-        "make_report, counts",
+        "make_report, builds",
         [
-            # real alpha: the conj(alpha) operators are the alpha ones; S_phi
-            # is the pair's TT*
-            (lambda: random_report(16, seed=3), (4, 3)),
-            (lambda: projection_report(16, 4, seed=3), (4, 3)),
-            (lambda: three_level_report(0.3), (4, 3)),
-            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), (5, 5)),
+            # real alpha: the bundle's 2 metric roots, H both ways, S^alpha on
+            # both sides and S_psi (7; the conj(alpha) operators are the alpha
+            # ones, S_phi is the pair's TT*), A and B (2), the psi,phi variants
+            # the adjoint check reads (2), and the two shifted H of the
+            # products (2): 7 + 2 + 2 + 2 = 13.  The factorization's roots
+            # are gamma, so it reuses the gamma ladder
+            (lambda: random_report(16, seed=3), 13),
+            (lambda: projection_report(16, 4, seed=3), 13),
+            (lambda: three_level_report(0.3), 13),
+            # complex alpha: 3 more in the bundle for conj(alpha) (10), the
+            # gamma ladder, its psi,phi variants and the shifted H as above
+            # (6), and A and B of the factorization's own ladder, whose roots
+            # are not gamma (2): 10 + 6 + 2 = 18
+            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), 18),
         ],
         ids=["random", "projection", "three-level", "random-complex"],
     )
-    def test_report_build_counts(self, monkeypatch, make_report, counts):
+    def test_report_build_counts(self, monkeypatch, make_report, builds):
         built = self.count_builds(monkeypatch)
         make_report()
-        assert per_builder(built) == dict(zip(("build_H", "build_S_weighted"), counts))
+        assert sum(built.values()) == builds
 
     def test_random_report_builds_each_operator_once(self, monkeypatch):
-        # complex alpha: the alpha and conj(alpha) operators differ
+        # complex alpha: the alpha and conj(alpha) operators differ; 18
+        # builds, as in test_report_build_counts, of 18 distinct operators
         built = self.count_builds(monkeypatch)
         random_report(16, seed=3, alpha=geometric(0.9 + 0.2j))
-        twice = [(name, family) for (name, _, family), n in built.items() if n > 1]
-        assert not twice
+        assert len(built) == 18
+        assert not [key for key, n in built.items() if n > 1]
 
 
 CONJ_FIELDS = {
@@ -384,13 +367,14 @@ class TestLadderAdjointBuilds:
 class TestWeightArrays:
     @pytest.mark.parametrize("shape", [(1,), (7,), (8, 1)])
     @pytest.mark.parametrize(
-        "build, family", [(build_H, "phi_psi"), (build_S_weighted, "phi")]
+        "columns", [("phi", "psi"), ("phi", "phi")], ids=["phi-psi", "phi-phi"]
     )
-    def test_builders_reject_any_shape_but_dim(self, build, family, shape):
+    def test_builders_reject_any_shape_but_dim(self, columns, shape):
         # a length-1 or (dim, 1) array would broadcast without an error
         pair = random_pair(8, 2)
+        left, right = (getattr(pair, name) for name in columns)
         with pytest.raises(ValueError, match=r"expected \(8,\)"):
-            build(pair, np.ones(shape), family)
+            rank_one_sum(np.ones(shape), left, right)
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (8, 1)])
     @pytest.mark.parametrize("build", [build_bundle, ladder.build_ladder])

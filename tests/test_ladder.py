@@ -16,7 +16,6 @@ from conftest import (
 from oracles import conjugate, literal_H, symbolic_ladder_identities
 from rieszops import (
     DEFAULT_TOL,
-    build_H,
     build_bundle,
     build_ladder,
     check_ladder_actions,
@@ -25,6 +24,7 @@ from rieszops import (
     explicit,
     factorize_from_alpha,
     from_generator,
+    rank_one_sum,
     sqrt_poly,
 )
 from rieszops import ladder
@@ -169,7 +169,7 @@ class TestProducts:
         g = np.array([0.5, 2.0, 1.0, 3.0, 1.5j, 4.0])  # gamma_0 != 0, not monotone
         lp = build_ladder(pair, g)
         shifted = [np.concatenate([[0.0], g[1:] ** 2]), np.concatenate([g[1:] ** 2, [0.0]])]
-        h_ba, h_ab = (build_H(pair, w, "phi_psi") for w in shifted)
+        h_ba, h_ab = (rank_one_sum(w, pair.phi, pair.psi) for w in shifted)
         np.testing.assert_allclose(h_ba, literal_H(pair, shifted[0], "phi_psi"), atol=1e-12)
         np.testing.assert_allclose(h_ab, literal_H(pair, shifted[1], "phi_psi"), atol=1e-12)
         ba, ab = lp.B_phi_psi @ lp.A_phi_psi, lp.A_phi_psi @ lp.B_phi_psi
@@ -401,14 +401,15 @@ class TestFactorizeFromAlpha:
     ):
         # 4 shift sums for the gamma ladder, 4 for its conj(gamma) ladder when
         # gamma is complex, and 2 for the factorization's own ladder, whose
-        # psi,phi variants nothing reads
+        # psi,phi variants nothing reads; a shift sum pairs dim - 1 columns,
+        # the shifted H of the products all dim
         calls = []
-        shift_sum = ladder._shift_sum
 
-        def counting(*args):
-            calls.append(args)
-            return shift_sum(*args)
+        def counting(weights, left, right):
+            if left.shape[-1] == left.shape[-2] - 1:
+                calls.append(weights)
+            return rank_one_sum(weights, left, right)
 
-        monkeypatch.setattr(ladder, "_shift_sum", counting)
+        monkeypatch.setattr(ladder, "rank_one_sum", counting)
         make_report()
         assert len(calls) == sums

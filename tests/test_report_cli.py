@@ -381,6 +381,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "rieszops: error: sequence 'geometric:1e+200' term 2 is not finite\n"
 
+    def test_overflowing_operator_is_usage_error_without_warnings(self, capsys):
+        # every term is finite; the rank-one sum of H overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "random", "--dim", "4", "--alpha", "affine:5e307,0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_out_of_range_parameter_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "three-level", "--t", "7.0"])
