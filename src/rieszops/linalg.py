@@ -21,8 +21,6 @@ elsewhere are always verified against known eigenvectors.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 #: Default check tolerance (double precision, dim <= 64); fixed for every guard.
@@ -55,22 +53,6 @@ def guard(failed, message: str, *values, error=LinalgError) -> None:
     if np.count_nonzero(failed):
         first = np.flatnonzero(failed)[0]
         raise error(message.format(*(np.ravel(v)[first].item() for v in values)))
-
-
-def take(batch, where):
-    """The points of a batched record where the boolean array `where` holds:
-    arrays (batch axes leading) and nested records and tuples are indexed,
-    anything else (a dim) is kept.  Where every point holds, the batch itself."""
-    if np.count_nonzero(where) == where.size:
-        return batch
-    if isinstance(batch, np.ndarray):
-        return batch[where]
-    if isinstance(batch, tuple):
-        return tuple(take(item, where) for item in batch)
-    if dataclasses.is_dataclass(batch):
-        fields = {f.name: take(getattr(batch, f.name), where) for f in dataclasses.fields(batch)}
-        return dataclasses.replace(batch, **fields)
-    return batch
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -111,15 +111,16 @@ def three_level(t) -> ThreeLevelModel:
 def three_level_ladder_closed_forms(
     model: ThreeLevelModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form lowering and raising matrices A(t), B(t).
+    """The closed-form lowering and raising matrices A(t), B(t) for
+    gamma_n = sqrt(eps_n), principal branch, at every t: outside the
+    admissible interval eps_1 < 0 and gamma_1 is imaginary.
 
     Transcribed for completeness; the acceptance-bearing facts about the
     ladder are its basis actions, checked elsewhere.
     """
-    if not model.admissible.all():
-        raise ValueError("ladder closed forms need the admissible interval")
     t = model.t
-    e1, e2 = np.sqrt(model.eps[..., 1]), np.sqrt(model.eps[..., 2])
+    gamma = np.sqrt(model.eps.astype(complex))
+    e1, e2 = gamma[..., 1], gamma[..., 2]
     c, s = np.cos(t), np.sin(t)
     ch, sh = np.cos(t / 2.0), np.sin(t / 2.0)
     A = [
@@ -145,8 +146,6 @@ def three_level_hat_spectrum(model: ThreeLevelModel, AB: np.ndarray) -> Check:
     eigenvalues (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with
     the same list.
     """
-    if not model.admissible.all():
-        raise ValueError("hat spectrum is defined on the admissible interval")
     phi, psi = np.stack(model.phi, axis=-1), np.stack(model.psi, axis=-1)
     eigenvalues = np.stack([model.eps[..., 1], model.eps[..., 2], np.zeros(model.t.shape)], axis=-1)
     r_phi = AB @ phi - phi * eigenvalues[..., None, :]

@@ -2,9 +2,10 @@
 
 Three suites exist.  `three-level` runs the generic pipeline against the
 3x3 closed-form model, `projection` against the rank-one perturbation
-model, and `random` against a seeded well-conditioned generator
-T = I + 0.3 R (R with entries uniform in the complex unit square, which
-keeps the smallest singular value comfortably away from zero).
+model, and `random` against a seeded generator T = I + 0.3 R (R with
+entries uniform in the complex unit square), whose cond(T) grows with dim:
+3.5-4.5 at dim 8 up to 233-924 at dim 64 for seeds 0-3 (0.3 R has a mean
+of norm about 0.21 dim, and its centred part a spectral radius near 1).
 
 The battery runs on a batch of points: a sweep is a few stacked calls, and
 a single report is the sweep of one point.  Checks return a residual per
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import basis, factory, ladder, models, sequences, similarity
-from .linalg import DEFAULT_TOL, adjoint, max_entry, take
+from .linalg import DEFAULT_TOL, adjoint, max_entry
 from .report import Check, VerificationReport
 
 _GENERATOR_SPREAD = 0.3
@@ -53,10 +54,6 @@ def _record(reports: list[VerificationReport], tol: float, *checks: Check) -> No
             report.add(result)
 
 
-def _where(items: list, where: np.ndarray) -> list:
-    return [item for item, holds in zip(items, where.tolist()) if holds]
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays along a new leading axis; a single one is viewed, not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -78,18 +75,17 @@ def _battery(
     rngs: list,
     tol: float,
     closed_forms=lambda bundle: (),
-    ladder_at=True,
     quasi_pairs: int = 10,
-) -> tuple[list[VerificationReport], ladder.LadderPair | None]:
+) -> ladder.LadderPair | None:
     """The chain every suite runs, in one order: the pair and the bundle of
     the (k, d, d) generators and (k, d) alpha, the caller's closed-form
     checks of the bundle, the common block (basis identities, adjoints,
     intertwining, similarity, the metric inner-product facts, and the
     quasi-Hermitian symmetry when every alpha is real: no suite's stack
-    mixes realness), and the ladder block for the (k, d) gamma.  The ladder
-    block runs where dim >= 2 (A = B = 0 makes every identity vacuous) and
-    the caller's mask holds; returns those points' reports and their
-    ladder, None without any.
+    mixes realness), and the ladder block for the (k, d) gamma at every
+    point, whether or not the paper's hypotheses hold there.  The ladder
+    block runs when dim >= 2 (A = B = 0 makes every identity vacuous);
+    returns the ladder, None at dim 1.
 
     The vectors come from rngs: one generator shared by every point, whose
     (1, d, n) blocks every point reads (each point's own stream when all
@@ -132,11 +128,9 @@ def _battery(
         similarity.onb_in_HS(bundle),
         factory.check_norm_bound(bundle),
     )
-    at = np.full(len(reports), pair.dim >= 2) & ladder_at
-    if not at.any():
-        return [], None
-    inside = _where(reports, at)
-    return inside, _ladder_checks(inside, take(bundle, at), take(gamma, at), tol)
+    if pair.dim < 2:
+        return None
+    return _ladder_checks(reports, bundle, gamma, tol)
 
 
 def _ladder_checks(
@@ -145,10 +139,13 @@ def _ladder_checks(
     gamma: np.ndarray,
     tol: float,
 ) -> ladder.LadderPair:
-    """Ladder block shared by every suite: the ladder for gamma, its actions,
-    adjoints and products, and H - alpha_0 I = BA for
-    gamma_n = sqrt(alpha_n - alpha_0), from the ladder for gamma when the
-    roots equal it.  Returns the ladder for gamma."""
+    """Ladder block shared by every suite, run at every point of the batch:
+    the ladder for gamma, its actions, adjoints and products, and
+    H - alpha_0 I = BA for gamma_n = sqrt(alpha_n - alpha_0), from the
+    ladder for gamma when the roots equal it.  These identities hold at
+    truncation for every alpha and gamma; whether the paper's hypotheses
+    hold is recorded in the factorization note and decides no check.
+    Returns the ladder for gamma."""
     pair = bundle.pair
     lp = ladder.build_ladder(pair, gamma)
     roots, failed, reasons = ladder.factorize_from_alpha(bundle)
@@ -183,7 +180,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         model.admissible,
         f"t inside the admissible interval: smallest eigenvalue gap {{:.6e}} > {DEFAULT_TOL:g}",
         f"t outside the admissible interval: smallest eigenvalue gap {{:.6e}} <= "
-        f"{DEFAULT_TOL:g}; ladder checks skipped",
+        f"{DEFAULT_TOL:g}; the paper's hypotheses fail, every other check still runs",
     )
     gaps = np.diff(model.eps, axis=-1).min(axis=-1)
     _record(reports, 0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note, (gaps,)))
@@ -216,35 +213,32 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         )
 
     eps = model.eps.astype(complex)
-    inside, lp = _battery(
-        reports, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms, model.admissible, 50
+    lp = _battery(reports, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms, 50)
+    a_closed, b_closed = models.three_level_ladder_closed_forms(model)
+    _record(
+        reports,
+        tol,
+        # B* lowers and A* raises psi_n, with conjugated weights (gamma_1 is
+        # imaginary outside the admissible interval):
+        # B* psi_n = conj(g_n) psi_{n-1} and A* psi_n = conj(g_{n+1}) psi_{n+1}
+        Check(
+            "ladder_adjoint_actions",
+            ladder.shift_action_residual(
+                adjoint(lp.B_phi_psi),
+                adjoint(lp.A_phi_psi),
+                np.stack(model.psi, axis=-1),
+                lp.weights.conj(),
+            ),
+            "B* and A* shift actions on psi_n",
+        ),
+        models.three_level_hat_spectrum(model, lp.AB),
+        _entrywise(
+            "printed_ladder_matrices",
+            np.concatenate([lp.A_phi_psi, lp.B_phi_psi], axis=-1),
+            np.concatenate([a_closed, b_closed], axis=-1),
+            note="closed-form A(t), B(t) vs generic construction",
+        ),
     )
-    if lp is not None:
-        model = take(model, model.admissible)
-        a_closed, b_closed = models.three_level_ladder_closed_forms(model)
-        _record(
-            inside,
-            tol,
-            # B* lowers and A* raises psi_n:
-            # B* psi_n = g_n psi_{n-1} and A* psi_n = g_{n+1} psi_{n+1}
-            Check(
-                "ladder_adjoint_actions",
-                ladder.shift_action_residual(
-                    adjoint(lp.B_phi_psi),
-                    adjoint(lp.A_phi_psi),
-                    np.stack(model.psi, axis=-1),
-                    lp.weights,
-                ),
-                "B* and A* shift actions on psi_n",
-            ),
-            models.three_level_hat_spectrum(model, lp.AB),
-            _entrywise(
-                "printed_ladder_matrices",
-                np.concatenate([lp.A_phi_psi, lp.B_phi_psi], axis=-1),
-                np.concatenate([a_closed, b_closed], axis=-1),
-                note="closed-form A(t), B(t) vs generic construction",
-            ),
-        )
     return reports
 
 
@@ -328,8 +322,7 @@ def random_report(
     gamma: sequences.SequenceSpec = sequences.sqrt_poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Full battery for a seeded random well-conditioned generator: a batch
-    of one point."""
+    """Full battery for a seeded random generator: a batch of one point."""
     labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
     params = {"dim": int(dim), "seed": int(seed)} | labels
     report = VerificationReport(suite="random", params=params)

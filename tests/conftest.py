@@ -29,7 +29,7 @@ def cli_env():
 
 
 def random_generator_matrix(rng, dim):
-    """Well-conditioned seeded generator, same recipe as the random suite."""
+    """Seeded generator, same recipe as the random suite."""
     real = rng.uniform(0.0, 1.0, size=(dim, dim))
     imag = rng.uniform(0.0, 1.0, size=(dim, dim))
     return np.eye(dim) + 0.3 * (real + 1j * imag)

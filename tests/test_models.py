@@ -9,7 +9,7 @@ from rieszops import (
     operator_norm,
     poly,
 )
-from rieszops.ladder import factorize_from_alpha
+from rieszops.ladder import build_ladder, factorize_from_alpha
 from rieszops.models import (
     projection_H_closed_form,
     projection_model,
@@ -175,11 +175,14 @@ class TestSymbolicThreeLevel:
         assert abs(pair.frame_upper - np.sqrt(float(exact["norm_T_squared"]))) <= 1e-12
         assert abs(1.0 / pair.frame_lower - np.sqrt(float(exact["norm_T_inv_squared"]))) <= 1e-12
 
-    @pytest.mark.parametrize("t", ADMISSIBLE_T)
+    @pytest.mark.parametrize("t", ADMISSIBLE_T + INADMISSIBLE_T)
     def test_printed_ladder_matches_literal_shift_sums(self, derived, t):
+        # principal roots: outside the admissible interval eps_1 < 0 and
+        # gamma_1 is imaginary (at t = 3.0 gamma_2 too)
         _, _, at = derived
         model = three_level(t)
-        g1, g2 = np.sqrt(model.eps[1:])
+        g1, g2 = np.sqrt(model.eps[1:].astype(complex))
+        assert (g1.imag > 0) == (t in INADMISSIBLE_T)
         a_closed, b_closed = three_level_ladder_closed_forms(model)
         assert np.abs(a_closed - at("A", t, g1, g2)).max() <= 1e-12
         assert np.abs(b_closed - at("B", t, g1, g2)).max() <= 1e-12
@@ -212,10 +215,16 @@ class TestHatSpectrum:
         assert np.trace(ab).real == pytest.approx(expected, abs=1e-11)
         assert np.trace(ba).real == pytest.approx(expected, abs=1e-11)
 
-    def test_rejects_inadmissible(self):
-        model = three_level(np.pi)
-        with pytest.raises(ValueError, match="admissible"):
-            three_level_hat_spectrum(model, np.eye(3))
+    @pytest.mark.parametrize("t", [np.pi, 1.2], ids=["pi", "1.2"])
+    def test_holds_outside_the_admissible_interval(self, t):
+        # eps_1 < 0, so the ladder's gamma_1 = sqrt(eps_1) is imaginary; its
+        # AB = H^{(eps_1, eps_2, 0)} has the relabeled spectrum all the same
+        model = three_level(t)
+        bundle = build_bundle(from_generator(model.T), np.array(model.eps))
+        roots, failed, _ = factorize_from_alpha(bundle)
+        assert failed and roots[1].imag > 0
+        check = result(three_level_hat_spectrum(model, build_ladder(bundle.pair, roots).AB))
+        assert check.passed and check.residual <= 1e-12
 
 
 #: two exact unit vectors at N = 4, supports {0, 1} and {1, 3}, and weights
