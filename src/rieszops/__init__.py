@@ -18,7 +18,6 @@ from .domains import DEFAULT_N_MAX, DomainVerdict, summability_verdict
 from .factory import (
     OperatorBundle,
     build_bundle,
-    check_adjoint_pair,
     check_eigen_action,
     check_intertwining,
     check_metric_pair,
@@ -31,7 +30,6 @@ from .ladder import (
     LadderPair,
     build_ladder,
     check_ladder_actions,
-    check_ladder_adjoints,
     check_products,
     factorize_from_alpha,
 )
@@ -59,7 +57,6 @@ from .similarity import (
     check_selfadjoint_h,
     check_similarity_consistency,
     check_transported_eigenbasis,
-    onb_in_HS,
 )
 from .suites import (
     projection_report,

@@ -3,8 +3,11 @@
 Every operator is a rank-one sum sum_n c_n (v_n outer conj(w_n)) over paired
 columns, formed by rank_one_sum as one matrix product (V diag(c)) W*: H
 pairs phi with psi, S a family with itself, the metric roots U with itself.
-The checks downstream must exercise the defining formulas, so no
-diagonalization shortcut (such as T diag(w) T^{-1}) is used.  Weights are
+So the paper's adjoint pairings, (H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}
+and (S^beta)* = S^conj(beta), are one algebraic fact about rank_one_sum,
+pinned by its unit tests; no check rebuilds an operator to compare it with
+an adjoint.  The checks downstream must exercise the defining formulas, so
+no diagonalization shortcut (such as T diag(w) T^{-1}) is used.  Weights are
 (..., m) arrays, one row per point of the pair's batch, and every check
 returns a residual per point.
 """
@@ -23,7 +26,8 @@ from .report import Check
 def rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_n weights[..., n] (left_n outer conj(right_n)) over the columns of
     the (..., dim, m) stacks left and right, weights a (..., m) array; any
-    other weight shape would broadcast.  An overflowing product is the
+    other weight shape would broadcast.  Its adjoint is
+    rank_one_sum(conj(weights), right, left).  An overflowing product is the
     LinalgError of require_finite, not a floating-point warning."""
     expected = left.shape[:-2] + left.shape[-1:]
     if np.shape(weights) != expected:
@@ -42,9 +46,8 @@ class OperatorBundle:
     pair: RieszBasisPair
     #: alpha_0 .. alpha_{dim-1} of each point
     weights: np.ndarray
-    #: per point, no weight has an imaginary part: h is self-adjoint, the
-    #: quasi-Hermitian symmetry holds, and the conj(alpha) operators are the
-    #: alpha ones
+    #: per point, no weight has an imaginary part: h is self-adjoint and the
+    #: quasi-Hermitian symmetry holds, so realness decides which checks run
     is_real: np.ndarray
     H_phi_psi: np.ndarray
     H_psi_phi: np.ndarray
@@ -58,18 +61,12 @@ class OperatorBundle:
     #: S^alpha on both sides
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
-    #: the conj(alpha) operators the adjoint identities compare against;
-    #: the alpha operators themselves when every point is_real
-    H_conj_psi_phi: np.ndarray
-    S_conj_phi: np.ndarray
-    S_conj_psi: np.ndarray
 
 
 def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     """Materialize, from the (..., dim) array alpha_0 .. alpha_{dim-1}, H
     (both directions), the metric operators and their principal square
-    roots, h = S_psi^{1/2} H S_phi^{1/2} and Phi, S^alpha on both sides, and
-    the conj(alpha) operators H_{psi,phi} and S on both sides.
+    roots, h = S_psi^{1/2} H S_phi^{1/2} and Phi, and S^alpha on both sides.
 
     Realness is decided here, once per point, from the weights themselves:
     at small dim a truncated complex sequence can be real.
@@ -83,33 +80,20 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     roots = [rank_one_sum(values, u, u) for values in (s, 1.0 / s)]
     s_phi_sqrt, s_psi_sqrt = (0.5 * (root + adjoint(root)) for root in roots)
     h_phi_psi = rank_one_sum(weights, phi, psi)
-    h_psi_phi = rank_one_sum(weights, psi, phi)
-    s_alpha_phi = rank_one_sum(weights, phi, phi)
-    s_alpha_psi = rank_one_sum(weights, psi, psi)
-    # real weights are their own conjugates: reuse the alpha operators
-    h_conj, s_conj_phi, s_conj_psi = h_psi_phi, s_alpha_phi, s_alpha_psi
-    if not is_real.all():
-        conj = weights.conj()
-        h_conj = rank_one_sum(conj, psi, phi)
-        s_conj_phi = rank_one_sum(conj, phi, phi)
-        s_conj_psi = rank_one_sum(conj, psi, psi)
     return OperatorBundle(
         pair=pair,
         weights=weights,
         is_real=is_real,
         H_phi_psi=h_phi_psi,
-        H_psi_phi=h_psi_phi,
+        H_psi_phi=rank_one_sum(weights, psi, phi),
         S_phi=pair.metric,
         S_psi=rank_one_sum(np.ones(psi.shape[:-1], dtype=complex), psi, psi),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
         Phi=s_psi_sqrt @ phi,
-        S_alpha_phi=s_alpha_phi,
-        S_alpha_psi=s_alpha_psi,
-        H_conj_psi_phi=h_conj,
-        S_conj_phi=s_conj_phi,
-        S_conj_psi=s_conj_psi,
+        S_alpha_phi=rank_one_sum(weights, phi, phi),
+        S_alpha_psi=rank_one_sum(weights, psi, psi),
     )
 
 
@@ -120,18 +104,6 @@ def check_eigen_action(bundle: OperatorBundle) -> Check:
     r_psi = max_entry(bundle.H_psi_phi @ pair.psi - pair.psi * weights)
     return Check(
         "eigen_action", np.maximum(r_phi, r_psi), "H phi_k = alpha_k phi_k, both directions"
-    )
-
-
-def check_adjoint_pair(bundle: OperatorBundle) -> Check:
-    """(H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}, and the weighted-S
-    analogue (S^beta)* = S^conj(beta) on both sides, with beta = alpha."""
-    return Check.worst(
-        "adjoint_pair",
-        "H* vs conj weights {:.3e}; S_phi {:.3e}; S_psi {:.3e}",
-        frobenius(adjoint(bundle.H_phi_psi) - bundle.H_conj_psi_phi),
-        frobenius(adjoint(bundle.S_alpha_phi) - bundle.S_conj_phi),
-        frobenius(adjoint(bundle.S_alpha_psi) - bundle.S_conj_psi),
     )
 
 

@@ -4,8 +4,9 @@ At truncation level N the lowering operator A = sum_{n>=1} gamma_n
 (phi_{n-1} outer conj(psi_n)) annihilates phi_0, and the raising operator
 B = sum_{n<=N-2} gamma_{n+1} (phi_{n+1} outer conj(psi_n)), which drops its
 gamma_N term, annihilates phi_{N-1}: rank-one sums over the column slices
-[..., :, :-1] and [..., :, 1:], and over psi and phi swapped for the psi,phi
-variants.  So for every gamma, on the whole truncated space,
+[..., :, :-1] and [..., :, 1:].  By the adjoint rule of rank_one_sum their
+adjoints are the psi,phi ladder of conj(gamma), (A_{phi,psi})* = B_{psi,phi},
+so no psi,phi ladder is built.  For every gamma, on the whole truncated space,
 
     BA = H^{(0, gamma_1^2, ..., gamma_{N-1}^2)},
     AB = H^{(gamma_1^2, ..., gamma_{N-1}^2, 0)},
@@ -27,7 +28,7 @@ import numpy as np
 
 from .basis import RieszBasisPair
 from .factory import OperatorBundle, rank_one_sum
-from .linalg import DEFAULT_TOL, adjoint, frobenius, max_entry, worst_column_norm
+from .linalg import DEFAULT_TOL, max_entry, worst_column_norm
 from .report import Check
 
 
@@ -43,17 +44,6 @@ class LadderPair:
     B_phi_psi: np.ndarray
 
     @cached_property
-    def A_psi_phi(self) -> np.ndarray:
-        """The psi,phi variants, formed only where the adjoint check reads them."""
-        psi, phi = self.pair.psi, self.pair.phi
-        return rank_one_sum(self.weights[..., 1:], psi[..., :, :-1], phi[..., :, 1:])
-
-    @cached_property
-    def B_psi_phi(self) -> np.ndarray:
-        psi, phi = self.pair.psi, self.pair.phi
-        return rank_one_sum(self.weights[..., 1:], psi[..., :, 1:], phi[..., :, :-1])
-
-    @cached_property
     def BA(self) -> np.ndarray:
         """B A of the phi,psi pair, formed once for the products and the
         factorization."""
@@ -67,8 +57,7 @@ class LadderPair:
 
 
 def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
-    """The phi,psi ladder from the (..., dim) array gamma_0 .. gamma_{dim-1};
-    the psi,phi variants are formed on first use.
+    """The phi,psi ladder from the (..., dim) array gamma_0 .. gamma_{dim-1}.
 
     |.|-monotonicity is decided here, once per point, from the weights
     themselves: at small dim a truncated non-monotone sequence can be
@@ -109,22 +98,6 @@ def check_ladder_actions(lp: LadderPair) -> Check:
     for n <= N-2 and B phi_{N-1} = 0 (dropped term at truncation)."""
     worst = shift_action_residual(lp.A_phi_psi, lp.B_phi_psi, lp.pair.phi, lp.weights)
     return Check("ladder_actions", worst, "A and B shift actions on phi_n")
-
-
-def check_ladder_adjoints(lp: LadderPair) -> Check:
-    """(A_{phi,psi})* = B_{psi,phi} and (A_{psi,phi})* = B_{phi,psi}, both
-    built with conjugated weights: the ladder itself for real weights."""
-    conj = lp
-    if lp.weights.imag.any():
-        conj = build_ladder(lp.pair, lp.weights.conj())
-    return Check.worst(
-        "ladder_adjoints",
-        "A* vs B residuals {:.3e}, {:.3e}; B* vs A {:.3e}, {:.3e}",
-        frobenius(adjoint(lp.A_phi_psi) - conj.B_psi_phi),
-        frobenius(adjoint(lp.A_psi_phi) - conj.B_phi_psi),
-        frobenius(adjoint(lp.B_phi_psi) - conj.A_psi_phi),
-        frobenius(adjoint(lp.B_psi_phi) - conj.A_phi_psi),
-    )
 
 
 def check_products(lp: LadderPair) -> Check:

@@ -79,10 +79,10 @@ def _battery(
 ) -> ladder.LadderPair | None:
     """The chain every suite runs, in one order: the pair and the bundle of
     the (k, d, d) generators and (k, d) alpha, the caller's closed-form
-    checks of the bundle, the common block (basis identities, adjoints,
-    intertwining, similarity, the metric inner-product facts, and the
-    quasi-Hermitian symmetry when every alpha is real: no suite's stack
-    mixes realness), and the ladder block for the (k, d) gamma at every
+    checks of the bundle, the common block (basis identities, actions,
+    intertwining, similarity, and the quasi-Hermitian symmetry and the
+    self-adjointness of h when every alpha is real: no suite's stack mixes
+    realness), and the ladder block for the (k, d) gamma at every
     point, whether or not the paper's hypotheses hold there.  The ladder
     block runs when dim >= 2 (A = B = 0 makes every identity vacuous);
     returns the ladder, None at dim 1.
@@ -110,7 +110,6 @@ def _battery(
         basis.frame_inequality_check(pair, bundle.weights, draw(rngs, 10)),
         factory.check_eigen_action(bundle),
         factory.check_weighted_action(bundle),
-        factory.check_adjoint_pair(bundle),
         factory.check_metric_pair(bundle),
         factory.check_intertwining(bundle),
     )
@@ -118,14 +117,12 @@ def _battery(
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
         fg = draw(rngs, 2 * quasi_pairs)
         quasi = factory.quasi_hermitian_symmetry(bundle, fg[..., 0::2], fg[..., 1::2])
-        _record(reports, tol, quasi)
+        _record(reports, tol, quasi, similarity.check_selfadjoint_h(bundle))
     _record(
         reports,
         tol,
-        similarity.check_selfadjoint_h(bundle),
         similarity.check_transported_eigenbasis(bundle),
         similarity.check_similarity_consistency(bundle),
-        similarity.onb_in_HS(bundle),
         factory.check_norm_bound(bundle),
     )
     if pair.dim < 2:
@@ -140,7 +137,7 @@ def _ladder_checks(
     tol: float,
 ) -> ladder.LadderPair:
     """Ladder block shared by every suite, run at every point of the batch:
-    the ladder for gamma, its actions, adjoints and products, and
+    the ladder for gamma, its actions and products, and
     H - alpha_0 I = BA for gamma_n = sqrt(alpha_n - alpha_0), from the
     ladder for gamma when the roots equal it.  These identities hold at
     truncation for every alpha and gamma; whether the paper's hypotheses
@@ -163,7 +160,6 @@ def _ladder_checks(
         reports,
         tol,
         ladder.check_ladder_actions(lp),
-        ladder.check_ladder_adjoints(lp),
         ladder.check_products(lp),
         Check("factorization", max_entry(root.BA - shifted), note, (why,)),
     )

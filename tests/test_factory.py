@@ -6,14 +6,16 @@ import pytest
 
 from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
+    OperatorBundle,
     build_bundle,
-    check_adjoint_pair,
     check_eigen_action,
     check_intertwining,
     check_metric_pair,
     check_norm_bound,
-    check_weighted_action,
     check_selfadjoint_h,
+    check_similarity_consistency,
+    check_transported_eigenbasis,
+    check_weighted_action,
     explicit,
     factory,
     from_generator,
@@ -24,6 +26,7 @@ from rieszops import (
     quasi_hermitian_symmetry,
     rank_one_sum,
 )
+from rieszops.linalg import adjoint
 from rieszops.models import projection_model, three_level
 from rieszops.sequences import SequenceSpec
 from rieszops.suites import projection_report, random_report, three_level_report
@@ -99,25 +102,42 @@ class TestBuildSWeighted:
         assert np.abs(s - s.conj().T).max() > 1e-6
 
 
-class TestAdjointPair:
-    def test_three_level(self):
-        model, pair = three_level_pair(0.3)
-        check = result(check_adjoint_pair(build_bundle(pair, np.array(model.eps))), tol=1e-12)
-        assert check.passed and check.residual <= 1e-12
+#: the operand shapes build_bundle and build_ladder pass to rank_one_sum:
+#: H pairs phi with psi, S^beta a family with itself, a ladder operator the
+#: shifted slices
+OPERANDS = {
+    "H": lambda pair: (pair.phi, pair.psi),
+    "S": lambda pair: (pair.psi, pair.psi),
+    "ladder": lambda pair: (pair.phi[:, :-1], pair.psi[:, 1:]),
+}
 
-    def test_real_weights_identity_generator_hermitian(self):
-        pair = from_generator(np.eye(4, dtype=complex))
-        alpha = explicit([0.0, 1.0, 2.0, 3.0])
-        h = rank_one_sum(alpha.terms(4), pair.phi, pair.psi)
-        assert np.abs(h - h.conj().T).max() == 0.0
-        assert result(check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim)))).residual <= 1e-14
 
-    def test_random_complex_dim_16(self):
-        pair = random_pair(16, 16)
-        rng = np.random.default_rng(4)
-        alpha = explicit(random_vector(rng, 16))
-        check = result(check_adjoint_pair(build_bundle(pair, alpha.terms(pair.dim))))
-        assert check.passed and check.residual <= 1e-10
+class TestAdjointRule:
+    """adjoint(rank_one_sum(w, L, R)) = rank_one_sum(conj(w), R, L).
+
+    Term by term, (w_n l_n r_n*)* = conj(w_n) r_n l_n*, so the sum's adjoint
+    is the sum with conjugated weights and the two column families
+    swapped.  With the operands of each operator this is every adjoint
+    pairing of the paper at truncation: (H^alpha_{phi,psi})* =
+    H^conj(alpha)_{psi,phi}, (S^beta)* = S^conj(beta) on either side, and
+    (A_{phi,psi})* = B_{psi,phi} for the ladder of conj(gamma), whose slices
+    are the lowering slices swapped.  So no report checks them again.
+
+    Both sides round each term and each sum once, in different orders:
+    entry by entry they agree to m * eps times the sum of |w_n l_n r_n|
+    over the m terms (Higham 2002, ch. 3).
+    """
+
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    @pytest.mark.parametrize("operands", sorted(OPERANDS))
+    def test_adjoint_is_the_swapped_sum_of_conjugated_weights(self, operands, dim):
+        left, right = OPERANDS[operands](random_pair(dim, dim))
+        terms = left.shape[-1]
+        weights = random_vector(np.random.default_rng(dim), terms)
+        got = adjoint(rank_one_sum(weights, left, right))
+        expected = rank_one_sum(weights.conj(), right, left)
+        scale = (np.abs(right) * np.abs(weights)) @ np.abs(left).T
+        assert np.all(np.abs(got - expected) <= terms * np.finfo(float).eps * scale)
 
 
 class TestIntertwining:
@@ -212,26 +232,65 @@ class TestMetricAndBounds:
         assert operator_norm(s) <= bound + 1e-10
 
 
-#: the checks that read each conj(alpha) / S^alpha field of the bundle
+#: the checks of the battery that read each matrix field of the bundle
 READERS = {
-    "S_alpha_phi": {"adjoint_pair", "weighted_action", "intertwining"},
-    "S_alpha_psi": {"adjoint_pair", "weighted_action", "intertwining"},
-    "H_conj_psi_phi": {"adjoint_pair", "selfadjoint_h"},
-    "S_conj_phi": {"adjoint_pair"},
-    "S_conj_psi": {"adjoint_pair"},
+    "H_phi_psi": {
+        "eigen_action", "intertwining", "quasi_hermitian_symmetry",
+        "similarity_consistency", "norm_bound",
+    },
+    "H_psi_phi": {"eigen_action", "intertwining"},
+    "S_phi": {"metric_pair", "intertwining"},
+    "S_psi": {"metric_pair", "intertwining", "quasi_hermitian_symmetry"},
+    "S_phi_sqrt": {"metric_pair", "similarity_consistency"},
+    "S_psi_sqrt": {"metric_pair"},
+    "h": {"selfadjoint_h", "transported_eigenbasis", "similarity_consistency"},
+    "Phi": {"transported_eigenbasis"},
+    "S_alpha_phi": {"weighted_action", "intertwining"},
+    "S_alpha_psi": {"weighted_action", "intertwining"},
 }
-BUNDLE_CHECKS = (
-    check_adjoint_pair,
-    check_weighted_action,
-    check_intertwining,
-    check_selfadjoint_h,
-)
+#: readers a perturbation of the field cannot fail, with the reason
+CANNOT_FAIL = {
+    ("H_phi_psi", "norm_bound"): "one-sided: ||H|| <= (g2/g1) max|alpha| holds with slack",
+}
+
+
+def quasi_on_ten_pairs(bundle):
+    fg = random_vector(np.random.default_rng(5), 20 * bundle.pair.dim).reshape(-1, 20)
+    return quasi_hermitian_symmetry(bundle, fg[:, 0::2], fg[:, 1::2])
+
+
+def bundle_checks(bundle):
+    """The battery's checks of a bundle; the two real-alpha checks only
+    where alpha is real."""
+    checks = [
+        check_eigen_action,
+        check_weighted_action,
+        check_metric_pair,
+        check_intertwining,
+        check_transported_eigenbasis,
+        check_similarity_consistency,
+        check_norm_bound,
+    ]
+    if bundle.is_real.all():
+        checks += [check_selfadjoint_h, quasi_on_ten_pairs]
+    return checks
 
 
 def mutation_bundles():
     model, pair = three_level_pair(0.3)
     yield "three-level", build_bundle(pair, np.array(model.eps))
     yield "random-16", build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j).terms(16))
+
+
+class FieldReads:
+    """A bundle that records which of its fields a check reads."""
+
+    def __init__(self, bundle):
+        self.bundle, self.read = bundle, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.bundle, name)
 
 
 class TestBundleFields:
@@ -246,19 +305,32 @@ class TestBundleFields:
         assert bundle.S_phi is pair.metric
         assert np.array_equal(pair.metric, rank_one_sum(ones, pair.phi, pair.phi))
 
+    def test_readers_are_the_checks_that_read_each_field(self):
+        fields = {field.name for field in dataclasses.fields(OperatorBundle)}
+        assert set(READERS) == fields - {"pair", "weights", "is_real"}
+        for case, bundle in mutation_bundles():
+            for check in bundle_checks(bundle):
+                recording = FieldReads(bundle)
+                name = check(recording).name
+                readers = {field for field, names in READERS.items() if name in names}
+                assert recording.read & set(READERS) == readers, (case, name)
+
     @pytest.mark.parametrize("field", sorted(READERS))
     def test_perturbed_field_fails_its_readers(self, field):
         for case, bundle in mutation_bundles():
-            assert all(result(check(bundle)).passed for check in BUNDLE_CHECKS), case
+            checks = bundle_checks(bundle)
+            assert all(result(check(bundle)).passed for check in checks), case
             mutated = getattr(bundle, field).copy()
             mutated[0, -1] += 1e-6
             perturbed = dataclasses.replace(bundle, **{field: mutated})
-            failed = {
-                check_result.name
-                for check_result in (result(check(perturbed)) for check in BUNDLE_CHECKS)
-                if not check_result.passed
+            results = [result(check(perturbed)) for check in checks]
+            failed = {check_result.name for check_result in results if not check_result.passed}
+            expected = {
+                name
+                for name in READERS[field] & {check_result.name for check_result in results}
+                if (field, name) not in CANNOT_FAIL
             }
-            assert failed == READERS[field], case
+            assert failed == expected, case
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -276,22 +348,26 @@ class TestBundleFields:
     @pytest.mark.parametrize(
         "make_report, builds",
         [
-            # real alpha: the bundle's 2 metric roots, H both ways, S^alpha on
-            # both sides and S_psi (7; the conj(alpha) operators are the alpha
-            # ones, S_phi is the pair's TT*), A and B (2), the psi,phi variants
-            # the adjoint check reads (2), and the two shifted H of the
-            # products (2): 7 + 2 + 2 + 2 = 13.  The factorization's roots
-            # are gamma, so it reuses the gamma ladder
-            (lambda: random_report(16, seed=3), 13),
-            (lambda: projection_report(16, 4, seed=3), 13),
-            (lambda: three_level_report(0.3), 13),
-            # complex alpha: 3 more in the bundle for conj(alpha) (10), the
-            # gamma ladder, its psi,phi variants and the shifted H as above
-            # (6), and A and B of the factorization's own ladder, whose roots
-            # are not gamma (2): 10 + 6 + 2 = 18
-            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), 18),
+            # the bundle's 2 metric roots, H both ways, S^alpha on both sides
+            # and S_psi (7; S_phi is the pair's TT*), A and B (2), and the two
+            # shifted H of the products (2): 7 + 2 + 2 = 11.  For real alpha
+            # the factorization's roots are gamma, so it reuses the gamma
+            # ladder
+            (lambda: random_report(16, seed=3), 11),
+            (lambda: projection_report(16, 4, seed=3), 11),
+            (lambda: three_level_report(0.3), 11),
+            # complex alpha: A and B of the factorization's own ladder too,
+            # whose roots are not gamma (2): 11 + 2 = 13
+            (lambda: random_report(16, seed=3, alpha=geometric(0.9 + 0.2j)), 13),
+            # complex alpha and gamma: the same 13
+            (
+                lambda: random_report(
+                    16, seed=3, alpha=geometric(0.9 + 0.2j), gamma=geometric(1.1 + 0.3j)
+                ),
+                13,
+            ),
         ],
-        ids=["random", "projection", "three-level", "random-complex"],
+        ids=["random", "projection", "three-level", "random-complex", "random-complex-gamma"],
     )
     def test_report_build_counts(self, monkeypatch, make_report, builds):
         built = self.count_builds(monkeypatch)
@@ -299,69 +375,23 @@ class TestBundleFields:
         assert sum(built.values()) == builds
 
     def test_random_report_builds_each_operator_once(self, monkeypatch):
-        # complex alpha: the alpha and conj(alpha) operators differ; 18
-        # builds, as in test_report_build_counts, of 18 distinct operators
+        # complex alpha: 13 builds, as in test_report_build_counts, of 13
+        # distinct operators
         built = self.count_builds(monkeypatch)
         random_report(16, seed=3, alpha=geometric(0.9 + 0.2j))
-        assert len(built) == 18
+        assert len(built) == 13
         assert not [key for key, n in built.items() if n > 1]
 
 
-CONJ_FIELDS = {
-    "H_conj_psi_phi": "H_psi_phi",
-    "S_conj_phi": "S_alpha_phi",
-    "S_conj_psi": "S_alpha_psi",
-}
-
-
-def real_alpha_bundles():
-    model, pair = three_level_pair(0.3)
-    yield "three-level", build_bundle(pair, np.array(model.eps))
-    yield "random-16", build_bundle(random_pair(16, 3), poly(1.0).terms(16))
-
-
-class TestConjAliases:
-    def test_real_weights_alias_the_alpha_operators(self):
-        for case, bundle in real_alpha_bundles():
-            for conj_field, field in CONJ_FIELDS.items():
-                assert getattr(bundle, conj_field) is getattr(bundle, field), case
-
-    def test_complex_weights_build_distinct_operators(self):
-        bundle = build_bundle(random_pair(16, 3), geometric(0.9 + 0.2j).terms(16))
-        for conj_field, field in CONJ_FIELDS.items():
-            conj_op, op = getattr(bundle, conj_field), getattr(bundle, field)
-            assert not np.shares_memory(conj_op, op), conj_field
-
+class TestRealness:
     def test_dim_1_truncation_of_a_complex_sequence_is_real(self):
-        # geometric:0.9+0.2j emits 1, 0.9+0.2j, ...: real at dim 1 only
+        # geometric:0.9+0.2j emits 1, 0.9+0.2j, ...: real at dim 1 only, so
+        # the dim-1 report runs the two real-alpha checks
         alpha = geometric(0.9 + 0.2j)
-        bundle = build_bundle(random_pair(1, 5), alpha.terms(1))
-        assert bundle.is_real
-        for conj_field, field in CONJ_FIELDS.items():
-            assert getattr(bundle, conj_field) is getattr(bundle, field), conj_field
+        assert build_bundle(random_pair(1, 5), alpha.terms(1)).is_real
         assert not build_bundle(random_pair(2, 5), alpha.terms(2)).is_real
         names = [c.name for c in random_report(1, seed=1, alpha=alpha).checks]
-        assert "quasi_hermitian_symmetry" in names
-
-
-class TestLadderAdjointBuilds:
-    @pytest.mark.parametrize(
-        "gamma, builds",
-        [(poly(0.5), 0), (explicit([0.0, 1.0, 2.0 + 0.5j, 3.0]), 1)],
-        ids=["real", "complex"],
-    )
-    def test_conj_ladder_built_only_for_complex_gamma(self, monkeypatch, gamma, builds):
-        lp = ladder.build_ladder(random_pair(4, 2), gamma.terms(4))
-        calls = []
-        build = ladder.build_ladder
-
-        def counting(pair, weights):
-            calls.append(weights)
-            return build(pair, weights)
-
-        monkeypatch.setattr(ladder, "build_ladder", counting)
-        assert result(ladder.check_ladder_adjoints(lp)).passed
-        assert len(calls) == builds
+        assert {"quasi_hermitian_symmetry", "selfadjoint_h"} <= set(names)
 
 
 class TestWeightArrays:
