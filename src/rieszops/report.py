@@ -2,15 +2,16 @@
 
 Reports must be byte-identical across runs for identical inputs, so floats
 are always rendered with %.17g (lossless for float64) and key order is
-fixed: a report by its template, any other document by the insertion order
-of its dicts.
+fixed: a report by the template of its stack, any other document by the
+insertion order of its dicts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ import numpy as np
 
 @dataclass
 class CheckResult:
-    """One named check: residual against tolerance plus a verdict."""
+    """One named check at one point: residual against tolerance plus a verdict."""
 
     name: str
     passed: bool
@@ -46,87 +47,199 @@ class Check(NamedTuple):
         with a note template that shows every part."""
         return cls(name, functools.reduce(np.maximum, parts), note, parts)
 
-    def results(self, tol: float) -> list[CheckResult]:
-        """One CheckResult per point, in batch order."""
-        name, note, tol = self.name, self.note, float(tol)
-        residuals = self.residual.ravel().tolist()
-        if not self.values:
-            return [CheckResult(name, r <= tol, r, tol, note) for r in residuals]
-        columns = [v.ravel().tolist() for v in self.values]
-        if isinstance(note, str):
-            notes = map(note.format, *columns)
-        else:
-            notes = map(str.format, note.ravel().tolist(), *columns)
-        return [CheckResult(name, r <= tol, r, tol, n) for r, n in zip(residuals, notes)]
+    def notes(self, points: slice = slice(None)) -> list[str]:
+        """The formatted note at each of the points (a slice of the flattened
+        batch) of a check with values, in one map."""
+        columns = [v.ravel()[points].tolist() for v in self.values]
+        if isinstance(self.note, str):
+            return list(map(self.note.format, *columns))
+        return list(map(str.format, self.note.ravel()[points].tolist(), *columns))
+
+    def results(self, tol: float, points: slice = slice(None)) -> list[CheckResult]:
+        """One CheckResult per point, in batch order, or per point of a slice
+        of the flattened batch, with ReportStack.verdicts' rule."""
+        tol = float(tol)
+        residuals = self.residual.ravel()[points].tolist()
+        notes = self.notes(points) if self.values else itertools.repeat(self.note)
+        return [
+            CheckResult(self.name, abs(r) <= tol, r, tol, n) for r, n in zip(residuals, notes)
+        ]
 
 
-@dataclass
+class _Column(NamedTuple):
+    """A check recorded on a stack, with its tol."""
+
+    check: Check
+    tol: float
+
+
+class _Verdicts(NamedTuple):
+    """A stack's residuals and whether each passed, as (checks, points)
+    arrays, and how many checks each point passed."""
+
+    residuals: np.ndarray
+    passed: np.ndarray
+    counts: np.ndarray
+
+
+class ReportStack:
+    """The reports of one stack of points, with the checks recorded on it as
+    columns.  Verdicts are decided for every check and point in one array
+    comparison, and every report is rendered by one template for the stack,
+    which holds each check's name, tol and fixed note once."""
+
+    def __init__(self, suite: str, params: list[dict]):
+        self.suite = suite
+        self.params = params
+        #: the recorded checks, in order, each a column over the points
+        self.checks: list[_Column] = []
+        self._verdicts: _Verdicts | None = None
+        self._documents: list[str] | None = None
+
+    def reports(self) -> list[VerificationReport]:
+        """A view of each point, in point order.  The stack holds no report,
+        so a stack and its reports form no reference cycle and are freed as
+        soon as the last report is dropped."""
+        return [VerificationReport(self, k) for k in range(len(self.params))]
+
+    def record(self, tol: float, *checks: Check) -> None:
+        """Each check joins the stack as a column, in order."""
+        self.checks += [_Column(check, float(tol)) for check in checks]
+        self._verdicts = self._documents = None
+
+    def verdicts(self) -> _Verdicts:
+        """Every check at every point, decided in one array comparison, on
+        first use.  A point passes a check when |residual| <= tol: a residual
+        is a magnitude, so residual == tol passes, and NaN and +-inf fail."""
+        if self._verdicts is None:
+            shape = (len(self.checks), len(self.params))
+            residuals = np.array([c.check.residual for c in self.checks], float).reshape(shape)
+            passed = np.abs(residuals) <= np.array([c.tol for c in self.checks])[:, None]
+            self._verdicts = _Verdicts(residuals, passed, passed.sum(axis=0))
+        return self._verdicts
+
+    def documents(self) -> list[str]:
+        """render_json of each point's report document, in point order; the
+        stack is rendered once, on first use."""
+        if self._documents is None:
+            self._documents = self._render()
+        return self._documents
+
+    def _render(self) -> list[str]:
+        """One % per point fills the stack's template with its params, each
+        check's verdict, residual and formatted note, and its pass counts.
+        Each of those is formatted for every point at once: the residuals in
+        one map, a note with values in one map per check."""
+        verdicts = self.verdicts()
+        points = len(self.params)
+        texts = _render_residuals(verdicts.residuals.ravel().tolist())
+        passed = _JSON_BOOLS[verdicts.passed.view(np.int8)].tolist()
+        fields = [[render_json(p, 1) for p in self.params]]
+        for k, (check, _) in enumerate(self.checks):
+            fields += (passed[k], texts[k * points : (k + 1) * points])
+            if check.values:
+                fields.append(list(map(encode_basestring, check.notes())))
+        counts = verdicts.counts.tolist()
+        fields += (counts, [len(self.checks) - c for c in counts])
+        heads = tuple(
+            (c.check.name, c.tol, None if c.check.values else c.check.note) for c in self.checks
+        )
+        template = _template(self.suite, heads)
+        return [template % row for row in zip(*fields)]
+
+
+@dataclass(frozen=True)
 class VerificationReport:
-    suite: str
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
+    """One point of a ReportStack: its index in the stack.  Its params,
+    verdicts and rendering are the stack's at that index."""
 
-    def add(self, check: CheckResult) -> CheckResult:
-        self.checks.append(check)
-        return check
+    stack: ReportStack
+    index: int
+
+    @property
+    def suite(self) -> str:
+        return self.stack.suite
+
+    @property
+    def params(self) -> dict:
+        return self.stack.params[self.index]
+
+    @property
+    def checks(self) -> list[CheckResult]:
+        """Each recorded check at this point, in order, built on demand: for
+        tests and library callers; verdicts and rendering read the columns."""
+        point = slice(self.index, self.index + 1)
+        return [c.check.results(c.tol, point)[0] for c in self.stack.checks]
 
     @property
     def summary(self) -> dict:
-        passed = sum(1 for c in self.checks if c.passed)
-        return {
-            "total": len(self.checks),
-            "passed": passed,
-            "failed": len(self.checks) - passed,
-        }
+        total, passed = len(self.stack.checks), int(self.stack.verdicts().counts[self.index])
+        return {"total": total, "passed": passed, "failed": total - passed}
 
     @property
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
     def to_json(self) -> str:
-        """render_json of the report document, through fixed templates.  Each
-        distinct tol (the checks share one; `admissible` has its own) is
-        rendered once."""
-        tols = {tol: _render_float(tol) for tol in {c.tol for c in self.checks}}
-        checks = [
-            _CHECK
-            % (
-                encode_basestring(c.name),
-                "true" if c.passed else "false",
-                _render_float(c.residual),
-                tols[c.tol],
-                encode_basestring(c.note),
-            )
-            for c in self.checks
-        ]
-        return _REPORT % (
-            encode_basestring(self.suite),
-            render_json(self.params, 1),
-            "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]",
-            *self.summary.values(),
-        )
+        """render_json of the report document, from its stack's rendering."""
+        return self.stack.documents()[self.index]
 
 
-#: a report at indent 0, and one check as an item of its "checks" list
+#: the JSON literal of each verdict, indexed by the verdict
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
+
+#: a stack's report template at indent 0, with the suite, the checks and
+#: their count to fill in, and one check as an item of its "checks" list,
+#: with its name, tol and note to fill in; %%s is filled per point
 _REPORT = """\
 {
   "suite": %s,
-  "params": %s,
+  "params": %%s,
   "checks": %s,
   "summary": {
     "total": %d,
-    "passed": %d,
-    "failed": %d
+    "passed": %%d,
+    "failed": %%d
   }
 }"""
 _CHECK = """\
     {
       "name": %s,
-      "passed": %s,
-      "residual": %s,
+      "passed": %%s,
+      "residual": %%s,
       "tol": %s,
       "note": %s
     }"""
+
+
+@functools.lru_cache(maxsize=64)
+def _template(suite: str, heads: tuple) -> str:
+    """The report template of a stack: the suite, each check's name, tol and
+    fixed note (None where the note has values), and the check count are
+    filled in; the rest is left to each point.  It depends on nothing else,
+    so stacks of one suite and branch share it."""
+    items = [
+        _CHECK % (_literal(name), _render_float(tol), "%s" if note is None else _literal(note))
+        for name, tol, note in heads
+    ]
+    return _REPORT % (
+        _literal(suite),
+        "[\n" + ",\n".join(items) + "\n  ]" if items else "[]",
+        len(items),
+    )
+
+
+def _literal(text: str) -> str:
+    """text as a JSON string, escaped to stand for itself in a % template."""
+    return encode_basestring(text).replace("%", "%%")
+
+
+def _render_residuals(residuals: list[float]) -> list[str]:
+    """%.17g of each residual, in one map; a residual that is not finite
+    fails its check and renders as null, which strict JSON accepts."""
+    if all(map(math.isfinite, residuals)):
+        return list(map("%.17g".__mod__, residuals))
+    return [format(r, ".17g") if math.isfinite(r) else "null" for r in residuals]
 
 
 def _render_float(value: float) -> str:

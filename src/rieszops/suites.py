@@ -9,7 +9,7 @@ of norm about 0.21 dim, and its centred part a spectral radius near 1).
 
 The battery runs on a batch of points: a sweep is a few stacked calls, and
 a single report is the sweep of one point.  Checks return a residual per
-point; `_record` turns them into each point's CheckResults.
+point, and each joins its ReportStack as one column over the points.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import basis, factory, ladder, models, sequences, similarity
 from .linalg import DEFAULT_TOL, adjoint, max_entry
-from .report import Check, VerificationReport
+from .report import Check, ReportStack, VerificationReport
 
 _GENERATOR_SPREAD = 0.3
 #: matrix entries per field of one dim-64 report: the most one stack may hold
@@ -46,14 +46,6 @@ def _entrywise(name: str, got, expected, note: str = "") -> Check:
     return Check(name, max_entry(got - expected), note)
 
 
-def _record(reports: list[VerificationReport], tol: float, *checks: Check) -> None:
-    """The one place checks become CheckResults: each point's result joins
-    its report, in the order of the checks."""
-    for check in checks:
-        for report, result in zip(reports, check.results(tol)):
-            report.add(result)
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays along a new leading axis; a single one is viewed, not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -67,8 +59,9 @@ def _stacked(reports_of, points, dim: int, *args) -> list[VerificationReport]:
     return [report for stack in stacks for report in reports_of(stack, *args)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _battery(
-    reports: list[VerificationReport],
+    stack: ReportStack,
     generator: np.ndarray,
     alpha: np.ndarray,
     gamma: np.ndarray,
@@ -85,7 +78,9 @@ def _battery(
     realness), and the ladder block for the (k, d) gamma at every
     point, whether or not the paper's hypotheses hold there.  The ladder
     block runs when dim >= 2 (A = B = 0 makes every identity vacuous);
-    returns the ladder, None at dim 1.
+    returns the ladder, None at dim 1.  Every check joins the stack; numpy's
+    overflow and invalid-value warnings are off for the whole chain, because
+    a residual that is not finite already fails its check.
 
     The vectors come from rngs: one generator shared by every point, whose
     (1, d, n) blocks every point reads (each point's own stream when all
@@ -97,8 +92,7 @@ def _battery(
     def draw(sources: list, n: int) -> np.ndarray:
         return _stack([_random_block(rng, pair.dim, n) for rng in sources])
 
-    _record(
-        reports,
+    stack.record(
         tol,
         *closed_forms(bundle),
         basis.verify_biorthogonality(pair),
@@ -117,9 +111,8 @@ def _battery(
         # pair j is (f, g) = columns (2j, 2j + 1): f drawn before g
         fg = draw(rngs, 2 * quasi_pairs)
         quasi = factory.quasi_hermitian_symmetry(bundle, fg[..., 0::2], fg[..., 1::2])
-        _record(reports, tol, quasi, similarity.check_selfadjoint_h(bundle))
-    _record(
-        reports,
+        stack.record(tol, quasi, similarity.check_selfadjoint_h(bundle))
+    stack.record(
         tol,
         similarity.check_transported_eigenbasis(bundle),
         similarity.check_similarity_consistency(bundle),
@@ -127,11 +120,11 @@ def _battery(
     )
     if pair.dim < 2:
         return None
-    return _ladder_checks(reports, bundle, gamma, tol)
+    return _ladder_checks(stack, bundle, gamma, tol)
 
 
 def _ladder_checks(
-    reports: list[VerificationReport],
+    stack: ReportStack,
     bundle: factory.OperatorBundle,
     gamma: np.ndarray,
     tol: float,
@@ -156,8 +149,7 @@ def _ladder_checks(
         fact + "alpha is real and strictly increasing: the paper's hypotheses hold",
     )
     shifted = bundle.H_phi_psi - bundle.weights[..., :1, None] * np.eye(pair.dim)
-    _record(
-        reports,
+    stack.record(
         tol,
         ladder.check_ladder_actions(lp),
         ladder.check_products(lp),
@@ -169,7 +161,7 @@ def _ladder_checks(
 def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[VerificationReport]:
     """Full battery for the 3x3 model at every parameter of ts, as one stack."""
     params = [{"t": t, "seed": int(seed), "tol": float(tol)} for t in ts.tolist()]
-    reports = [VerificationReport(suite="three-level", params=p) for p in params]
+    stack = ReportStack("three-level", params)
     rng = np.random.default_rng(seed)
     model = models.three_level(ts)
     note = np.where(
@@ -179,7 +171,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         f"{DEFAULT_TOL:g}; the paper's hypotheses fail, every other check still runs",
     )
     gaps = np.diff(model.eps, axis=-1).min(axis=-1)
-    _record(reports, 0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note, (gaps,)))
+    stack.record(0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note, (gaps,)))
     expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
     norm_note = f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}"
 
@@ -209,10 +201,9 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         )
 
     eps = model.eps.astype(complex)
-    lp = _battery(reports, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms, 50)
+    lp = _battery(stack, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms, 50)
     a_closed, b_closed = models.three_level_ladder_closed_forms(model)
-    _record(
-        reports,
+    stack.record(
         tol,
         # B* lowers and A* raises psi_n, with conjugated weights (gamma_1 is
         # imaginary outside the admissible interval):
@@ -235,7 +226,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
             note="closed-form A(t), B(t) vs generic construction",
         ),
     )
-    return reports
+    return stack.reports()
 
 
 def three_level_report(t: float, seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -256,7 +247,7 @@ def _projection_reports(
     one stack; each point draws u, then its vectors, from its own rng."""
     labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
     params = [{"dim": int(dim), "n": int(n), "seed": int(seed)} | labels for n in supports]
-    reports = [VerificationReport(suite="projection", params=p) for p in params]
+    stack = ReportStack("projection", params)
     rngs = [np.random.default_rng(seed) for _ in supports]
     u = np.zeros((len(supports), max(supports)), dtype=complex)
     for k, (rng, support) in enumerate(zip(rngs, supports)):
@@ -293,8 +284,8 @@ def _projection_reports(
         )
 
     gammas = _stack([gamma.terms(dim)] * len(supports))
-    _battery(reports, model.T, model.weights, gammas, rngs, tol, closed_forms)
-    return reports
+    _battery(stack, model.T, model.weights, gammas, rngs, tol, closed_forms)
+    return stack.reports()
 
 
 def projection_report(
@@ -321,11 +312,11 @@ def random_report(
     """Full battery for a seeded random generator: a batch of one point."""
     labels = {"alpha": alpha.label, "gamma": gamma.label, "tol": float(tol)}
     params = {"dim": int(dim), "seed": int(seed)} | labels
-    report = VerificationReport(suite="random", params=params)
+    stack = ReportStack("random", [params])
     rng = np.random.default_rng(seed)
     generator = _random_generator(rng, dim)[None]
-    _battery([report], generator, alpha.terms(dim)[None], gamma.terms(dim)[None], [rng], tol)
-    return report
+    _battery(stack, generator, alpha.terms(dim)[None], gamma.terms(dim)[None], [rng], tol)
+    return stack.reports()[0]
 
 
 def sweep_three_level(

@@ -11,7 +11,7 @@ import pytest
 from conftest import random_generator_matrix, result
 from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.cli import main
-from rieszops.report import VerificationReport
+from rieszops.report import ReportStack
 from rieszops.sequences import poly, sqrt_poly
 from rieszops.suites import (
     _ladder_checks,
@@ -69,9 +69,9 @@ def test_perturbed_H_fails_factorization():
     bundle = build_bundle(pair, poly(1.0).terms(8)[None])
     h = bundle.H_phi_psi.copy()
     h[0, 3, 5] += 1e-8
-    report = VerificationReport(suite="random", params={})
-    _ladder_checks([report], replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None], 1e-10)
-    check = _factorization(report)
+    stack = ReportStack("random", [{}])
+    _ladder_checks(stack, replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None], 1e-10)
+    check = _factorization(stack.reports()[0])
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=1e-3)
 

@@ -12,7 +12,7 @@ from rieszops.cli import build_parser, main
 from rieszops.report import (
     Check,
     CheckResult,
-    VerificationReport,
+    ReportStack,
     render_json,
     render_reports,
 )
@@ -66,7 +66,7 @@ class TestRendering:
 
 def report_dict(report):
     """The report document as plain data, built independently of the
-    report's own template."""
+    stack's template: a residual that is not finite is null."""
     passed = sum(1 for c in report.checks if c.passed)
     return {
         "suite": report.suite,
@@ -75,7 +75,7 @@ def report_dict(report):
             {
                 "name": c.name,
                 "passed": c.passed,
-                "residual": c.residual,
+                "residual": c.residual if math.isfinite(c.residual) else None,
                 "tol": c.tol,
                 "note": c.note,
             }
@@ -97,12 +97,17 @@ def strict_loads(text):
 
 
 def edge_report(residuals, params):
-    report = VerificationReport(suite="edge", params=params)
-    notes = ("line\nbreak", "tab\there", 'quote " and \\', "S^b_\u03c6 \u2264 1", "")
-    for k, residual in enumerate(residuals):
-        note = notes[k % len(notes)]
-        (result,) = Check(f"check_{k}", np.array(residual), note).results(1e-10)
-        report.add(result)
+    """A single-point report with one check per residual."""
+    stack = ReportStack("edge", [params])
+    notes = ("line\nbreak", "tab\there", 'quote " and \\', "S^b_\u03c6 \u2264 1 (100%)", "")
+    stack.record(
+        1e-10,
+        *(
+            Check(f"check_{k}", np.array(residual), notes[k % len(notes)])
+            for k, residual in enumerate(residuals)
+        ),
+    )
+    (report,) = stack.reports()
     return report
 
 
@@ -145,8 +150,7 @@ class TestTemplateOracle:
         report = edge_report(residuals, params)
         text = report.to_json()
         assert text == render_json(report_dict(report))
-        if all(np.isfinite(residuals)):
-            assert strict_loads(text) == report_dict(report)
+        assert strict_loads(text) == report_dict(report)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_sweeps(self, count):
@@ -156,8 +160,7 @@ class TestTemplateOracle:
         reports.append(three_level_report(0.3))
         text = render_reports(reports)
         assert text == render_json([report_dict(r) for r in reports])
-        if count == 1:
-            assert strict_loads(text) == [report_dict(reports[0])]
+        assert strict_loads(text) == [report_dict(r) for r in reports]
 
     def test_empty_sweep(self):
         assert render_reports([]) == render_json([]) == "[]"
@@ -169,12 +172,78 @@ class TestReportContainers:
         assert at.passed and not above.passed
 
     def test_summary_counts(self):
-        report = VerificationReport(suite="s", params={})
-        report.add(CheckResult("a", True, 0.0, 1.0))
-        report.add(CheckResult("b", False, 2.0, 1.0))
-        assert report.summary == {"total": 2, "passed": 1, "failed": 1}
-        assert [c.name for c in report.checks if not c.passed] == ["b"]
-        assert not report.all_passed
+        stack = ReportStack("s", [{}, {}])
+        stack.record(1.0, Check("a", np.array([0.0, 1.0])), Check("b", np.array([2.0, np.nan])))
+        first, second = stack.reports()
+        for report in (first, second):
+            assert report.summary == {"total": 2, "passed": 1, "failed": 1}
+            assert [c.name for c in report.checks if not c.passed] == ["b"]
+            assert not report.all_passed
+
+    def test_non_finite_residuals_fail_and_render_null(self):
+        """A stack whose columns mix finite and non-finite residuals: each
+        point renders as that point alone, and null stands for every
+        residual that is not finite."""
+        residuals = np.array([1e-12, np.nan, np.inf, -0.0, 1e300])
+        worst = Check.worst("worst", "parts {:.3e} and {:.3e}", residuals, residuals[::-1].copy())
+        checks = (Check("mixed", residuals, "100% fixed"), worst, Check("fine", np.zeros(5)))
+        stack = ReportStack("edge", [{"k": k} for k in range(5)])
+        stack.record(1e-10, *checks)
+        reports = stack.reports()
+        for k, report in enumerate(reports):
+            point = slice(k, k + 1)
+            alone = ReportStack("edge", [{"k": k}])
+            alone.record(
+                1e-10,
+                *(
+                    c._replace(residual=c.residual[point], values=tuple(v[point] for v in c.values))
+                    for c in checks
+                ),
+            )
+            assert report.to_json() == alone.reports()[0].to_json()
+        text = render_reports(reports)
+        assert text == render_json([report_dict(r) for r in reports])
+        docs = strict_loads(text)
+        assert [d["checks"][0]["residual"] for d in docs] == [1e-12, None, None, -0.0, 1e300]
+        assert [d["checks"][0]["passed"] for d in docs] == [True, False, False, True, False]
+        assert [d["summary"]["failed"] for d in docs] == [1, 2, 2, 1, 2]
+
+
+class TestReportView:
+    """A report reads its stack's columns at its index: its CheckResults,
+    summary and verdict agree with the recorded columns (test_summary_counts
+    covers a NaN residual)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sweep_three_level(0.8, 1.3, 5),
+            lambda: sweep_projection(8, 2, 5, alpha=geometric(0.9 + 0.2j)),
+            lambda: [random_report(8, seed=2), random_report(1, seed=1)],
+        ],
+        ids=["three-level", "projection", "random"],
+    )
+    def test_checks_are_the_columns(self, make):
+        for report in make():
+            columns, verdicts, at = report.stack.checks, report.stack.verdicts(), report.index
+            expected = [
+                CheckResult(
+                    c.check.name,
+                    bool(verdicts.passed[k, at]),
+                    float(c.check.residual.ravel()[at]),
+                    c.tol,
+                    c.check.notes()[at] if c.check.values else c.check.note,
+                )
+                for k, c in enumerate(columns)
+            ]
+            assert verdicts.residuals[:, at].tolist() == [c.residual for c in expected]
+            assert report.checks == expected
+            passed = sum(c.passed for c in report.checks)
+            assert report.summary == {
+                "total": len(columns), "passed": passed, "failed": len(columns) - passed
+            }
+            assert report.all_passed == all(c.passed for c in report.checks)
+            assert strict_loads(report.to_json())["summary"] == report.summary
 
 
 #: check names in report order: the closed-form model blocks, the battery
@@ -387,6 +456,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    def test_overflowing_checks_give_a_strict_document_without_warnings(self, capsys):
+        # the operators are finite; four check residuals overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code = main(["verify", "random", "--dim", "4", "--alpha", "affine:1e300,0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = strict_loads(captured.out)
+        nulls = [c["name"] for c in doc["checks"] if c["residual"] is None]
+        assert nulls == [
+            "frame_inequality", "intertwining", "selfadjoint_h", "similarity_consistency"
+        ]
+        assert not any(c["passed"] for c in doc["checks"] if c["residual"] is None)
 
     def test_out_of_range_parameter_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -16,9 +16,10 @@ projection; verify and sweep three-level across the admissible boundaries;
 domain over a spec grid; a few reports at extreme --tol values; then the
 largest three-level sweep the CLI allows (1000 steps, three stacks); last,
 two projection sweeps of several stacks each.  After the digest lines it
-writes to stderr the argv count, the wall time since it started and the
-process's minor page faults (ru_minflt), so stdout stays comparable.
-The 1295 argv take about 5 s on a 2-vCPU x86_64 host.
+writes to stderr the argv count, the wall time since it started, the
+process's minor page faults (ru_minflt) and how many documents are not
+strict RFC 8259 JSON (they hold NaN, Infinity or -Infinity), so stdout
+stays comparable.  The 1295 argv take about 5 s on a 2-vCPU x86_64 host.
 
 With --failures it prints instead one row per check and argv family (the
 command and suite, with --dim where given; the extreme --tol argv form a
@@ -144,6 +145,19 @@ def run(main, argv) -> tuple[str, int]:
     return out.getvalue(), int(code)
 
 
+def strict(text: str) -> bool:
+    """Whether text parses as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    try:
+        json.loads(text, parse_constant=reject)
+    except ValueError:
+        return False
+    return True
+
+
 def family(argv) -> str:
     """The argv's command and suite, with its --dim; the --tol extremes apart."""
     if argv in TOL_FAMILY:
@@ -164,6 +178,7 @@ def failure_table(main) -> list[str]:
             for check in doc.get("checks", ()):
                 row = rows.setdefault((check["name"], family(argv)), [0, 0, 0.0])
                 residual = check["residual"]
+                residual = math.nan if residual is None else residual  # null: not finite
                 row[0] += not check["passed"]
                 row[1] += 1
                 nan = math.isnan(row[2]) or math.isnan(residual)
@@ -193,14 +208,16 @@ def main() -> int:
         print("\n".join(failure_table(cli.main)))
         return 0
     argvs = list(corpus())
+    loose = 0
     for argv in argvs:
         text, code = run(cli.main, argv)
         print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
+        loose += bool(text) and not strict(text)  # a usage error prints nothing
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     sys.stdout.flush()
     sys.stderr.write(
         f"{len(argvs)} argv in {time.perf_counter() - start:.2f} s wall, "
-        f"{faults} minor page faults\n"
+        f"{faults} minor page faults, {loose} documents not strict JSON\n"
     )
     return 0
 
