@@ -8,10 +8,8 @@ every identity relating them against closed-form oracles or residual checks.
 
 from .basis import (
     RieszBasisPair,
-    expand,
     frame_inequality_check,
     from_generator,
-    reconstruction_residual,
     verify_biorthogonality,
 )
 from .domains import DEFAULT_N_MAX, DomainVerdict, summability_verdict
@@ -23,7 +21,6 @@ from .factory import (
     check_metric_pair,
     check_norm_bound,
     check_weighted_action,
-    quasi_hermitian_symmetry,
     rank_one_sum,
 )
 from .ladder import (

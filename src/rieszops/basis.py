@@ -108,47 +108,20 @@ def verify_biorthogonality(pair: RieszBasisPair) -> Check:
     )
 
 
-def _block(pair: RieszBasisPair, f: np.ndarray) -> np.ndarray:
-    """f as a complex (dim, k) column block, one for every point or one per point."""
-    f = np.asarray(f, dtype=complex)
-    if f.ndim < 2 or f.shape[-2] != pair.dim:
-        raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
-    return f
-
-
-def expand(pair: RieszBasisPair, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both coefficient families of the columns of a block f (dim, k).
-
-    Returns (coeff_psi, coeff_phi), with coeff_psi[n] = <f, psi_n> (so that
-    f = sum coeff_psi[n] phi_n) and coeff_phi[n] = <f, phi_n> (so that
-    f = sum coeff_phi[n] psi_n), column by column.
-    """
-    f = _block(pair, f)
-    return adjoint(pair.psi) @ f, adjoint(pair.phi) @ f
-
-
-def reconstruction_residual(pair: RieszBasisPair, f: np.ndarray) -> np.ndarray:
-    """Worse of the two reconstruction residuals, relative to ||f||, of the
-    worst column of the block f (dim, k), per point."""
-    coeff_psi, coeff_phi = expand(pair, f)
-    scale = np.maximum(np.linalg.norm(f, axis=-2), 1e-300)
-    residuals = np.maximum(
-        np.linalg.norm(pair.phi @ coeff_psi - f, axis=-2),
-        np.linalg.norm(pair.psi @ coeff_phi - f, axis=-2),
-    )
-    return (residuals / scale).max(axis=-1)
-
-
 def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarray) -> Check:
     """Two-sided frame inequality for the weighted coefficient sums.
 
     Verifies  gamma_1^2 S <= ||sum_k alpha_k <f,psi_k> phi_k||^2 <= gamma_2^2 S
     with S = sum_k |alpha_k <f,psi_k>|^2, each side with slack (scaled by
     the magnitude of the upper bound), for the weights alpha_0 ..
-    alpha_{dim-1} and each column of the block f (dim, k).  The residual
-    and the note are those of the worst column.
+    alpha_{dim-1} and each column of the block f, (dim, k) for every point
+    or (..., dim, k) one per point.  The residual and the note are those of
+    the worst column.
     """
-    weighted = alpha[..., :, None] * (adjoint(pair.psi) @ _block(pair, f))
+    f = np.asarray(f, dtype=complex)
+    if f.ndim < 2 or f.shape[-2] != pair.dim:
+        raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
+    weighted = alpha[..., :, None] * (adjoint(pair.psi) @ f)
     coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
     mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
     lower = pair.frame_lower[..., None] ** 2 * coeff_mass

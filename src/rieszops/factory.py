@@ -46,8 +46,8 @@ class OperatorBundle:
     pair: RieszBasisPair
     #: alpha_0 .. alpha_{dim-1} of each point
     weights: np.ndarray
-    #: per point, no weight has an imaginary part: h is self-adjoint and the
-    #: quasi-Hermitian symmetry holds, so realness decides which checks run
+    #: per point, no weight has an imaginary part: h is self-adjoint, so
+    #: realness decides whether selfadjoint_h runs
     is_real: np.ndarray
     H_phi_psi: np.ndarray
     H_psi_phi: np.ndarray
@@ -158,32 +158,6 @@ def check_intertwining(bundle: OperatorBundle) -> Check:
         frobenius(lhs_psi - bundle.S_alpha_psi),
         frobenius(lhs_phi - bundle.H_phi_psi @ bundle.S_phi),
         frobenius(lhs_phi - bundle.S_alpha_phi),
-    )
-
-
-def quasi_hermitian_symmetry(bundle: OperatorBundle, f: np.ndarray, g: np.ndarray) -> Check:
-    """Symmetry of H in the S-inner-product: <S_psi H f, g> = <S_psi f, H g>.
-
-    f and g are column blocks of paired vectors, (dim, k) or (1, dim, k)
-    shared by every point, or (points, dim, k) one per point; the residual
-    is that of the worst pair (f_j, g_j).  Only asserted for real alpha;
-    complex weights are rejected.
-    """
-    if not bundle.is_real.all():
-        raise ValueError("quasi-Hermitian symmetry is only asserted for real alpha")
-    if f.ndim not in (2, 3) or f.shape != g.shape:
-        raise ValueError(f"unpaired (dim, k) blocks: f {f.shape}, g {g.shape}")
-    scale = np.maximum(np.linalg.norm(f, axis=-2) * np.linalg.norm(g, axis=-2), 1e-300)
-    # stacked (dim, 1) vectors: matrix-vector products round like one pair at
-    # a time; block products measured twice as noisy on this cancellation
-    f, g = f.mT[..., None], g.mT[..., None]
-    h, s_psi = bundle.H_phi_psi[..., None, :, :], bundle.S_psi[..., None, :, :]
-    lhs = (adjoint(g) @ (s_psi @ (h @ f)))[..., 0, 0]
-    rhs = (adjoint(h @ g) @ (s_psi @ f))[..., 0, 0]
-    return Check(
-        "quasi_hermitian_symmetry",
-        (np.abs(lhs - rhs) / scale).max(axis=-1),
-        f"worst over {f.shape[-3]} random (f, g) pairs",
     )
 
 

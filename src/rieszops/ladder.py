@@ -125,19 +125,6 @@ def check_products(lp: LadderPair) -> Check:
     )
 
 
-def _hypothesis_failure(a: np.ndarray) -> str:
-    """Which of the paper's hypotheses one point's alpha (dim,) fails."""
-    if a.imag.any():
-        k = int(np.argmax(np.abs(a.imag)))
-        return f"alpha_{k} = {a[k]:.6g} is not real"
-    vals = a.real
-    k = int(np.argmax(np.diff(vals) <= DEFAULT_TOL)) + 1
-    return (
-        f"alpha does not increase strictly: violated at index {k} "
-        f"(alpha_{k} = {vals[k]:.6g} <= alpha_{k - 1} = {vals[k - 1]:.6g})"
-    )
-
-
 def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Ladder weights gamma_n = sqrt(alpha_n - alpha_0), principal branch,
     whose ladder factorizes H - alpha_0 I = BA for every alpha; the reports
@@ -149,6 +136,20 @@ def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray
     each of those points in batch order.
     """
     a = bundle.weights
-    failed = ~bundle.is_real | (np.diff(a.real, axis=-1) <= DEFAULT_TOL).any(axis=-1)
-    reasons = [_hypothesis_failure(point) for point in a[failed]]
+    # steps[..., n] is alpha_n - alpha_{n-1} <= DEFAULT_TOL; never at n = 0
+    steps = np.diff(a.real, axis=-1, prepend=-np.inf) <= DEFAULT_TOL
+    failed = ~bundle.is_real | steps.any(axis=-1)
+    # what fails: the largest imaginary part of a complex point, the first
+    # such step of a real one; one argmax over the failed points
+    bad, complex_point = a[failed], ~bundle.is_real[failed]
+    k = np.where(complex_point, np.abs(bad.imag).argmax(axis=-1), steps[failed].argmax(axis=-1))
+    rows = np.arange(len(bad))
+    at, before = bad[rows, k].tolist(), bad.real[rows, k - 1].tolist()
+    reasons = [
+        f"alpha_{j} = {x:.6g} is not real"
+        if is_complex
+        else f"alpha does not increase strictly: violated at index {j} "
+        f"(alpha_{j} = {x.real:.6g} <= alpha_{j - 1} = {y:.6g})"
+        for is_complex, j, x, y in zip(complex_point.tolist(), k.tolist(), at, before)
+    ]
     return np.sqrt((a - a[..., :1]).astype(complex)), failed, reasons

@@ -118,23 +118,28 @@ class ReportStack:
             self._verdicts = _Verdicts(residuals, passed, passed.sum(axis=0))
         return self._verdicts
 
-    def documents(self) -> list[str]:
-        """render_json of each point's report document, in point order; the
-        stack is rendered once, on first use."""
+    def documents(self, indent: int = 0) -> list[str]:
+        """Each point's report document as render_json renders it, with
+        every line, the first included, indented by indent levels, in point
+        order.  At indent 0, a single report's, the stack is rendered once,
+        on first use, and kept; at any other, a sweep's items, it is
+        rendered on each call and not kept."""
+        if indent:
+            return self._render(indent)
         if self._documents is None:
-            self._documents = self._render()
+            self._documents = self._render(0)
         return self._documents
 
-    def _render(self) -> list[str]:
-        """One % per point fills the stack's template with its params, each
-        check's verdict, residual and formatted note, and its pass counts.
-        Each of those is formatted for every point at once: the residuals in
-        one map, a note with values in one map per check."""
+    def _render(self, indent: int) -> list[str]:
+        """One % per point fills the stack's template at indent with its
+        params, each check's verdict, residual and formatted note, and its
+        pass counts.  Each of those is formatted for every point at once:
+        the residuals in one map, a note with values in one map per check."""
         verdicts = self.verdicts()
         points = len(self.params)
         texts = _render_residuals(verdicts.residuals.ravel().tolist())
         passed = _JSON_BOOLS[verdicts.passed.view(np.int8)].tolist()
-        fields = [[render_json(p, 1) for p in self.params]]
+        fields = [[render_json(p, indent + 1) for p in self.params]]
         for k, (check, _) in enumerate(self.checks):
             fields += (passed[k], texts[k * points : (k + 1) * points])
             if check.values:
@@ -144,7 +149,10 @@ class ReportStack:
         heads = tuple(
             (c.check.name, c.tol, None if c.check.values else c.check.note) for c in self.checks
         )
-        template = _template(self.suite, heads)
+        # no filled-in text holds a raw newline, so indenting every line of
+        # the template nests each report
+        pad = "  " * indent
+        template = pad + _template(self.suite, heads).replace("\n", "\n" + pad)
         return [template % row for row in zip(*fields)]
 
 
@@ -214,10 +222,10 @@ _CHECK = """\
 
 @functools.lru_cache(maxsize=64)
 def _template(suite: str, heads: tuple) -> str:
-    """The report template of a stack: the suite, each check's name, tol and
-    fixed note (None where the note has values), and the check count are
-    filled in; the rest is left to each point.  It depends on nothing else,
-    so stacks of one suite and branch share it."""
+    """The report template of a stack at indent 0: the suite, each check's
+    name, tol and fixed note (None where the note has values), and the check
+    count are filled in; the rest is left to each point.  It depends on
+    nothing else, so stacks of one suite and branch share it."""
     items = [
         _CHECK % (_literal(name), _render_float(tol), "%s" if note is None else _literal(note))
         for name, tol, note in heads
@@ -281,7 +289,10 @@ def render_json(value, indent: int = 0) -> str:
 
 
 def render_reports(reports: list[VerificationReport]) -> str:
-    """A parameter-ordered sweep as one JSON array.  A rendered string holds
-    no raw newline, so indenting every line of a report nests it a level."""
-    items = ("  " + r.to_json().replace("\n", "\n  ") for r in reports)
-    return "[\n" + ",\n".join(items) + "\n]" if reports else "[]"
+    """A parameter-ordered sweep as one JSON array: each run of consecutive
+    reports of one stack is rendered at indent 1, in one pass."""
+    items = []
+    for stack, run in itertools.groupby(reports, key=lambda r: r.stack):
+        documents = stack.documents(1)
+        items += [documents[r.index] for r in run]
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"

@@ -1,17 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_generator_matrix, random_pair, random_vector, result
 from rieszops import (
     LinalgError,
-    expand,
     explicit,
     frame_inequality_check,
     from_generator,
     poly,
-    reconstruction_residual,
     verify_biorthogonality,
 )
+from rieszops.linalg import frobenius, max_entry
 from rieszops.models import projection_model, three_level
 
 
@@ -140,37 +141,74 @@ class TestBiorthogonality:
         assert check.passed and check.residual <= 1e-10
 
 
-class TestExpand:
-    def test_basis_vector_coefficients_are_kronecker(self):
-        pair = random_pair(6, 2)
-        coeff_psi, _ = expand(pair, pair.phi[:, 3:4])
-        np.testing.assert_allclose(coeff_psi[:, 0], np.eye(6)[3], atol=1e-12)
+def reconstruction_residuals(pair, f):
+    """||phi psi* f_j - f_j|| and ||psi phi* f_j - f_j|| of each column f_j of
+    the (dim, k) block f: the Riesz expansions f = sum <f, psi_n> phi_n and
+    f = sum <f, phi_n> psi_n, sampled on vectors as the battery once did."""
+    return (
+        np.linalg.norm(pair.phi @ (pair.psi.conj().T @ f) - f, axis=0),
+        np.linalg.norm(pair.psi @ (pair.phi.conj().T @ f) - f, axis=0),
+    )
 
-    def test_identity_generator(self):
-        pair = from_generator(np.eye(4, dtype=complex))
-        coeff_psi, coeff_phi = expand(pair, np.eye(4)[:, :1].astype(complex))
-        np.testing.assert_allclose(coeff_psi[:, 0], np.eye(4)[0], atol=1e-15)
-        np.testing.assert_allclose(coeff_phi[:, 0], np.eye(4)[0], atol=1e-15)
 
-    def test_projection_pair_reconstruction(self, rng):
-        model = projection_model(8, np.array([0.6, 0.8j]), poly(1.0).terms(8))
-        pair = from_generator(model.T)
-        f = random_vector(rng, 8)
-        assert reconstruction_residual(pair, f[:, None]) <= 1e-10
+def reconstruction_bound(pair, f):
+    """What E = psi* phi - I, the matrix biorthogonality checks entrywise,
+    bounds each reconstruction residual by: kappa(T) ||E||_F ||f_j|| plus
+    rounding.
 
-    def test_dimension_mismatch(self):
-        pair = random_pair(4, 1)
-        with pytest.raises(ValueError, match="shape"):
-            expand(pair, np.zeros(5)[:, None])
+    For any invertible phi, phi psi* - I = phi (psi* phi - I) phi^{-1} =
+    phi E phi^{-1}, and psi phi* - I is its adjoint; so both residuals are
+    at most ||phi|| ||phi^{-1}|| ||E||_F ||f|| = kappa(T) ||E||_F ||f|| in
+    exact arithmetic, with kappa(T) = frame_upper / frame_lower, and
+    ||E||_F <= dim * max|E_nm|, biorthogonality's residual.  Rounding: the
+    two products of a sample and the computed E each err by at most
+    gamma_N ||phi||_F ||psi||_F per unit ||f|| (Higham 2002, ch. 3;
+    gamma_N < 1.01 N eps for N <= 64), the last one amplified by kappa,
+    and the subtraction of f by eps ||f||, less than one more such term
+    (||phi||_F ||psi||_F >= |tr psi* phi|, about N): in all,
+    rho = (kappa + 3) N eps ||phi||_F ||psi||_F ||f_j||."""
+    dim = pair.dim
+    kappa = pair.frame_upper / pair.frame_lower
+    e = frobenius(pair.psi.conj().T @ pair.phi - np.eye(dim))
+    assert e <= dim * verify_biorthogonality(pair).residual
+    rho = (kappa + 3) * dim * np.finfo(float).eps * frobenius(pair.phi) * frobenius(pair.psi)
+    norms = np.linalg.norm(f, axis=0)
+    return kappa * e * norms, rho * norms
 
-    def test_hundred_random_reconstructions(self):
-        pair = random_pair(8, 21)
-        rng = np.random.default_rng(99)
-        worst = max(
-            reconstruction_residual(pair, random_vector(rng, 8)[:, None])
-            for _ in range(100)
-        )
-        assert worst <= 1e-10
+
+class TestReconstruction:
+    """f = sum <f, psi_n> phi_n for every f is the operator identity
+    phi psi* = I, which at finite dim is psi* phi = I: biorthogonality
+    checks it, on the whole space, and the reports sample no vectors."""
+
+    @pytest.fixture(params=[3, 8, 64])
+    def pair(self, request):
+        return random_pair(request.param, 21)
+
+    @staticmethod
+    def samples(dim):
+        return random_vector(np.random.default_rng(99), 20 * dim).reshape(dim, 20)
+
+    def test_sampled_vectors_are_bounded_by_biorthogonality(self, pair):
+        f = self.samples(pair.dim)
+        bound, rounding = reconstruction_bound(pair, f)
+        for residuals in reconstruction_residuals(pair, f):
+            assert np.all(residuals <= bound + rounding)
+        assert result(verify_biorthogonality(pair)).passed
+
+    def test_bumped_psi_fails_biorthogonality(self, pair):
+        """A psi whose top-right entry moves by 1e-8 of its largest entry
+        fails biorthogonality; the sampled residuals grow past the rounding
+        term and stay within the bound that E gives."""
+        psi = pair.psi.copy()
+        psi[0, -1] += 1e-8 * max_entry(psi)
+        bumped = replace(pair, psi=psi)
+        assert not result(verify_biorthogonality(bumped)).passed
+        f = self.samples(pair.dim)
+        bound, rounding = reconstruction_bound(bumped, f)
+        for residuals in reconstruction_residuals(bumped, f):
+            assert np.all(residuals <= bound + rounding)
+            assert residuals.max() > rounding.max()
 
 
 class TestFrameInequality:

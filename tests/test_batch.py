@@ -17,8 +17,8 @@ from rieszops import (
     check_ladder_actions,
     check_products,
     check_selfadjoint_h,
+    frame_inequality_check,
     from_generator,
-    quasi_hermitian_symmetry,
     three_level,
 )
 from rieszops.linalg import frobenius
@@ -188,23 +188,18 @@ def test_projection_points_keep_their_own_streams(alpha):
     assert [low[n - 2].to_json() for n in shared] == [high[n - 5].to_json() for n in shared]
 
 
-def test_quasi_symmetry_takes_one_block_per_point():
-    dim, pairs = 6, 5
+def test_frame_inequality_takes_one_block_per_point():
+    dim = 6
     gens = np.stack([random_generator_matrix(np.random.default_rng(s), dim) for s in (1, 2, 3)])
     alpha = np.stack([np.arange(dim), np.arange(dim) ** 2, 3.0 - np.arange(dim)]).astype(complex)
     rng = np.random.default_rng(9)
-    fg = np.stack([_random_block(rng, dim, 2 * pairs) for _ in range(3)])
-    f, g = fg[..., 0::2], fg[..., 1::2]
-    stacked = quasi_hermitian_symmetry(build_bundle(from_generator(gens), alpha), f, g)
-    singles = [
-        quasi_hermitian_symmetry(build_bundle(from_generator(gens[k]), alpha[k]), f[k], g[k])
-        for k in range(3)
-    ]
+    f = np.stack([_random_block(rng, dim, 10) for _ in range(3)])
+    pair = from_generator(gens)
+    stacked = frame_inequality_check(pair, alpha, f)
+    singles = [frame_inequality_check(from_generator(gens[k]), alpha[k], f[k]) for k in range(3)]
     assert stacked.residual.tolist() == [float(c.residual) for c in singles]
     assert _notes(stacked) == [_notes(c)[0] for c in singles]
     # a block shared by every point, with or without its leading axis
-    shared = quasi_hermitian_symmetry(build_bundle(from_generator(gens), alpha), f[1], g[1])
-    broadcast = quasi_hermitian_symmetry(
-        build_bundle(from_generator(gens), alpha), f[1:2], g[1:2]
-    )
-    assert broadcast.residual.tolist() == shared.residual.tolist()
+    shared = frame_inequality_check(pair, alpha, f[1])
+    broadcast = frame_inequality_check(pair, alpha, f[1:2])
+    assert _notes(broadcast) == _notes(shared)

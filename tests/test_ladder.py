@@ -337,6 +337,76 @@ class TestFactorizeFromAlpha:
         assert "index 2" in reasons[0] and reasons[1] == "alpha_2 = 0+5j is not real"
         np.testing.assert_array_equal(roots[1], [0.0, 1.0, 2.0])
 
+    @staticmethod
+    def reference_reason(a):
+        """What one failed point's alpha (dim,) fails, one point at a time:
+        the reference for the batched reasons."""
+        if a.imag.any():
+            k = int(np.argmax(np.abs(a.imag)))
+            return f"alpha_{k} = {a[k]:.6g} is not real"
+        k = int(np.argmax(np.diff(a.real) <= DEFAULT_TOL)) + 1
+        return (
+            f"alpha does not increase strictly: violated at index {k} "
+            f"(alpha_{k} = {a.real[k]:.6g} <= alpha_{k - 1} = {a.real[k - 1]:.6g})"
+        )
+
+    def test_reasons_of_a_mixed_stack(self):
+        """One stack mixes real strictly increasing points, real points that
+        do not increase (a drop, an equal step, a step below DEFAULT_TOL, a
+        decreasing alpha) and complex points (largest imaginary part first,
+        inside and last): each failed point gets its own reason, in batch
+        order, formatted at 6 significant digits, as the one-point reference
+        formats it."""
+        alpha = np.array(
+            [
+                [0.0, 1.0, 4.0, 9.0],
+                [0.0, 2.0, 1.0, 3.0],
+                [1.0, 1.0 + 1e-11, 2.0, 3.0],
+                [0.0, 1.0, 1.0, 3.0],
+                [3j, 1.0, 2.0 + 1j, 3.0],
+                [-0.5, 0.25, 1.5, 2.0],
+                [0.0, 1.0 - 0.5j, 2.0, 3.0 + 0.25j],
+                [5.0, 4.0, 3.0, 2.0],
+                [0.0, 1.0, 2.0, 3.0 + 2e-7j],
+                [1.0 / 3.0, 0.125, 7.0, 8.0],
+            ],
+            dtype=complex,
+        )
+        gens = np.stack(
+            [random_generator_matrix(np.random.default_rng(s), 4) for s in range(len(alpha))]
+        )
+        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        assert failed.tolist() == [False, True, True, True, True, False, True, True, True, True]
+        step = "alpha does not increase strictly: violated at index "
+        assert reasons == [
+            step + "2 (alpha_2 = 1 <= alpha_1 = 2)",
+            step + "1 (alpha_1 = 1 <= alpha_0 = 1)",
+            step + "2 (alpha_2 = 1 <= alpha_1 = 1)",
+            "alpha_0 = 0+3j is not real",
+            "alpha_1 = 1-0.5j is not real",
+            step + "1 (alpha_1 = 4 <= alpha_0 = 5)",
+            "alpha_3 = 3+2e-07j is not real",
+            step + "1 (alpha_1 = 0.125 <= alpha_0 = 0.333333)",
+        ]
+        assert reasons == [self.reference_reason(point) for point in alpha[failed]]
+
+    def test_reasons_match_the_reference_on_a_random_stack(self):
+        rng = np.random.default_rng(4)
+        alpha = np.cumsum(rng.normal(0.5, 1.0, size=(200, 8)), axis=-1).astype(complex)
+        alpha[::3] += 1j * (rng.random((67, 8)) < 0.2) * rng.normal(size=(67, 8))
+        alpha[1::7, 4] = alpha[1::7, 3]  # equal steps
+        gens = np.broadcast_to(np.eye(8, dtype=complex), (200, 8, 8))
+        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        assert 50 < failed.sum() < 200
+        assert reasons == [self.reference_reason(point) for point in alpha[failed]]
+
+    def test_dim_1_fails_only_when_complex(self):
+        gens = np.ones((2, 1, 1), dtype=complex)
+        alpha = np.array([[2.0], [0.5 + 1j]])
+        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        assert failed.tolist() == [False, True]
+        assert reasons == ["alpha_0 = 0.5+1j is not real"]
+
     def test_roots_shift_by_alpha_0(self):
         # alpha_0 = 1 is no hypothesis: gamma_n = sqrt(alpha_n - 1)
         bundle = build_bundle(random_pair(3, 67), np.array([1.0, 2.0, 5.0]))

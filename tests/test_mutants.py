@@ -192,17 +192,12 @@ CATCHES = {
         "projection": ("ladder_products",),
     },
     "S_psi bumped": {
-        "three-level t=0.3": (
-            "three_level_S_psi", "metric_pair", "intertwining", "quasi_hermitian_symmetry",
-        ),
-        "three-level t=1.2": (
-            "admissible", "three_level_S_psi", "metric_pair", "intertwining",
-            "quasi_hermitian_symmetry",
-        ),
-        "random real": ("metric_pair", "intertwining", "quasi_hermitian_symmetry"),
-        "random complex-gamma": ("metric_pair", "intertwining", "quasi_hermitian_symmetry"),
+        "three-level t=0.3": ("three_level_S_psi", "metric_pair", "intertwining"),
+        "three-level t=1.2": ("admissible", "three_level_S_psi", "metric_pair", "intertwining"),
+        "random real": ("metric_pair", "intertwining"),
+        "random complex-gamma": ("metric_pair", "intertwining"),
         "random complex-alpha": ("metric_pair", "intertwining"),
-        "projection": ("metric_pair", "intertwining", "quasi_hermitian_symmetry"),
+        "projection": ("metric_pair", "intertwining"),
     },
     "S_phi bumped": {
         "three-level t=0.3": ("three_level_S_phi", "metric_pair", "intertwining"),
@@ -232,27 +227,25 @@ CATCHES = {
     },
     "H_phi_psi bumped": {
         "three-level t=0.3": (
-            "three_level_H", "eigen_action", "intertwining", "quasi_hermitian_symmetry",
-            "similarity_consistency", "factorization",
+            "three_level_H", "eigen_action", "intertwining", "similarity_consistency",
+            "factorization",
         ),
         "three-level t=1.2": (
             "admissible", "three_level_H", "eigen_action", "intertwining",
-            "quasi_hermitian_symmetry", "similarity_consistency", "factorization",
+            "similarity_consistency", "factorization",
         ),
         "random real": (
-            "eigen_action", "intertwining", "quasi_hermitian_symmetry", "similarity_consistency",
-            "factorization",
+            "eigen_action", "intertwining", "similarity_consistency", "factorization",
         ),
         "random complex-gamma": (
-            "eigen_action", "intertwining", "quasi_hermitian_symmetry", "similarity_consistency",
-            "factorization",
+            "eigen_action", "intertwining", "similarity_consistency", "factorization",
         ),
         "random complex-alpha": (
             "eigen_action", "intertwining", "similarity_consistency", "factorization",
         ),
         "projection": (
-            "projection_H_split", "eigen_action", "intertwining", "quasi_hermitian_symmetry",
-            "similarity_consistency", "factorization",
+            "projection_H_split", "eigen_action", "intertwining", "similarity_consistency",
+            "factorization",
         ),
     },
     "H_psi_phi bumped": {
@@ -349,75 +342,67 @@ CATCHES = {
     "psi bumped": {
         "three-level t=0.3": (
             "three_level_H", "three_level_psi", "three_level_S_psi", "three_level_h",
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "ladder_adjoint_actions", "hat_spectrum",
-            "printed_ladder_matrices",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
         ),
         "three-level t=1.2": (
             "admissible", "three_level_H", "three_level_psi", "three_level_S_psi", "three_level_h",
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "ladder_adjoint_actions", "hat_spectrum",
-            "printed_ladder_matrices",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
         ),
         "random real": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
         ),
         "random complex-gamma": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
         ),
         "random complex-alpha": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair",
             "intertwining", "transported_eigenbasis", "ladder_actions", "ladder_products",
             "factorization",
         ),
         "projection": (
             "projection_T_inv", "projection_bases", "projection_H_split", "projection_h_block",
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
         ),
     },
     "psi without its adjoint": {
         "three-level t=0.3": (
             "three_level_H", "three_level_psi", "three_level_S_psi", "three_level_h",
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "factorization", "ladder_adjoint_actions",
-            "hat_spectrum", "printed_ladder_matrices",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "factorization", "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
         ),
         "three-level t=1.2": (
             "admissible", "three_level_H", "three_level_psi", "three_level_S_psi", "three_level_h",
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "factorization", "ladder_adjoint_actions",
-            "hat_spectrum", "printed_ladder_matrices",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "factorization", "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
         ),
         "random real": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "factorization",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "factorization",
         ),
         "random complex-gamma": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
-            "intertwining", "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "factorization",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
+            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "factorization",
         ),
         "random complex-alpha": (
-            "biorthogonality", "reconstruction", "eigen_action", "weighted_action", "metric_pair",
+            "biorthogonality", "eigen_action", "weighted_action", "metric_pair",
             "intertwining", "transported_eigenbasis", "ladder_actions", "ladder_products",
             "factorization",
         ),
         "projection": (
             "projection_T_inv", "projection_bases", "projection_H_split", "biorthogonality",
-            "reconstruction", "eigen_action", "weighted_action", "intertwining",
-            "quasi_hermitian_symmetry", "selfadjoint_h", "transported_eigenbasis",
-            "ladder_actions", "ladder_products", "factorization",
+            "eigen_action", "weighted_action", "intertwining", "selfadjoint_h",
+            "transported_eigenbasis", "ladder_actions", "ladder_products", "factorization",
         ),
     },
     "frame bounds swapped": {

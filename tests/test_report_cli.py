@@ -259,12 +259,12 @@ _PROJECTION_MODEL = [
     "projection_h_block",
 ]
 _BATTERY = [
-    "biorthogonality", "reconstruction", "frame_inequality", "eigen_action",
-    "weighted_action", "metric_pair", "intertwining", "quasi_hermitian_symmetry",
-    "selfadjoint_h", "transported_eigenbasis", "similarity_consistency", "norm_bound",
+    "biorthogonality", "frame_inequality", "eigen_action", "weighted_action", "metric_pair",
+    "intertwining", "selfadjoint_h", "transported_eigenbasis", "similarity_consistency",
+    "norm_bound",
 ]
-#: the two checks only real alpha runs
-_REAL_ALPHA = {"quasi_hermitian_symmetry", "selfadjoint_h"}
+#: the check only real alpha runs
+_REAL_ALPHA = {"selfadjoint_h"}
 _LADDER = ["ladder_actions", "ladder_products", "factorization"]
 _THREE_LEVEL = [
     "admissible", *_THREE_LEVEL_MODEL, *_BATTERY, *_LADDER,
@@ -319,7 +319,7 @@ class TestSuites:
         battery = [c.name for c in random_report(8).checks]
         projection = [c.name for c in projection_report(8, 3).checks]
         three = [c.name for c in three_level_report(0.3).checks]
-        assert len(battery) == 15
+        assert len(battery) == 13
         assert all(name.startswith("projection_") for name in projection[:7])
         assert projection[7:] == battery
         assert three[0] == "admissible"

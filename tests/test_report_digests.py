@@ -3,6 +3,7 @@ byte-identical output claim is checked with."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +63,22 @@ def test_failure_table_counts_a_null_residual_as_nan(digests, monkeypatch):
     rows = {line.split()[0]: line.split()[-3:] for line in digests.failure_table(cli.main)[1:]}
     assert rows["intertwining"] == ["1", "1", "nan"]
     assert rows["biorthogonality"][:2] == ["0", "1"]
+
+
+def test_exit_counts_name_each_code_in_order(digests):
+    assert digests.exit_counts([1, 0, 0, 2, 0, 1]) == "3 exit 0, 2 exit 1, 1 exit 2"
+    assert digests.exit_counts([]) == ""
+
+
+def test_summary_counts_exit_codes_and_keeps_stdout(digests, monkeypatch, capsys):
+    """stderr gains how many argv ended with each exit code; stdout stays one
+    digest line per argv."""
+    argvs = [("verify", "three-level", "--t", "0.3"), digests.TOL_FAMILY[0],
+             ("verify", "random", "--dim", "0")]
+    monkeypatch.setattr(digests, "corpus", lambda: argvs)
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", str(Path(cli.__file__).parents[1])])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert digests.main() == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[1] for line in out.splitlines()] == ["0", "1", "2"]
+    assert err.startswith("3 argv (1 exit 0, 1 exit 1, 1 exit 2) in ")

@@ -16,10 +16,12 @@ projection; verify and sweep three-level across the admissible boundaries;
 domain over a spec grid; a few reports at extreme --tol values; then the
 largest three-level sweep the CLI allows (1000 steps, three stacks); last,
 two projection sweeps of several stacks each.  After the digest lines it
-writes to stderr the argv count, the wall time since it started, the
-process's minor page faults (ru_minflt) and how many documents are not
-strict RFC 8259 JSON (they hold NaN, Infinity or -Infinity), so stdout
-stays comparable.  The 1295 argv take about 5 s on a 2-vCPU x86_64 host.
+writes to stderr the argv count, how many argv ended with each exit code
+(so a change that alters every digest still shows at a glance whether a
+verdict flipped), the wall time since it started, the process's minor page
+faults (ru_minflt) and how many documents are not strict RFC 8259 JSON
+(they hold NaN, Infinity or -Infinity), so stdout stays comparable.  The
+1295 argv take about 5 s on a 2-vCPU x86_64 host.
 
 With --failures it prints instead one row per check and argv family (the
 command and suite, with --dim where given; the extreme --tol argv form a
@@ -31,6 +33,7 @@ failure counts and the same worst residuals; other residuals may differ.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -127,7 +130,7 @@ def corpus():
     # the largest grid the CLI allows, last so that earlier lines stay comparable
     yield ("sweep", "three-level", "--t-max", "6.28", "--steps", "1000", "--seed", "3")
     # projection sweeps across several stacks: real alpha, and complex alpha,
-    # which draws no quasi vectors and runs neither real-alpha check
+    # which does not run the real-alpha check selfadjoint_h
     yield ("sweep", "projection", "--dim", "32", "--n-min", "2", "--n-max", "32",
            "--seed", "5", "--alpha", "poly:2")
     yield ("sweep", "projection", "--dim", "16", "--n-min", "2", "--n-max", "16",
@@ -156,6 +159,12 @@ def strict(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def exit_counts(codes) -> str:
+    """How many argv ended with each exit code, e.g. "1225 exit 0, 70 exit 1"."""
+    counts = sorted(collections.Counter(codes).items())
+    return ", ".join(f"{n} exit {code}" for code, n in counts)
 
 
 def family(argv) -> str:
@@ -207,16 +216,16 @@ def main() -> int:
     if table:
         print("\n".join(failure_table(cli.main)))
         return 0
-    argvs = list(corpus())
-    loose = 0
-    for argv in argvs:
+    codes, loose = [], 0
+    for argv in corpus():
         text, code = run(cli.main, argv)
         print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
+        codes.append(code)
         loose += bool(text) and not strict(text)  # a usage error prints nothing
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     sys.stdout.flush()
     sys.stderr.write(
-        f"{len(argvs)} argv in {time.perf_counter() - start:.2f} s wall, "
+        f"{len(codes)} argv ({exit_counts(codes)}) in {time.perf_counter() - start:.2f} s wall, "
         f"{faults} minor page faults, {loose} documents not strict JSON\n"
     )
     return 0
