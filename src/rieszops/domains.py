@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import IndexGrid
+
 #: Default evaluation horizon: enough to separate polynomial from geometric
 #: behaviour at negligible cost.
 DEFAULT_N_MAX = 4096
@@ -32,9 +34,11 @@ class DomainVerdict:
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
-    weights and coeffs need only log_abs_terms(count), as a parsed sequence
-    spec has; the weights' array must be a fresh float array, since the
-    terms are accumulated into it.
+    weights and coeffs need only log_abs_terms(count, grid), as a parsed
+    sequence spec has.  Both read one IndexGrid, so the index array n is
+    built once and log n at most once per call.  The two logs are added into
+    a new array, which is then doubled and exponentiated in place: the
+    verdict writes only into arrays it allocates.
 
     Dyadic blocks B_j cover [2^j, 2^{j+1}); converged needs the last three
     block ratios below 0.9, diverged needs either the partial sum past 1e12
@@ -43,8 +47,8 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     """
     if n_max < 64:
         raise ValueError(f"n_max must be >= 64, got {n_max}")
-    terms = weights.log_abs_terms(n_max)
-    terms += coeffs.log_abs_terms(n_max)
+    grid = IndexGrid(n_max)
+    terms = np.add(weights.log_abs_terms(n_max, grid), coeffs.log_abs_terms(n_max, grid))
     terms *= 2.0
     top = int(n_max).bit_length() - 1  # blocks B_0 .. B_{top-1}; top >= 6
     with np.errstate(over="ignore"):

@@ -127,18 +127,16 @@ def check_metric_pair(bundle: OperatorBundle) -> Check:
     """S_phi S_psi = I and the square-root consistency S_phi_sqrt^2 = S_phi,
     S_psi_sqrt = S_phi_sqrt^{-1} (so S_psi_sqrt^2 = S_psi)."""
     eye = np.eye(bundle.pair.dim)
-    roots = np.stack(
-        [
-            bundle.S_phi_sqrt @ bundle.S_phi_sqrt - bundle.S_phi,
-            bundle.S_psi_sqrt @ bundle.S_phi_sqrt - eye,
-            bundle.S_psi_sqrt @ bundle.S_psi_sqrt - bundle.S_psi,
-        ]
-    )
+    roots = [
+        frobenius(bundle.S_phi_sqrt @ bundle.S_phi_sqrt - bundle.S_phi),
+        frobenius(bundle.S_psi_sqrt @ bundle.S_phi_sqrt - eye),
+        frobenius(bundle.S_psi_sqrt @ bundle.S_psi_sqrt - bundle.S_psi),
+    ]
     return Check.worst(
         "metric_pair",
         "S_phi S_psi = I ({:.3e}); sqrt consistency ({:.3e})",
         frobenius(bundle.S_phi @ bundle.S_psi - eye),
-        frobenius(roots).max(axis=0),  # NaN stays NaN
+        np.max(roots, axis=0),  # NaN stays NaN
     )
 
 

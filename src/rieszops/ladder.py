@@ -84,13 +84,11 @@ def shift_action_residual(
         lower c_0 = 0,  lower c_n = g_n c_{n-1};
         upper c_n = g_{n+1} c_{n+1} for n <= N-2,  upper c_{N-1} = 0.
     """
-    shifted_down = np.zeros_like(cols)
-    shifted_down[..., :, 1:] = cols[..., :, :-1] * g[..., None, 1:]
-    shifted_up = np.zeros_like(cols)
-    shifted_up[..., :, :-1] = cols[..., :, 1:] * g[..., None, 1:]
-    return worst_column_norm(
-        np.concatenate([lower @ cols - shifted_down, upper @ cols - shifted_up], axis=-1)
-    )
+    down = lower @ cols
+    down[..., :, 1:] -= cols[..., :, :-1] * g[..., None, 1:]
+    up = upper @ cols
+    up[..., :, :-1] -= cols[..., :, 1:] * g[..., None, 1:]
+    return np.maximum(worst_column_norm(down), worst_column_norm(up))  # NaN stays NaN
 
 
 def check_ladder_actions(lp: LadderPair) -> Check:

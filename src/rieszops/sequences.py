@@ -17,6 +17,7 @@ Closed-form kinds and their CLI spellings:
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,56 +43,77 @@ class SequenceSpec:
     def terms(self, count: int) -> np.ndarray:
         """First `count` terms as a complex array; a closed form that overflows
         is a ValueError naming the spec and its first non-finite index."""
-        if self.kind == "list" and count > len(self.values):
+        return self._finite_terms(IndexGrid(count)).astype(complex, copy=False)
+
+    def _finite_terms(self, grid: IndexGrid) -> np.ndarray:
+        """The checked terms n < grid.count, real where the closed form is real."""
+        if self.kind == "list" and grid.count > len(self.values):
             raise ValueError(
-                f"sequence '{self.label}' emits only {len(self.values)} terms, {count} requested"
+                f"sequence '{self.label}' emits only {len(self.values)} terms, "
+                f"{grid.count} requested"
             )
         with np.errstate(all="ignore"):
-            out = self._evaluate(count)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
+            out = self._evaluate(grid)
+        if not np.isfinite(out).all():
+            bad = np.flatnonzero(~np.isfinite(out))
             raise ValueError(f"sequence '{self.label or self.kind}' term {bad[0]} is not finite")
         return out
 
-    def _evaluate(self, count: int) -> np.ndarray:
+    def _evaluate(self, grid: IndexGrid) -> np.ndarray:
         if self.kind == "list":
-            return np.array(self.values[:count], dtype=complex)
-        n = np.arange(count, dtype=float)
+            return np.array(self.values[: grid.count], dtype=complex)
+        n = grid.n
         if self.kind == "poly":
-            base = np.zeros(count)
+            base = np.zeros(grid.count)
             base[1:] = n[1:] ** self.power  # 0 is never raised to the power
-            if count and self.power == 0.0:
+            if grid.count and self.power == 0.0:
                 base[0] = 1.0
-            return base.astype(complex)
+            return base
         if self.kind == "geometric":
             return complex(self.ratio) ** n
         if self.kind == "affine":
-            return self.slope * n + self.offset
+            real = not (self.slope.imag or self.offset.imag)  # real: same bits, half the work
+            a, b = (self.slope.real, self.offset.real) if real else (self.slope, self.offset)
+            return a * n + b
         raise ValueError(f"unknown sequence kind '{self.kind}'")
 
-    def log_abs_terms(self, count: int) -> np.ndarray:
-        """log |s_n| for n < count, with -inf marking exact zeros.
+    def log_abs_terms(self, count: int, grid: IndexGrid | None = None) -> np.ndarray:
+        """log |s_n| for n < count as a fresh array, -inf marking exact zeros.
 
         Closed forms that grow are evaluated in log space, so they stay
         usable at the large horizons the domain diagnostics need (|r|^n
         overflows floats long before its product with a decaying coefficient
-        does); lists and affine terms are logged as emitted.
+        does); lists and affine terms are logged as emitted.  grid, an
+        IndexGrid(count), lets several specs share n and log n.
         """
-        with np.errstate(divide="ignore"):
-            if self.kind in ("list", "affine"):
-                return np.log(np.abs(self.terms(count)))
-            n = np.arange(count, dtype=float)
+        if grid is None:
+            grid = IndexGrid(count)
+        elif grid.count != count:
+            raise ValueError(f"index grid holds {grid.count} terms, {count} requested")
+        with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == "poly":
-                out = np.zeros(count)
-                out[1:] += self.power * np.log(n[1:])
-                if self.power != 0.0:
-                    out[0] = -np.inf
-                return out
-            if self.kind == "geometric":
-                out = np.zeros(count)
-                out[1:] += n[1:] * np.log(abs(self.ratio))
-                return out
-        raise ValueError(f"unknown sequence kind '{self.kind}'")
+                out = self.power * grid.log_n
+                out[:1] = 0.0 if self.power == 0.0 else -np.inf  # n^0 := 1 at n = 0
+            elif self.kind == "geometric":
+                out = np.log(abs(self.ratio)) * grid.n
+                out[:1] = 0.0  # r^0 = 1, also for r = 0
+            else:
+                out = np.abs(self._finite_terms(grid))
+                np.log(out, out=out)
+        return out
+
+
+class IndexGrid:
+    """The indices n = 0..count-1 as floats, and log n built on first read:
+    what the closed forms of several specs at one count share."""
+
+    def __init__(self, count: int):
+        self.count, self.n = count, np.arange(count, dtype=float)
+
+    @functools.cached_property
+    def log_n(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.n)  # log 0 = -inf; each kind sets its own n = 0 term
 
 
 def explicit(values, label: str = "") -> SequenceSpec:

@@ -21,6 +21,20 @@ DOMAIN_SPECS = (
     "harmonic", "geometric:0.5", "geometric:1.01", "affine:1,2",
 )
 
+#: one spec per branch of log_abs_terms: n^0 := 1 and a negative power
+#: at n = 0, r^0 = 1 at r = 0, a complex ratio, an exact affine zero (n = 3),
+#: a complex affine, a list ending in zeros, and weights that are no spec
+BRANCH_SPECS = {
+    "poly:0": parse_spec("poly:0"),
+    "poly:-2.6": parse_spec("poly:-2.6"),
+    "geometric:0": parse_spec("geometric:0"),
+    "geometric:0.9+0.2j": parse_spec("geometric:0.9+0.2j"),
+    "affine:-1,3": parse_spec("affine:-1,3"),
+    "affine:1j,1": parse_spec("affine:1j,1"),
+    "list-trailing-zeros": explicit([3.0, 0.5, 2.0, 1e-3] + [0.0] * 16380),
+    "shifted-squared-poly:1": DomainWeights(poly(1.0), shift=1, power=2),
+}
+
 
 class TestSummabilityVerdict:
     def test_geometric_domination_converges(self):
@@ -99,6 +113,37 @@ class TestSummabilityVerdict:
                 alpha,
                 coeff,
             )
+
+    @pytest.mark.parametrize("n_max", [64, 5000, 16384])
+    @pytest.mark.parametrize("name", list(BRANCH_SPECS))
+    def test_every_term_branch_equals_literal_formula(self, name, n_max):
+        # each branch against the grid's specs, on either side: the shared
+        # index arrays change no bit of the literal formula
+        spec = BRANCH_SPECS[name]
+        for other in map(parse_spec, DOMAIN_SPECS):
+            for weights, coeffs in ((spec, other), (other, spec)):
+                got = summability_verdict(weights, coeffs, n_max)
+                expected = literal_summability_verdict(weights, coeffs, n_max)
+                assert (got.verdict, got.partial_sum, got.tail_ratio) == expected, other
+
+    def test_writes_only_into_arrays_it_allocates(self):
+        class Shared:
+            """Weights that hand out one array, then one that is read-only."""
+
+            def __init__(self, writeable):
+                self.logs = poly(1.0).log_abs_terms(4096)
+                self.logs.flags.writeable = writeable
+
+            def log_abs_terms(self, count, grid=None):
+                return self.logs[:count]
+
+        for writeable in (True, False):
+            weights = Shared(writeable)
+            before = weights.logs.copy()
+            first = summability_verdict(weights, geometric(0.5))
+            second = summability_verdict(weights, geometric(0.5))
+            assert first == second == summability_verdict(poly(1.0), geometric(0.5))
+            np.testing.assert_array_equal(weights.logs, before)
 
 
 class TestDomainOf:

@@ -252,6 +252,16 @@ class TestMetricAndBounds:
             check = result(check_metric_pair(bundle))
             assert check.passed, check.note
 
+    @pytest.mark.parametrize("field", ["S_phi", "S_psi", "S_phi_sqrt", "S_psi_sqrt"])
+    def test_metric_pair_keeps_a_nan_column(self, field):
+        # S_phi reaches the first root residual, S_psi the last, the roots
+        # the middle two: a NaN in any of them is the check's residual
+        bundle = build_bundle(random_pair(6, 2), poly(1.0).terms(6))
+        column = getattr(bundle, field).copy()
+        column[:, 4] = np.nan
+        check = check_metric_pair(dataclasses.replace(bundle, **{field: column}))
+        assert np.isnan(check.residual) and np.isnan(check.values[1])
+
     def test_norm_bound_proxy_H(self):
         for seed in (4, 5):
             pair = random_pair(8, seed)

@@ -227,6 +227,33 @@ def test_truncation_identities_hold_in_exact_arithmetic():
         assert all(entry == 0 for entry in diff), diff
 
 
+class TestShiftActionResidual:
+    def test_equals_worst_column_of_the_joined_residuals(self):
+        # the literal form, bit for bit: both shift residuals side by side
+        rng = np.random.default_rng(5)
+        pair = random_pair(6, 5)
+        lower = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        upper = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        g = sqrt_poly(1.0).terms(6)
+        cols = pair.phi
+        down, up = np.zeros_like(cols), np.zeros_like(cols)
+        down[:, 1:] = cols[:, :-1] * g[1:]
+        up[:, :-1] = cols[:, 1:] * g[1:]
+        joined = np.concatenate([lower @ cols - down, upper @ cols - up], axis=1)
+        worst = ladder.shift_action_residual(lower, upper, cols, g)
+        assert worst == np.linalg.norm(joined, axis=0).max()
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_a_nan_column_on_either_side_gives_nan(self, side):
+        _, lp = bosonic_ladder(5)
+        ops = {"lower": lp.A_phi_psi.copy(), "upper": lp.B_phi_psi.copy()}
+        ops[side][:, 2] = np.nan
+        worst = ladder.shift_action_residual(
+            ops["lower"], ops["upper"], lp.pair.phi, lp.weights
+        )
+        assert np.isnan(worst)
+
+
 class TestCommutator:
     """AB - BA = H_ab - H_ba, recorded in the ladder_products note."""
 

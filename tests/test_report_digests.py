@@ -1,8 +1,10 @@
 """Smoke test of tools/report_digests.py, the corpus digest that every
 byte-identical output claim is checked with."""
 
+import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -71,14 +73,26 @@ def test_exit_counts_name_each_code_in_order(digests):
 
 
 def test_summary_counts_exit_codes_and_keeps_stdout(digests, monkeypatch, capsys):
-    """stderr gains how many argv ended with each exit code; stdout stays one
-    digest line per argv."""
+    """stderr gains how many argv ended with each exit code and the wall time
+    of each command's argv; stdout stays one digest line per argv."""
     argvs = [("verify", "three-level", "--t", "0.3"), digests.TOL_FAMILY[0],
-             ("verify", "random", "--dim", "0")]
+             ("verify", "random", "--dim", "0"),
+             ("domain", "--alpha", "poly:1", "--coeff", "harmonic", "--n-max", "64"),
+             ("sweep", "three-level", "--t-max", "1", "--steps", "2")]
     monkeypatch.setattr(digests, "corpus", lambda: argvs)
     monkeypatch.setattr(sys, "argv", ["report_digests.py", str(Path(cli.__file__).parents[1])])
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert digests.main() == 0
     out, err = capsys.readouterr()
-    assert [line.split()[1] for line in out.splitlines()] == ["0", "1", "2"]
-    assert err.startswith("3 argv (1 exit 0, 1 exit 1, 1 exit 2) in ")
+    assert [line.split()[1] for line in out.splitlines()] == ["0", "1", "2", "0", "0"]
+    for line, argv in zip(out.splitlines(), argvs):
+        text, _ = digests.run(cli.main, argv)
+        assert line.split()[0] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert err.startswith("5 argv (3 exit 0, 1 exit 1, 1 exit 2) in ")
+    wall = re.search(r" in ([0-9.]+) s wall \((.*)\), ", err)
+    commands = [part.split() for part in wall.group(2).split(", ")]
+    assert [(command, unit) for command, _, unit in commands] == [
+        ("verify", "s"), ("domain", "s"), ("sweep", "s")
+    ]
+    parts = sum(float(seconds) for _, seconds, _ in commands)
+    assert parts <= float(wall.group(1)) + 0.02  # each figure rounded to 0.01 s

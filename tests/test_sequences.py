@@ -4,6 +4,7 @@ import pytest
 from oracles import conjugate, sequence_term
 from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.sequences import (
+    IndexGrid,
     affine,
     explicit,
     geometric,
@@ -68,6 +69,13 @@ def test_terms_of_limited_list_reject_one_past_the_end():
     for limited in (spec, conjugate(spec)):
         with pytest.raises(ValueError, match="emits only"):
             limited.terms(len(limited.values) + 1)
+
+
+def test_log_abs_terms_take_their_length_from_one_place():
+    spec = poly(1.0)
+    np.testing.assert_array_equal(spec.log_abs_terms(8, IndexGrid(8)), spec.log_abs_terms(8))
+    with pytest.raises(ValueError, match="index grid holds 16 terms, 8 requested"):
+        spec.log_abs_terms(8, IndexGrid(16))
 
 
 def test_poly_terms_never_raise_zero_to_a_negative_power():

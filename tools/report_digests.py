@@ -18,7 +18,8 @@ largest three-level sweep the CLI allows (1000 steps, three stacks); last,
 two projection sweeps of several stacks each.  After the digest lines it
 writes to stderr the argv count, how many argv ended with each exit code
 (so a change that alters every digest still shows at a glance whether a
-verdict flipped), the wall time since it started, the process's minor page
+verdict flipped), the wall time since it started and the part of it each
+command's argv took (verify, sweep, domain), the process's minor page
 faults (ru_minflt) and how many documents are not strict RFC 8259 JSON
 (they hold NaN, Infinity or -Infinity), so stdout stays comparable.  The
 1295 argv take about 5 s on a 2-vCPU x86_64 host.
@@ -216,17 +217,20 @@ def main() -> int:
     if table:
         print("\n".join(failure_table(cli.main)))
         return 0
-    codes, loose = [], 0
+    codes, loose, wall = [], 0, collections.Counter()
     for argv in corpus():
+        tick = time.perf_counter()
         text, code = run(cli.main, argv)
+        wall[argv[0]] += time.perf_counter() - tick
         print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
         codes.append(code)
         loose += bool(text) and not strict(text)  # a usage error prints nothing
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     sys.stdout.flush()
+    commands = ", ".join(f"{command} {seconds:.2f} s" for command, seconds in wall.items())
     sys.stderr.write(
-        f"{len(codes)} argv ({exit_counts(codes)}) in {time.perf_counter() - start:.2f} s wall, "
-        f"{faults} minor page faults, {loose} documents not strict JSON\n"
+        f"{len(codes)} argv ({exit_counts(codes)}) in {time.perf_counter() - start:.2f} s wall "
+        f"({commands}), {faults} minor page faults, {loose} documents not strict JSON\n"
     )
     return 0
 
