@@ -173,7 +173,6 @@ class ProjectionModel:
     inside: np.ndarray
     P: np.ndarray
     T: np.ndarray
-    T_inv: np.ndarray
     S_phi: np.ndarray
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
@@ -218,7 +217,6 @@ def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
         inside=inside,
         P=P,
         T=eye + 1j * P,
-        T_inv=eye - ((1j + 1.0) / 2.0) * P,
         S_phi=eye + P,
         S_phi_sqrt=eye + (_SQRT2 - 1.0) * P,
         S_psi_sqrt=eye - ((2.0 - _SQRT2) / 2.0) * P,

@@ -248,7 +248,6 @@ def _projection_reports(
         pair = bundle.pair
         deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
         return (
-            _entrywise("projection_T_inv", adjoint(pair.psi), model.T_inv),
             _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
             _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
             _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),

@@ -47,6 +47,7 @@ from rieszops import (
 from rieszops.linalg import adjoint
 from rieszops.models import (
     projection_model,
+    projection_phi_psi_closed_forms,
     three_level,
     three_level_hat_spectrum,
 )
@@ -142,7 +143,7 @@ def test_criterion_4_projection_closed_forms():
         pair = from_generator(model.T)
         bundle = build_bundle(pair, model.weights)
         for got, expected in (
-            (pair.psi.conj().T, model.T_inv),
+            (pair.psi, projection_phi_psi_closed_forms(model)[1]),
             (bundle.S_phi, model.S_phi),
             (bundle.S_phi_sqrt, model.S_phi_sqrt),
             (bundle.S_psi_sqrt, model.S_psi_sqrt),

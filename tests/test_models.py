@@ -233,14 +233,14 @@ PROJECTION_U = ((("3/5", "4/5*I"), (0, 1, 2 + 1j, -3)),
 
 
 def test_projection_closed_forms_match_sympy():
-    """T^{-1}, the case formulas for phi_n and psi_n and the H split against
-    an exact derivation from u alone, one point at a time and as one
+    """T^{-1} = psi*, the case formulas for phi_n and psi_n and the H split
+    against an exact derivation from u alone, one point at a time and as one
     zero-padded stack."""
     sp = pytest.importorskip("sympy")
 
     def derived(model):
         phi, psi = projection_phi_psi_closed_forms(model)
-        return model.T_inv, phi, psi, projection_H_closed_form(model)
+        return psi.conj().mT, phi, psi, projection_H_closed_form(model)
 
     padded = np.zeros((2, 4), dtype=complex)
     alphas = np.array([alpha for _, alpha in PROJECTION_U], dtype=complex)
@@ -315,7 +315,8 @@ class TestProjectionModel:
         eye = np.eye(8)
         assert np.abs(model.P @ model.P - model.P).max() <= 1e-12
         assert np.abs(model.P - model.P.conj().T).max() <= 1e-12
-        assert np.abs(model.T @ model.T_inv - eye).max() <= 1e-12
+        _, psi = projection_phi_psi_closed_forms(model)
+        assert np.abs(model.T @ psi.conj().T - eye).max() <= 1e-12
         assert np.abs(model.S_phi - eye - model.P).max() <= 1e-12
         assert (
             np.abs(model.S_phi_sqrt @ model.S_phi_sqrt - model.S_phi).max() <= 1e-12

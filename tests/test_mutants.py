@@ -366,9 +366,9 @@ CATCHES = {
             "factorization",
         ),
         "projection": (
-            "projection_T_inv", "projection_bases", "projection_H_split", "projection_h_block",
-            "biorthogonality", "eigen_action", "weighted_action", "metric_pair", "intertwining",
-            "selfadjoint_h", "transported_eigenbasis", "ladder_actions", "ladder_products",
+            "projection_bases", "projection_H_split", "projection_h_block", "biorthogonality",
+            "eigen_action", "weighted_action", "metric_pair", "intertwining", "selfadjoint_h",
+            "transported_eigenbasis", "ladder_actions", "ladder_products",
         ),
     },
     "psi without its adjoint": {
@@ -400,9 +400,9 @@ CATCHES = {
             "factorization",
         ),
         "projection": (
-            "projection_T_inv", "projection_bases", "projection_H_split", "biorthogonality",
-            "eigen_action", "weighted_action", "intertwining", "selfadjoint_h",
-            "transported_eigenbasis", "ladder_actions", "ladder_products", "factorization",
+            "projection_bases", "projection_H_split", "biorthogonality", "eigen_action",
+            "weighted_action", "intertwining", "selfadjoint_h", "transported_eigenbasis",
+            "ladder_actions", "ladder_products", "factorization",
         ),
     },
     "frame bounds swapped": {

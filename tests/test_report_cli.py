@@ -254,9 +254,8 @@ _THREE_LEVEL_MODEL = [
     "three_level_Phi", "norm_T", "norm_T_inv",
 ]
 _PROJECTION_MODEL = [
-    "projection_T_inv", "projection_S_phi", "projection_S_phi_sqrt",
-    "projection_S_psi_sqrt", "projection_bases", "projection_H_split",
-    "projection_h_block",
+    "projection_S_phi", "projection_S_phi_sqrt", "projection_S_psi_sqrt",
+    "projection_bases", "projection_H_split", "projection_h_block",
 ]
 _BATTERY = [
     "biorthogonality", "frame_inequality", "eigen_action", "weighted_action", "metric_pair",
@@ -314,14 +313,14 @@ class TestSuites:
 
     def test_suites_share_one_battery_order(self):
         """random's checks are the shared battery: projection runs it after
-        its 7 closed forms, three-level between its closed forms and its 3
+        its 6 closed forms, three-level between its closed forms and its 3
         ladder extras."""
         battery = [c.name for c in random_report(8).checks]
         projection = [c.name for c in projection_report(8, 3).checks]
         three = [c.name for c in three_level_report(0.3).checks]
         assert len(battery) == 13
-        assert all(name.startswith("projection_") for name in projection[:7])
-        assert projection[7:] == battery
+        assert all(name.startswith("projection_") for name in projection[:6])
+        assert projection[6:] == battery
         assert three[0] == "admissible"
         assert three[three.index("norm_T_inv") + 1 : -3] == battery
         assert three[-3:] == ["ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices"]
