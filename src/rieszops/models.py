@@ -3,12 +3,15 @@ projection perturbation of the identity.
 
 Both models carry every matrix in closed form so the generic pipeline
 (generator -> basis pair -> operator bundle -> similarity/ladder) can be
-validated entrywise against independent ground truth.
+validated entrywise against independent ground truth.  Each closed form is
+a field named after the bundle or pair field it predicts, and each model
+lists its closed-form checks once, in `rows`: (check name, field, note).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,21 +36,32 @@ class ThreeLevelModel:
     and with S_psi^{1/2} phi_n.
     """
 
+    rows: ClassVar[tuple[tuple[str, str, str], ...]] = (
+        ("three_level_H", "H_phi_psi", ""),
+        ("three_level_psi", "psi", ""),
+        ("three_level_S_phi", "S_phi", ""),
+        ("three_level_S_psi", "S_psi", ""),
+        ("three_level_S_phi_sqrt", "S_phi_sqrt", ""),
+        ("three_level_S_psi_sqrt", "S_psi_sqrt", ""),
+        ("three_level_h", "h", ""),
+        ("three_level_Phi", "Phi", "transported eigenvectors vs closed forms"),
+    )
+
     t: np.ndarray
     admissible: np.ndarray
     #: (..., 3) eigenvalues
     eps: np.ndarray
-    H: np.ndarray
+    H_phi_psi: np.ndarray
+    #: phi_n as columns
     T: np.ndarray
     S_phi: np.ndarray
     S_psi: np.ndarray
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
     h: np.ndarray
-    #: the vectors phi_n, psi_n and Phi_n, each (..., 3)
-    phi: tuple[np.ndarray, np.ndarray, np.ndarray]
-    psi: tuple[np.ndarray, np.ndarray, np.ndarray]
-    Phi: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: psi_n and Phi_n as columns, each (..., 3, 3)
+    psi: np.ndarray
+    Phi: np.ndarray
 
 
 def _entries(rows, shape: tuple) -> np.ndarray:
@@ -77,18 +91,11 @@ def three_level(t) -> ThreeLevelModel:
     def constant(rows):
         return np.broadcast_to(np.array(rows, dtype=complex), t.shape + (3, 3))
 
-    phi = _entries([[1.0, 0.0, 1.0], [sh, -2.0 * ch, 6.0 * sh], [ch, 2.0 * sh, 6.0 * ch]], t.shape)
-    psi = _entries(
-        [[6.0 / 5.0, 0.0, -1.0 / 5.0], [-sh / 5.0, -ch / 2.0, sh / 5.0],
-         [-ch / 5.0, sh / 2.0, ch / 5.0]],
-        t.shape,
-    )
-    Phi = _entries([[1.0, 0.0, 0.0], [0.0, -ch, sh], [0.0, sh, ch]], t.shape)
     return ThreeLevelModel(
         t=t,
         admissible=np.diff(eps, axis=-1).min(axis=-1) > DEFAULT_TOL,
         eps=eps,
-        H=_entries(
+        H_phi_psi=_entries(
             [
                 [-3.0 * c / 5.0, s / 2.0, 3.0 * c / 5.0],
                 [-2.0 * s / 5.0, c, 2.0 * s / 5.0],
@@ -96,15 +103,18 @@ def three_level(t) -> ThreeLevelModel:
             ],
             t.shape,
         ),
-        T=phi.swapaxes(-1, -2).copy(),
+        T=_entries([[1.0, sh, ch], [0.0, -2.0 * ch, 2.0 * sh], [1.0, 6.0 * sh, 6.0 * ch]], t.shape),
         S_phi=constant([[2, 0, 7], [0, 4, 0], [7, 0, 37]]),
         S_psi=constant([[37 / 25, 0, -7 / 25], [0, 1 / 4, 0], [-7 / 25, 0, 2 / 25]]),
         S_phi_sqrt=constant([[1, 0, 1], [0, 2, 0], [1, 0, 6]]),
         S_psi_sqrt=constant([[6 / 5, 0, -1 / 5], [0, 1 / 2, 0], [-1 / 5, 0, 1 / 5]]),
         h=_entries([[0.0, 0.0, 0.0], [0.0, c, s], [0.0, s, 3.0 * c]], t.shape),
-        phi=tuple(phi[..., n, :] for n in range(3)),
-        psi=tuple(psi[..., n, :] for n in range(3)),
-        Phi=tuple(Phi[..., n, :] for n in range(3)),
+        psi=_entries(
+            [[6.0 / 5.0, -sh / 5.0, -ch / 5.0], [0.0, -ch / 2.0, sh / 2.0],
+             [-1.0 / 5.0, sh / 5.0, ch / 5.0]],
+            t.shape,
+        ),
+        Phi=_entries([[1.0, 0.0, 0.0], [0.0, -ch, sh], [0.0, sh, ch]], t.shape),
     )
 
 
@@ -146,7 +156,7 @@ def three_level_hat_spectrum(model: ThreeLevelModel, AB: np.ndarray) -> Check:
     eigenvalues (eps_1, eps_2, 0), and psi_n are eigenvectors of (AB)* with
     the same list.
     """
-    phi, psi = np.stack(model.phi, axis=-1), np.stack(model.psi, axis=-1)
+    phi, psi = model.T, model.psi
     eigenvalues = np.stack([model.eps[..., 1], model.eps[..., 2], np.zeros(model.t.shape)], axis=-1)
     r_phi = AB @ phi - phi * eigenvalues[..., None, :]
     r_psi = adjoint(AB) @ psi - psi * eigenvalues[..., None, :]
@@ -159,23 +169,39 @@ def three_level_hat_spectrum(model: ThreeLevelModel, AB: np.ndarray) -> Check:
 
 @dataclass(frozen=True)
 class ProjectionModel:
-    """Rank-one perturbation T = I + i(u x u*) of the identity generator, at
-    every point of a batch: each field but dim carries the batch shape first.
+    """Rank-one perturbation T = I + iP, P = u u*, of the identity generator,
+    at every point of a batch: each field carries the batch shape first.
 
     u is a normalized vector supported on finitely many coordinates (at
     least two nonzero coefficients, so the projection does not commute with
     every coordinate projection).  All derived operators are polynomials in
-    the projection, hence available in closed form.
+    the projection, hence available in closed form.  The basis families
+    follow case formulas,
+
+        phi_n = e_n + i conj(u_n) u,    psi_n = e_n + (i-1)/2 conj(u_n) u,
+
+    both e_n off the support of u, and H splits into weighted phi_k psi_k*
+    on the support and weighted coordinate projections e_k e_k* beyond it.
     """
 
-    dim: int
+    rows: ClassVar[tuple[tuple[str, str, str], ...]] = (
+        ("projection_S_phi", "S_phi", ""),
+        ("projection_S_phi_sqrt", "S_phi_sqrt", ""),
+        ("projection_S_psi_sqrt", "S_psi_sqrt", ""),
+        ("projection_bases", "psi", "psi_n case formula; phi_n = T e_n holds by construction"),
+        ("projection_H_split", "H_phi_psi", "H as support terms plus coordinate projections"),
+    )
+
     #: (..., dim) mask of the support of u
     inside: np.ndarray
-    P: np.ndarray
+    #: phi_n as columns
     T: np.ndarray
     S_phi: np.ndarray
     S_phi_sqrt: np.ndarray
     S_psi_sqrt: np.ndarray
+    #: psi_n as columns
+    psi: np.ndarray
+    H_phi_psi: np.ndarray
     #: alpha_0 .. alpha_{dim-1}
     weights: np.ndarray
 
@@ -212,39 +238,19 @@ def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
     )
     P = u[..., :, None] * u[..., None, :].conj()
     eye = np.eye(dim, dtype=complex)
+    T = eye + 1j * P
+    psi = eye + ((1j - 1.0) / 2.0) * P
+    # column k of each factor: phi_k, psi_k on the support, e_k off it
+    left = np.where(inside[..., None, :], T, eye)
+    right = np.where(inside[..., None, :], psi, eye)
     return ProjectionModel(
-        dim=dim,
         inside=inside,
-        P=P,
-        T=eye + 1j * P,
+        T=T,
         S_phi=eye + P,
         S_phi_sqrt=eye + (_SQRT2 - 1.0) * P,
         S_psi_sqrt=eye - ((2.0 - _SQRT2) / 2.0) * P,
+        psi=psi,
+        H_phi_psi=(left * alpha[..., None, :]) @ adjoint(right),
         weights=alpha,
     )
 
-
-def projection_phi_psi_closed_forms(
-    model: ProjectionModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Case formulas for the basis families:
-
-        phi_n = e_n + i conj(u_n) u,    psi_n = e_n + (i-1)/2 conj(u_n) u
-
-    (both reduce to e_n off the support of u), the outer products u u* read
-    from P.  Returned as column matrices.
-    """
-    eye = np.eye(model.dim, dtype=complex)
-    return eye + 1j * model.P, eye + ((1j - 1.0) / 2.0) * model.P
-
-
-def projection_H_closed_form(model: ProjectionModel) -> np.ndarray:
-    """H as the split sum: weighted phi_k psi_k* on the support window and
-    weighted coordinate projections e_k e_k* beyond it."""
-    phi, psi = projection_phi_psi_closed_forms(model)
-    eye = np.eye(model.dim, dtype=complex)
-    # column k of each factor: phi_k, psi_k on the support, e_k off it
-    inside = model.inside[..., None, :]
-    left = np.where(inside, phi, eye)
-    right = np.where(inside, psi, eye)
-    return (left * model.weights[..., None, :]) @ adjoint(right)

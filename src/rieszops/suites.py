@@ -41,11 +41,6 @@ def _random_generator(rng, dim: int) -> np.ndarray:
     return np.eye(dim) + _GENERATOR_SPREAD * (real + 1j * imag)
 
 
-def _entrywise(name: str, got, expected, note: str = "") -> Check:
-    """Largest entry modulus of got - expected at each point of the batch."""
-    return Check(name, max_entry(got - expected), note)
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays along a new leading axis; a single one is viewed, not copied."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -67,11 +62,14 @@ def _battery(
     gamma: np.ndarray,
     rngs: list,
     tol: float,
-    closed_forms=lambda bundle: (),
+    model=None,
+    extras=lambda bundle: (),
 ) -> ladder.LadderPair | None:
     """The chain every suite runs, in one order: the pair and the bundle of
-    the (k, d, d) generators and (k, d) alpha, the caller's closed-form
-    checks of the bundle, the common block (basis identities, actions,
+    the (k, d, d) generators and (k, d) alpha, the model's closed-form rows
+    (each the largest entry modulus of the bundle's or pair's field minus
+    the model's field of that name), the caller's extra checks of the
+    bundle, the common block (basis identities, actions,
     intertwining, similarity, and the self-adjointness of h when every
     alpha is real: no suite's stack mixes realness), and the ladder block
     for the (k, d) gamma at every point, whether or not the paper's
@@ -88,9 +86,14 @@ def _battery(
     pair = basis.from_generator(generator)
     bundle = factory.build_bundle(pair, alpha)
     vectors = _stack([_random_block(rng, pair.dim, 10) for rng in rngs])
+    fields = vars(pair) | vars(bundle)
     stack.record(
         tol,
-        *closed_forms(bundle),
+        *(
+            Check(name, max_entry(fields[field] - getattr(model, field)), note)
+            for name, field, note in (() if model is None else model.rows)
+        ),
+        *extras(bundle),
         basis.verify_biorthogonality(pair),
         basis.frame_inequality_check(pair, bundle.weights, vectors),
         factory.check_eigen_action(bundle),
@@ -163,23 +166,10 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
     expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
     norm_note = f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}"
 
-    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
+    def norms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
         pair = bundle.pair
         norm_t = pair.frame_upper
         return (
-            _entrywise("three_level_H", bundle.H_phi_psi, model.H),
-            _entrywise("three_level_psi", pair.psi, np.stack(model.psi, axis=-1)),
-            _entrywise("three_level_S_phi", bundle.S_phi, model.S_phi),
-            _entrywise("three_level_S_psi", bundle.S_psi, model.S_psi),
-            _entrywise("three_level_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
-            _entrywise("three_level_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
-            _entrywise("three_level_h", bundle.h, model.h),
-            _entrywise(
-                "three_level_Phi",
-                bundle.Phi,
-                np.stack(model.Phi, axis=-1),
-                note="transported eigenvectors vs closed forms",
-            ),
             Check("norm_T", np.abs(norm_t - expected_norm), norm_note, (norm_t,)),
             Check(
                 "norm_T_inv",
@@ -189,7 +179,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         )
 
     eps = model.eps.astype(complex)
-    lp = _battery(stack, model.T, eps, np.sqrt(eps), [rng], tol, closed_forms)
+    lp = _battery(stack, model.T, eps, np.sqrt(eps), [rng], tol, model, norms)
     a_closed, b_closed = models.three_level_ladder_closed_forms(model)
     stack.record(
         tol,
@@ -201,17 +191,19 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
             ladder.shift_action_residual(
                 adjoint(lp.B_phi_psi),
                 adjoint(lp.A_phi_psi),
-                np.stack(model.psi, axis=-1),
+                model.psi,
                 lp.weights.conj(),
             ),
             "B* and A* shift actions on psi_n",
         ),
         models.three_level_hat_spectrum(model, lp.AB),
-        _entrywise(
+        Check(
             "printed_ladder_matrices",
-            np.concatenate([lp.A_phi_psi, lp.B_phi_psi], axis=-1),
-            np.concatenate([a_closed, b_closed], axis=-1),
-            note="closed-form A(t), B(t) vs generic construction",
+            max_entry(
+                np.concatenate([lp.A_phi_psi, lp.B_phi_psi], axis=-1)
+                - np.concatenate([a_closed, b_closed], axis=-1)
+            ),
+            "closed-form A(t), B(t) vs generic construction",
         ),
     )
     return stack.reports()
@@ -244,25 +236,9 @@ def _projection_reports(
     model = models.projection_model(dim, u, _stack([alpha.terms(dim)] * len(supports)))
     off = ~model.inside
 
-    def closed_forms(bundle: factory.OperatorBundle) -> tuple[Check, ...]:
-        pair = bundle.pair
+    def h_block(bundle: factory.OperatorBundle) -> tuple[Check]:
         deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
         return (
-            _entrywise("projection_S_phi", bundle.S_phi, model.S_phi),
-            _entrywise("projection_S_phi_sqrt", bundle.S_phi_sqrt, model.S_phi_sqrt),
-            _entrywise("projection_S_psi_sqrt", bundle.S_psi_sqrt, model.S_psi_sqrt),
-            _entrywise(
-                "projection_bases",
-                pair.psi,
-                models.projection_phi_psi_closed_forms(model)[1],
-                note="psi_n case formula; phi_n = T e_n holds by construction",
-            ),
-            _entrywise(
-                "projection_H_split",
-                bundle.H_phi_psi,
-                models.projection_H_closed_form(model),
-                note="H as support terms plus coordinate projections",
-            ),
             Check(
                 "projection_h_block",
                 np.where(off[:, :, None] | off[:, None, :], deviation, 0.0).max(axis=(-2, -1)),
@@ -271,7 +247,7 @@ def _projection_reports(
         )
 
     gammas = _stack([gamma.terms(dim)] * len(supports))
-    _battery(stack, model.T, model.weights, gammas, rngs, tol, closed_forms)
+    _battery(stack, model.T, model.weights, gammas, rngs, tol, model, h_block)
     return stack.reports()
 
 

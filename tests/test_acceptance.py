@@ -47,7 +47,6 @@ from rieszops import (
 from rieszops.linalg import adjoint
 from rieszops.models import (
     projection_model,
-    projection_phi_psi_closed_forms,
     three_level,
     three_level_hat_spectrum,
 )
@@ -76,7 +75,7 @@ def test_criterion_1_three_level_closed_forms():
                 worst,
                 float(
                     np.linalg.norm(
-                        bundle.H_phi_psi @ model.phi[n] - model.eps[n] * model.phi[n]
+                        bundle.H_phi_psi @ model.T[:, n] - model.eps[n] * model.T[:, n]
                     )
                 ),
             )
@@ -109,22 +108,22 @@ def test_criterion_3_three_level_ladder_suite():
     a, b = lp.A_phi_psi, lp.B_phi_psi
     worst = 0.0
     actions = [
-        a @ model.phi[0],
-        a @ model.phi[1] - g[1] * model.phi[0],
-        a @ model.phi[2] - g[2] * model.phi[1],
-        b @ model.phi[0] - g[1] * model.phi[1],
-        b @ model.phi[1] - g[2] * model.phi[2],
-        b @ model.phi[2],
-        b.conj().T @ model.psi[0],
-        b.conj().T @ model.psi[1] - g[1] * model.psi[0],
-        b.conj().T @ model.psi[2] - g[2] * model.psi[1],
-        a.conj().T @ model.psi[0] - g[1] * model.psi[1],
-        a.conj().T @ model.psi[1] - g[2] * model.psi[2],
-        a.conj().T @ model.psi[2],
+        a @ model.T[:, 0],
+        a @ model.T[:, 1] - g[1] * model.T[:, 0],
+        a @ model.T[:, 2] - g[2] * model.T[:, 1],
+        b @ model.T[:, 0] - g[1] * model.T[:, 1],
+        b @ model.T[:, 1] - g[2] * model.T[:, 2],
+        b @ model.T[:, 2],
+        b.conj().T @ model.psi[:, 0],
+        b.conj().T @ model.psi[:, 1] - g[1] * model.psi[:, 0],
+        b.conj().T @ model.psi[:, 2] - g[2] * model.psi[:, 1],
+        a.conj().T @ model.psi[:, 0] - g[1] * model.psi[:, 1],
+        a.conj().T @ model.psi[:, 1] - g[2] * model.psi[:, 2],
+        a.conj().T @ model.psi[:, 2],
     ]
     for vec in actions:
         worst = max(worst, float(np.linalg.norm(vec)))
-    worst = max(worst, float(np.abs(b @ a - model.H).max()))
+    worst = max(worst, float(np.abs(b @ a - model.H_phi_psi).max()))
     hat_check = result(three_level_hat_spectrum(model, a @ b), tol=1e-10)
     worst = max(worst, hat_check.residual)
     assert worst <= 1e-10, f"worst ladder residual {worst:.3e}"
@@ -143,7 +142,7 @@ def test_criterion_4_projection_closed_forms():
         pair = from_generator(model.T)
         bundle = build_bundle(pair, model.weights)
         for got, expected in (
-            (pair.psi, projection_phi_psi_closed_forms(model)[1]),
+            (pair.psi, model.psi),
             (bundle.S_phi, model.S_phi),
             (bundle.S_phi_sqrt, model.S_phi_sqrt),
             (bundle.S_psi_sqrt, model.S_psi_sqrt),

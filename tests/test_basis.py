@@ -27,8 +27,8 @@ def test_identity_generator_gives_coordinate_bases():
 def test_three_level_columns_match_model_at_pi_over_6():
     model = three_level(np.pi / 6)
     pair = from_generator(model.T)
-    np.testing.assert_allclose(pair.phi, np.column_stack(model.phi), atol=1e-12)
-    np.testing.assert_allclose(pair.psi, np.column_stack(model.psi), atol=1e-12)
+    np.testing.assert_allclose(pair.phi, model.T, atol=1e-12)
+    np.testing.assert_allclose(pair.psi, model.psi, atol=1e-12)
 
 
 def test_projection_generator_case_formulas():

@@ -49,7 +49,7 @@ class TestBuildH:
     def test_three_level_entrywise(self):
         model, pair = three_level_pair(0.3)
         got = rank_one_sum(np.array(model.eps), pair.phi, pair.psi)
-        assert np.abs(got - model.H).max() <= 1e-12
+        assert np.abs(got - model.H_phi_psi).max() <= 1e-12
 
     def test_identity_generator_gives_diagonal(self):
         pair = from_generator(np.eye(3, dtype=complex))

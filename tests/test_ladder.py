@@ -48,24 +48,24 @@ class TestBuildLadder:
     def test_three_level_lowering_actions(self):
         model, _, lp = three_level_ladder()
         g = lp.weights
-        assert np.linalg.norm(lp.A_phi_psi @ model.phi[0]) <= 1e-12
+        assert np.linalg.norm(lp.A_phi_psi @ model.T[:, 0]) <= 1e-12
         assert (
-            np.linalg.norm(lp.A_phi_psi @ model.phi[1] - g[1] * model.phi[0]) <= 1e-12
+            np.linalg.norm(lp.A_phi_psi @ model.T[:, 1] - g[1] * model.T[:, 0]) <= 1e-12
         )
         assert (
-            np.linalg.norm(lp.A_phi_psi @ model.phi[2] - g[2] * model.phi[1]) <= 1e-12
+            np.linalg.norm(lp.A_phi_psi @ model.T[:, 2] - g[2] * model.T[:, 1]) <= 1e-12
         )
 
     def test_three_level_raising_actions(self):
         model, _, lp = three_level_ladder()
         g = lp.weights
         assert (
-            np.linalg.norm(lp.B_phi_psi @ model.phi[0] - g[1] * model.phi[1]) <= 1e-12
+            np.linalg.norm(lp.B_phi_psi @ model.T[:, 0] - g[1] * model.T[:, 1]) <= 1e-12
         )
         assert (
-            np.linalg.norm(lp.B_phi_psi @ model.phi[1] - g[2] * model.phi[2]) <= 1e-12
+            np.linalg.norm(lp.B_phi_psi @ model.T[:, 1] - g[2] * model.T[:, 2]) <= 1e-12
         )
-        assert np.linalg.norm(lp.B_phi_psi @ model.phi[2]) <= 1e-12
+        assert np.linalg.norm(lp.B_phi_psi @ model.T[:, 2]) <= 1e-12
 
     def test_bosonic_matrices(self):
         _, lp = bosonic_ladder(6)
@@ -101,12 +101,12 @@ class TestLadderAdjoints:
         g = lp.weights
         b_adj = lp.B_phi_psi.conj().T
         a_adj = lp.A_phi_psi.conj().T
-        assert np.linalg.norm(b_adj @ model.psi[0]) <= 1e-12
-        assert np.linalg.norm(b_adj @ model.psi[1] - g[1] * model.psi[0]) <= 1e-12
-        assert np.linalg.norm(b_adj @ model.psi[2] - g[2] * model.psi[1]) <= 1e-12
-        assert np.linalg.norm(a_adj @ model.psi[0] - g[1] * model.psi[1]) <= 1e-12
-        assert np.linalg.norm(a_adj @ model.psi[1] - g[2] * model.psi[2]) <= 1e-12
-        assert np.linalg.norm(a_adj @ model.psi[2]) <= 1e-12
+        assert np.linalg.norm(b_adj @ model.psi[:, 0]) <= 1e-12
+        assert np.linalg.norm(b_adj @ model.psi[:, 1] - g[1] * model.psi[:, 0]) <= 1e-12
+        assert np.linalg.norm(b_adj @ model.psi[:, 2] - g[2] * model.psi[:, 1]) <= 1e-12
+        assert np.linalg.norm(a_adj @ model.psi[:, 0] - g[1] * model.psi[:, 1]) <= 1e-12
+        assert np.linalg.norm(a_adj @ model.psi[:, 1] - g[2] * model.psi[:, 2]) <= 1e-12
+        assert np.linalg.norm(a_adj @ model.psi[:, 2]) <= 1e-12
 
     def test_identity_generator_real_gamma_exact(self):
         # B_{psi,phi} for real gamma: the lowering slices swapped
@@ -138,7 +138,7 @@ class TestProducts:
     def test_three_level_factorizes_exactly(self):
         model, _, lp = three_level_ladder()
         # gamma_3 is absent at dim 3, so BA = H on the full matrix
-        assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H).max() <= 1e-11
+        assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H_phi_psi).max() <= 1e-11
 
     def test_three_level_hat_eigenvalues(self):
         model, _, lp = three_level_ladder()
@@ -146,7 +146,7 @@ class TestProducts:
         eps_tilde = (model.eps[1], model.eps[2], 0.0)
         for n in range(3):
             assert (
-                np.linalg.norm(hat @ model.phi[n] - eps_tilde[n] * model.phi[n])
+                np.linalg.norm(hat @ model.T[:, n] - eps_tilde[n] * model.T[:, n])
                 <= 1e-11
             )
 
@@ -273,8 +273,8 @@ class TestCommutator:
     def test_three_level_ground_state(self):
         model, _, lp = three_level_ladder()
         comm = lp.A_phi_psi @ lp.B_phi_psi - lp.B_phi_psi @ lp.A_phi_psi
-        expected = model.eps[1] * model.phi[0]
-        assert np.linalg.norm(comm @ model.phi[0] - expected) <= 1e-11
+        expected = model.eps[1] * model.T[:, 0]
+        assert np.linalg.norm(comm @ model.T[:, 0] - expected) <= 1e-11
         assert self.commutator(lp) <= DEFAULT_TOL
 
     def test_projection_pair(self):
@@ -318,7 +318,7 @@ class TestFactorizeFromAlpha:
         np.testing.assert_allclose(
             lp.weights, three_level_gamma(model), atol=1e-12
         )
-        assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H).max() <= 1e-11
+        assert np.abs(lp.B_phi_psi @ lp.A_phi_psi - model.H_phi_psi).max() <= 1e-11
 
     def test_bosonic(self):
         pair = from_generator(np.eye(6, dtype=complex))

@@ -11,9 +11,7 @@ from rieszops import (
 )
 from rieszops.ladder import build_ladder, factorize_from_alpha
 from rieszops.models import (
-    projection_H_closed_form,
     projection_model,
-    projection_phi_psi_closed_forms,
     three_level,
     three_level_hat_spectrum,
     three_level_ladder_closed_forms,
@@ -24,7 +22,7 @@ class TestThreeLevel:
     def test_spectrum_at_zero(self):
         model = three_level(0.0)
         assert tuple(model.eps) == (0.0, 1.0, 3.0)
-        assert model.H[0, 0] == pytest.approx(-3 / 5)
+        assert model.H_phi_psi[0, 0] == pytest.approx(-3 / 5)
         assert model.admissible
 
     def test_inadmissible_at_pi_over_2(self):
@@ -77,7 +75,7 @@ class TestThreeLevel:
         model = three_level(0.3)
         pair = from_generator(model.T)
         bundle = build_bundle(pair, np.array(model.eps))
-        assert np.abs(bundle.H_phi_psi - model.H).max() <= 1e-11
+        assert np.abs(bundle.H_phi_psi - model.H_phi_psi).max() <= 1e-11
         assert np.abs(bundle.S_phi - model.S_phi).max() <= 1e-11
         assert np.abs(bundle.S_psi - model.S_psi).max() <= 1e-11
         assert np.abs(bundle.S_phi_sqrt - model.S_phi_sqrt).max() <= 1e-11
@@ -90,7 +88,7 @@ class TestThreeLevel:
             pair = from_generator(model.T)
             bundle = build_bundle(pair, np.array(model.eps))
             assert np.abs(bundle.h - model.h).max() <= 1e-10
-            assert np.abs(bundle.Phi - np.column_stack(model.Phi)).max() <= 1e-10
+            assert np.abs(bundle.Phi - model.Phi).max() <= 1e-10
 
     def test_norm_constant_in_parameter(self):
         expected = np.sqrt((39 + 7 * np.sqrt(29)) / 2)
@@ -164,10 +162,10 @@ class TestSymbolicThreeLevel:
             "S_psi": model.S_psi,
             "S_phi_sqrt": model.S_phi_sqrt,
             "S_psi_sqrt": model.S_psi_sqrt,
-            "psi": np.stack(model.psi, axis=-1),
-            "H": model.H,
+            "psi": model.psi,
+            "H": model.H_phi_psi,
             "h": model.h,
-            "Phi": np.stack(model.Phi, axis=-1),
+            "Phi": model.Phi,
         }
         for name, closed in expected.items():
             assert np.abs(closed - at(name, t)).max() <= 1e-12, name
@@ -239,8 +237,7 @@ def test_projection_closed_forms_match_sympy():
     sp = pytest.importorskip("sympy")
 
     def derived(model):
-        phi, psi = projection_phi_psi_closed_forms(model)
-        return psi.conj().mT, phi, psi, projection_H_closed_form(model)
+        return model.psi.conj().mT, model.T, model.psi, model.H_phi_psi
 
     padded = np.zeros((2, 4), dtype=complex)
     alphas = np.array([alpha for _, alpha in PROJECTION_U], dtype=complex)
@@ -278,7 +275,7 @@ class TestSpectralProjectors:
     def test_three_level_up_to_the_closing_gap(self, t):
         model = three_level(t)
         bundle = build_bundle(from_generator(model.T), model.eps.astype(complex))
-        for h in (model.H, bundle.H_phi_psi):
+        for h in (model.H_phi_psi, bundle.H_phi_psi):
             assert_projectors_match(h, bundle)
 
     @pytest.mark.parametrize("support", range(2, 9))
@@ -287,7 +284,7 @@ class TestSpectralProjectors:
             coeffs = random_vector(np.random.default_rng(seed), support)
             model = projection_model(8, coeffs / np.linalg.norm(coeffs), poly(1.0).terms(8))
             bundle = build_bundle(from_generator(model.T), model.weights)
-            for h in (projection_H_closed_form(model), bundle.H_phi_psi):
+            for h in (model.H_phi_psi, bundle.H_phi_psi):
                 assert_projectors_match(h, bundle)
 
 
@@ -296,7 +293,7 @@ class TestProjectionModel:
         model = projection_model(6, np.array([1.0, 1.0]) / np.sqrt(2), poly(1.0).terms(6))
         pair = from_generator(model.T)
         bundle = build_bundle(pair, poly(1.0).terms(pair.dim))
-        assert np.abs(bundle.H_phi_psi - projection_H_closed_form(model)).max() <= 1e-11
+        assert np.abs(bundle.H_phi_psi - model.H_phi_psi).max() <= 1e-11
 
     def test_rejects_single_nonzero_coefficient(self):
         with pytest.raises(ValueError, match="two nonzero"):
@@ -313,11 +310,11 @@ class TestProjectionModel:
         coeffs /= np.linalg.norm(coeffs)
         model = projection_model(8, coeffs, poly(1.0).terms(8))
         eye = np.eye(8)
-        assert np.abs(model.P @ model.P - model.P).max() <= 1e-12
-        assert np.abs(model.P - model.P.conj().T).max() <= 1e-12
-        _, psi = projection_phi_psi_closed_forms(model)
-        assert np.abs(model.T @ psi.conj().T - eye).max() <= 1e-12
-        assert np.abs(model.S_phi - eye - model.P).max() <= 1e-12
+        P = model.S_phi - eye
+        assert np.abs(P @ P - P).max() <= 1e-12
+        assert np.abs(P - P.conj().T).max() <= 1e-12
+        assert np.abs(model.T @ model.psi.conj().T - eye).max() <= 1e-12
+        assert np.abs(model.T @ model.T.conj().T - model.S_phi).max() <= 1e-12
         assert (
             np.abs(model.S_phi_sqrt @ model.S_phi_sqrt - model.S_phi).max() <= 1e-12
         )
@@ -329,10 +326,10 @@ class TestProjectionModel:
         coeffs = np.array([0.6, 0.0, 0.8j])
         model = projection_model(8, coeffs, poly(1.0).terms(8))
         assert np.flatnonzero(model.inside).tolist() == [0, 2]
-        phi, _ = projection_phi_psi_closed_forms(model)
         pair = from_generator(model.T)
-        assert np.abs(pair.phi - phi).max() <= 1e-12
+        assert np.abs(pair.psi - model.psi).max() <= 1e-12
         np.testing.assert_allclose(pair.phi[:, 1], np.eye(8)[1], atol=1e-12)
+        np.testing.assert_allclose(model.psi[:, 1], np.eye(8)[1], atol=1e-12)
 
     def test_seeded_h_block(self):
         rng = np.random.default_rng(7)
