@@ -3,7 +3,10 @@
 Each mutant is a semantic fault applied in-process by monkeypatching a
 function the suites reach through its module, never by editing source:
 the ladder mutants patch ladder and model functions, the battery mutants
-patch what factory.build_bundle and basis.from_generator return.  CATCHES
+patch what factory.build_bundle and basis.from_generator return, and the
+generator mutants give both models a wrong T beside their closed forms,
+which only the closed-form checks can see: every generic identity holds
+for any T.  CATCHES
 keeps the full mutant x check matrix on the fixed argv set below, so a
 change that lets a check go blind to a mutant shows up as a diff of this
 table.  Every mutant must fail some check beyond the unmutated failures,
@@ -98,6 +101,30 @@ def pair_mutant(change):
     return apply
 
 
+def generator_mutant(change):
+    """A mutant whose three-level and projection models carry change(T) as
+    their generator, every closed form unchanged."""
+
+    def apply(monkeypatch):
+        for name in ("three_level", "projection_model"):
+            build = getattr(models, name)
+
+            def mutated(*args, build=build):
+                model = build(*args)
+                return dataclasses.replace(model, T=change(model.T))
+
+            monkeypatch.setattr(models, name, mutated)
+
+    return apply
+
+
+def columns_swapped(t: np.ndarray) -> np.ndarray:
+    """t with its columns 1 and 2 (phi_1 and phi_2) swapped."""
+    out = t.copy()
+    out[..., [1, 2]] = t[..., [2, 1]]
+    return out
+
+
 def bump_field(field: str):
     return bundle_mutant(lambda b: dataclasses.replace(b, **{field: bumped(getattr(b, field))}))
 
@@ -142,6 +169,10 @@ MUTANTS = {
     "frame_upper x 0.99": pair_mutant(
         lambda p: dataclasses.replace(p, frame_upper=0.99 * p.frame_upper)
     ),
+    "T columns 1, 2 swapped": generator_mutant(columns_swapped),
+    "T transposed": generator_mutant(lambda t: t.mT),
+    "T conjugated": generator_mutant(np.conj),
+    "T x 1.01": generator_mutant(lambda t: 1.01 * t),
 }
 
 #: mutants no check can catch: S_phi psi = T T* (T*)^{-1} = phi, so
@@ -153,7 +184,8 @@ EQUIVALENT = {"Phi = S_phi^{1/2} psi"}
 #: the unmutated code.  Only t = 1.2 (gamma_1 imaginary) sees the dropped
 #: imaginary part, only complex alpha sees H built from conj(alpha), and
 #: only three-level's closed-form norms see a frame_upper 1% low: the
-#: one-sided norm_bound and frame_inequality keep their slack.
+#: one-sided norm_bound and frame_inequality keep their slack.  The
+#: three-level T is real, so conjugating it is equivalent there.
 CATCHES = {
     None: {
         "three-level t=1.2": ("admissible",),
@@ -417,13 +449,67 @@ CATCHES = {
         "three-level t=0.3": ("norm_T", "norm_T_inv"),
         "three-level t=1.2": ("admissible", "norm_T", "norm_T_inv"),
     },
+    "T columns 1, 2 swapped": {
+        "three-level t=0.3": (
+            "three_level_H", "three_level_psi", "three_level_h", "three_level_Phi",
+            "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
+        ),
+        "three-level t=1.2": (
+            "admissible", "three_level_H", "three_level_psi", "three_level_h", "three_level_Phi",
+            "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
+        ),
+        "projection": ("projection_bases", "projection_H_split"),
+    },
+    "T transposed": {
+        "three-level t=0.3": (
+            "three_level_H", "three_level_psi", "three_level_S_phi", "three_level_S_psi",
+            "three_level_S_phi_sqrt", "three_level_S_psi_sqrt", "ladder_adjoint_actions",
+            "hat_spectrum", "printed_ladder_matrices",
+        ),
+        "three-level t=1.2": (
+            "admissible", "three_level_H", "three_level_psi", "three_level_S_phi",
+            "three_level_S_psi", "three_level_S_phi_sqrt", "three_level_S_psi_sqrt",
+            "ladder_adjoint_actions", "hat_spectrum", "printed_ladder_matrices",
+        ),
+        "projection": (
+            "projection_S_phi", "projection_S_phi_sqrt", "projection_S_psi_sqrt",
+            "projection_bases", "projection_H_split",
+        ),
+    },
+    "T conjugated": {
+        "three-level t=1.2": ("admissible",),
+        "projection": (
+            "projection_S_phi", "projection_S_phi_sqrt", "projection_S_psi_sqrt",
+            "projection_bases", "projection_H_split",
+        ),
+    },
+    "T x 1.01": {
+        "three-level t=0.3": (
+            "three_level_psi", "three_level_S_phi", "three_level_S_psi",
+            "three_level_S_phi_sqrt", "three_level_S_psi_sqrt", "norm_T", "norm_T_inv",
+        ),
+        "three-level t=1.2": (
+            "admissible", "three_level_psi", "three_level_S_phi", "three_level_S_psi",
+            "three_level_S_phi_sqrt", "three_level_S_psi_sqrt", "norm_T", "norm_T_inv",
+        ),
+        "projection": (
+            "projection_S_phi", "projection_S_phi_sqrt", "projection_S_psi_sqrt",
+            "projection_bases",
+        ),
+    },
 }
 
 #: where the battery before the adjoint-rule checks were deleted caught each
-#: mutant (beyond the unmutated failures); it must still be caught there
+#: mutant (beyond the unmutated failures), and where the generator mutants
+#: were caught when first recorded; it must still be caught there
 _EVERY_ARGV = tuple(ARGV)
+_MODEL_ARGV = ("three-level t=0.3", "three-level t=1.2", "projection")
 CAUGHT_BEFORE = {
     **{mutant: _EVERY_ARGV for mutant in MUTANTS},
+    "T columns 1, 2 swapped": _MODEL_ARGV,
+    "T transposed": _MODEL_ARGV,
+    "T conjugated": ("projection",),
+    "T x 1.01": _MODEL_ARGV,
     "closed forms real part": ("three-level t=1.2",),
     "H from conj(alpha)": ("random complex-alpha",),
     "Phi = S_phi^{1/2} psi": (),
@@ -474,3 +560,37 @@ def test_every_mutant_is_caught(mutant):
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_caught_wherever_it_was_caught_before(mutant):
     assert {name for name, _ in caught_at(mutant)} >= set(CAUGHT_BEFORE[mutant])
+
+
+#: each model function, its model class and the argv whose report checks its rows
+MODEL_ROWS = {
+    "three_level": (models.ThreeLevelModel, "three-level t=0.3"),
+    "projection_model": (models.ProjectionModel, "projection"),
+}
+
+
+def field_names(record) -> set[str]:
+    return {field.name for field in dataclasses.fields(record)}
+
+
+@pytest.mark.parametrize(
+    "build, row",
+    [(build, row) for build, (model, _) in MODEL_ROWS.items() for row in model.rows],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_bumped_model_field_fails_its_row_alone(monkeypatch, build, row):
+    """Each closed-form row reads the model field it names, a field of the
+    bundle or the pair too, and no other closed-form row reads it."""
+    model_class, argv = MODEL_ROWS[build]
+    name, field, _ = row
+    assert field in field_names(model_class)
+    assert field in field_names(factory.OperatorBundle) | field_names(basis.RieszBasisPair)
+    make = getattr(models, build)
+
+    def mutated(*args):
+        model = make(*args)
+        return dataclasses.replace(model, **{field: bumped(getattr(model, field))})
+
+    monkeypatch.setattr(models, build, mutated)
+    rows = {row_name for row_name, _, _ in model_class.rows}
+    assert set(failed_checks(ARGV[argv])) & rows == {name}
