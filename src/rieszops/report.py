@@ -55,16 +55,6 @@ class Check(NamedTuple):
             return list(map(self.note.format, *columns))
         return list(map(str.format, self.note.ravel()[points].tolist(), *columns))
 
-    def results(self, tol: float, points: slice = slice(None)) -> list[CheckResult]:
-        """One CheckResult per point, in batch order, or per point of a slice
-        of the flattened batch, with ReportStack.verdicts' rule."""
-        tol = float(tol)
-        residuals = self.residual.ravel()[points].tolist()
-        notes = self.notes(points) if self.values else itertools.repeat(self.note)
-        return [
-            CheckResult(self.name, abs(r) <= tol, r, tol, n) for r, n in zip(residuals, notes)
-        ]
-
 
 class _Column(NamedTuple):
     """A check recorded on a stack, with its tol."""
@@ -174,10 +164,20 @@ class VerificationReport:
 
     @property
     def checks(self) -> list[CheckResult]:
-        """Each recorded check at this point, in order, built on demand: for
-        tests and library callers; verdicts and rendering read the columns."""
-        point = slice(self.index, self.index + 1)
-        return [c.check.results(c.tol, point)[0] for c in self.stack.checks]
+        """Each recorded check at this point, in order, built on demand from
+        the stack's verdicts: for tests and library callers; rendering reads
+        the columns."""
+        k, verdicts = self.index, self.stack.verdicts()
+        point = slice(k, k + 1)
+        return [
+            CheckResult(
+                c.check.name, passed, residual, c.tol,
+                c.check.notes(point)[0] if c.check.values else c.check.note,
+            )
+            for c, passed, residual in zip(
+                self.stack.checks, verdicts.passed[:, k].tolist(), verdicts.residuals[:, k].tolist()
+            )
+        ]
 
     @property
     def summary(self) -> dict:

@@ -8,6 +8,7 @@ import pytest
 
 import rieszops
 from rieszops import DEFAULT_TOL, basis, build_bundle, build_ladder, factorize_from_alpha
+from rieszops.report import ReportStack
 
 #: the directory holding the rieszops package under test
 PACKAGE_ROOT = str(Path(rieszops.__file__).resolve().parents[1])
@@ -45,9 +46,17 @@ def three_level_gamma(model):
     return np.array([0.0, np.sqrt(model.eps[1]), np.sqrt(model.eps[2])])
 
 
+def results(check, tol=DEFAULT_TOL):
+    """The CheckResult of a check at each point of its batch, in order, as
+    the reports of a stack that records it read them."""
+    stack = ReportStack("check", [{}] * np.size(check.residual))
+    stack.record(tol, check)
+    return [report.checks[0] for report in stack.reports()]
+
+
 def result(check, tol=DEFAULT_TOL):
     """The CheckResult of a check on a single point (a batch of shape ())."""
-    (single,) = check.results(tol)
+    (single,) = results(check, tol)
     return single
 
 

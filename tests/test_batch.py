@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_generator_matrix, solver_shapes
+from conftest import random_generator_matrix, results, solver_shapes
 from rieszops import (
     DEFAULT_TOL,
     LinalgError,
@@ -98,7 +98,7 @@ def test_long_sweep_runs_in_stacks_of_455(monkeypatch):
 
 
 def _notes(check):
-    return [r.note for r in check.results(0.0)]
+    return [r.note for r in results(check, 0.0)]
 
 
 def _stack_of_ladders():
@@ -135,7 +135,7 @@ def test_realness_is_decided_per_point():
     singles = [check_selfadjoint_h(build_bundle(from_generator(g), a)) for g, a in zip(gens, alpha)]
     assert stacked.residual.tolist() == [float(c.residual) for c in singles]
     # h is self-adjoint only where alpha is real
-    assert [r.passed for r in stacked.results(DEFAULT_TOL)] == [True, True, False]
+    assert [r.passed for r in results(stacked, DEFAULT_TOL)] == [True, True, False]
 
 
 @pytest.mark.parametrize(

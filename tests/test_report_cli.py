@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import cli_command, cli_env, solver_shapes
+from conftest import cli_command, cli_env, results, solver_shapes
 from rieszops import basis
 from rieszops.cli import build_parser, main
 from rieszops.report import (
@@ -168,7 +168,7 @@ class TestTemplateOracle:
 
 class TestReportContainers:
     def test_results_boundary(self):
-        at, above = Check("x", np.array([1e-10, 1.1e-10])).results(1e-10)
+        at, above = results(Check("x", np.array([1e-10, 1.1e-10])), 1e-10)
         assert at.passed and not above.passed
 
     def test_summary_counts(self):
