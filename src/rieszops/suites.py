@@ -199,10 +199,7 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
         models.three_level_hat_spectrum(model, lp.AB),
         Check(
             "printed_ladder_matrices",
-            max_entry(
-                np.concatenate([lp.A_phi_psi, lp.B_phi_psi], axis=-1)
-                - np.concatenate([a_closed, b_closed], axis=-1)
-            ),
+            max_entry(np.concatenate([lp.A_phi_psi - a_closed, lp.B_phi_psi - b_closed], axis=-1)),
             "closed-form A(t), B(t) vs generic construction",
         ),
     )
