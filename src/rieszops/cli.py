@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import math
 import mmap
@@ -71,9 +70,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and shared by every call."""
+    """The root of the argparse tree, built on first use and shared by every call."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The root parser, and each leaf parser by the command words that name
+    it (("verify", "random"), ("domain",), ...), recorded as the tree is built."""
+    leaves = {}
+
+    def leaf(commands, *words: str, **kwargs) -> argparse.ArgumentParser:
+        leaves[words] = commands.add_parser(words[-1], **kwargs)
+        return leaves[words]
+
     parser = argparse.ArgumentParser(
         prog="rieszops",
         description=(
@@ -86,18 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run one verification suite")
     suites = verify.add_subparsers(dest="suite", required=True)
 
-    three = suites.add_parser("three-level", help="3x3 one-parameter model")
+    three = leaf(suites, "verify", "three-level", help="3x3 one-parameter model")
     three.add_argument("--t", type=float, required=True, help="model parameter in [0, 2pi)")
     _add_common(three)
 
-    proj = suites.add_parser("projection", help="rank-one projection model")
+    proj = leaf(suites, "verify", "projection", help="rank-one projection model")
     proj.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
     proj.add_argument("--n", type=int, default=3, help="support size of u")
     proj.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
     proj.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
     _add_common(proj)
 
-    rand = suites.add_parser("random", help="seeded random generator")
+    rand = leaf(suites, "verify", "random", help="seeded random generator")
     rand.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
     rand.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
     rand.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="run a suite over a parameter grid")
     grids = sweep.add_subparsers(dest="suite", required=True)
 
-    sweep_three = grids.add_parser("three-level", help="sweep the model parameter t")
+    sweep_three = leaf(grids, "sweep", "three-level", help="sweep the model parameter t")
     sweep_three.add_argument("--t-min", type=float, default=0.0)
     sweep_three.add_argument("--t-max", type=float, required=True)
     sweep_three.add_argument(
@@ -114,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(sweep_three)
 
-    sweep_proj = grids.add_parser("projection", help="sweep the support size")
+    sweep_proj = leaf(grids, "sweep", "projection", help="sweep the support size")
     sweep_proj.add_argument(
         "--dim", type=_DIM, default=8, help="truncation level, 1..64"
     )
@@ -123,16 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_proj.add_argument("--alpha", default="poly:1")
     _add_common(sweep_proj)
 
-    domain = commands.add_parser(
-        "domain", help="summability verdict for a weight/coefficient pair"
-    )
+    domain = leaf(commands, "domain", help="summability verdict for a weight/coefficient pair")
     domain.add_argument("--alpha", required=True, help="weight sequence spec")
     domain.add_argument("--coeff", required=True, help="coefficient sequence spec")
     domain.add_argument(
         "--n-max", type=_N_MAX, default=DEFAULT_N_MAX, help="horizon, 64..2^20"
     )
     domain.add_argument("--out", default=None)
-    return parser
+    return parser, leaves
 
 
 #: faulted-in free heap kept above the highest block a command has placed
@@ -220,12 +229,29 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), from the leaf that argv's command
+    words name when it recognizes every later word: the root would hand it
+    the same words, so a leaf's errors are the same either way.  Any other
+    argv (-h at the root, an unknown command, a trailing word) is parsed
+    from the root."""
+    parser, leaves = _parsers()
+    words = sys.argv[1:] if argv is None else list(argv)
+    for key in (tuple(words[:2]), tuple(words[:1])):
+        if key in leaves:
+            args, extras = leaves[key].parse_known_args(words[len(key) :])
+            if not extras:
+                vars(args).update(zip(("command", "suite"), key))
+                return args
+            break
+    return parser.parse_args(words)
+
+
 def main(argv=None) -> int:
     libc = _keep_heap()
     if libc is not None:
         _reserve_headroom(libc)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.command == "verify":
             common = {"seed": args.seed, "tol": args.tol}
@@ -268,12 +294,12 @@ def main(argv=None) -> int:
                 "coeff": args.coeff,
                 "n_max": args.n_max,
             },
+            **vars(verdict),  # its fields in order, shallow: each is a scalar
         }
-        doc.update(dataclasses.asdict(verdict))
         _emit(render_json(doc), args.out)
         return 0
     except (ValueError, OSError) as exc:
-        parser.exit(2, f"rieszops: error: {exc}\n")
+        build_parser().exit(2, f"rieszops: error: {exc}\n")
     return 2  # unreachable; parser.exit raises SystemExit
 
 

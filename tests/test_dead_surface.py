@@ -23,7 +23,7 @@ REACHED_FROM_OUTSIDE = {
 
 #: dataclasses and NamedTuples whose fields are read whole, each with the reason
 READ_WHOLE = {
-    ("domains", "DomainVerdict"): "cli renders it whole through dataclasses.asdict",
+    ("domains", "DomainVerdict"): "cli renders it whole, its fields read in order by vars()",
 }
 
 

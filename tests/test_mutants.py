@@ -6,7 +6,9 @@ the ladder mutants patch ladder and model functions, the battery mutants
 patch what factory.build_bundle and basis.from_generator return, and the
 generator mutants give both models a wrong T beside their closed forms,
 which only the closed-form checks can see: every generic identity holds
-for any T.  CATCHES
+for any T.  The input mutants feed the battery a wrong alpha or gamma:
+alpha_1 and alpha_2 swapped against the models' closed forms, and every
+ladder built from conj(gamma).  CATCHES
 keeps the full mutant x check matrix on the fixed argv set below, so a
 change that lets a check go blind to a mutant shows up as a diff of this
 table.  Every mutant must fail some check beyond the unmutated failures,
@@ -101,28 +103,41 @@ def pair_mutant(change):
     return apply
 
 
-def generator_mutant(change):
-    """A mutant whose three-level and projection models carry change(T) as
-    their generator, every closed form unchanged."""
+def model_mutant(change, fields):
+    """A mutant whose three-level and projection models each carry
+    change(x) in place of x, their field that fields names (in that order),
+    every closed form unchanged."""
 
     def apply(monkeypatch):
-        for name in ("three_level", "projection_model"):
+        for name, field in zip(("three_level", "projection_model"), fields):
             build = getattr(models, name)
 
-            def mutated(*args, build=build):
+            def mutated(*args, build=build, field=field):
                 model = build(*args)
-                return dataclasses.replace(model, T=change(model.T))
+                return dataclasses.replace(model, **{field: change(getattr(model, field))})
 
             monkeypatch.setattr(models, name, mutated)
 
     return apply
 
 
-def columns_swapped(t: np.ndarray) -> np.ndarray:
-    """t with its columns 1 and 2 (phi_1 and phi_2) swapped."""
+def generator_mutant(change):
+    """A mutant whose models carry change(T) as their generator."""
+    return model_mutant(change, ("T", "T"))
+
+
+def swap_1_2(t: np.ndarray) -> np.ndarray:
+    """t with entries 1 and 2 of its last axis swapped: the columns phi_1
+    and phi_2 of a generator, alpha_1 and alpha_2 of a weight vector."""
     out = t.copy()
     out[..., [1, 2]] = t[..., [2, 1]]
     return out
+
+
+def gamma_conjugated(monkeypatch):
+    """build_ladder builds every ladder from conj(gamma)."""
+    build = ladder.build_ladder
+    monkeypatch.setattr(ladder, "build_ladder", lambda pair, weights: build(pair, weights.conj()))
 
 
 def bump_field(field: str):
@@ -169,10 +184,14 @@ MUTANTS = {
     "frame_upper x 0.99": pair_mutant(
         lambda p: dataclasses.replace(p, frame_upper=0.99 * p.frame_upper)
     ),
-    "T columns 1, 2 swapped": generator_mutant(columns_swapped),
+    "T columns 1, 2 swapped": generator_mutant(swap_1_2),
     "T transposed": generator_mutant(lambda t: t.mT),
     "T conjugated": generator_mutant(np.conj),
     "T x 1.01": generator_mutant(lambda t: 1.01 * t),
+    # the battery reads the models' eigenvalues as alpha: three-level eps,
+    # projection weights
+    "alpha_1, alpha_2 swapped": model_mutant(swap_1_2, ("eps", "weights")),
+    "gamma conjugated": gamma_conjugated,
 }
 
 #: mutants no check can catch: S_phi psi = T T* (T*)^{-1} = phi, so
@@ -497,11 +516,29 @@ CATCHES = {
             "projection_bases",
         ),
     },
+    # only H and h carry the eigenvalues in closed form: hat_spectrum and the
+    # closed-form A(t), B(t) read the swapped eps as well, so they agree
+    # with the ladder built from it.  The random suite has no model.
+    "alpha_1, alpha_2 swapped": {
+        "three-level t=0.3": ("three_level_H", "three_level_h"),
+        "three-level t=1.2": ("admissible", "three_level_H", "three_level_h"),
+        "projection": ("projection_H_split",),
+    },
+    # equivalent wherever gamma is real: t = 0.3, and sqrt-poly:1 in random
+    # real, random complex-alpha and projection; with complex gamma (random
+    # complex-gamma) every ladder identity holds for conj(gamma) as for any
+    # gamma.  The closed-form A(t), B(t) see it at t = 1.2 (gamma_1
+    # imaginary), and the factorization where its roots are complex: from
+    # conj(roots), BA = H^{conj(alpha - alpha_0)}
+    "gamma conjugated": {
+        "three-level t=1.2": ("admissible", "printed_ladder_matrices"),
+        "random complex-alpha": ("factorization",),
+    },
 }
 
 #: where the battery before the adjoint-rule checks were deleted caught each
-#: mutant (beyond the unmutated failures), and where the generator mutants
-#: were caught when first recorded; it must still be caught there
+#: mutant (beyond the unmutated failures), and where the generator and input
+#: mutants were caught when first recorded; it must still be caught there
 _EVERY_ARGV = tuple(ARGV)
 _MODEL_ARGV = ("three-level t=0.3", "three-level t=1.2", "projection")
 CAUGHT_BEFORE = {
@@ -510,6 +547,8 @@ CAUGHT_BEFORE = {
     "T transposed": _MODEL_ARGV,
     "T conjugated": ("projection",),
     "T x 1.01": _MODEL_ARGV,
+    "alpha_1, alpha_2 swapped": _MODEL_ARGV,
+    "gamma conjugated": ("three-level t=1.2", "random complex-alpha"),
     "closed forms real part": ("three-level t=1.2",),
     "H from conj(alpha)": ("random complex-alpha",),
     "Phi = S_phi^{1/2} psi": (),

@@ -1,14 +1,22 @@
+import ast
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_command, cli_env, results, solver_shapes
 from rieszops import basis
-from rieszops.cli import build_parser, main
+from rieszops.cli import build_parser, main, parse_args
+from rieszops.domains import summability_verdict
 from rieszops.report import (
     Check,
     CheckResult,
@@ -16,7 +24,7 @@ from rieszops.report import (
     render_json,
     render_reports,
 )
-from rieszops.sequences import geometric, poly
+from rieszops.sequences import geometric, parse_spec, poly
 from rieszops.suites import (
     projection_report,
     random_report,
@@ -664,3 +672,129 @@ class TestSharedParser:
             )
             assert done.returncode == 0, done.stderr
             assert out.read_bytes() == fresh.read_bytes(), args
+
+
+_COMMON = {"--tol": "1e-8", "--out": "report.json", "--seed": "2"}
+#: each leaf's command words: its options, each with a value it accepts
+GRAMMAR = {
+    ("verify", "three-level"): {"--t": "0.3", **_COMMON},
+    ("verify", "projection"): {
+        "--dim": "4", "--n": "2", "--alpha": "poly:2", "--gamma": "harmonic", **_COMMON
+    },
+    ("verify", "random"): {"--dim": "4", "--alpha": "poly:2", "--gamma": "harmonic", **_COMMON},
+    ("sweep", "three-level"): {"--t-min": "0", "--t-max": "1", "--steps": "3", **_COMMON},
+    ("sweep", "projection"): {
+        "--dim": "4", "--n-min": "2", "--n-max": "3", "--alpha": "poly:2", **_COMMON
+    },
+    ("domain",): {"--alpha": "poly:1", "--coeff": "geometric:0.5", "--n-max": "64",
+                  "--out": "report.json"},
+}
+#: the options each leaf requires
+REQUIRED = {
+    ("verify", "three-level"): ("--t",),
+    ("sweep", "three-level"): ("--t-max", "--steps"),
+    ("sweep", "projection"): ("--n-min", "--n-max"),
+    ("domain",): ("--alpha", "--coeff"),
+}
+#: command words beyond the leaves: bare groups, unknown words, help at the root
+OTHER_COMMANDS = (
+    (), ("verify",), ("sweep",), ("nope",), ("verify", "nope"), ("sweep", "random"),
+    ("domain", "projection"), ("-h",), ("--help",), ("verify", "-h"), ("--", "domain"),
+)
+#: every option of every leaf, abbreviations, an unknown option, help and "--"
+OPTIONS = (
+    "--t", "--dim", "--n", "--alpha", "--gamma", "--tol", "--out", "--seed", "--t-min",
+    "--t-max", "--steps", "--n-min", "--n-max", "--coeff", "--al", "--st", "--bogus",
+    "-h", "--",
+)
+#: values some option accepts and some rejects: out of range, not finite,
+#: not a number, not a spec, an option
+VALUES = (
+    "0", "1", "2", "3", "8", "64", "65", "-1", "0.3", "7.0", "1000", "1001", "4096", "63",
+    "nan", "inf", "1e-17", "abc", "poly:1", "garbage", "--bogus", "junk",
+)
+
+
+def well_formed(command) -> list[str]:
+    """The command words and each required option with a value it accepts."""
+    return [*command, *(w for o in REQUIRED.get(command, ()) for w in (o, GRAMMAR[command][o]))]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of the CLI grammar: command words; for a leaf, its required
+    options (each may be left out) and some of its other options, each with
+    a value it accepts or any value; then maybe any options and values, and
+    a trailing word."""
+    command = draw(st.sampled_from([*GRAMMAR] * 3 + list(OTHER_COMMANDS)))
+    words = list(command)
+    grammar = GRAMMAR.get(command, {})
+    chosen = [o for o in REQUIRED.get(command, ()) if draw(st.integers(0, 5)) < 5]
+    if grammar:
+        chosen += draw(st.lists(st.sampled_from(list(grammar)), max_size=3))
+    for option in chosen:
+        words += [option, draw(st.sampled_from((grammar[option],) * 24 + VALUES))]
+    if draw(st.integers(0, 3)) == 3:
+        words += draw(st.lists(st.sampled_from(OPTIONS + VALUES), min_size=1, max_size=3))
+    return words
+
+
+def outcome(parse, argv):
+    """parse(argv)'s Namespace or SystemExit code, and what it wrote to
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """parse_args gives what the root parser gives, and a well-formed argv
+    is parsed by its leaf alone."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(argvs())
+    def test_dispatch_matches_the_root_parser(self, argv):
+        assert outcome(parse_args, argv) == outcome(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("command", list(GRAMMAR), ids=" ".join)
+    def test_well_formed_argv_skips_the_root(self, monkeypatch, capsys, command):
+        argv = well_formed(command)
+        expected = build_parser().parse_args(argv)
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the root parser walked the tree")
+
+        monkeypatch.setattr(build_parser(), "parse_args", walked)
+        assert parse_args(argv) == expected
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+
+
+def domain_specs():
+    """DOMAIN_SPECS of perfbench/workloads.py, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (value,) = (
+        node.value
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "DOMAIN_SPECS"
+    )
+    return ast.literal_eval(value)
+
+
+def test_domain_document_matches_asdict(capsys):
+    """The domain document, read from the verdict's fields without a deep
+    copy, is render_json of its params and dataclasses.asdict(verdict), on
+    every spec pair of the domain-grid workload."""
+    specs = domain_specs()
+    assert len(specs) ** 2 == 64
+    for alpha in specs:
+        for coeff in specs:
+            assert main(["domain", "--alpha", alpha, "--coeff", coeff, "--n-max", "4096"]) == 0
+            verdict = summability_verdict(parse_spec(alpha), parse_spec(coeff), 4096)
+            params = {"alpha": alpha, "coeff": coeff, "n_max": 4096}
+            doc = {"suite": "domain", "params": params} | dataclasses.asdict(verdict)
+            assert capsys.readouterr().out == render_json(doc) + "\n", (alpha, coeff)

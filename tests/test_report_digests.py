@@ -23,10 +23,23 @@ def digests():
     return module
 
 
-def test_corpus_is_1295_distinct_argv(digests):
+def test_corpus_is_1309_distinct_argv(digests):
     argvs = list(digests.corpus())
-    assert len(argvs) == 1295
+    assert len(argvs) == 1309
     assert len(set(argvs)) == len(argvs)
+    assert argvs[-len(digests.USAGE_ERRORS):] == list(digests.USAGE_ERRORS)
+
+
+def test_usage_errors_exit_2_with_distinct_messages(digests, monkeypatch):
+    """Each usage error prints no document and its own message."""
+    monkeypatch.setenv("COLUMNS", "80")
+    messages = []
+    for argv in digests.USAGE_ERRORS:
+        text, code, err = digests.run(cli.main, argv)
+        assert (text, code) == ("", 2), argv
+        assert "error: " in err.splitlines()[-1], argv
+        messages.append(err)
+    assert len(set(messages)) == len(messages)
 
 
 def test_run_returns_the_document_and_exit_code(digests):
@@ -34,10 +47,10 @@ def test_run_returns_the_document_and_exit_code(digests):
     verify = next(argv for argv in argvs if argv[0] == "verify")
     domain = next(argv for argv in argvs if argv[0] == "domain")
     for argv in (verify, domain):
-        text, code = digests.run(cli.main, argv)
-        assert code == 0, argv
+        text, code, err = digests.run(cli.main, argv)
+        assert code == 0 and err == "", argv
         assert json.loads(text), argv
-    text, code = digests.run(cli.main, digests.TOL_FAMILY[0])
+    text, code, _ = digests.run(cli.main, digests.TOL_FAMILY[0])
     assert code == 1
     assert json.loads(text)["summary"]["failed"] > 0
 
@@ -51,10 +64,10 @@ def test_strict_counts_only_rfc_8259_documents(digests):
     overflow = ("domain", "--alpha", "geometric:1.01", "--coeff", "geometric:1.01",
                 "--n-max", "32768")
     assert overflow in set(digests.corpus())
-    text, code = digests.run(cli.main, overflow)
+    text, code, _ = digests.run(cli.main, overflow)
     assert code == 0 and not digests.strict(text)
     huge = ("verify", "random", "--dim", "4", "--alpha", "affine:1e300,0")
-    text, code = digests.run(cli.main, huge)
+    text, code, _ = digests.run(cli.main, huge)
     assert code == 1 and digests.strict(text)
     assert digests.strict("[]") and not digests.strict("[NaN]")
 
@@ -74,25 +87,28 @@ def test_exit_counts_name_each_code_in_order(digests):
 
 def test_summary_counts_exit_codes_and_keeps_stdout(digests, monkeypatch, capsys):
     """stderr gains how many argv ended with each exit code and the wall time
-    of each command's argv; stdout stays one digest line per argv."""
+    of each command's argv, the usage errors apart; stdout stays one line of
+    digests per argv."""
     argvs = [("verify", "three-level", "--t", "0.3"), digests.TOL_FAMILY[0],
-             ("verify", "random", "--dim", "0"),
+             digests.USAGE_ERRORS[5],
              ("domain", "--alpha", "poly:1", "--coeff", "harmonic", "--n-max", "64"),
              ("sweep", "three-level", "--t-max", "1", "--steps", "2")]
     monkeypatch.setattr(digests, "corpus", lambda: argvs)
     monkeypatch.setattr(sys, "argv", ["report_digests.py", str(Path(cli.__file__).parents[1])])
     monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("COLUMNS", "80")
     assert digests.main() == 0
     out, err = capsys.readouterr()
-    assert [line.split()[1] for line in out.splitlines()] == ["0", "1", "2", "0", "0"]
+    assert [line.split()[2] for line in out.splitlines()] == ["0", "1", "2", "0", "0"]
     for line, argv in zip(out.splitlines(), argvs):
-        text, _ = digests.run(cli.main, argv)
-        assert line.split()[0] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        text, _, stderr = digests.run(cli.main, argv)
+        digest = [hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (text, stderr)]
+        assert line.split()[:2] == digest
     assert err.startswith("5 argv (3 exit 0, 1 exit 1, 1 exit 2) in ")
     wall = re.search(r" in ([0-9.]+) s wall \((.*)\), ", err)
     commands = [part.split() for part in wall.group(2).split(", ")]
     assert [(command, unit) for command, _, unit in commands] == [
-        ("verify", "s"), ("domain", "s"), ("sweep", "s")
+        ("verify", "s"), ("usage-errors", "s"), ("domain", "s"), ("sweep", "s")
     ]
     parts = sum(float(seconds) for _, seconds, _ in commands)
     assert parts <= float(wall.group(1)) + 0.02  # each figure rounded to 0.01 s

@@ -6,23 +6,26 @@ imports `rieszops.cli` from SRC_DIR (the directory that holds the
 `rieszops` package), runs `cli.main(argv)` in this process for each argv
 of the corpus below, and prints one line per argv:
 
-    <sha256 of stdout> <exit code> <argv, shell-quoted>
+    <sha256 of stdout> <sha256 of stderr> <exit code> <argv, shell-quoted>
 
 Run it on two trees and `diff` the outputs: an unchanged line means the
-same stdout bytes and the same exit code.  The corpus is fixed: verify
-random over dims 1..64, seeds, real/complex and |.|-monotone/non-monotone
-alpha and gamma (closed forms and 64-term lists); verify and sweep
-projection; verify and sweep three-level across the admissible boundaries;
-domain over a spec grid; a few reports at extreme --tol values; then the
-largest three-level sweep the CLI allows (1000 steps, three stacks); last,
-two projection sweeps of several stacks each.  After the digest lines it
-writes to stderr the argv count, how many argv ended with each exit code
-(so a change that alters every digest still shows at a glance whether a
-verdict flipped), the wall time since it started and the part of it each
-command's argv took (verify, sweep, domain), the process's minor page
-faults (ru_minflt) and how many documents are not strict RFC 8259 JSON
-(they hold NaN, Infinity or -Infinity), so stdout stays comparable.  The
-1295 argv take about 5 s on a 2-vCPU x86_64 host.
+same stdout bytes, the same stderr bytes and the same exit code (argparse
+wraps usage lines at the terminal width, so the tool sets COLUMNS=80).
+The corpus is fixed: verify random over dims 1..64, seeds, real/complex
+and |.|-monotone/non-monotone alpha and gamma (closed forms and 64-term
+lists); verify and sweep projection; verify and sweep three-level across
+the admissible boundaries; domain over a spec grid; a few reports at
+extreme --tol values; then the largest three-level sweep the CLI allows
+(1000 steps, three stacks); then two projection sweeps of several stacks
+each; last, the usage-errors family, argv that exit 2 with a message on
+stderr.  After the digest lines it writes to stderr the argv count, how
+many argv ended with each exit code (so a change that alters every digest
+still shows at a glance whether a verdict flipped), the wall time since it
+started and the part of it each command's argv took (verify, sweep,
+domain, usage-errors), the process's minor page faults (ru_minflt) and how
+many documents are not strict RFC 8259 JSON (they hold NaN, Infinity or
+-Infinity), so stdout stays comparable.  The 1309 argv take 3-5 s on
+a 2-vCPU x86_64 host.
 
 With --failures it prints instead one row per check and argv family (the
 command and suite, with --dim where given; the extreme --tol argv form a
@@ -40,6 +43,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import shlex
 import sys
@@ -82,6 +86,24 @@ TOL_FAMILY = (
     ("verify", "projection", "--dim", "8", "--n", "5", "--tol", "0.3"),
     ("verify", "three-level", "--t", "0.3", "--tol", "5"),
     ("sweep", "three-level", "--t-max", "1", "--steps", "3", "--tol", "5"),
+)
+#: argv that exit 2, each with its own message: unknown words, values out of
+#: range or not parsed, a missing option, and errors the suites raise
+USAGE_ERRORS = (
+    ("nope",),
+    ("verify", "nope"),
+    ("sweep",),
+    ("verify", "random", "--bogus", "1"),
+    ("verify", "three-level", "--t", "0.3", "junk"),
+    ("verify", "projection", "--dim", "0"),
+    ("domain", "--alpha", "poly:1"),
+    ("verify", "three-level", "--t", "0.3", "--tol", "nan"),
+    ("verify", "random", "--alpha", "garbage"),
+    ("verify", "random", "--dim"),
+    ("domain", "--alpha", "poly:1", "--coeff", "poly:1", "--n-max", "63"),
+    ("sweep", "three-level", "--t-max", "1", "--steps", "1001"),
+    ("sweep", "projection", "--dim", "8", "--n-min", "5", "--n-max", "9"),
+    ("verify", "three-level", "--t", "7.0"),
 )
 
 
@@ -136,17 +158,22 @@ def corpus():
            "--seed", "5", "--alpha", "poly:2")
     yield ("sweep", "projection", "--dim", "16", "--n-min", "2", "--n-max", "16",
            "--seed", "2", "--alpha", "geometric:0.9+0.2j")
+    yield from USAGE_ERRORS
 
 
-def run(main, argv) -> tuple[str, int]:
-    """(stdout, exit code) of main(argv) in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(main, argv) -> tuple[str, int, str]:
+    """(stdout, exit code, stderr) of main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return out.getvalue(), int(code)
+    return out.getvalue(), int(code), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def strict(text: str) -> bool:
@@ -182,7 +209,7 @@ def failure_table(main) -> list[str]:
     """check x argv family -> failed, reports, worst residual (NaN worst)."""
     rows: dict[tuple[str, str], list] = {}
     for argv in corpus():
-        text, _ = run(main, argv)
+        text, _, _ = run(main, argv)
         docs = json.loads(text) if text else []  # a usage error prints nothing
         for doc in docs if isinstance(docs, list) else [docs]:
             for check in doc.get("checks", ()):
@@ -207,6 +234,7 @@ def main() -> int:
     if len(args) != 1 + table:
         sys.stderr.write(__doc__)
         return 2
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps usage lines at
     src = Path(args[-1]).resolve()
     sys.path.insert(0, str(src))
     from rieszops import cli
@@ -220,9 +248,9 @@ def main() -> int:
     codes, loose, wall = [], 0, collections.Counter()
     for argv in corpus():
         tick = time.perf_counter()
-        text, code = run(cli.main, argv)
-        wall[argv[0]] += time.perf_counter() - tick
-        print(hashlib.sha256(text.encode("utf-8")).hexdigest(), code, shlex.join(argv))
+        text, code, err = run(cli.main, argv)
+        wall["usage-errors" if argv in USAGE_ERRORS else argv[0]] += time.perf_counter() - tick
+        print(sha256(text), sha256(err), code, shlex.join(argv))
         codes.append(code)
         loose += bool(text) and not strict(text)  # a usage error prints nothing
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
