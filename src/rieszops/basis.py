@@ -128,9 +128,9 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     upper = pair.frame_upper[..., None] ** 2 * coeff_mass
     violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
     worst = violation.argmax(axis=-1)  # the first NaN column, if any
-    lower, mid, upper, violation = (
-        np.take_along_axis(x, worst[..., None], -1)[..., 0] for x in (lower, mid, upper, violation)
-    )
+    lower, mid, upper, violation = np.take_along_axis(
+        np.stack([lower, mid, upper, violation]), worst[None, ..., None], -1
+    )[..., 0]
     return Check(
         "frame_inequality",
         np.maximum(violation, 0.0),  # NaN stays NaN

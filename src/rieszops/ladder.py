@@ -134,8 +134,8 @@ def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray
     each of those points in batch order.
     """
     a = bundle.weights
-    # steps[..., n] is alpha_n - alpha_{n-1} <= DEFAULT_TOL; never at n = 0
-    steps = np.diff(a.real, axis=-1, prepend=-np.inf) <= DEFAULT_TOL
+    steps = np.zeros(a.shape, bool)  # alpha_n - alpha_{n-1} <= DEFAULT_TOL at n > 0
+    np.less_equal(a.real[..., 1:] - a.real[..., :-1], DEFAULT_TOL, out=steps[..., 1:])
     failed = ~bundle.is_real | steps.any(axis=-1)
     # what fails: the largest imaginary part of a complex point, the first
     # such step of a real one; one argmax over the failed points

@@ -43,7 +43,7 @@ def as_matrix(values) -> np.ndarray:
 
 
 def require_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():  # complex entries: both parts finite
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # complex: both parts
         raise LinalgError("matrix contains non-finite entries")
 
 
@@ -71,13 +71,14 @@ def frobenius(m: np.ndarray) -> np.ndarray:
 
 def max_entry(m: np.ndarray) -> np.ndarray:
     """Largest entry modulus of each matrix of a stack; NaN propagates."""
-    return np.abs(m).max(axis=(-2, -1))
+    return np.maximum.reduce(np.abs(m), axis=(-2, -1))
 
 
 def worst_column_norm(m: np.ndarray) -> np.ndarray:
-    """Largest Euclidean column norm of each matrix, 0 without columns; NaN
-    propagates."""
-    return np.linalg.norm(m, axis=-2).max(axis=-1, initial=0.0)
+    """Largest Euclidean column norm of each matrix (numpy.linalg.norm's, bit
+    for bit), 0 without columns; NaN propagates."""
+    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2))
+    return np.maximum.reduce(norms, axis=-1, initial=0.0)
 
 
 def svd(m: np.ndarray, compute_uv: bool = True):

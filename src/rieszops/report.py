@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -33,16 +34,16 @@ class Check(NamedTuple):
     """One named check over a batch of points: a residual per point (an array
     shaped like the batch) and its note.  Without values the note is one
     text for every point.  With values, arrays shaped like the batch, the
-    note is a template, or an array of per-point templates, formatted at
-    each point with that point's values."""
+    note is a str.format template of {:.Ne}, {:.Ng} and {} (a word) fields,
+    formatted at each point with that point's values."""
 
     name: str
     residual: np.ndarray
-    note: str | np.ndarray = ""
+    note: str = ""
     values: tuple = ()
 
     @classmethod
-    def worst(cls, name: str, note: str | np.ndarray, *parts: np.ndarray) -> Check:
+    def worst(cls, name: str, note: str, *parts: np.ndarray) -> Check:
         """The largest of the parts at each point, NaN if any part is NaN,
         with a note template that shows every part."""
         return cls(name, functools.reduce(np.maximum, parts), note, parts)
@@ -50,10 +51,7 @@ class Check(NamedTuple):
     def notes(self, points: slice = slice(None)) -> list[str]:
         """The formatted note at each of the points (a slice of the flattened
         batch) of a check with values, in one map."""
-        columns = [v.ravel()[points].tolist() for v in self.values]
-        if isinstance(self.note, str):
-            return list(map(self.note.format, *columns))
-        return list(map(str.format, self.note.ravel()[points].tolist(), *columns))
+        return list(map(self.note.format, *(v.ravel()[points].tolist() for v in self.values)))
 
 
 class _Column(NamedTuple):
@@ -121,28 +119,32 @@ class ReportStack:
         return self._documents
 
     def _render(self, indent: int) -> list[str]:
-        """One % per point fills the stack's template at indent with its
-        params, each check's verdict, residual and formatted note, and its
-        pass counts.  Each of those is formatted for every point at once:
-        the residuals in one map, a note with values in one map per check."""
+        """One % per point fills the stack's template at indent with the raw
+        params, verdicts, residuals, note values and pass counts; a residual
+        column not all finite takes texts, params with no layout render_json."""
         verdicts = self.verdicts()
-        points = len(self.params)
-        texts = _render_residuals(verdicts.residuals.ravel().tolist())
+        layout = _params_layout(self.params)
+        if layout is None:
+            fields = [[render_json(p, indent + 1) for p in self.params]]
+        else:
+            fields = [[p[key] for p in self.params] for key, text in layout if text[0] == "%"]
+        finite = np.isfinite(verdicts.residuals).all(axis=1).tolist()
         passed = _JSON_BOOLS[verdicts.passed.view(np.int8)].tolist()
-        fields = [[render_json(p, indent + 1) for p in self.params]]
-        for k, (check, _) in enumerate(self.checks):
-            fields += (passed[k], texts[k * points : (k + 1) * points])
-            if check.values:
-                fields.append(list(map(encode_basestring, check.notes())))
+        heads = []
+        rows = zip(passed, verdicts.residuals.tolist(), finite)
+        for (check, tol), (verdict, residual, whole) in zip(self.checks, rows):
+            note, words = _note_template(check.note, bool(check.values))
+            heads.append((check.name, tol, note, whole))
+            if not whole:  # fails its check; strict JSON has null for it
+                residual = ["%.17g" % r if math.isfinite(r) else "null" for r in residual]
+            fields += (verdict, residual)
+            fields += (
+                [encode_basestring(v)[1:-1] for v in map(str, column)] if word else column
+                for word, column in zip(words, (v.ravel().tolist() for v in check.values))
+            )
         counts = verdicts.counts.tolist()
         fields += (counts, [len(self.checks) - c for c in counts])
-        heads = tuple(
-            (c.check.name, c.tol, None if c.check.values else c.check.note) for c in self.checks
-        )
-        # no filled-in text holds a raw newline, so indenting every line of
-        # the template nests each report
-        pad = "  " * indent
-        template = pad + _template(self.suite, heads).replace("\n", "\n" + pad)
+        template = _template(self.suite, tuple(heads), layout, indent)
         return [template % row for row in zip(*fields)]
 
 
@@ -196,13 +198,13 @@ class VerificationReport:
 #: the JSON literal of each verdict, indexed by the verdict
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
-#: a stack's report template at indent 0, with the suite, the checks and
-#: their count to fill in, and one check as an item of its "checks" list,
-#: with its name, tol and note to fill in; %%s is filled per point
+#: a stack's report template at indent 0, with the suite, params, checks
+#: and their count to fill in, and one check as an item of its "checks"
+#: list, with its name, residual field, tol and note; %%s and %%d per point
 _REPORT = """\
 {
   "suite": %s,
-  "params": %%s,
+  "params": %s,
   "checks": %s,
   "summary": {
     "total": %d,
@@ -214,40 +216,83 @@ _CHECK = """\
     {
       "name": %s,
       "passed": %%s,
-      "residual": %%s,
+      "residual": %s,
       "tol": %s,
       "note": %s
     }"""
 
+#: an escaped brace, a field that % formats as str.format does ({}, {:.Ne}
+#: or {:.Ng}, with its spec), or any other brace
+_NOTE_FIELDS = re.compile(r"\{\{|\}\}|\{(|:\.\d+[eg])\}|[{}]")
+
 
 @functools.lru_cache(maxsize=64)
-def _template(suite: str, heads: tuple) -> str:
-    """The report template of a stack at indent 0: the suite, each check's
-    name, tol and fixed note (None where the note has values), and the check
-    count are filled in; the rest is left to each point.  It depends on
-    nothing else, so stacks of one suite and branch share it."""
+def _template(suite: str, heads: tuple, layout: tuple | None, indent: int) -> str:
+    """The report template of a stack at indent: the suite, the params
+    layout (None: a slot per point), each check's name, tol, residual field
+    and note, and the check count are filled in; the rest by each point."""
+    params = "%s"
+    if layout is not None:
+        items = [f'    "{key}": '.replace("%", "%%") + text for key, text in layout]
+        params = "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
     items = [
-        _CHECK % (_literal(name), _render_float(tol), "%s" if note is None else _literal(note))
-        for name, tol, note in heads
+        _CHECK % (_literal(name), "%.17g" if finite else "%s", _render_float(tol), note)
+        for name, tol, note, finite in heads
     ]
-    return _REPORT % (
+    text = _REPORT % (
         _literal(suite),
+        params,
         "[\n" + ",\n".join(items) + "\n  ]" if items else "[]",
         len(items),
     )
+    pad = "  " * indent  # no filled-in text holds a newline: this nests each report
+    return pad + text.replace("\n", "\n" + pad)
+
+
+def _params_layout(params: list[dict]) -> tuple | None:
+    """Each key of the params with its text in the stack's template: %.17g
+    where every point holds a finite float, %d an int, or the literal of a
+    str all share.  None unless every point has these keys in order."""
+    keys = tuple(params[0]) if params else ()
+    if any(tuple(p) != keys for p in params):
+        return None
+    layout = []
+    for key in keys:
+        column = [p[key] for p in params]
+        kinds = set(map(type, column))
+        if kinds == {str} and len(set(column)) == 1:
+            layout.append((key, _literal(column[0])))
+        elif kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
+            layout.append((key, "%d" if kinds == {int} else "%.17g"))
+        else:
+            return None
+    return tuple(layout)
+
+
+@functools.lru_cache(maxsize=256)
+def _note_template(note: str, valued: bool) -> tuple[str, tuple[bool, ...]]:
+    """A note as its JSON literal in % form, and whether each field takes a
+    word.  Escaping leaves the fields of a note with values as they are, so
+    each {:.Ne} or {:.Ng} becomes that % spec and each {} a %s for the
+    escaped word; any other field or brace is a ValueError."""
+    if not valued:
+        return _literal(note), ()
+    words = []
+
+    def field(match: re.Match) -> str:
+        if match[1] is None and len(match[0]) == 1:
+            raise ValueError(f"note {note!r} has a field with no % form")
+        if match[1] is None:
+            return match[0][0]
+        words.append(not match[1])
+        return "%" + match[1][1:] if match[1] else "%s"
+
+    return _NOTE_FIELDS.sub(field, _literal(note)), tuple(words)
 
 
 def _literal(text: str) -> str:
     """text as a JSON string, escaped to stand for itself in a % template."""
     return encode_basestring(text).replace("%", "%%")
-
-
-def _render_residuals(residuals: list[float]) -> list[str]:
-    """%.17g of each residual, in one map; a residual that is not finite
-    fails its check and renders as null, which strict JSON accepts."""
-    if all(map(math.isfinite, residuals)):
-        return list(map("%.17g".__mod__, residuals))
-    return [format(r, ".17g") if math.isfinite(r) else "null" for r in residuals]
 
 
 def _render_float(value: float) -> str:

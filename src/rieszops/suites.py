@@ -131,14 +131,10 @@ def _ladder_checks(
     lp = ladder.build_ladder(pair, gamma)
     roots, failed, reasons = ladder.factorize_from_alpha(bundle)
     root = lp if (roots == lp.weights).all() else ladder.build_ladder(pair, roots)
-    why = np.empty(failed.shape, dtype=object)
-    why[failed] = reasons
-    fact = "H - alpha_0 I = BA entrywise for gamma_n = sqrt(alpha_n - alpha_0); "
-    note = np.where(
-        failed,
-        fact + "the paper's hypotheses fail: {}",
-        fact + "alpha is real and strictly increasing: the paper's hypotheses hold",
-    )
+    hold = "alpha is real and strictly increasing: the paper's hypotheses hold"
+    why = np.full(failed.shape, hold, object)
+    why[failed] = ["the paper's hypotheses fail: " + reason for reason in reasons]
+    note = "H - alpha_0 I = BA entrywise for gamma_n = sqrt(alpha_n - alpha_0); {}"
     shifted = bundle.H_phi_psi - bundle.weights[..., :1, None] * np.eye(pair.dim)
     stack.record(
         tol,
@@ -155,14 +151,11 @@ def _three_level_reports(ts: np.ndarray, seed: int, tol: float) -> list[Verifica
     stack = ReportStack("three-level", params)
     rng = np.random.default_rng(seed)
     model = models.three_level(ts)
-    note = np.where(
-        model.admissible,
-        f"t inside the admissible interval: smallest eigenvalue gap {{:.6e}} > {DEFAULT_TOL:g}",
-        f"t outside the admissible interval: smallest eigenvalue gap {{:.6e}} <= "
-        f"{DEFAULT_TOL:g}; the paper's hypotheses fail, every other check still runs",
-    )
-    gaps = np.diff(model.eps, axis=-1).min(axis=-1)
-    stack.record(0.5, Check("admissible", np.where(model.admissible, 0.0, 1.0), note, (gaps,)))
+    inside, gaps = model.admissible, np.diff(model.eps, axis=-1).min(axis=-1)
+    out = f"<= {DEFAULT_TOL:g}; the paper's hypotheses fail, every other check still runs"
+    parts = np.where(inside, "inside", "outside"), gaps, np.where(inside, f"> {DEFAULT_TOL:g}", out)
+    note = "t {} the admissible interval: smallest eigenvalue gap {:.6e} {}"
+    stack.record(0.5, Check("admissible", np.where(inside, 0.0, 1.0), note, parts))
     expected_norm = float(np.sqrt((39.0 + 7.0 * np.sqrt(29.0)) / 2.0))
     norm_note = f"||T|| = {{:.12g}}, parameter-independent value {expected_norm:.12g}"
 

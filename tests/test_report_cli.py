@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import warnings
 from pathlib import Path
@@ -21,6 +22,8 @@ from rieszops.report import (
     Check,
     CheckResult,
     ReportStack,
+    _params_layout,
+    _template,
     render_json,
     render_reports,
 )
@@ -172,6 +175,136 @@ class TestTemplateOracle:
 
     def test_empty_sweep(self):
         assert render_reports([]) == render_json([]) == "[]"
+
+    #: numbers each note value field formats at the stack's three points
+    NUMBERS = (
+        np.array([0.1, -0.0, 5e-324]),
+        np.array([np.nan, np.inf, -np.inf]),
+        np.array([1e300, -2.5e-17, 123456789012.5]),
+        np.array([9.9995e-5, 1.0, -7.0]),
+    )
+    #: words that need JSON escapes, or look like % fields
+    WORDS = np.array(["line\nbreak", 'q"uote \\ back', "%s %d 100% {} \u03c6\x00"])
+
+    @pytest.mark.parametrize(
+        "note, values",
+        [
+            ("e {:.3e} and {:.6e}; g {:.12g}; word {}", (*NUMBERS[:3], WORDS)),
+            ("{}{:.3e}{:.6e}{:.12g}", (WORDS, *NUMBERS[1:])),
+            ('quote " back \\ 100% {{braces}} \u03c6 \u2264 {:.6e} %d {}', (NUMBERS[3], WORDS)),
+            ("{{}} {{{:.12g}}} }}{{", NUMBERS[:1]),
+            ("tail {} ignored", (WORDS, *NUMBERS)),
+        ],
+        ids=["every-spec", "no-literal", "escaped-literal", "braces", "extra-values"],
+    )
+    def test_value_notes(self, note, values):
+        """Every field spec in use, with literal text and words that need
+        escaping, formats in the template as str.format and
+        encode_basestring do."""
+        stack = ReportStack("edge", [{"k": k} for k in range(3)])
+        stack.record(1e-10, Check("valued", np.array([0.0, 1.0, 2e-11]), note, values))
+        reports = stack.reports()
+        for report in reports:
+            assert report.to_json() == render_json(report_dict(report))
+        assert render_reports(reports) == render_json([report_dict(r) for r in reports])
+
+    @pytest.mark.parametrize("note", ["{0}", "{:.3f}", "{!r}", "{:>8}", "a { b", "a } b"])
+    def test_note_without_a_percent_form_is_refused(self, note):
+        stack = ReportStack("edge", [{}])
+        stack.record(1e-10, Check("valued", np.zeros(1), note, (np.zeros(1),)))
+        with pytest.raises(ValueError, match="note"):
+            stack.reports()[0].to_json()
+
+    @pytest.mark.parametrize(
+        "params, in_template",
+        [
+            ([{"t": 0.1}, {"t": 1e300}, {"t": -0.0}], True),
+            ([{"n": 0}, {"n": -5}, {"n": 2**70}], True),
+            ([{"alpha": 'q"\\ 100% \u03c6'}] * 3, True),
+            ([{"100%": 1.5, "n": 3, "s": "x"}] * 3, True),
+            ([{}, {}, {}], True),
+            ([{"s": "x"}, {"s": "y\n"}, {"s": "x"}], False),
+            ([{"b": True}, {"b": False}, {"b": True}], False),
+            ([{"x": None}] * 3, False),
+            ([{"x": {"y": [1, 2.5]}}, {"x": {}}, {"x": []}], False),
+            ([{"t": 0.5}, {"t": math.nan}, {"t": -math.inf}], False),
+            ([{"t": 1}, {"t": 1.0}, {"t": 2}], False),
+            ([{"a": 1}, {"b": 1}, {"a": 1}], False),
+            ([{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1, "b": 2}], False),
+        ],
+        ids=[
+            "float", "int", "constant-str", "mixed-layout", "empty", "varying-str", "bool",
+            "none", "nested", "non-finite-float", "int-and-float", "other-keys", "key-order",
+        ],
+    )
+    def test_params(self, params, in_template):
+        """Finite floats, ints and constant strings join the template; any
+        other params render through render_json, with the same bytes."""
+        stack = ReportStack("edge", params)
+        stack.record(1e-10, Check("fine", np.zeros(len(params)), "fixed"))
+        assert (_params_layout(params) is not None) == in_template
+        reports = stack.reports()
+        for report in reports:
+            assert report.to_json() == render_json(report_dict(report))
+        assert render_reports(reports) == render_json([report_dict(r) for r in reports])
+
+    def test_mixed_residual_columns(self):
+        """A stack whose residual columns are all finite, partly NaN or
+        infinite, or all non-finite, at indent 0 and inside a sweep with a
+        second stack."""
+        columns = [
+            np.array([1e-12, 0.5, -0.0, 1e300]),
+            np.array([1e-12, np.nan, 3.0, 0.0]),
+            np.array([np.inf, 1e-11, -np.inf, 2.0]),
+            np.array([np.nan, np.inf, np.nan, -np.inf]),
+        ]
+        stack = ReportStack("mixed", [{"k": k, "t": 0.25 * k} for k in range(4)])
+        stack.record(1e-10, *(Check(f"c{k}", c, "{:.3e}", (c,)) for k, c in enumerate(columns)))
+        reports = stack.reports()
+        for report in reports:
+            assert report.to_json() == render_json(report_dict(report))
+        sweep = reports + [edge_report([np.nan, 1e-12], {"k": 9})]
+        assert render_reports(sweep) == render_json([report_dict(r) for r in sweep])
+        assert [strict_loads(r.to_json())["checks"][1]["residual"] for r in reports] == [
+            1e-12, None, 3.0, 0.0
+        ]
+
+
+#: one report of each branch that the battery renders
+BRANCH_REPORTS = {
+    "three-level-0.3": lambda: three_level_report(0.3),
+    "three-level-1.2": lambda: three_level_report(1.2),
+    "projection": lambda: projection_report(8, 3),
+    "random-real": lambda: random_report(8),
+    "random-complex": lambda: random_report(8, seed=2, alpha=geometric(0.9 + 0.2j)),
+}
+
+
+@pytest.mark.parametrize("indent", [0, 1])
+@pytest.mark.parametrize("make", BRANCH_REPORTS.values(), ids=BRANCH_REPORTS.keys())
+def test_battery_renders_in_one_pass(monkeypatch, make, indent):
+    """Each branch's stack template holds the params, formats every
+    residual with %.17g and every note value with the field of its kind, %s
+    for a str and a number spec for a float: no residual column takes texts
+    and no params take render_json.  A note field with no % form raises."""
+    templates = []
+
+    def template(*args):
+        templates.append(_template(*args))
+        return templates[-1]
+
+    monkeypatch.setattr("rieszops.report._template", template)
+    report = make()
+    report.stack.documents(indent)
+    (text,) = templates
+    checks = [column.check for column in report.stack.checks]
+    assert text.count('"residual": %.17g,') == len(checks)
+    assert '"params": {' in text and '"params": %s' not in text
+    notes = [line.split('"note": ')[1] for line in text.splitlines() if '"note": ' in line]
+    for check, note in zip(checks, notes, strict=True):
+        fields = re.findall(r"%(?:\.\d+[eg]|s)", note.replace("%%", ""))
+        kinds = [set(map(type, value.ravel().tolist())) for value in check.values]
+        assert kinds == [{str} if field == "%s" else {float} for field in fields]
 
 
 class TestReportContainers:
