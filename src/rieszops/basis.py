@@ -10,11 +10,15 @@ frame bounds and the singularity test) to about cond(T) * eps.  U and s are
 kept on the pair with S_phi = T T* = U diag(s^2) U* itself, so that the
 metric square roots are built from them, not from further products and
 solves.  psi comes from the LU inverse of T, not from the SVD's factors.
+The adjoints phi* = T* and psi* = T^{-1}, which every psi-side product and
+the checks here read, are formed once per pair, on first use, from the
+pair's own phi and psi: a pair replaced with another psi forms its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .linalg import (
     LinalgError,
     adjoint,
     as_matrix,
+    column_norms,
     frobenius,
     guard,
     max_entry,
@@ -53,6 +58,16 @@ class RieszBasisPair:
     singular_vectors: np.ndarray
     singular_values: np.ndarray
 
+    @cached_property
+    def phi_adj(self) -> np.ndarray:
+        """phi*, whose rows are the conjugated phi_n: T*."""
+        return adjoint(self.phi)
+
+    @cached_property
+    def psi_adj(self) -> np.ndarray:
+        """psi*, whose rows are the conjugated psi_n: T^{-1}."""
+        return adjoint(self.psi)
+
 
 def from_generator(t: np.ndarray) -> RieszBasisPair:
     """Construct the basis pairs from a stack of invertible generators.
@@ -63,7 +78,7 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
     psi = (T^{-1})* is the LU solve T X = I; a solve LAPACK finds singular,
     a non-finite X or ||T X - I||_F > DEFAULT_TOL * cond(T) is a LinalgError.
     """
-    t = as_matrix(t)
+    t = as_matrix(t)  # validated once: svd takes it as it is
     u, s, _ = svd(t)
     smin, smax = s[..., -1], s[..., 0]
     guard(
@@ -100,7 +115,7 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
 
 def verify_biorthogonality(pair: RieszBasisPair) -> Check:
     """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
-    gram = adjoint(pair.psi) @ pair.phi  # entry (m, n) = <phi_n, psi_m>
+    gram = pair.psi_adj @ pair.phi  # entry (m, n) = <phi_n, psi_m>
     return Check(
         "biorthogonality",
         max_entry(gram - np.eye(pair.dim)),
@@ -116,21 +131,21 @@ def frame_inequality_check(pair: RieszBasisPair, alpha: np.ndarray, f: np.ndarra
     the magnitude of the upper bound), for the weights alpha_0 ..
     alpha_{dim-1} and each column of the block f, (dim, k) for every point
     or (..., dim, k) one per point.  The residual and the note are those of
-    the worst column.
+    the worst column, the first NaN one if any, taken by its flat index:
+    bit for bit what take_along_axis at the argmax gives.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim < 2 or f.shape[-2] != pair.dim:
         raise ValueError(f"vectors have shape {f.shape}, expected ({pair.dim}, k)")
-    weighted = alpha[..., :, None] * (adjoint(pair.psi) @ f)
+    weighted = alpha[..., :, None] * (pair.psi_adj @ f)
     coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
-    mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
+    mid = column_norms(pair.phi @ weighted) ** 2
     lower = pair.frame_lower[..., None] ** 2 * coeff_mass
     upper = pair.frame_upper[..., None] ** 2 * coeff_mass
     violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
     worst = violation.argmax(axis=-1)  # the first NaN column, if any
-    lower, mid, upper, violation = np.take_along_axis(
-        np.stack([lower, mid, upper, violation]), worst[None, ..., None], -1
-    )[..., 0]
+    worst += violation.shape[-1] * np.arange(worst.size).reshape(worst.shape)  # flat index
+    lower, mid, upper, violation = (x.take(worst) for x in (lower, mid, upper, violation))
     return Check(
         "frame_inequality",
         np.maximum(violation, 0.0),  # NaN stays NaN

@@ -1,12 +1,15 @@
 """Weighted operators H and S built from a basis pair, and their identities.
 
 Every operator is a rank-one sum sum_n c_n (v_n outer conj(w_n)) over paired
-columns, formed by rank_one_sum as one matrix product (V diag(c)) W*: H
-pairs phi with psi, S a family with itself, the metric roots U with itself.
-So the paper's adjoint pairings, (H^alpha_{phi,psi})* = H^conj(alpha)_{psi,phi}
-and (S^beta)* = S^conj(beta), are one algebraic fact about rank_one_sum,
-pinned by its unit tests; no check rebuilds an operator to compare it with
-an adjoint.  The checks downstream must exercise the defining formulas, so
+columns, the one matrix product (V diag(c)) W* of weighted_product: H pairs
+phi with psi, S a family with itself, the metric roots U with itself.  A
+builder forms each V diag(c) once, takes W* from the pair's adjoints
+(formed once per pair) and holds one errstate for all its products;
+rank_one_sum is the same product from the weights and both families, for
+other callers.  So the paper's adjoint pairings, (H^alpha_{phi,psi})* =
+H^conj(alpha)_{psi,phi} and (S^beta)* = S^conj(beta), are one algebraic
+fact about rank_one_sum, pinned by its unit tests; no check rebuilds an
+operator to compare it with an adjoint.  The checks downstream must exercise the defining formulas, so
 no diagonalization shortcut (such as T diag(w) T^{-1}) is used.  Weights are
 (..., m) arrays, one row per point of the pair's batch, and every check
 returns a residual per point.
@@ -15,6 +18,7 @@ returns a residual per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,19 +27,34 @@ from .linalg import adjoint, frobenius, max_entry, operator_norm, require_finite
 from .report import Check
 
 
+def require_weights(weights: np.ndarray, columns: np.ndarray) -> None:
+    """weights must be a (..., m) array for the (..., dim, m) column stack
+    columns: any other shape would broadcast."""
+    expected = columns.shape[:-2] + columns.shape[-1:]
+    if np.shape(weights) != expected:
+        raise ValueError(f"weights have shape {np.shape(weights)}, expected {expected}")
+
+
+def weighted_product(weighted: np.ndarray, right_adj: np.ndarray) -> np.ndarray:
+    """sum_n weighted_n outer conj(right_n), from the weighted columns
+    left_n w_n and right* (rows conj(right_n)), each formed once by the
+    caller: the one product behind every operator.  A non-finite result is
+    the LinalgError of require_finite; the caller holds numpy's overflow and
+    invalid-value warnings off."""
+    acc = weighted @ right_adj
+    require_finite(acc)
+    return acc
+
+
 def rank_one_sum(weights: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_n weights[..., n] (left_n outer conj(right_n)) over the columns of
     the (..., dim, m) stacks left and right, weights a (..., m) array; any
     other weight shape would broadcast.  Its adjoint is
     rank_one_sum(conj(weights), right, left).  An overflowing product is the
     LinalgError of require_finite, not a floating-point warning."""
-    expected = left.shape[:-2] + left.shape[-1:]
-    if np.shape(weights) != expected:
-        raise ValueError(f"weights have shape {np.shape(weights)}, expected {expected}")
+    require_weights(weights, left)
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = (left * weights[..., None, :]) @ right.conj().mT
-    require_finite(acc)
-    return acc
+        return weighted_product(left * weights[..., None, :], adjoint(right))
 
 
 @dataclass(frozen=True)
@@ -62,7 +81,20 @@ class OperatorBundle:
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
 
+    @cached_property
+    def phi_alpha(self) -> np.ndarray:
+        """phi diag(alpha), the columns alpha_k phi_k: formed once for both
+        action checks."""
+        return self.pair.phi * self.weights[..., None, :]
 
+    @cached_property
+    def psi_alpha(self) -> np.ndarray:
+        """psi diag(alpha), the columns alpha_k psi_k: formed once for both
+        action checks."""
+        return self.pair.psi * self.weights[..., None, :]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
     """Materialize, from the (..., dim) array alpha_0 .. alpha_{dim-1}, H
     (both directions), the metric operators and their principal square
@@ -73,35 +105,40 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
 
     S_phi = T T* is the pair's, and so is the SVD T = U diag(s) V*, which
     gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
+    phi diag(alpha), psi diag(alpha) and U* are formed once, for two
+    products each, and one errstate covers every product.
     """
+    require_weights(weights, pair.phi)
     phi, psi, u, s = pair.phi, pair.psi, pair.singular_vectors, pair.singular_values
+    phi_adj, psi_adj, u_adj = pair.phi_adj, pair.psi_adj, adjoint(u)
     is_real = ~weights.imag.any(axis=-1)
     # U diag(s^{+-1}) U*, symmetrized: Hermitian to the last bit
-    roots = [rank_one_sum(values, u, u) for values in (s, 1.0 / s)]
+    roots = [weighted_product(u * values[..., None, :], u_adj) for values in (s, 1.0 / s)]
     s_phi_sqrt, s_psi_sqrt = (0.5 * (root + adjoint(root)) for root in roots)
-    h_phi_psi = rank_one_sum(weights, phi, psi)
+    phi_alpha, psi_alpha = phi * weights[..., None, :], psi * weights[..., None, :]
+    h_phi_psi = weighted_product(phi_alpha, psi_adj)
     return OperatorBundle(
         pair=pair,
         weights=weights,
         is_real=is_real,
         H_phi_psi=h_phi_psi,
-        H_psi_phi=rank_one_sum(weights, psi, phi),
+        H_psi_phi=weighted_product(psi_alpha, phi_adj),
         S_phi=pair.metric,
-        S_psi=rank_one_sum(np.ones(psi.shape[:-1], dtype=complex), psi, psi),
+        S_psi=weighted_product(psi, psi_adj),
         S_phi_sqrt=s_phi_sqrt,
         S_psi_sqrt=s_psi_sqrt,
         h=s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
         Phi=s_psi_sqrt @ phi,
-        S_alpha_phi=rank_one_sum(weights, phi, phi),
-        S_alpha_psi=rank_one_sum(weights, psi, psi),
+        S_alpha_phi=weighted_product(phi_alpha, phi_adj),
+        S_alpha_psi=weighted_product(psi_alpha, psi_adj),
     )
 
 
 def check_eigen_action(bundle: OperatorBundle) -> Check:
     """H_{phi,psi} phi_k = alpha_k phi_k and H_{psi,phi} psi_k = alpha_k psi_k."""
-    pair, weights = bundle.pair, bundle.weights[..., None, :]
-    r_phi = max_entry(bundle.H_phi_psi @ pair.phi - pair.phi * weights)
-    r_psi = max_entry(bundle.H_psi_phi @ pair.psi - pair.psi * weights)
+    pair = bundle.pair
+    r_phi = max_entry(bundle.H_phi_psi @ pair.phi - bundle.phi_alpha)
+    r_psi = max_entry(bundle.H_psi_phi @ pair.psi - bundle.psi_alpha)
     return Check(
         "eigen_action", np.maximum(r_phi, r_psi), "H phi_k = alpha_k phi_k, both directions"
     )
@@ -114,12 +151,12 @@ def check_weighted_action(bundle: OperatorBundle) -> Check:
     The second identity is the corrected reading of the weighted-action pair:
     the psi-side operator maps phi_k to beta_k psi_k.
     """
-    pair, weights = bundle.pair, bundle.weights[..., None, :]
+    pair = bundle.pair
     return Check.worst(
         "weighted_action",
         "S^b_phi psi_k = b_k phi_k ({:.3e}); S^b_psi phi_k = b_k psi_k ({:.3e})",
-        max_entry(bundle.S_alpha_phi @ pair.psi - pair.phi * weights),
-        max_entry(bundle.S_alpha_psi @ pair.phi - pair.psi * weights),
+        max_entry(bundle.S_alpha_phi @ pair.psi - bundle.phi_alpha),
+        max_entry(bundle.S_alpha_psi @ pair.phi - bundle.psi_alpha),
     )
 
 

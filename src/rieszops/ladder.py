@@ -4,7 +4,9 @@ At truncation level N the lowering operator A = sum_{n>=1} gamma_n
 (phi_{n-1} outer conj(psi_n)) annihilates phi_0, and the raising operator
 B = sum_{n<=N-2} gamma_{n+1} (phi_{n+1} outer conj(psi_n)), which drops its
 gamma_N term, annihilates phi_{N-1}: rank-one sums over the column slices
-[..., :, :-1] and [..., :, 1:].  By the adjoint rule of rank_one_sum their
+[..., :, :-1] and [..., :, 1:] of phi and the matching row slices of the
+pair's psi*, formed once per pair.  Each builder holds one errstate for its
+products.  By the adjoint rule of rank_one_sum their
 adjoints are the psi,phi ladder of conj(gamma), (A_{phi,psi})* = B_{psi,phi},
 so no psi,phi ladder is built.  For every gamma, on the whole truncated space,
 
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import RieszBasisPair
-from .factory import OperatorBundle, rank_one_sum
+from .factory import OperatorBundle, require_weights, weighted_product
 from .linalg import DEFAULT_TOL, max_entry, worst_column_norm
 from .report import Check
 
@@ -56,6 +58,7 @@ class LadderPair:
         return self.A_phi_psi @ self.B_phi_psi
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
     """The phi,psi ladder from the (..., dim) array gamma_0 .. gamma_{dim-1}.
 
@@ -63,16 +66,14 @@ def build_ladder(pair: RieszBasisPair, weights: np.ndarray) -> LadderPair:
     themselves: at small dim a truncated non-monotone sequence can be
     monotone.
     """
-    expected = pair.phi.shape[:-1]  # rank_one_sum sees only the shifted slices
-    if np.shape(weights) != expected:
-        raise ValueError(f"weights have shape {np.shape(weights)}, expected {expected}")
-    mags, phi, psi = np.abs(weights), pair.phi, pair.psi
+    require_weights(weights, pair.phi)  # the products see only the shifted slices
+    mags, phi, psi_adj, g = np.abs(weights), pair.phi, pair.psi_adj, weights[..., None, 1:]
     return LadderPair(
         pair=pair,
         weights=weights,
         abs_monotone=(mags[..., 1:] >= mags[..., :-1]).all(axis=-1),
-        A_phi_psi=rank_one_sum(weights[..., 1:], phi[..., :, :-1], psi[..., :, 1:]),
-        B_phi_psi=rank_one_sum(weights[..., 1:], phi[..., :, 1:], psi[..., :, :-1]),
+        A_phi_psi=weighted_product(phi[..., :, :-1] * g, psi_adj[..., 1:, :]),
+        B_phi_psi=weighted_product(phi[..., :, 1:] * g, psi_adj[..., :-1, :]),
     )
 
 
@@ -98,6 +99,7 @@ def check_ladder_actions(lp: LadderPair) -> Check:
     return Check("ladder_actions", worst, "A and B shift actions on phi_n")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_products(lp: LadderPair) -> Check:
     """BA = H^{(0, gamma_1^2, ...)} and AB = H^{(..., gamma_{N-1}^2, 0)} on
     the whole truncated space, for every gamma: the largest entry modulus
@@ -106,13 +108,14 @@ def check_products(lp: LadderPair) -> Check:
     The note adds the commutator residual: AB - BA against
     H^{(gamma_1^2 - 0, gamma_2^2 - gamma_1^2, ..., 0 - gamma_{N-1}^2)}, the
     difference of the two shifted H.  It is (AB - H_ab) - (BA - H_ba), at
-    most the sum of the two product residuals, so it decides nothing.
+    most the sum of the two product residuals, so it decides nothing.  Like
+    the builders, it holds one errstate for its products and the squares.
     """
-    squares = lp.weights[..., 1:] ** 2
-    zero = np.zeros_like(lp.weights[..., :1])
-    phi, psi = lp.pair.phi, lp.pair.psi
-    d_ba = lp.BA - rank_one_sum(np.concatenate([zero, squares], axis=-1), phi, psi)
-    d_ab = lp.AB - rank_one_sum(np.concatenate([squares, zero], axis=-1), phi, psi)
+    squares = lp.weights[..., None, 1:] ** 2
+    zero = np.zeros_like(lp.weights[..., None, :1])
+    phi, psi_adj = lp.pair.phi, lp.pair.psi_adj
+    d_ba = lp.BA - weighted_product(phi * np.concatenate([zero, squares], axis=-1), psi_adj)
+    d_ab = lp.AB - weighted_product(phi * np.concatenate([squares, zero], axis=-1), psi_adj)
     r_ba, r_ab = max_entry(d_ba), max_entry(d_ab)
     return Check(
         "ladder_products",
@@ -137,6 +140,9 @@ def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray
     steps = np.zeros(a.shape, bool)  # alpha_n - alpha_{n-1} <= DEFAULT_TOL at n > 0
     np.less_equal(a.real[..., 1:] - a.real[..., :-1], DEFAULT_TOL, out=steps[..., 1:])
     failed = ~bundle.is_real | steps.any(axis=-1)
+    roots = np.sqrt((a - a[..., :1]).astype(complex))
+    if not failed.any():
+        return roots, failed, []
     # what fails: the largest imaginary part of a complex point, the first
     # such step of a real one; one argmax over the failed points
     bad, complex_point = a[failed], ~bundle.is_real[failed]
@@ -150,4 +156,4 @@ def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray
         f"(alpha_{j} = {x.real:.6g} <= alpha_{j - 1} = {y:.6g})"
         for is_complex, j, x, y in zip(complex_point.tolist(), k.tolist(), at, before)
     ]
-    return np.sqrt((a - a[..., :1]).astype(complex)), failed, reasons
+    return roots, failed, reasons

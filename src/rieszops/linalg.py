@@ -74,17 +74,22 @@ def max_entry(m: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(m), axis=(-2, -1))
 
 
+def column_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of each matrix: numpy.linalg.norm(m,
+    axis=-2)'s own sum, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2))
+
+
 def worst_column_norm(m: np.ndarray) -> np.ndarray:
     """Largest Euclidean column norm of each matrix (numpy.linalg.norm's, bit
     for bit), 0 without columns; NaN propagates."""
-    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-2))
-    return np.maximum.reduce(norms, axis=-1, initial=0.0)
+    return np.maximum.reduce(column_norms(m), axis=-1, initial=0.0)
 
 
 def svd(m: np.ndarray, compute_uv: bool = True):
-    """numpy.linalg.svd of each matrix of a stack: (U, s, V*), or s alone,
-    with s descending.  LAPACK non-convergence is a LinalgError."""
-    m = as_matrix(m)
+    """numpy.linalg.svd of each matrix of a stack that as_matrix has
+    validated: (U, s, V*), or s alone, with s descending.  LAPACK
+    non-convergence is a LinalgError."""
     try:
         return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
@@ -93,4 +98,4 @@ def svd(m: np.ndarray, compute_uv: bool = True):
 
 def operator_norm(m: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix."""
-    return svd(m, compute_uv=False)[..., 0]
+    return svd(as_matrix(m), compute_uv=False)[..., 0]

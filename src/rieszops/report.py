@@ -233,7 +233,7 @@ def _template(suite: str, heads: tuple, layout: tuple | None, indent: int) -> st
     and note, and the check count are filled in; the rest by each point."""
     params = "%s"
     if layout is not None:
-        items = [f'    "{key}": '.replace("%", "%%") + text for key, text in layout]
+        items = [f"    {_literal(key)}: " + text for key, text in layout]
         params = "{\n" + ",\n".join(items) + "\n  }" if items else "{}"
     items = [
         _CHECK % (_literal(name), "%.17g" if finite else "%s", _render_float(tol), note)
@@ -309,7 +309,7 @@ def render_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         items = (
-            f'{inner}"{key}": {render_json(val, indent + 1)}'
+            f"{inner}{encode_basestring(key)}: {render_json(val, indent + 1)}"
             for key, val in value.items()
         )
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -133,7 +133,8 @@ def _ladder_checks(
     root = lp if (roots == lp.weights).all() else ladder.build_ladder(pair, roots)
     hold = "alpha is real and strictly increasing: the paper's hypotheses hold"
     why = np.full(failed.shape, hold, object)
-    why[failed] = ["the paper's hypotheses fail: " + reason for reason in reasons]
+    if reasons:
+        why[failed] = ["the paper's hypotheses fail: " + reason for reason in reasons]
     note = "H - alpha_0 I = BA entrywise for gamma_n = sqrt(alpha_n - alpha_0); {}"
     shifted = bundle.H_phi_psi - bundle.weights[..., :1, None] * np.eye(pair.dim)
     stack.record(

@@ -19,6 +19,8 @@ PACKAGE = Path(rieszops.__file__).resolve().parent
 #: names reached only from outside src/, each with the reason
 REACHED_FROM_OUTSIDE = {
     ("cli", "main"): "console-script entry point in pyproject.toml",
+    ("factory", "rank_one_sum"): "library API (README example): the builders share "
+    "weighted_product, which it calls",
 }
 
 #: dataclasses and NamedTuples whose fields are read whole, each with the reason

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,12 @@ from rieszops import (
     geometric,
     ladder,
     operator_norm,
+    parse_spec,
     poly,
     rank_one_sum,
 )
-from rieszops.linalg import adjoint, frobenius, max_entry
+from rieszops.factory import weighted_product
+from rieszops.linalg import LinalgError, adjoint, frobenius, max_entry
 from rieszops.models import projection_model, three_level
 from rieszops.sequences import SequenceSpec
 from rieszops.suites import projection_report, random_report, three_level_report
@@ -374,25 +377,26 @@ class TestBundleFields:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Calls of rank_one_sum per (weights, left, right) operands."""
+        """Calls of weighted_product, the one product behind every operator,
+        per (weighted columns, right adjoint) operands."""
         built = Counter()
 
-        def build(weights, left, right):
-            built[weights.tobytes(), left.tobytes(), right.tobytes()] += 1
-            return rank_one_sum(weights, left, right)
+        def build(weighted, right_adj):
+            built[weighted.tobytes(), right_adj.tobytes()] += 1
+            return weighted_product(weighted, right_adj)
 
-        monkeypatch.setattr(factory, "rank_one_sum", build)
-        monkeypatch.setattr(ladder, "rank_one_sum", build)  # imported by name
+        monkeypatch.setattr(factory, "weighted_product", build)
+        monkeypatch.setattr(ladder, "weighted_product", build)  # imported by name
         return built
 
     @pytest.mark.parametrize(
         "make_report, builds",
         [
-            # the bundle's 2 metric roots, H both ways, S^alpha on both sides
-            # and S_psi (7; S_phi is the pair's TT*), A and B (2), and the two
-            # shifted H of the products (2): 7 + 2 + 2 = 11.  For real alpha
-            # the factorization's roots are gamma, so it reuses the gamma
-            # ladder
+            # one weighted_product per operator: the bundle's 2 metric
+            # roots, H both ways, S^alpha on both sides and S_psi (7; S_phi
+            # is the pair's TT*), A and B (2), and the two shifted H of the
+            # products (2): 7 + 2 + 2 = 11.  For real alpha the
+            # factorization's roots are gamma, so it reuses the gamma ladder
             (lambda: random_report(16, seed=3), 11),
             (lambda: projection_report(16, 4, seed=3), 11),
             (lambda: three_level_report(0.3), 11),
@@ -475,3 +479,119 @@ class TestWeightArrays:
         monkeypatch.setattr(SequenceSpec, "terms", counting)
         make_report()
         assert len(labels) == calls, labels
+
+
+class TestSharedOperands:
+    """The builders form each weighted family and the pair's adjoints once
+    and share them between products; every operator is still, bit for bit,
+    rank_one_sum of its definition."""
+
+    @staticmethod
+    def batch(dim, points):
+        """The pair of a stack of points generators, or of one (dim, dim)
+        generator when points is None, with complex alpha and gamma."""
+        rng = np.random.default_rng(dim)
+        shape = () if points is None else (points,)
+        generators = [random_generator_matrix(rng, dim) for _ in range(points or 1)]
+        pair = from_generator(np.stack(generators).reshape(shape + (dim, dim)))
+        alpha, gamma = (
+            (rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,)))
+            for _ in range(2)
+        )
+        return pair, alpha, gamma
+
+    @staticmethod
+    def ladder_sums(pair, gamma):
+        """A and B by their definitions."""
+        phi, psi, g = pair.phi, pair.psi, gamma[..., 1:]
+        return (
+            rank_one_sum(g, phi[..., :, :-1], psi[..., :, 1:]),
+            rank_one_sum(g, phi[..., :, 1:], psi[..., :, :-1]),
+        )
+
+    @pytest.mark.parametrize("points", [None, 3], ids=["single", "stack-of-3"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64])
+    def test_every_product_is_its_rank_one_sum(self, dim, points):
+        pair, alpha, gamma = self.batch(dim, points)
+        bundle = build_bundle(pair, alpha)
+        phi, psi, u, s = pair.phi, pair.psi, pair.singular_vectors, pair.singular_values
+        roots = [rank_one_sum(values, u, u) for values in (s, 1.0 / s)]
+        s_phi_sqrt, s_psi_sqrt = (0.5 * (root + adjoint(root)) for root in roots)
+        h_phi_psi = rank_one_sum(alpha, phi, psi)
+        expected = {
+            "H_phi_psi": h_phi_psi,
+            "H_psi_phi": rank_one_sum(alpha, psi, phi),
+            "S_psi": rank_one_sum(np.ones(alpha.shape, dtype=complex), psi, psi),
+            "S_phi_sqrt": s_phi_sqrt,
+            "S_psi_sqrt": s_psi_sqrt,
+            "h": s_psi_sqrt @ h_phi_psi @ s_phi_sqrt,
+            "Phi": s_psi_sqrt @ phi,
+            "S_alpha_phi": rank_one_sum(alpha, phi, phi),
+            "S_alpha_psi": rank_one_sum(alpha, psi, psi),
+            "phi_alpha": phi * alpha[..., None, :],
+            "psi_alpha": psi * alpha[..., None, :],
+        }
+        for name, operator in expected.items():
+            assert np.array_equal(getattr(bundle, name), operator), name
+        roots, _, _ = ladder.factorize_from_alpha(bundle)
+        for weights in (gamma, roots):  # the gamma ladder and the factorization's
+            lp = ladder.build_ladder(pair, weights)
+            a, b = self.ladder_sums(pair, weights)
+            assert np.array_equal(lp.A_phi_psi, a) and np.array_equal(lp.B_phi_psi, b)
+            squares, zero = weights[..., 1:] ** 2, np.zeros_like(weights[..., :1])
+            h_ba, h_ab = (
+                rank_one_sum(np.concatenate(w, axis=-1), phi, psi)
+                for w in ([zero, squares], [squares, zero])
+            )
+            check = ladder.check_products(lp)
+            r_ba, r_ab = max_entry(lp.BA - h_ba), max_entry(lp.AB - h_ab)
+            assert np.array_equal(check.residual, np.maximum(r_ba, r_ab))
+            assert np.array_equal(check.values[0], r_ba)
+            assert np.array_equal(check.values[1], r_ab)
+            commutator = max_entry((lp.AB - h_ab) - (lp.BA - h_ba))
+            assert np.array_equal(check.values[2], commutator)
+
+    def test_replaced_psi_forms_its_own_adjoint(self):
+        """psi* is formed from the pair's own psi: a pair replaced with
+        another psi does not keep the first pair's adjoint."""
+        pair, _, _ = self.batch(8, 3)
+        assert np.array_equal(pair.psi_adj, adjoint(pair.psi))
+        assert np.array_equal(pair.phi_adj, adjoint(pair.phi))
+        psi = pair.psi.copy()
+        psi[..., 0, -1] += 1e-8 * max_entry(psi)
+        bumped = dataclasses.replace(pair, psi=psi)
+        assert np.array_equal(bumped.psi_adj, adjoint(psi))
+        assert not np.array_equal(bumped.psi_adj, pair.psi_adj)
+        assert bumped.phi_adj is not pair.phi_adj
+
+
+class TestOverflowIsAnError:
+    """Each builder holds numpy's overflow warnings off for all its
+    products, so a product that overflows is the LinalgError of
+    require_finite, not a RuntimeWarning, also when it is called outside
+    the battery."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_bundle(self):
+        # every alpha_n is finite; H = sum alpha_n phi_n psi_n* is not
+        weights = parse_spec("affine:5e307,0").terms(4)
+        with pytest.raises(LinalgError, match="non-finite"):
+            build_bundle(random_pair(4, 0), weights)
+
+    def test_ladder(self):
+        # gamma_n phi_{n-1} overflows where |phi| = 1e110
+        gamma = parse_spec("affine:1e200,0").terms(4)
+        with pytest.raises(LinalgError, match="non-finite"):
+            ladder.build_ladder(from_generator(1e110 * np.eye(4)), gamma)
+
+    def test_ladder_products(self):
+        # the ladder of gamma ~ 1e200 is finite; the shifted H of gamma_n^2
+        # is not
+        lp = ladder.build_ladder(random_pair(4, 0), parse_spec("affine:1e200,0").terms(4))
+        with pytest.raises(LinalgError, match="non-finite"):
+            ladder.check_products(lp)

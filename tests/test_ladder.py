@@ -28,6 +28,7 @@ from rieszops import (
 )
 from rieszops import ladder
 from rieszops.cli import main
+from rieszops.factory import weighted_product
 from rieszops.models import projection_model, three_level
 from rieszops.sequences import harmonic, parse_spec, poly
 from rieszops.suites import random_report, three_level_report
@@ -502,11 +503,11 @@ class TestFactorizeFromAlpha:
         # H of the products all dim
         calls = []
 
-        def counting(weights, left, right):
-            if left.shape[-1] == left.shape[-2] - 1:
-                calls.append(weights)
-            return rank_one_sum(weights, left, right)
+        def counting(weighted, right_adj):
+            if weighted.shape[-1] == weighted.shape[-2] - 1:
+                calls.append(weighted)
+            return weighted_product(weighted, right_adj)
 
-        monkeypatch.setattr(ladder, "rank_one_sum", counting)
+        monkeypatch.setattr(ladder, "weighted_product", counting)
         make_report()
         assert len(calls) == sums

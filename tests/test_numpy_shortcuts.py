@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from rieszops import DEFAULT_TOL, basis, ladder
-from rieszops.linalg import LinalgError, adjoint, max_entry, require_finite, worst_column_norm
+from rieszops.linalg import (
+    LinalgError,
+    adjoint,
+    column_norms,
+    max_entry,
+    require_finite,
+    worst_column_norm,
+)
 
 POISON = (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(-np.inf, 1.0), 1j * np.inf)
 
@@ -46,9 +53,12 @@ def test_max_entry_is_ndarray_max(rng, shape):
 
 @pytest.mark.parametrize("shape", SHAPES + [(3, 5, 0)])
 def test_worst_column_norm_is_linalg_norm(rng, shape):
+    """worst_column_norm and the column_norms it takes the largest of."""
     for share in (0.0, 0.15, 1.0):
         m = poisoned(rng, shape, share)
         with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(column_norms(m), np.linalg.norm(m, axis=-2))
+            assert same_bits(column_norms(m.real), np.linalg.norm(m.real, axis=-2))
             expected = np.linalg.norm(m, axis=-2).max(axis=-1, initial=0.0)
             assert same_bits(worst_column_norm(m), expected)
             assert same_bits(worst_column_norm(m.real), np.linalg.norm(m.real, axis=-2).max(
@@ -67,9 +77,28 @@ def test_require_finite_is_ndarray_all(rng, shape):
                 require_finite(m)
 
 
+def frame_columns(pair, alpha, f):
+    """lower, mid, upper and violation of every column of f, with the norm
+    of mid taken by numpy.linalg.norm(..., axis=-2)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = alpha[..., :, None] * (adjoint(pair.psi) @ f)
+        coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
+        mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
+        lower = pair.frame_lower[..., None] ** 2 * coeff_mass
+        upper = pair.frame_upper[..., None] ** 2 * coeff_mass
+        violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
+    return lower, mid, upper, violation
+
+
+def taken(columns, at):
+    """Each of the columns at index at of its last axis, by take_along_axis."""
+    return [np.take_along_axis(x, at[..., None], -1)[..., 0] for x in columns]
+
+
 def test_frame_inequality_worst_column_is_four_takes(rng):
-    """One take_along_axis on the stacked (lower, mid, upper, violation)
-    picks each point's worst column as four takes do."""
+    """frame_inequality_check takes its column norms by column_norms and
+    each point's worst column by its flat index: bit for bit
+    numpy.linalg.norm and four take_along_axis at the argmax."""
     dim, points = 5, 6
     generators = np.eye(dim) + 0.3 * rng.normal(size=(points, dim, dim))
     pair = basis.from_generator(generators)
@@ -79,17 +108,40 @@ def test_frame_inequality_worst_column_is_four_takes(rng):
     f[0] = f[5] = 1.0 + 1j
     with np.errstate(over="ignore", invalid="ignore"):
         check = basis.frame_inequality_check(pair, alpha, f)
-        weighted = alpha[..., :, None] * (adjoint(pair.psi) @ f)
-        coeff_mass = np.sum(np.abs(weighted) ** 2, axis=-2)
-        mid = np.linalg.norm(pair.phi @ weighted, axis=-2) ** 2
-        lower = pair.frame_lower[..., None] ** 2 * coeff_mass
-        upper = pair.frame_upper[..., None] ** 2 * coeff_mass
-        violation = np.maximum(lower - mid, mid - upper) / np.maximum(1.0, upper)
-    worst = violation.argmax(axis=-1)[..., None]
-    taken = [np.take_along_axis(x, worst, -1)[..., 0] for x in (lower, mid, upper, violation)]
+        # a single point, batch shape (): the same bits as its row of the stack
+        single = basis.frame_inequality_check(
+            basis.from_generator(generators[3]), alpha[3], f[3]
+        )
+    columns = frame_columns(pair, alpha, f)
+    lower, mid, upper, violation = taken(columns, columns[3].argmax(axis=-1))
     assert np.isnan(check.residual).any() and np.isfinite(check.residual).any()
-    assert same_bits(check.residual, np.maximum(taken[3], 0.0))
-    assert all(map(same_bits, check.values, taken[:3]))
+    assert same_bits(check.residual, np.maximum(violation, 0.0))
+    assert all(map(same_bits, check.values, (lower, mid, upper)))
+    assert same_bits(single.residual, check.residual[3])
+    assert all(map(same_bits, single.values, (v[3] for v in check.values)))
+
+
+def test_frame_inequality_picks_the_first_nan_column(rng):
+    """Where several columns' violation is NaN, the first is the worst, and
+    its lower, mid and upper are the ones reported; an infinite entry and a
+    1e200 entry make NaN columns that differ (lower NaN, lower +inf)."""
+    dim = 5
+    pair = basis.from_generator(np.eye(dim) + 0.3 * rng.normal(size=(3, dim, dim)))
+    alpha = np.ones((3, dim), dtype=complex)
+    f = rng.normal(size=(3, dim, 8)) + 0j
+    f[0, 1, 2], f[0, 3, 5], f[0, 0, 7] = np.inf, np.nan, -np.inf
+    f[1, 4, 1], f[1, 2, 3] = 1e200, complex(np.inf, 1.0)
+    f[2, 2, 3], f[2, 4, 6] = complex(np.inf, 1.0), 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = basis.frame_inequality_check(pair, alpha, f)
+    columns = frame_columns(pair, alpha, f)
+    first_nan = np.isnan(columns[3]).argmax(axis=-1)
+    assert np.isnan(columns[3]).sum(axis=-1).min() >= 2
+    assert first_nan.tolist() == [2, 1, 3]
+    lower, mid, upper, violation = taken(columns, first_nan)
+    assert np.isnan(check.residual).all()
+    assert all(map(same_bits, check.values, (lower, mid, upper)))
+    assert check.values[0][1] == np.inf and np.isnan(check.values[0][2])
 
 
 def test_factorize_steps_are_np_diff(rng):

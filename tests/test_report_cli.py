@@ -70,6 +70,30 @@ class TestRendering:
         for text in texts:
             assert render_json(text) == json.dumps(text, ensure_ascii=False)
 
+    #: dict keys that need JSON escapes
+    KEYS = ('q"uote', "back\\slash", "line\nbreak", '"\\\n 100%')
+
+    def test_keys_are_escaped(self):
+        doc = {key: [1.5, {key: "x"}] for key in self.KEYS}
+        assert strict_loads(render_json(doc)) == doc
+        assert render_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0.5, 1.5), (None, [1, 2.5])],
+        ids=["template", "render-json"],
+    )
+    @pytest.mark.parametrize("indent", [0, 1])
+    def test_params_keys_are_escaped(self, values, indent):
+        """Params keys that need escapes give strict JSON, whether the
+        params join the stack template or render through render_json."""
+        params = [dict.fromkeys(self.KEYS, value) for value in values]
+        stack = ReportStack("edge", params)
+        stack.record(1e-10, Check("fine", np.zeros(len(params)), "fixed"))
+        assert (_params_layout(params) is not None) == (values[0] is not None)
+        for text, expected in zip(stack.documents(indent), params):
+            assert strict_loads(text)["params"] == expected
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             render_json(object())
@@ -592,6 +616,17 @@ class TestCli:
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
             with pytest.raises(SystemExit) as excinfo:
                 main(["verify", "random", "--dim", "4", "--alpha", "affine:5e307,0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_overflowing_ladder_product_is_usage_error_without_warnings(self, capsys):
+        # gamma and the ladder are finite; the shifted H of gamma_n^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "random", "--dim", "4", "--gamma", "affine:1e200,0"])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
