@@ -4,6 +4,16 @@ Reports are JSON-shaped, deterministic for identical parameters (seed
 included), and written to stdout or --out.  Exit status is 0 only when
 every check in every emitted report passed; usage errors exit 2 without
 producing a report, and so does an --out path that cannot be written.
+
+The argparse tree is built once per process.  A well-formed argv (the
+command words of a leaf, then (option, value) pairs of its one-value
+options, each once, every required one present, every value converting)
+is matched against that leaf's option table, which is read from the
+leaf's own argparse Actions, so argparse parses nothing.  Any other argv
+(help, "--", --opt=value, an abbreviation, a negative number, a repeated
+or missing option, a rejected value) is parsed by the root parser, so
+every help text, usage error and exit code is argparse's.  A document is
+written to stdout as text, or to --out as one bytes write.
 """
 
 from __future__ import annotations
@@ -15,10 +25,11 @@ import math
 import mmap
 import platform
 import sys
+from typing import NamedTuple
 
 from .domains import DEFAULT_N_MAX, summability_verdict
 from .linalg import DEFAULT_TOL
-from .report import render_json, render_reports
+from .report import render_domain, render_reports
 from .sequences import parse_spec
 from .suites import (
     projection_report,
@@ -70,15 +81,70 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+class _OptionTable(NamedTuple):
+    """A leaf parser's one-value options, read from its Actions: the Action
+    of each option string, the dest of each required Action, and the
+    default of each dest, in the order argparse sets them."""
+
+    options: dict[str, argparse.Action]
+    required: frozenset[str]
+    defaults: dict[str, object]
+
+    @classmethod
+    def of(cls, parser: argparse.ArgumentParser) -> _OptionTable:
+        defaults = {}
+        for action in parser._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        for dest, default in parser._defaults.items():
+            defaults.setdefault(dest, default)
+        return cls(
+            {
+                option: action
+                for action in parser._actions
+                if isinstance(action, argparse._StoreAction)
+                and action.nargs is None
+                and action.choices is None
+                for option in action.option_strings
+            },
+            frozenset(action.dest for action in parser._actions if action.required),
+            defaults,
+        )
+
+    def match(self, words: list[str]) -> argparse.Namespace | None:
+        """The Namespace the leaf's argparse gives for words, when words are
+        (option, value) pairs of this table, each option once, every
+        required one present, no value empty or starting with "-", and each
+        type call succeeds; else None."""
+        if len(words) % 2:
+            return None
+        values = {}
+        for option, value in zip(words[::2], words[1::2]):
+            action = self.options.get(option)
+            if action is None or not value or value[0] == "-" or action.dest in values:
+                return None
+            try:
+                values[action.dest] = value if action.type is None else action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if not self.required <= values.keys():
+            return None
+        args = argparse.Namespace()
+        vars(args).update(self.defaults)
+        vars(args).update(values)
+        return args
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The root of the argparse tree, built on first use and shared by every call."""
     return _parsers()[0]
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
-    """The root parser, and each leaf parser by the command words that name
-    it (("verify", "random"), ("domain",), ...), recorded as the tree is built."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _OptionTable]]:
+    """The root parser, and the option table of each leaf parser by the
+    command words that name it (("verify", "random"), ("domain",), ...),
+    read once the tree is built."""
     leaves = {}
 
     def leaf(commands, *words: str, **kwargs) -> argparse.ArgumentParser:
@@ -141,7 +207,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.
         "--n-max", type=_N_MAX, default=DEFAULT_N_MAX, help="horizon, 64..2^20"
     )
     domain.add_argument("--out", default=None)
-    return parser, leaves
+    return parser, {words: _OptionTable.of(leaf) for words, leaf in leaves.items()}
 
 
 #: faulted-in free heap kept above the highest block a command has placed
@@ -225,22 +291,21 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        data = (text + "\n").encode("utf-8")  # before opening: a failed encode leaves no file
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), from the leaf that argv's command
-    words name when it recognizes every later word: the root would hand it
-    the same words, so a leaf's errors are the same either way.  Any other
-    argv (-h at the root, an unknown command, a trailing word) is parsed
-    from the root."""
-    parser, leaves = _parsers()
+    """build_parser().parse_args(argv): the match of the option table of the
+    leaf that argv's command words name, or, when the words after them are
+    not well formed (see the module docstring), the root parser's parse."""
+    parser, tables = _parsers()
     words = sys.argv[1:] if argv is None else list(argv)
     for key in (tuple(words[:2]), tuple(words[:1])):
-        if key in leaves:
-            args, extras = leaves[key].parse_known_args(words[len(key) :])
-            if not extras:
+        if key in tables:
+            args = tables[key].match(words[len(key) :])
+            if args is not None:
                 vars(args).update(zip(("command", "suite"), key))
                 return args
             break
@@ -287,16 +352,7 @@ def main(argv=None) -> int:
         verdict = summability_verdict(
             parse_spec(args.alpha), parse_spec(args.coeff), args.n_max
         )
-        doc = {
-            "suite": "domain",
-            "params": {
-                "alpha": args.alpha,
-                "coeff": args.coeff,
-                "n_max": args.n_max,
-            },
-            **vars(verdict),  # its fields in order, shallow: each is a scalar
-        }
-        _emit(render_json(doc), args.out)
+        _emit(render_domain(args.alpha, args.coeff, args.n_max, verdict), args.out)
         return 0
     except (ValueError, OSError) as exc:
         build_parser().exit(2, f"rieszops: error: {exc}\n")

@@ -333,6 +333,37 @@ def render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
+#: the domain command's document, with its params and verdict to fill in
+_DOMAIN = """\
+{
+  "suite": "domain",
+  "params": {
+    "alpha": %s,
+    "coeff": %s,
+    "n_max": %d
+  },
+  "verdict": %s,
+  "partial_sum": %s,
+  "tail_ratio": %s,
+  "n_max": %d
+}"""
+
+
+def render_domain(alpha: str, coeff: str, n_max: int, verdict) -> str:
+    """render_json of the domain document, {"suite": "domain", "params":
+    {"alpha", "coeff", "n_max"}, then the verdict's fields in order}, in
+    one % pass; verdict is a domains.DomainVerdict, read field by field."""
+    return _DOMAIN % (
+        encode_basestring(alpha),
+        encode_basestring(coeff),
+        n_max,
+        encode_basestring(verdict.verdict),
+        _render_float(verdict.partial_sum),
+        _render_float(verdict.tail_ratio),
+        verdict.n_max,
+    )
+
+
 def render_reports(reports: list[VerificationReport]) -> str:
     """A parameter-ordered sweep as one JSON array: each run of consecutive
     reports of one stack is rendered at indent 1, in one pass."""

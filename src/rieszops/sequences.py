@@ -72,10 +72,31 @@ class SequenceSpec:
         if self.kind == "geometric":
             return complex(self.ratio) ** n
         if self.kind == "affine":
-            real = not (self.slope.imag or self.offset.imag)  # real: same bits, half the work
-            a, b = (self.slope.real, self.offset.real) if real else (self.slope, self.offset)
+            a, b = self._affine_coefficients()
             return a * n + b
         raise ValueError(f"unknown sequence kind '{self.kind}'")
+
+    def _affine_coefficients(self) -> tuple:
+        """(a, b) of an affine spec, as floats when both are real: the same
+        bits, half the work."""
+        if self.slope.imag or self.offset.imag:
+            return self.slope, self.offset
+        return self.slope.real, self.offset.real
+
+    def _log_abs_affine(self, grid: IndexGrid) -> np.ndarray:
+        """log |a n + b|, and where |a n + b| overflows, log |a| + log |n + b/a|;
+        a term whose log is still not finite is a ValueError, as in terms()."""
+        a, b = self._affine_coefficients()
+        with np.errstate(all="ignore"):
+            out = np.abs(a * grid.n + b)
+            bad = None if np.isfinite(out).all() else np.flatnonzero(~np.isfinite(out))
+            np.log(out, out=out)
+            if bad is not None and a:
+                out[bad] = np.log(abs(a)) + np.log(np.abs(grid.n[bad] + b / a))
+        if bad is not None and not np.isfinite(out[bad]).all():
+            first = bad[~np.isfinite(out[bad])][0]
+            raise ValueError(f"sequence '{self.label or self.kind}' term {first} is not finite")
+        return out
 
     def log_abs_terms(self, count: int, grid: IndexGrid | None = None) -> np.ndarray:
         """log |s_n| for n < count as a fresh array, -inf marking exact zeros.
@@ -83,7 +104,8 @@ class SequenceSpec:
         Closed forms that grow are evaluated in log space, so they stay
         usable at the large horizons the domain diagnostics need (|r|^n
         overflows floats long before its product with a decaying coefficient
-        does); lists and affine terms are logged as emitted.  grid, an
+        does); lists are logged as emitted, and affine terms too, except
+        where |a n + b| overflows (see _log_abs_affine).  grid, an
         IndexGrid(count), lets several specs share n and log n.
         """
         if grid is None:
@@ -97,6 +119,8 @@ class SequenceSpec:
             elif self.kind == "geometric":
                 out = np.log(abs(self.ratio)) * grid.n
                 out[:1] = 0.0  # r^0 = 1, also for r = 0
+            elif self.kind == "affine":
+                out = self._log_abs_affine(grid)
             else:
                 out = np.abs(self._finite_terms(grid))
                 np.log(out, out=out)

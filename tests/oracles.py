@@ -287,6 +287,16 @@ def mp_operator_norm(m, dps=50) -> float:
         return float(max(mpmath.svd_c(exact, compute_uv=False)))
 
 
+def mp_log_abs_affine(slope: complex, offset: complex, indices, dps=50) -> list[float]:
+    """log |a n + b| at each index n, from the exact float a and b at dps
+    digits, each rounded once to a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpc(slope), mpmath.mpc(offset)
+        return [float(mpmath.log(abs(a * int(n) + b))) for n in indices]
+
+
 def shift_generator(c: float, n: int) -> np.ndarray:
     """T = I + cJ on C^n, J the superdiagonal shift: phi_k = e_k + c e_{k-1}.
     Its frame lower bound falls like c^-n for c > 1 (||T^{-1}|| grows)."""

@@ -24,9 +24,7 @@ REACHED_FROM_OUTSIDE = {
 }
 
 #: dataclasses and NamedTuples whose fields are read whole, each with the reason
-READ_WHOLE = {
-    ("domains", "DomainVerdict"): "cli renders it whole, its fields read in order by vars()",
-}
+READ_WHOLE = {}
 
 
 def _reads(module, tree):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import dataclasses
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import cli_command, cli_env, results, solver_shapes
 from rieszops import basis
-from rieszops.cli import build_parser, main, parse_args
+from rieszops.cli import _parsers, build_parser, main, parse_args
 from rieszops.domains import summability_verdict
 from rieszops.report import (
     Check,
@@ -869,17 +870,19 @@ OTHER_COMMANDS = (
     (), ("verify",), ("sweep",), ("nope",), ("verify", "nope"), ("sweep", "random"),
     ("domain", "projection"), ("-h",), ("--help",), ("verify", "-h"), ("--", "domain"),
 )
-#: every option of every leaf, abbreviations, an unknown option, help and "--"
+#: every option of every leaf, abbreviations, an unknown option, help, "--"
+#: and an option joined to its value
 OPTIONS = (
     "--t", "--dim", "--n", "--alpha", "--gamma", "--tol", "--out", "--seed", "--t-min",
     "--t-max", "--steps", "--n-min", "--n-max", "--coeff", "--al", "--st", "--bogus",
-    "-h", "--",
+    "-h", "--", "--alpha=poly:1",
 )
 #: values some option accepts and some rejects: out of range, not finite,
-#: not a number, not a spec, an option
+#: not a number, not a spec, empty, negative numbers, an option
 VALUES = (
     "0", "1", "2", "3", "8", "64", "65", "-1", "0.3", "7.0", "1000", "1001", "4096", "63",
-    "nan", "inf", "1e-17", "abc", "poly:1", "garbage", "--bogus", "junk",
+    "nan", "inf", "1e-17", "abc", "poly:1", "garbage", "--bogus", "junk", "", "-0.5",
+    "-1e-3", "--seed",
 )
 
 
@@ -919,9 +922,43 @@ def outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+#: argv whose words after the command words are not well formed, so the
+#: match hands them to the root parser, though argparse accepts most of them
+HANDED_TO_THE_ROOT = {
+    "joined": ["domain", "--alpha=poly:1", "--coeff", "harmonic"],
+    "empty value": ["domain", "--alpha", "", "--coeff", "harmonic"],
+    "negative value": ["verify", "three-level", "--t", "-0.5"],
+    "negative exponent": ["sweep", "three-level", "--t-min", "-1e-3", "--t-max", "1",
+                          "--steps", "3"],
+    "negative tol": ["verify", "random", "--tol", "-0.5"],
+    "option as value": ["domain", "--alpha", "--coeff", "--coeff", "harmonic"],
+    "repeated": ["domain", "--alpha", "poly:1", "--coeff", "harmonic", "--alpha", "poly:2"],
+    "repeated default": ["verify", "random", "--dim", "4", "--dim", "5"],
+    "missing value": ["verify", "random", "--dim"],
+    "missing required": ["domain", "--alpha", "poly:1"],
+    "rejected value": ["verify", "random", "--dim", "65"],
+    "abbreviation": ["sweep", "three-level", "--t-m", "1", "--steps", "3"],
+}
+
+
+def leaf_parsers(parser=None, words=()):
+    """Each leaf of the argparse tree under parser (the root by default) by
+    its command words, found by walking the subparser actions."""
+    parser = build_parser() if parser is None else parser
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return {words: parser}
+    return {
+        key: leaf
+        for group in groups
+        for name, sub in group.choices.items()
+        for key, leaf in leaf_parsers(sub, (*words, name)).items()
+    }
+
+
 class TestDispatch:
     """parse_args gives what the root parser gives, and a well-formed argv
-    is parsed by its leaf alone."""
+    is matched against its leaf's option table, without argparse."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(argvs())
@@ -941,6 +978,44 @@ class TestDispatch:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("form", list(HANDED_TO_THE_ROOT))
+    def test_irregular_argv_goes_to_the_root(self, monkeypatch, form):
+        argv = HANDED_TO_THE_ROOT[form]
+        expected = outcome(build_parser().parse_args, argv)
+        calls = []
+        root = build_parser().parse_args
+
+        def counted(words):
+            calls.append(words)
+            return root(words)
+
+        monkeypatch.setattr(build_parser(), "parse_args", counted)
+        assert outcome(parse_args, argv) == expected
+        assert calls == [argv]
+
+    def test_each_table_holds_exactly_its_leafs_options(self):
+        """Every option of every leaf but -h takes one value and is in the
+        leaf's table, so no option is parsed by argparse alone."""
+        leaves, tables = leaf_parsers(), _parsers()[1]
+        assert leaves.keys() == tables.keys()
+        for words, leaf in leaves.items():
+            actions = [a for a in leaf._actions if not isinstance(a, argparse._HelpAction)]
+            for action in actions:
+                assert type(action) is argparse._StoreAction, (words, action.option_strings)
+                assert action.nargs is None and action.choices is None
+                assert len(action.option_strings) == 1
+            assert tables[words].options == {a.option_strings[0]: a for a in actions}, words
+            assert tables[words].required == {a.dest for a in actions if a.required}
+
+    def test_no_option_has_a_str_default_and_a_type(self):
+        """argparse converts a str default with the option's type when the
+        option is absent; the match does not, so no option may have both."""
+        for words, leaf in leaf_parsers().items():
+            for action in leaf._actions:
+                assert not (isinstance(action.default, str) and action.type), (
+                    words, action.option_strings
+                )
+
 
 def domain_specs():
     """DOMAIN_SPECS of perfbench/workloads.py, read from its source."""
@@ -953,16 +1028,81 @@ def domain_specs():
     return ast.literal_eval(value)
 
 
-def test_domain_document_matches_asdict(capsys):
-    """The domain document, read from the verdict's fields without a deep
-    copy, is render_json of its params and dataclasses.asdict(verdict), on
-    every spec pair of the domain-grid workload."""
+@pytest.mark.parametrize("command", list(GRAMMAR), ids=" ".join)
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, command):
+    """--out holds the bytes stdout gets for the same argv; an --out in a
+    missing directory exits 2 with the OSError's text and leaves no file."""
+    argv = well_formed(command)
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out.json"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode()
+
+    missing = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out", str(missing)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"rieszops: error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert not missing.parent.exists()
+
+
+class TestAffineOverflow:
+    """An affine weight whose terms a n + b overflow past some index: the
+    domain command logs them as log |a| + log |n + b/a|."""
+
+    def test_summable_product_exits_zero(self, capsys):
+        # every log term is finite; the sum itself, about 2.5e609, is not a
+        # float, so partial_sum still prints Infinity
+        argv = ["domain", "--alpha", "affine:1e305,0", "--coeff", "geometric:0.5",
+                "--n-max", "4096"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["verdict"] == "converged"
+        assert doc["partial_sum"] == math.inf and doc["tail_ratio"] == 0.0
+
+    def test_representable_sum_gives_a_strict_document(self, capsys):
+        argv = ["domain", "--alpha", "affine:1e305,0", "--coeff", "geometric:1e-160",
+                "--n-max", "4096"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["verdict"] == "converged"
+        assert doc["partial_sum"] == pytest.approx(1e290, rel=1e-12)
+
+
+def test_domain_document_matches_asdict(tmp_path, capsys):
+    """The domain document on stdout and in --out is render_json of its
+    params and dataclasses.asdict(verdict), byte for byte, on every spec
+    pair of the domain-grid workload at n-max 64, 4096 and 16384, and on
+    the pair whose sum overflows, which prints Infinity."""
     specs = domain_specs()
     assert len(specs) ** 2 == 64
-    for alpha in specs:
-        for coeff in specs:
-            assert main(["domain", "--alpha", alpha, "--coeff", coeff, "--n-max", "4096"]) == 0
-            verdict = summability_verdict(parse_spec(alpha), parse_spec(coeff), 4096)
-            params = {"alpha": alpha, "coeff": coeff, "n_max": 4096}
-            doc = {"suite": "domain", "params": params} | dataclasses.asdict(verdict)
-            assert capsys.readouterr().out == render_json(doc) + "\n", (alpha, coeff)
+    cases = [(a, c, n) for n in (64, 4096, 16384) for a in specs for c in specs]
+    cases.append(("geometric:1.01", "geometric:1.01", 32768))
+    target = tmp_path / "domain.json"
+    for alpha, coeff, n_max in cases:
+        argv = ["domain", "--alpha", alpha, "--coeff", coeff, "--n-max", str(n_max)]
+        verdict = summability_verdict(parse_spec(alpha), parse_spec(coeff), n_max)
+        params = {"alpha": alpha, "coeff": coeff, "n_max": n_max}
+        doc = {"suite": "domain", "params": params} | dataclasses.asdict(verdict)
+        expected = render_json(doc) + "\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, argv
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.encode(), argv
+    assert '"partial_sum": Infinity' in expected

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import conjugate, sequence_term
+from oracles import conjugate, mp_log_abs_affine, sequence_term
 from rieszops import build_bundle, build_ladder, from_generator
 from rieszops.sequences import (
     IndexGrid,
@@ -76,6 +78,39 @@ def test_log_abs_terms_take_their_length_from_one_place():
     np.testing.assert_array_equal(spec.log_abs_terms(8, IndexGrid(8)), spec.log_abs_terms(8))
     with pytest.raises(ValueError, match="index grid holds 16 terms, 8 requested"):
         spec.log_abs_terms(8, IndexGrid(16))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["affine:1e305,0", "affine:1e305,-3e305", "affine:-1e305,1e300", "affine:1e305+1e305j,2"],
+)
+def test_log_abs_terms_of_an_overflowing_affine_spec(text):
+    """Past the index where a n + b overflows, log |a n + b| is still finite
+    and matches a 50-digit evaluation to 1e-15; before it, every term keeps
+    the bits of log |a n + b| taken as emitted.  terms() still refuses."""
+    spec, count = parse_spec(text), 4096
+    with np.errstate(over="ignore"):
+        emitted = np.abs(spec.slope * np.arange(count) + spec.offset)
+    first = int(np.flatnonzero(~np.isfinite(emitted))[0])
+    assert 1000 < first < count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spec.log_abs_terms(count)
+    assert np.isfinite(got[first:]).all()
+    with np.errstate(divide="ignore"):  # an exact zero term logs to -inf
+        np.testing.assert_array_equal(got[:first], np.log(emitted[:first]))
+    indices = [*range(first, first + 64), *range(first + 64, count, 97), count - 1]
+    np.testing.assert_allclose(
+        got[indices], mp_log_abs_affine(spec.slope, spec.offset, indices), rtol=1e-15, atol=0
+    )
+    with pytest.raises(ValueError, match="is not finite"):
+        spec.terms(count)
+
+
+def test_affine_log_terms_that_stay_infinite_are_refused():
+    # |b| alone overflows and a = 0: no finite form of log |a n + b| is tried
+    with pytest.raises(ValueError, match="term 0 is not finite"):
+        parse_spec("affine:0,1.5e308+1.5e308j").log_abs_terms(64)
 
 
 def test_poly_terms_never_raise_zero_to_a_negative_power():
