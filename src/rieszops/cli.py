@@ -5,15 +5,20 @@ included), and written to stdout or --out.  Exit status is 0 only when
 every check in every emitted report passed; usage errors exit 2 without
 producing a report, and so does an --out path that cannot be written.
 
-The argparse tree is built once per process.  A well-formed argv (the
-command words of a leaf, then (option, value) pairs of its one-value
-options, each once, every required one present, every value converting)
-is matched against that leaf's option table, which is read from the
-leaf's own argparse Actions, so argparse parses nothing.  Any other argv
-(help, "--", --opt=value, an abbreviation, a negative number, a repeated
-or missing option, a rejected value) is parsed by the root parser, so
-every help text, usage error and exit code is argparse's.  A document is
-written to stdout as text, or to --out as one bytes write.
+Each suite leaf is a row of SUITES: its help, its options, each declared
+once, and the name of the `suites` function it calls, looked up on that
+module at each call, so a function patched there is the one called.
+
+The argparse tree is built once per process, every suite leaf from its
+row.  A well-formed argv (the command words of a leaf, then (option,
+value) pairs of its one-value options, each once, every required one
+present, every value converting) is matched against that leaf's option
+table, which is read from the leaf's own argparse Actions, so argparse
+parses nothing.  Any other argv (help, "--", --opt=value, an
+abbreviation, a negative number, a repeated or missing option, a rejected
+value) is parsed by the root parser, so every help text, usage error and
+exit code is argparse's.  A document is written to stdout as text, or to
+--out as one bytes write.
 """
 
 from __future__ import annotations
@@ -27,17 +32,11 @@ import platform
 import sys
 from typing import NamedTuple
 
+from . import suites
 from .domains import DEFAULT_N_MAX, summability_verdict
 from .linalg import DEFAULT_TOL
 from .report import render_domain, render_reports
 from .sequences import parse_spec
-from .suites import (
-    projection_report,
-    random_report,
-    sweep_projection,
-    sweep_three_level,
-    three_level_report,
-)
 
 
 def _tolerance(text: str) -> float:
@@ -71,14 +70,48 @@ _N_MAX = _int_in(64, 2**20)
 _STEPS = _int_in(2, 1000)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance (> 0)"
-    )
-    parser.add_argument(
-        "--out", default=None, help="output path (default: standard output)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One add_argument call, made on each leaf whose row lists it."""
+    return flags, kwargs
+
+
+_DIM_ARG = _arg("--dim", type=_DIM, default=8, help="truncation level, 1..64")
+_ALPHA_ARG = _arg("--alpha", default="poly:1", help="eigenvalue sequence spec")
+_GAMMA_ARG = _arg("--gamma", default="sqrt-poly:1", help="ladder weight spec")
+#: the options every suite leaf ends with
+_COMMON_ARGS = (
+    _arg("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual tolerance (> 0)"),
+    _arg("--out", default=None, help="output path (default: standard output)"),
+    _arg("--seed", type=int, default=0, help="random seed"),
+)
+
+#: the help of each command group whose leaves are suites
+_GROUPS = {"verify": "run one verification suite", "sweep": "run a suite over a parameter grid"}
+#: every suite leaf by its command words: its help, the name of the
+#: `suites` function it calls, and its options before _COMMON_ARGS
+SUITES = {
+    ("verify", "three-level"): ("3x3 one-parameter model", "three_level_report", (
+        _arg("--t", type=float, required=True, help="model parameter in [0, 2pi)"),
+    )),
+    ("verify", "projection"): ("rank-one projection model", "projection_report", (
+        _DIM_ARG, _arg("--n", type=int, default=3, help="support size of u"),
+        _ALPHA_ARG, _GAMMA_ARG,
+    )),
+    ("verify", "random"): (
+        "seeded random generator", "random_report", (_DIM_ARG, _ALPHA_ARG, _GAMMA_ARG)
+    ),
+    ("sweep", "three-level"): ("sweep the model parameter t", "sweep_three_level", (
+        _arg("--t-min", type=float, default=0.0),
+        _arg("--t-max", type=float, required=True),
+        _arg("--steps", type=_STEPS, required=True, help="grid points, 2..1000"),
+    )),
+    ("sweep", "projection"): ("sweep the support size", "sweep_projection", (
+        _DIM_ARG,
+        _arg("--n-min", type=int, required=True),
+        _arg("--n-max", type=int, required=True),
+        _arg("--alpha", default="poly:1"),
+    )),
+}
 
 
 class _OptionTable(NamedTuple):
@@ -145,12 +178,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _OptionTa
     """The root parser, and the option table of each leaf parser by the
     command words that name it (("verify", "random"), ("domain",), ...),
     read once the tree is built."""
-    leaves = {}
-
-    def leaf(commands, *words: str, **kwargs) -> argparse.ArgumentParser:
-        leaves[words] = commands.add_parser(words[-1], **kwargs)
-        return leaves[words]
-
     parser = argparse.ArgumentParser(
         prog="rieszops",
         description=(
@@ -159,54 +186,24 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _OptionTa
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    groups = {
+        name: commands.add_parser(name, help=text).add_subparsers(dest="suite", required=True)
+        for name, text in _GROUPS.items()
+    }
+    leaves = {}
+    for words, (text, _, options) in SUITES.items():
+        leaves[words] = groups[words[0]].add_parser(words[1], help=text)
+        for flags, kwargs in (*options, *_COMMON_ARGS):
+            leaves[words].add_argument(*flags, **kwargs)
 
-    verify = commands.add_parser("verify", help="run one verification suite")
-    suites = verify.add_subparsers(dest="suite", required=True)
-
-    three = leaf(suites, "verify", "three-level", help="3x3 one-parameter model")
-    three.add_argument("--t", type=float, required=True, help="model parameter in [0, 2pi)")
-    _add_common(three)
-
-    proj = leaf(suites, "verify", "projection", help="rank-one projection model")
-    proj.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
-    proj.add_argument("--n", type=int, default=3, help="support size of u")
-    proj.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
-    proj.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
-    _add_common(proj)
-
-    rand = leaf(suites, "verify", "random", help="seeded random generator")
-    rand.add_argument("--dim", type=_DIM, default=8, help="truncation level, 1..64")
-    rand.add_argument("--alpha", default="poly:1", help="eigenvalue sequence spec")
-    rand.add_argument("--gamma", default="sqrt-poly:1", help="ladder weight spec")
-    _add_common(rand)
-
-    sweep = commands.add_parser("sweep", help="run a suite over a parameter grid")
-    grids = sweep.add_subparsers(dest="suite", required=True)
-
-    sweep_three = leaf(grids, "sweep", "three-level", help="sweep the model parameter t")
-    sweep_three.add_argument("--t-min", type=float, default=0.0)
-    sweep_three.add_argument("--t-max", type=float, required=True)
-    sweep_three.add_argument(
-        "--steps", type=_STEPS, required=True, help="grid points, 2..1000"
-    )
-    _add_common(sweep_three)
-
-    sweep_proj = leaf(grids, "sweep", "projection", help="sweep the support size")
-    sweep_proj.add_argument(
-        "--dim", type=_DIM, default=8, help="truncation level, 1..64"
-    )
-    sweep_proj.add_argument("--n-min", type=int, required=True)
-    sweep_proj.add_argument("--n-max", type=int, required=True)
-    sweep_proj.add_argument("--alpha", default="poly:1")
-    _add_common(sweep_proj)
-
-    domain = leaf(commands, "domain", help="summability verdict for a weight/coefficient pair")
+    domain = commands.add_parser("domain", help="summability verdict for a weight/coefficient pair")
     domain.add_argument("--alpha", required=True, help="weight sequence spec")
     domain.add_argument("--coeff", required=True, help="coefficient sequence spec")
     domain.add_argument(
         "--n-max", type=_N_MAX, default=DEFAULT_N_MAX, help="horizon, 64..2^20"
     )
     domain.add_argument("--out", default=None)
+    leaves[("domain",)] = domain
     return parser, {words: _OptionTable.of(leaf) for words, leaf in leaves.items()}
 
 
@@ -318,42 +315,23 @@ def main(argv=None) -> int:
         _reserve_headroom(libc)
     args = parse_args(argv)
     try:
-        if args.command == "verify":
-            common = {"seed": args.seed, "tol": args.tol}
-            if args.suite == "three-level":
-                report = three_level_report(args.t, **common)
-            else:
-                common.update(alpha=parse_spec(args.alpha), gamma=parse_spec(args.gamma))
-                if args.suite == "projection":
-                    report = projection_report(args.dim, args.n, **common)
-                else:
-                    report = random_report(args.dim, **common)
-            _emit(report.to_json(), args.out)
-            return 0 if report.all_passed else 1
-
+        if args.command == "domain":
+            verdict = summability_verdict(
+                parse_spec(args.alpha), parse_spec(args.coeff), args.n_max
+            )
+            _emit(render_domain(args.alpha, args.coeff, args.n_max, verdict), args.out)
+            return 0
+        # the leaf's dests but --out, as keyword arguments; specs parsed
+        result = getattr(suites, SUITES[args.command, args.suite][1])(**{
+            dest: parse_spec(value) if dest in ("alpha", "gamma") else value
+            for dest, value in vars(args).items()
+            if dest not in ("command", "suite", "out")
+        })
         if args.command == "sweep":
-            if args.suite == "three-level":
-                reports = sweep_three_level(
-                    args.t_min, args.t_max, args.steps, seed=args.seed, tol=args.tol
-                )
-            else:
-                reports = sweep_projection(
-                    args.dim,
-                    args.n_min,
-                    args.n_max,
-                    seed=args.seed,
-                    alpha=parse_spec(args.alpha),
-                    tol=args.tol,
-                )
-            _emit(render_reports(reports), args.out)
-            return 0 if all(r.all_passed for r in reports) else 1
-
-        # domain
-        verdict = summability_verdict(
-            parse_spec(args.alpha), parse_spec(args.coeff), args.n_max
-        )
-        _emit(render_domain(args.alpha, args.coeff, args.n_max, verdict), args.out)
-        return 0
+            _emit(render_reports(result), args.out)
+            return 0 if all(r.all_passed for r in result) else 1
+        _emit(result.to_json(), args.out)
+        return 0 if result.all_passed else 1
     except (ValueError, OSError) as exc:
         build_parser().exit(2, f"rieszops: error: {exc}\n")
     return 2  # unreachable; parser.exit raises SystemExit

@@ -18,7 +18,6 @@ returns a residual per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -81,17 +80,10 @@ class OperatorBundle:
     S_alpha_phi: np.ndarray
     S_alpha_psi: np.ndarray
 
-    @cached_property
-    def phi_alpha(self) -> np.ndarray:
-        """phi diag(alpha), the columns alpha_k phi_k: formed once for both
-        action checks."""
-        return self.pair.phi * self.weights[..., None, :]
-
-    @cached_property
-    def psi_alpha(self) -> np.ndarray:
-        """psi diag(alpha), the columns alpha_k psi_k: formed once for both
-        action checks."""
-        return self.pair.psi * self.weights[..., None, :]
+    #: phi diag(alpha) and psi diag(alpha), the columns alpha_k phi_k and
+    #: alpha_k psi_k: the builder's own, read by both action checks
+    phi_alpha: np.ndarray
+    psi_alpha: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -105,8 +97,9 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
 
     S_phi = T T* is the pair's, and so is the SVD T = U diag(s) V*, which
     gives S_phi^{1/2} = U diag(s) U* and S_psi^{1/2} = U diag(1/s) U*.
-    phi diag(alpha), psi diag(alpha) and U* are formed once, for two
-    products each, and one errstate covers every product.
+    phi diag(alpha) and psi diag(alpha) are formed once, for two products
+    and both action checks each, U* once for two products, and one
+    errstate covers every product.
     """
     require_weights(weights, pair.phi)
     phi, psi, u, s = pair.phi, pair.psi, pair.singular_vectors, pair.singular_values
@@ -131,6 +124,8 @@ def build_bundle(pair: RieszBasisPair, weights: np.ndarray) -> OperatorBundle:
         Phi=s_psi_sqrt @ phi,
         S_alpha_phi=weighted_product(phi_alpha, phi_adj),
         S_alpha_psi=weighted_product(psi_alpha, psi_adj),
+        phi_alpha=phi_alpha,
+        psi_alpha=psi_alpha,
     )
 
 

@@ -244,16 +244,16 @@ def _projection_reports(
 
 def projection_report(
     dim: int,
-    support: int,
+    n: int,
     seed: int = 0,
     alpha: sequences.SequenceSpec = sequences.poly(1.0),
     gamma: sequences.SequenceSpec = sequences.sqrt_poly(1.0),
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Full battery for a seeded projection model with the given support
-    size: a sweep of one point."""
-    _check_support(dim, support)
-    return _stacked(_projection_reports, [support], dim, dim, seed, alpha, gamma, tol)[0]
+    """Full battery for a seeded projection model with support size n: a
+    sweep of one point."""
+    _check_support(dim, n)
+    return _stacked(_projection_reports, [n], dim, dim, seed, alpha, gamma, tol)[0]
 
 
 def random_report(

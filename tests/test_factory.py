@@ -295,6 +295,8 @@ READERS = {
     "Phi": {"transported_eigenbasis"},
     "S_alpha_phi": {"weighted_action", "intertwining"},
     "S_alpha_psi": {"weighted_action", "intertwining"},
+    "phi_alpha": {"eigen_action", "weighted_action"},
+    "psi_alpha": {"eigen_action", "weighted_action"},
 }
 #: readers a perturbation of the field cannot fail, with the reason
 CANNOT_FAIL = {

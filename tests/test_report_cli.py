@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_command, cli_env, results, solver_shapes
-from rieszops import basis
-from rieszops.cli import _parsers, build_parser, main, parse_args
+from rieszops import basis, suites
+from rieszops.cli import SUITES, _parsers, build_parser, main, parse_args
 from rieszops.domains import summability_verdict
 from rieszops.report import (
     Check,
@@ -1015,6 +1016,39 @@ class TestDispatch:
                 assert not (isinstance(action.default, str) and action.type), (
                     words, action.option_strings
                 )
+
+
+class TestSuiteTable:
+    """SUITES builds every suite leaf, and main calls each leaf's function by
+    name on the suites module with the leaf's dests as keyword arguments."""
+
+    def test_table_rows_are_the_suite_leaves(self):
+        assert set(SUITES) == set(leaf_parsers()) - {("domain",)}
+        assert set(SUITES) == set(GRAMMAR) - {("domain",)}
+
+    @pytest.mark.parametrize("words", list(SUITES), ids=" ".join)
+    def test_main_calls_the_function_patched_on_suites(self, monkeypatch, capsys, words):
+        """A table that held function objects would miss a patch (or a
+        tracer's wrapper) put on the suites module after import."""
+        name, calls = SUITES[words][1], []
+        function = getattr(suites, name)
+        monkeypatch.setattr(
+            suites, name, lambda **kwargs: calls.append(kwargs) or function(**kwargs)
+        )
+        assert main(well_formed(words)) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("words", list(SUITES), ids=" ".join)
+    def test_dests_match_the_function_signature(self, words):
+        """Every dest but out is a parameter of the leaf's function, and
+        every parameter without a default is a dest."""
+        leaf = leaf_parsers()[words]
+        dests = {a.dest for a in leaf._actions if not isinstance(a, argparse._HelpAction)}
+        parameters = inspect.signature(getattr(suites, SUITES[words][1])).parameters
+        assert dests - {"out"} <= parameters.keys(), words
+        required = {n for n, p in parameters.items() if p.default is inspect.Parameter.empty}
+        assert required <= dests, words
 
 
 def domain_specs():

@@ -55,6 +55,23 @@ def test_run_returns_the_document_and_exit_code(digests):
     assert json.loads(text)["summary"]["failed"] > 0
 
 
+def leaf_of(argv) -> tuple[str, ...]:
+    """The command words of the leaf argv names: a row of cli.SUITES, or domain."""
+    return tuple(argv[:2]) if tuple(argv[:2]) in cli.SUITES else tuple(argv[:1])
+
+
+@pytest.mark.parametrize("leaf", [*cli.SUITES, ("domain",)], ids=" ".join)
+def test_every_leaf_has_a_document_and_a_usage_error(digests, leaf):
+    """The corpus keeps in step with the suite table: each leaf has an argv
+    that writes a document (exit 0 or 1) and one in USAGE_ERRORS."""
+    assert any(leaf_of(argv) == leaf for argv in digests.USAGE_ERRORS), leaf
+    documents = (
+        argv for argv in digests.corpus()
+        if leaf_of(argv) == leaf and argv not in digests.USAGE_ERRORS
+    )
+    assert any(digests.run(cli.main, argv)[1] in (0, 1) for argv in documents), leaf
+
+
 def test_tol_extremes_form_their_own_family(digests):
     assert {digests.family(argv) for argv in digests.TOL_FAMILY} == {"tol-extremes"}
     assert digests.family(("verify", "random", "--dim", "8")) == "verify random --dim 8"
