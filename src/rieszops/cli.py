@@ -18,7 +18,7 @@ parses nothing.  Any other argv (help, "--", --opt=value, an
 abbreviation, a negative number, a repeated or missing option, a rejected
 value) is parsed by the root parser, so every help text, usage error and
 exit code is argparse's.  A document is written to stdout as text, or to
---out as one bytes write.
+--out as its UTF-8 bytes, with os.write calls on a raw file descriptor.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import ctypes
 import functools
 import math
 import mmap
+import os
 import platform
 import sys
 from typing import NamedTuple
@@ -36,7 +37,7 @@ from . import suites
 from .domains import DEFAULT_N_MAX, summability_verdict
 from .linalg import DEFAULT_TOL
 from .report import render_domain, render_reports
-from .sequences import parse_spec
+from .sequences import MAX_SHARED_COUNT, parse_spec
 
 
 def _tolerance(text: str) -> float:
@@ -66,7 +67,7 @@ def _int_in(low: int, high: int):
 
 #: truncation levels (N <= 64), domain horizons and three-level grid sizes
 _DIM = _int_in(1, 64)
-_N_MAX = _int_in(64, 2**20)
+_N_MAX = _int_in(64, MAX_SHARED_COUNT)
 _STEPS = _int_in(2, 1000)
 
 
@@ -285,12 +286,20 @@ def _reserve_headroom(libc: ctypes.CDLL) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text and a newline to stdout, or its UTF-8 bytes to the file
+    out, created or truncated as open(out, "wb") does, with no buffered
+    file object: os.write until every byte is written."""
     if out is None:
         sys.stdout.write(text + "\n")
-    else:
-        data = (text + "\n").encode("utf-8")  # before opening: a failed encode leaves no file
-        with open(out, "wb") as fh:
-            fh.write(data)
+        return
+    # encoded before opening: a failed encode leaves no file
+    data = memoryview((text + "\n").encode("utf-8"))
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def parse_args(argv=None) -> argparse.Namespace:

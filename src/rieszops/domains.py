@@ -35,10 +35,11 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
     weights and coeffs need only log_abs_terms(count, grid), as a parsed
-    sequence spec has.  Both read one IndexGrid, so the index array n is
-    built once and log n at most once per call.  The two logs are added into
-    a new array, which is then doubled and exponentiated in place: the
-    verdict writes only into arrays it allocates.
+    sequence spec has.  Both read one IndexGrid, a slice of the process-wide
+    table of n and log n, so a horizon no longer than one reached before
+    builds neither array (see IndexGrid).  The two logs are added into a
+    new array, which is then doubled and exponentiated in place: the verdict
+    writes only into arrays it allocates.
 
     Dyadic blocks B_j cover [2^j, 2^{j+1}); converged needs the last three
     block ratios below 0.9, diverged needs either the partial sum past 1e12

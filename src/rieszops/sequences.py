@@ -106,7 +106,7 @@ class SequenceSpec:
         overflows floats long before its product with a decaying coefficient
         does); lists are logged as emitted, and affine terms too, except
         where |a n + b| overflows (see _log_abs_affine).  grid, an
-        IndexGrid(count), lets several specs share n and log n.
+        IndexGrid(count), lets several specs share one grid's log n.
         """
         if grid is None:
             grid = IndexGrid(count)
@@ -127,17 +127,53 @@ class SequenceSpec:
         return out
 
 
+#: the longest index table kept between grids: 2^20 terms, 16 MB of n and
+#: log n; also the CLI's --n-max bound
+MAX_SHARED_COUNT = 2**20
+
+#: n = 0..len-1 for the longest grid asked for so far, up to MAX_SHARED_COUNT,
+#: and its log, built on first read; both read-only, None until first needed
+_n_table: np.ndarray | None = None
+_log_n_table: np.ndarray | None = None
+
+
 class IndexGrid:
     """The indices n = 0..count-1 as floats, and log n built on first read:
-    what the closed forms of several specs at one count share."""
+    what the closed forms of several specs, and of several calls, share.
+
+    Both are read-only slices of one process-wide table, grown to the
+    largest count asked for so far, so a grid at a count already reached
+    allocates and computes neither array.  A grid longer than
+    MAX_SHARED_COUNT builds its own arrays and leaves the table alone."""
 
     def __init__(self, count: int):
-        self.count, self.n = count, np.arange(count, dtype=float)
+        global _n_table, _log_n_table
+        self.count = count
+        if count > MAX_SHARED_COUNT:
+            self.n = _read_only(np.arange(count, dtype=float))
+            return
+        if _n_table is None or len(_n_table) < count:
+            _n_table, _log_n_table = _read_only(np.arange(count, dtype=float)), None
+        self.n = _n_table[:count]
 
     @functools.cached_property
     def log_n(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.n)  # log 0 = -inf; each kind sets its own n = 0 term
+        global _log_n_table
+        if self.count > MAX_SHARED_COUNT:
+            return _read_only(_log(self.n))
+        if _log_n_table is None:
+            _log_n_table = _read_only(_log(_n_table))
+        return _log_n_table[: self.count]
+
+
+def _log(n: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(n)  # log 0 = -inf; each kind sets its own n = 0 term
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def explicit(values, label: str = "") -> SequenceSpec:
@@ -148,7 +184,9 @@ def explicit(values, label: str = "") -> SequenceSpec:
 
 
 def poly(power: float, label: str = "") -> SequenceSpec:
-    return SequenceSpec(kind="poly", power=float(power), name=label or f"poly:{power:g}")
+    return SequenceSpec(
+        kind="poly", power=float(power), name=label or f"poly:{_format_real(power)}"
+    )
 
 
 def geometric(ratio: complex, label: str = "") -> SequenceSpec:
@@ -174,14 +212,22 @@ def harmonic() -> SequenceSpec:
 
 def sqrt_poly(power: float) -> SequenceSpec:
     """sqrt(n^p): the natural gamma shape for alpha = n^p factorizations."""
-    return poly(power / 2.0, label=f"sqrt-poly:{power:g}")
+    return poly(power / 2.0, label=f"sqrt-poly:{_format_real(power)}")
+
+
+def _format_real(x: float) -> str:
+    """x's shortest round-trip repr, without a trailing ".0": parse_spec
+    reads back the same float."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _format_number(z) -> str:
     z = complex(z)
     if z.imag == 0.0:
-        return f"{z.real:g}"
-    return f"{z.real:g}{z.imag:+g}j"
+        return _format_real(z.real)
+    imag = _format_real(z.imag)
+    return f"{_format_real(z.real)}{'' if imag[0] == '-' else '+'}{imag}j"
 
 
 def _finite(text: str, convert=complex):

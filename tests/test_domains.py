@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import DomainWeights, domain_inclusion, domain_of, literal_summability_verdict
+from rieszops import sequences
 from rieszops.domains import summability_verdict
 from rieszops.sequences import (
     affine,
@@ -113,6 +114,22 @@ class TestSummabilityVerdict:
                 alpha,
                 coeff,
             )
+
+    def test_horizons_in_any_order_equal_literal_formula_bit_for_bit(self, monkeypatch):
+        # the shared index table grows at 64 and 16384, then serves slices
+        monkeypatch.setattr(sequences, "_n_table", None)
+        monkeypatch.setattr(sequences, "_log_n_table", None)
+        for n_max in (64, 16384, 4096, 5000, 8192):
+            for alpha, coeff in itertools.product(DOMAIN_SPECS, repeat=2):
+                weights, coeffs = parse_spec(alpha), parse_spec(coeff)
+                got = summability_verdict(weights, coeffs, n_max)
+                expected = literal_summability_verdict(weights, coeffs, n_max)
+                assert (got.verdict, got.partial_sum, got.tail_ratio) == expected, (
+                    alpha,
+                    coeff,
+                    n_max,
+                )
+        assert len(sequences._n_table) == 16384
 
     @pytest.mark.parametrize("n_max", [64, 5000, 16384])
     @pytest.mark.parametrize("name", list(BRANCH_SPECS))

@@ -6,7 +6,9 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import warnings
 from pathlib import Path
@@ -1084,6 +1086,45 @@ def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, command):
         f"rieszops: error: [Errno 2] No such file or directory: '{missing}'\n"
     )
     assert not missing.parent.exists()
+
+
+def test_out_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys):
+    argv = ["domain", "--alpha", "poly:1", "--coeff", "geometric:0.5"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out.json"
+    target.write_bytes(b"x" * (4 * len(stdout)))
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_out_survives_short_writes(tmp_path, capsys, monkeypatch):
+    argv = ["domain", "--alpha", "poly:1", "--coeff", "geometric:0.5"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    target = tmp_path / "out.json"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_out_file_mode_is_what_open_gives(tmp_path):
+    umask = os.umask(0o002)
+    try:
+        target = tmp_path / "out.json"
+        main(["domain", "--alpha", "poly:1", "--coeff", "geometric:0.5", "--out", str(target)])
+        with open(tmp_path / "by-open.json", "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE(target.stat().st_mode)
+    assert mode == 0o666 & ~0o002 == stat.S_IMODE((tmp_path / "by-open.json").stat().st_mode)
+
+
+def test_report_params_keep_every_digit_of_a_spec(capsys):
+    assert main(["verify", "random", "--dim", "4", "--alpha", "geometric:0.9999999"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["alpha"] == "geometric:0.9999999"
 
 
 class TestAffineOverflow:

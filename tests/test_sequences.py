@@ -1,11 +1,17 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cli_env
 from oracles import conjugate, mp_log_abs_affine, sequence_term
-from rieszops import build_bundle, build_ladder, from_generator
+from rieszops import build_bundle, build_ladder, from_generator, sequences
 from rieszops.sequences import (
+    MAX_SHARED_COUNT,
     IndexGrid,
     affine,
     explicit,
@@ -249,3 +255,106 @@ def test_labels_are_canonical():
     assert conjugate(explicit([1, 2 + 1j])).label == "conj(list:1,2+1j)"
     assert explicit([1, 2 + 1j], label="mine").label == "mine"
     assert parse_spec("list:1,2+1j").label == "list:1,2+1j"
+
+
+@pytest.mark.parametrize(
+    "text", ["geometric:0.9999999", "poly:1.00000001", "affine:1234567,0.1"]
+)
+def test_labels_keep_every_digit(text):
+    spec = parse_spec(text)
+    assert spec.label == text
+    assert parse_spec(spec.label) == spec
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEXES = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_SPECS = st.one_of(
+    st.builds(poly, _REALS),
+    st.builds(sqrt_poly, _REALS),
+    st.builds(geometric, _COMPLEXES),
+    st.builds(affine, _COMPLEXES, _COMPLEXES),
+    st.builds(explicit, st.lists(_COMPLEXES, min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_SPECS)
+def test_labels_parse_back_to_their_spec(spec):
+    assert parse_spec(spec.label) == spec
+
+
+#: in a fresh interpreter: whether importing the package and its CLI built
+#: the shared index table or its log
+TABLE_SCRIPT = """
+import rieszops, rieszops.cli
+from rieszops import sequences
+print(sequences._n_table is None, sequences._log_n_table is None)
+"""
+
+
+class TestIndexTable:
+    """IndexGrid hands out read-only slices of one process-wide table of n
+    and log n, grown to the longest grid asked for, up to MAX_SHARED_COUNT."""
+
+    def test_slices_equal_fresh_arrays_bit_for_bit(self):
+        IndexGrid(MAX_SHARED_COUNT).log_n  # the longest table there is
+        for count in (0, 1, 64, 4095, 4096, 5000, 16384, 65537, MAX_SHARED_COUNT):
+            grid = IndexGrid(count)
+            with np.errstate(divide="ignore"):
+                log_n = np.log(np.arange(count, dtype=float))
+            assert grid.n.tobytes() == np.arange(count, dtype=float).tobytes()
+            assert grid.log_n.tobytes() == log_n.tobytes()
+
+    def test_a_count_already_reached_shares_the_table(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_n_table", None)
+        monkeypatch.setattr(sequences, "_log_n_table", None)
+        longest = IndexGrid(8192)
+        assert longest.n.base is sequences._n_table and sequences._log_n_table is None
+        for count in (64, 4096, 8192):
+            grid = IndexGrid(count)
+            assert grid.n.base is sequences._n_table
+            assert grid.log_n.base is sequences._log_n_table
+        assert len(sequences._n_table) == len(sequences._log_n_table) == 8192
+        IndexGrid(16384)  # grows the table; its log is built on the next read
+        assert len(sequences._n_table) == 16384 and sequences._log_n_table is None
+
+    def test_arrays_are_read_only(self):
+        for count in (64, MAX_SHARED_COUNT + 1):
+            grid = IndexGrid(count)
+            for array in (grid.n, grid.log_n):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "text", ["poly:2", "harmonic", "geometric:0.5", "affine:1,2", "list:1,2,3,4"]
+    )
+    def test_log_abs_terms_are_fresh_and_writeable(self, text):
+        spec = parse_spec(text)
+        grid = IndexGrid(4)
+        first = spec.log_abs_terms(4, grid)
+        assert first.flags.writeable and first.flags.owndata
+        first[:] = 7.0
+        again = spec.log_abs_terms(4, grid)
+        assert again is not first and not (again == 7.0).any()
+        assert spec.terms(4).flags.writeable
+
+    def test_a_count_past_the_cap_retains_nothing(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_n_table", None)
+        monkeypatch.setattr(sequences, "_log_n_table", None)
+        IndexGrid(64).log_n
+        kept, kept_log = sequences._n_table, sequences._log_n_table
+        grid = IndexGrid(MAX_SHARED_COUNT + 1)
+        assert grid.log_n[-1] == np.log(MAX_SHARED_COUNT)
+        assert sequences._n_table is kept and sequences._log_n_table is kept_log
+        assert len(kept) == len(kept_log) == 64
+
+    def test_importing_the_package_builds_no_table(self):
+        done = subprocess.run(
+            [sys.executable, "-c", TABLE_SCRIPT],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=cli_env(),
+        )
+        assert done.stdout.split() == ["True", "True"]
