@@ -27,7 +27,6 @@ import argparse
 import ctypes
 import functools
 import math
-import mmap
 import os
 import platform
 import sys
@@ -208,28 +207,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], _OptionTa
     return parser, {words: _OptionTable.of(leaf) for words, leaf in leaves.items()}
 
 
-#: faulted-in free heap kept above the highest block a command has placed
-_HEADROOM = 1 << 20
-_MADV_POPULATE_WRITE = 23  # Linux 5.14 and later
-
-
-class _MallInfo2(ctypes.Structure):
-    """glibc's struct mallinfo2 (glibc 2.33 and later)."""
-
-    _fields_ = [
-        (name, ctypes.c_size_t)
-        for name in (
-            "arena", "ordblks", "smblks", "hblks", "hblkhd",
-            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
-        )
-    ]
-
-
 @functools.cache
-def _keep_heap() -> ctypes.CDLL | None:
-    """Keep freed heap memory in the process, once per process, on glibc;
-    returns the C library, with the calls _reserve_headroom makes typed,
-    or None off glibc.
+def _keep_heap() -> None:
+    """Keep freed heap memory in the process, once per process, on glibc.
 
     A report at dim 48 or 64, or a stack of sweep points, frees more than
     glibc's default 128 KiB trim threshold, so free() hands the top of the
@@ -239,50 +219,12 @@ def _keep_heap() -> ctypes.CDLL | None:
     mmapped afresh.  Neither setting changes a computed value.
     """
     if platform.libc_ver()[0] != "glibc":
-        return None
+        return
     libc = ctypes.CDLL(None)
     libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     # a refused setting (mallopt returns 0) only leaves glibc's default
     libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's maximum
-    libc.sbrk.argtypes, libc.sbrk.restype = [ctypes.c_ssize_t], ctypes.c_void_p
-    libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
-    libc.free.argtypes, libc.free.restype = [ctypes.c_void_p], None
-    libc.madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
-    libc.madvise.restype = ctypes.c_int
-    if hasattr(libc, "mallinfo2"):
-        libc.mallinfo2.argtypes, libc.mallinfo2.restype = [], _MallInfo2
-    return libc
-
-
-#: the program break when _reserve_headroom last grew the heap
-_heap_end: int | None = None
-
-
-def _reserve_headroom(libc: ctypes.CDLL) -> None:
-    """Keep _HEADROOM of faulted-in free heap above every block placed so
-    far, whenever the heap has grown since the last call.
-
-    The trim threshold keeps what a command freed, but two runs of one
-    command do not place their blocks alike: what the commands between
-    them keep (numpy's cache of small arrays, lazily built numpy tables)
-    moves the free gaps, so a dim-64 operator can land above every block
-    before it and page-fault fresh memory in.  So the heap is grown by
-    _HEADROOM (one malloc larger than its top chunk, freed again), then
-    every page of the heap is faulted in: a later block that lands up to
-    _HEADROOM higher than any before it finds its pages resident.  Costs
-    about _HEADROOM of resident memory; changes no computed value.  Needs
-    mallinfo2; a kernel without MADV_POPULATE_WRITE only leaves the pages
-    to fault in on first use.
-    """
-    global _heap_end
-    if not hasattr(libc, "mallinfo2") or libc.sbrk(0) == _heap_end:
-        return
-    libc.free(libc.malloc(libc.mallinfo2().keepcost + _HEADROOM))
-    _heap_end = libc.sbrk(0)
-    start = _heap_end - libc.mallinfo2().arena
-    start += -start % mmap.PAGESIZE
-    libc.madvise(start, _heap_end - start, _MADV_POPULATE_WRITE)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -319,9 +261,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    libc = _keep_heap()
-    if libc is not None:
-        _reserve_headroom(libc)
+    _keep_heap()
     args = parse_args(argv)
     try:
         if args.command == "domain":

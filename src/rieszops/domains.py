@@ -49,10 +49,10 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     if n_max < 64:
         raise ValueError(f"n_max must be >= 64, got {n_max}")
     grid = IndexGrid(n_max)
-    terms = np.add(weights.log_abs_terms(n_max, grid), coeffs.log_abs_terms(n_max, grid))
-    terms *= 2.0
     top = int(n_max).bit_length() - 1  # blocks B_0 .. B_{top-1}; top >= 6
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a sum, doubled log or term past the float range is +inf
+        terms = np.add(weights.log_abs_terms(n_max, grid), coeffs.log_abs_terms(n_max, grid))
+        terms *= 2.0
         np.exp(terms, out=terms)
         partial = float(terms.sum())
         # the final four blocks, the only ones the verdict reads

@@ -136,7 +136,7 @@ class ReportStack:
             note, words = _note_template(check.note, bool(check.values))
             heads.append((check.name, tol, note, whole))
             if not whole:  # fails its check; strict JSON has null for it
-                residual = ["%.17g" % r if math.isfinite(r) else "null" for r in residual]
+                residual = [_render_float(r) for r in residual]
             fields += (verdict, residual)
             fields += (
                 [encode_basestring(v)[1:-1] for v in map(str, column)] if word else column
@@ -296,9 +296,9 @@ def _literal(text: str) -> str:
 
 
 def _render_float(value: float) -> str:
-    if math.isfinite(value):
-        return format(value, ".17g")
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    """value at 17 significant digits; NaN and +-inf, which strict JSON
+    lacks, as null."""
+    return format(value, ".17g") if math.isfinite(value) else "null"
 
 
 def render_json(value, indent: int = 0) -> str:

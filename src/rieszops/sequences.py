@@ -105,25 +105,36 @@ class SequenceSpec:
         usable at the large horizons the domain diagnostics need (|r|^n
         overflows floats long before its product with a decaying coefficient
         does); lists are logged as emitted, and affine terms too, except
-        where |a n + b| overflows (see _log_abs_affine).  grid, an
-        IndexGrid(count), lets several specs share one grid's log n.
+        where |a n + b| overflows (see _log_abs_affine).  A log that is
+        +inf (p log n past the float range, or |s_n| of a finite complex
+        term) is a ValueError, as in terms().  grid, an IndexGrid(count),
+        lets several specs share one grid's log n.
         """
         if grid is None:
             grid = IndexGrid(count)
         elif grid.count != count:
             raise ValueError(f"index grid holds {grid.count} terms, {count} requested")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.kind == "poly":
                 out = self.power * grid.log_n
                 out[:1] = 0.0 if self.power == 0.0 else -np.inf  # n^0 := 1 at n = 0
             elif self.kind == "geometric":
-                out = np.log(abs(self.ratio)) * grid.n
+                try:
+                    log_r = np.log(abs(self.ratio))
+                except OverflowError:  # |r| past the float range
+                    log_r = np.inf
+                out = log_r * grid.n
                 out[:1] = 0.0  # r^0 = 1, also for r = 0
             elif self.kind == "affine":
                 out = self._log_abs_affine(grid)
             else:
                 out = np.abs(self._finite_terms(grid))
                 np.log(out, out=out)
+        # a poly or geometric log that is +inf anywhere is +inf at the last n;
+        # an affine log never is (see _log_abs_affine)
+        if grid.count and (out[-1] == np.inf or self.kind == "list" and np.isposinf(out).any()):
+            first = np.argmax(out == np.inf)
+            raise ValueError(f"sequence '{self.label or self.kind}' term {first} is not finite")
         return out
 
 

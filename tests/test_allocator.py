@@ -3,11 +3,9 @@ allocator alone.
 
 `cli.main` raises glibc's trim and mmap thresholds once per process, so a
 dim-64 report or a stack of sweep points reuses the heap the previous one
-freed instead of page-faulting it in again.  Whenever the heap has grown,
-`cli.main` also grows it by a faulted-in headroom, so an operator that lands
-above every earlier block finds its pages resident.  These are process-wide
-side effects, so they stay at the entry point: `cli.py` is the only module
-of src/rieszops that imports ctypes, and importing the package sets nothing.
+freed instead of page-faulting it in again.  These are process-wide side
+effects, so they stay at the entry point: `cli.py` is the only module of
+src/rieszops that imports ctypes, and importing the package sets nothing.
 """
 
 import ast
@@ -20,7 +18,6 @@ import pytest
 
 import rieszops
 from conftest import cli_env
-from rieszops import cli
 
 PACKAGE = Path(rieszops.__file__).resolve().parent
 
@@ -42,28 +39,6 @@ for argv in argvs:
     cli.main(argv)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-
-#: in a fresh interpreter: how far the first headroom reservation moved the
-#: program break, how far a second one moved it, then the size of the
-#: heap's top chunk but its last page and the minor faults of writing it
-HEADROOM_SCRIPT = """
-import ctypes, resource
-from rieszops import cli
-libc = cli._keep_heap()
-start = libc.sbrk(0)
-cli._reserve_headroom(libc)
-end = libc.sbrk(0)
-cli._reserve_headroom(libc)
-again = libc.sbrk(0) - end
-size = libc.mallinfo2().keepcost - 4096
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-block = libc.malloc(size)
-ctypes.memset(block, 1, size)
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-libc.free(block)
-print(end - start, again, size, faults)
-"""
-
 
 def ctypes_imports(source):
     """Lines of every import of ctypes or a ctypes submodule in a source."""
@@ -115,22 +90,3 @@ def test_second_dim64_calls_take_no_page_faults(tmp_path):
     assert verify_faults < 32
     assert sweep_faults < 32
 
-
-@pytest.mark.skipif(
-    platform.libc_ver()[0] != "glibc", reason="the headroom is glibc's heap"
-)
-def test_headroom_is_grown_once_and_resident():
-    done = subprocess.run(
-        [sys.executable, "-c", HEADROOM_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=cli_env(),
-    )
-    grown, grown_again, top, faults = map(int, done.stdout.split())
-    headroom = cli._HEADROOM
-    assert grown >= headroom
-    assert grown_again == 0
-    assert top >= headroom
-    # without MADV_POPULATE_WRITE the headroom alone is 256 pages
-    assert faults < 8

@@ -65,8 +65,9 @@ class TestRendering:
         assert text.index('"checks"') < text.index('"summary"')
 
     def test_non_finite_floats_render(self):
-        assert render_json(float("inf")) == "Infinity"
-        assert render_json(float("nan")) == "NaN"
+        assert render_json(float("inf")) == "null"
+        assert render_json(float("-inf")) == "null"
+        assert render_json(float("nan")) == "null"
 
     def test_control_characters_escaped(self):
         assert render_json("a\nb") == '"a\\nb"'
@@ -1133,7 +1134,7 @@ class TestAffineOverflow:
 
     def test_summable_product_exits_zero(self, capsys):
         # every log term is finite; the sum itself, about 2.5e609, is not a
-        # float, so partial_sum still prints Infinity
+        # float, so partial_sum is null
         argv = ["domain", "--alpha", "affine:1e305,0", "--coeff", "geometric:0.5",
                 "--n-max", "4096"]
         with warnings.catch_warnings():
@@ -1141,9 +1142,9 @@ class TestAffineOverflow:
             assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        doc = json.loads(captured.out)
+        doc = strict_loads(captured.out)
         assert doc["verdict"] == "converged"
-        assert doc["partial_sum"] == math.inf and doc["tail_ratio"] == 0.0
+        assert doc["partial_sum"] is None and doc["tail_ratio"] == 0.0
 
     def test_representable_sum_gives_a_strict_document(self, capsys):
         argv = ["domain", "--alpha", "affine:1e305,0", "--coeff", "geometric:1e-160",
@@ -1160,11 +1161,82 @@ class TestAffineOverflow:
         assert doc["partial_sum"] == pytest.approx(1e290, rel=1e-12)
 
 
+class TestLogOverflow:
+    """A domain spec whose log terms overflow is a usage error, as verify
+    makes of terms that overflow; a product whose doubled log overflows is
+    summed to a diverged verdict with a null partial sum.  Neither warns."""
+
+    @pytest.mark.parametrize("alpha,coeff,bad", [
+        ("poly:1e308", "poly:1e308", "'poly:1e+308' term 7"),
+        ("sqrt-poly:1e308", "geometric:0", "'sqrt-poly:1e+308' term 37"),
+        ("geometric:1.7e308+1.7e308j", "poly:1", "'geometric:1.7e+308+1.7e+308j' term 1"),
+    ], ids=["poly", "sqrt-poly", "complex-geometric"])
+    def test_log_that_overflows_is_usage_error(self, capsys, alpha, coeff, bad):
+        argv = ["domain", "--alpha", alpha, "--coeff", coeff, "--n-max", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rieszops: error: sequence {bad} is not finite\n"
+
+    def test_doubled_log_that_overflows_diverges(self, capsys):
+        argv = ["domain", "--alpha", "poly:1e307", "--coeff", "poly:1e307", "--n-max", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = strict_loads(captured.out)
+        assert doc["verdict"] == "diverged"
+        assert doc["partial_sum"] is None
+
+
+#: 0 and +-[5e-324, 1e308], as spec text
+_SPEC_NUMBERS = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 1e308),
+    st.floats(-1e308, -5e-324),
+).map(repr)
+_DOMAIN_SPECS = st.one_of(
+    st.just("harmonic"),
+    st.builds("poly:{}".format, _SPEC_NUMBERS),
+    st.builds("sqrt-poly:{}".format, _SPEC_NUMBERS),
+    st.builds("geometric:{}".format, _SPEC_NUMBERS),
+    st.builds("geometric:{}{}j".format, _SPEC_NUMBERS, _SPEC_NUMBERS.map(
+        lambda x: x if x[0] == "-" else "+" + x
+    )),
+    st.builds("affine:{},{}".format, _SPEC_NUMBERS, _SPEC_NUMBERS),
+    st.lists(_SPEC_NUMBERS, min_size=1, max_size=4).map(lambda v: "list:" + ",".join(v)),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_DOMAIN_SPECS, _DOMAIN_SPECS, st.sampled_from(["64", "100", "4096", "32768"]))
+def test_domain_exits_2_or_emits_strict_json_silently(alpha, coeff, n_max):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(["domain", "--alpha", alpha, "--coeff", coeff, "--n-max", n_max])
+            except SystemExit as exc:
+                code = exc.code
+    assert not caught
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        assert code == 0 and err.getvalue() == ""
+        assert strict_loads(out.getvalue())["verdict"] in ("converged", "diverged", "inconclusive")
+
+
 def test_domain_document_matches_asdict(tmp_path, capsys):
     """The domain document on stdout and in --out is render_json of its
     params and dataclasses.asdict(verdict), byte for byte, on every spec
     pair of the domain-grid workload at n-max 64, 4096 and 16384, and on
-    the pair whose sum overflows, which prints Infinity."""
+    the pair whose sum overflows, which prints null."""
     specs = domain_specs()
     assert len(specs) ** 2 == 64
     cases = [(a, c, n) for n in (64, 4096, 16384) for a in specs for c in specs]
@@ -1180,4 +1252,4 @@ def test_domain_document_matches_asdict(tmp_path, capsys):
         assert capsys.readouterr().out == expected, argv
         assert main([*argv, "--out", str(target)]) == 0
         assert target.read_bytes() == expected.encode(), argv
-    assert '"partial_sum": Infinity' in expected
+    assert '"partial_sum": null' in expected

@@ -119,6 +119,18 @@ def test_affine_log_terms_that_stay_infinite_are_refused():
         parse_spec("affine:0,1.5e308+1.5e308j").log_abs_terms(64)
 
 
+@pytest.mark.parametrize("spec,count,first", [
+    (poly(1e308), 64, 7),
+    (geometric(1.7e308 + 1.7e308j), 4, 1),
+    (explicit([1, 1.7e308 + 1.7e308j, 0, 2]), 4, 1),
+], ids=["poly", "geometric", "list"])
+def test_log_terms_that_overflow_are_refused(spec, count, first):
+    # p log n, log |r| or log |s_n| past the float range, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"term {first} is not finite"):
+            spec.log_abs_terms(count)
+
 def test_poly_terms_never_raise_zero_to_a_negative_power():
     with np.errstate(divide="raise", invalid="raise"):
         assert harmonic().terms(3)[0] == 0.0
