@@ -10,9 +10,10 @@ frame bounds and the singularity test) to about cond(T) * eps.  U and s are
 kept on the pair with S_phi = T T* = U diag(s^2) U* itself, so that the
 metric square roots are built from them, not from further products and
 solves.  psi comes from the LU inverse of T, not from the SVD's factors.
-The adjoints phi* = T* and psi* = T^{-1}, which every psi-side product and
-the checks here read, are formed once per pair, on first use, from the
-pair's own phi and psi: a pair replaced with another psi forms its own.
+The adjoint psi* = T^{-1}, which every psi-side product and the checks
+here read, is that inverse itself on a pair from_generator builds, and is
+formed once, on first use, from the pair's own psi on any other: a pair
+replaced with another psi forms its own.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .linalg import (
     column_norms,
     frobenius,
     guard,
+    identity,
     max_entry,
     require_finite,
     svd,
@@ -59,11 +61,6 @@ class RieszBasisPair:
     singular_values: np.ndarray
 
     @cached_property
-    def phi_adj(self) -> np.ndarray:
-        """phi*, whose rows are the conjugated phi_n: T*."""
-        return adjoint(self.phi)
-
-    @cached_property
     def psi_adj(self) -> np.ndarray:
         """psi*, whose rows are the conjugated psi_n: T^{-1}."""
         return adjoint(self.psi)
@@ -88,7 +85,7 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
         smin,
         smax,
     )
-    eye = np.eye(t.shape[-1], dtype=complex)
+    eye = identity(t.shape[-1])
     try:
         inv = np.linalg.solve(t, eye)
     except np.linalg.LinAlgError as exc:
@@ -101,7 +98,7 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
         residual,
         bound,
     )
-    return RieszBasisPair(
+    pair = RieszBasisPair(
         dim=t.shape[-1],
         phi=t.copy(),
         psi=adjoint(inv),
@@ -111,6 +108,8 @@ def from_generator(t: np.ndarray) -> RieszBasisPair:
         singular_vectors=u,
         singular_values=s,
     )
+    vars(pair)["psi_adj"] = inv  # the cached psi*: what adjoint(pair.psi) forms, bit for bit
+    return pair
 
 
 def verify_biorthogonality(pair: RieszBasisPair) -> Check:
@@ -118,7 +117,7 @@ def verify_biorthogonality(pair: RieszBasisPair) -> Check:
     gram = pair.psi_adj @ pair.phi  # entry (m, n) = <phi_n, psi_m>
     return Check(
         "biorthogonality",
-        max_entry(gram - np.eye(pair.dim)),
+        max_entry(gram - identity(pair.dim)),
         "max |<phi_n,psi_m> - delta_nm| over all n, m",
     )
 

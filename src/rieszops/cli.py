@@ -49,6 +49,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float, checked before any grid is built from it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{text}'") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _int_in(low: int, high: int):
     """argparse type: an int in low..high, checked before anything is sized by it."""
 
@@ -101,8 +112,8 @@ SUITES = {
         "seeded random generator", "random_report", (_DIM_ARG, _ALPHA_ARG, _GAMMA_ARG)
     ),
     ("sweep", "three-level"): ("sweep the model parameter t", "sweep_three_level", (
-        _arg("--t-min", type=float, default=0.0),
-        _arg("--t-max", type=float, required=True),
+        _arg("--t-min", type=_finite, default=0.0),
+        _arg("--t-max", type=_finite, required=True),
         _arg("--steps", type=_STEPS, required=True, help="grid points, 2..1000"),
     )),
     ("sweep", "projection"): ("sweep the support size", "sweep_projection", (

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import IndexGrid
 
 #: Default evaluation horizon: enough to separate polynomial from geometric
 #: behaviour at negligible cost.
@@ -34,10 +33,10 @@ class DomainVerdict:
 def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVerdict:
     """Three-valued verdict on sum |w_n c_n|^2 over n < n_max.
 
-    weights and coeffs need only log_abs_terms(count, grid), as a parsed
-    sequence spec has.  Both read one IndexGrid, a slice of the process-wide
-    table of n and log n, so a horizon no longer than one reached before
-    builds neither array (see IndexGrid).  The two logs are added into a
+    weights and coeffs need only log_abs_terms(count), as a parsed sequence
+    spec has.  A spec reads n and log n from the process-wide table, so a
+    horizon no longer than one reached before builds neither array (see
+    sequences.IndexGrid).  The two logs are added into a
     new array, which is then doubled and exponentiated in place: the verdict
     writes only into arrays it allocates.
 
@@ -48,10 +47,9 @@ def summability_verdict(weights, coeffs, n_max: int = DEFAULT_N_MAX) -> DomainVe
     """
     if n_max < 64:
         raise ValueError(f"n_max must be >= 64, got {n_max}")
-    grid = IndexGrid(n_max)
     top = int(n_max).bit_length() - 1  # blocks B_0 .. B_{top-1}; top >= 6
     with np.errstate(over="ignore"):  # a sum, doubled log or term past the float range is +inf
-        terms = np.add(weights.log_abs_terms(n_max, grid), coeffs.log_abs_terms(n_max, grid))
+        terms = np.add(weights.log_abs_terms(n_max), coeffs.log_abs_terms(n_max))
         terms *= 2.0
         np.exp(terms, out=terms)
         partial = float(terms.sum())

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import RieszBasisPair
-from .factory import OperatorBundle, require_weights, weighted_product
+from .factory import require_weights, weighted_product
 from .linalg import DEFAULT_TOL, max_entry, worst_column_norm
 from .report import Check
 
@@ -126,26 +126,28 @@ def check_products(lp: LadderPair) -> Check:
     )
 
 
-def factorize_from_alpha(bundle: OperatorBundle) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def factorize_from_alpha(
+    alpha: np.ndarray, is_real: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Ladder weights gamma_n = sqrt(alpha_n - alpha_0), principal branch,
-    whose ladder factorizes H - alpha_0 I = BA for every alpha; the reports
-    check that product, this function does not form it.
+    whose ladder factorizes H - alpha_0 I = BA for every alpha, from a
+    bundle's (..., dim) weights and per-point realness; the reports check
+    that product, this function does not form it.
 
     Returns the roots, the points where the paper's hypotheses fail (alpha
     real and strictly increasing, tested against DEFAULT_TOL: a fact, not
     a verdict, so the check tolerance never moves it), and what fails at
     each of those points in batch order.
     """
-    a = bundle.weights
-    steps = np.zeros(a.shape, bool)  # alpha_n - alpha_{n-1} <= DEFAULT_TOL at n > 0
-    np.less_equal(a.real[..., 1:] - a.real[..., :-1], DEFAULT_TOL, out=steps[..., 1:])
-    failed = ~bundle.is_real | steps.any(axis=-1)
-    roots = np.sqrt((a - a[..., :1]).astype(complex))
+    steps = np.zeros(alpha.shape, bool)  # alpha_n - alpha_{n-1} <= DEFAULT_TOL at n > 0
+    np.less_equal(alpha.real[..., 1:] - alpha.real[..., :-1], DEFAULT_TOL, out=steps[..., 1:])
+    failed = ~is_real | steps.any(axis=-1)
+    roots = np.sqrt((alpha - alpha[..., :1]).astype(complex))
     if not failed.any():
         return roots, failed, []
     # what fails: the largest imaginary part of a complex point, the first
     # such step of a real one; one argmax over the failed points
-    bad, complex_point = a[failed], ~bundle.is_real[failed]
+    bad, complex_point = alpha[failed], ~is_real[failed]
     k = np.where(complex_point, np.abs(bad.imag).argmax(axis=-1), steps[failed].argmax(axis=-1))
     rows = np.arange(len(bad))
     at, before = bad[rows, k].tolist(), bad.real[rows, k - 1].tolist()

@@ -21,6 +21,8 @@ elsewhere are always verified against known eigenvectors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: Default check tolerance (double precision, dim <= 64); fixed for every guard.
@@ -53,6 +55,16 @@ def guard(failed, message: str, *values, error=LinalgError) -> None:
     if np.count_nonzero(failed):
         first = np.flatnonzero(failed)[0]
         raise error(message.format(*(np.ravel(v)[first].item() for v in values)))
+
+
+@functools.cache
+def identity(dim: int) -> np.ndarray:
+    """The complex dim x dim identity, read-only and built once per dim: each
+    residual against I, and each I + X, reads it.  A real identity would
+    give the same bits: numpy casts it to complex before the operation."""
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

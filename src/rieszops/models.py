@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, adjoint, guard, worst_column_norm
+from .linalg import DEFAULT_TOL, adjoint, guard, identity, worst_column_norm
 from .report import Check
 
 _SQRT2 = np.sqrt(2.0)
@@ -182,6 +182,10 @@ class ProjectionModel:
 
     both e_n off the support of u, and H splits into weighted phi_k psi_k*
     on the support and weighted coordinate projections e_k e_k* beyond it.
+    The model keeps P, the support of u and the weights; the generator T
+    and each closed form of `rows` are formed from P (and H from the
+    weights too) on every read, so a battery holds at most one of them at
+    a time.
     """
 
     rows: ClassVar[tuple[tuple[str, str, str], ...]] = (
@@ -194,16 +198,52 @@ class ProjectionModel:
 
     #: (..., dim) mask of the support of u
     inside: np.ndarray
-    #: phi_n as columns
-    T: np.ndarray
-    S_phi: np.ndarray
-    S_phi_sqrt: np.ndarray
-    S_psi_sqrt: np.ndarray
-    #: psi_n as columns
-    psi: np.ndarray
-    H_phi_psi: np.ndarray
+    #: the projection u u*
+    P: np.ndarray
     #: alpha_0 .. alpha_{dim-1}
     weights: np.ndarray
+
+    def _plus_identity(self, scale: complex) -> np.ndarray:
+        """I + scale P, the identity added in place."""
+        out = scale * self.P
+        out += identity(self.P.shape[-1])
+        return out
+
+    @property
+    def T(self) -> np.ndarray:
+        """phi_n as columns."""
+        return self._plus_identity(1j)
+
+    @property
+    def S_phi(self) -> np.ndarray:
+        return self._plus_identity(1.0)
+
+    @property
+    def S_phi_sqrt(self) -> np.ndarray:
+        return self._plus_identity(_SQRT2 - 1.0)
+
+    @property
+    def S_psi_sqrt(self) -> np.ndarray:
+        return self._plus_identity(-(2.0 - _SQRT2) / 2.0)
+
+    @property
+    def psi(self) -> np.ndarray:
+        """psi_n as columns."""
+        return self._plus_identity((1j - 1.0) / 2.0)
+
+    @property
+    def H_phi_psi(self) -> np.ndarray:
+        # column k of each factor: phi_k, psi_k on the support, e_k off it,
+        # set in place; phi_k formed from P, like every closed form, not
+        # read from the generator T
+        eye, off = identity(self.P.shape[-1]), ~self.inside[..., None, :]
+        right, left = self.psi, self._plus_identity(1j)
+        np.copyto(right, eye, where=off)
+        right_adj = adjoint(right)
+        del right
+        np.copyto(left, eye, where=off)
+        left *= self.weights[..., None, :]
+        return left @ right_adj
 
 
 def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
@@ -237,20 +277,5 @@ def projection_model(dim: int, u_coeffs, alpha: np.ndarray) -> ProjectionModel:
         error=ValueError,
     )
     P = u[..., :, None] * u[..., None, :].conj()
-    eye = np.eye(dim, dtype=complex)
-    T = eye + 1j * P
-    psi = eye + ((1j - 1.0) / 2.0) * P
-    # column k of each factor: phi_k, psi_k on the support, e_k off it
-    left = np.where(inside[..., None, :], T, eye)
-    right = np.where(inside[..., None, :], psi, eye)
-    return ProjectionModel(
-        inside=inside,
-        T=T,
-        S_phi=eye + P,
-        S_phi_sqrt=eye + (_SQRT2 - 1.0) * P,
-        S_psi_sqrt=eye - ((2.0 - _SQRT2) / 2.0) * P,
-        psi=psi,
-        H_phi_psi=(left * alpha[..., None, :]) @ adjoint(right),
-        weights=alpha,
-    )
+    return ProjectionModel(inside=inside, P=P, weights=alpha)
 

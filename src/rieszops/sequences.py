@@ -98,7 +98,7 @@ class SequenceSpec:
             raise ValueError(f"sequence '{self.label or self.kind}' term {first} is not finite")
         return out
 
-    def log_abs_terms(self, count: int, grid: IndexGrid | None = None) -> np.ndarray:
+    def log_abs_terms(self, count: int) -> np.ndarray:
         """log |s_n| for n < count as a fresh array, -inf marking exact zeros.
 
         Closed forms that grow are evaluated in log space, so they stay
@@ -107,13 +107,10 @@ class SequenceSpec:
         does); lists are logged as emitted, and affine terms too, except
         where |a n + b| overflows (see _log_abs_affine).  A log that is
         +inf (p log n past the float range, or |s_n| of a finite complex
-        term) is a ValueError, as in terms().  grid, an IndexGrid(count),
-        lets several specs share one grid's log n.
+        term) is a ValueError, as in terms().  n and log n are the
+        IndexGrid(count) views of the shared table.
         """
-        if grid is None:
-            grid = IndexGrid(count)
-        elif grid.count != count:
-            raise ValueError(f"index grid holds {grid.count} terms, {count} requested")
+        grid = IndexGrid(count)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.kind == "poly":
                 out = self.power * grid.log_n

@@ -11,10 +11,8 @@ to S_psi.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .factory import OperatorBundle
-from .linalg import adjoint, frobenius, max_entry
+from .linalg import adjoint, frobenius, identity, max_entry
 from .report import Check
 
 
@@ -30,7 +28,7 @@ def check_transported_eigenbasis(bundle: OperatorBundle) -> Check:
         "transported_eigenbasis",
         "eigen-action {:.3e}; orthonormality {:.3e}",
         max_entry(bundle.h @ bundle.Phi - bundle.Phi * bundle.weights[..., None, :]),
-        max_entry(adjoint(bundle.Phi) @ bundle.Phi - np.eye(bundle.pair.dim)),
+        max_entry(adjoint(bundle.Phi) @ bundle.Phi - identity(bundle.pair.dim)),
     )
 
 

@@ -7,22 +7,26 @@ entries uniform in the complex unit square), whose cond(T) grows with dim:
 3.5-4.5 at dim 8 up to 233-924 at dim 64 for seeds 0-3 (0.3 R has a mean
 of norm about 0.21 dim, and its centred part a spectral radius near 1).
 
-The battery runs on a batch of points: a sweep is a few stacked calls, and
-a single report is the sweep of one point.  Checks return a residual per
-point, and each joins its ReportStack as one column over the points.
+The battery runs on a batch of points: a sweep is a few stacked calls, of
+at most three dim-64 reports' matrix entries each, and a single report is
+the sweep of one point.  Checks return a residual per point, and each joins
+its ReportStack as one column over the points.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import basis, factory, ladder, models, sequences, similarity
-from .linalg import DEFAULT_TOL, adjoint, max_entry
+from .linalg import DEFAULT_TOL, adjoint, identity, max_entry
 from .report import Check, ReportStack, VerificationReport
 
 _GENERATOR_SPREAD = 0.3
-#: matrix entries per field of one dim-64 report: the most one stack may hold
-_STACK_ENTRIES = 64 * 64
+#: matrix entries per field of three dim-64 reports: the most one stack may
+#: hold, so a dim-64 projection sweep of three supports is one stack
+_STACK_ENTRIES = 3 * 64 * 64
 
 
 def _random_block(rng, dim: int, k: int) -> np.ndarray:
@@ -54,7 +58,6 @@ def _stacked(reports_of, points, dim: int, *args) -> list[VerificationReport]:
     return [report for stack in stacks for report in reports_of(stack, *args)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _battery(
     stack: ReportStack,
     generator: np.ndarray,
@@ -77,46 +80,55 @@ def _battery(
     makes every identity vacuous); returns the ladder, None at dim 1.  Every
     check joins the stack; numpy's overflow and invalid-value warnings are
     off for the whole chain, because a residual that is not finite already
-    fails its check.
+    fails its check.  The bundle is released before the ladder block, which
+    reads only the pair, alpha, its realness and H: that block then holds
+    its ladders in the bundle's place.
 
     The frame inequality's 10 vectors come from rngs: one generator shared
     by every point, whose (1, d, 10) block every point reads (each point's
     own stream when all share seed and dim), or one per point, each drawing
     its slice of a (k, d, 10) block."""
-    pair = basis.from_generator(generator)
-    bundle = factory.build_bundle(pair, alpha)
-    vectors = _stack([_random_block(rng, pair.dim, 10) for rng in rngs])
-    fields = vars(pair) | vars(bundle)
-    stack.record(
-        tol,
-        *(
-            Check(name, max_entry(fields[field] - getattr(model, field)), note)
-            for name, field, note in (() if model is None else model.rows)
-        ),
-        *extras(bundle),
-        basis.verify_biorthogonality(pair),
-        basis.frame_inequality_check(pair, bundle.weights, vectors),
-        factory.check_eigen_action(bundle),
-        factory.check_weighted_action(bundle),
-        factory.check_metric_pair(bundle),
-        factory.check_intertwining(bundle),
-    )
-    if bundle.is_real.all():
-        stack.record(tol, similarity.check_selfadjoint_h(bundle))
-    stack.record(
-        tol,
-        similarity.check_transported_eigenbasis(bundle),
-        similarity.check_similarity_consistency(bundle),
-        factory.check_norm_bound(bundle),
-    )
-    if pair.dim < 2:
-        return None
-    return _ladder_checks(stack, bundle, gamma, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = basis.from_generator(generator)
+        del generator  # the pair holds its own copy
+        bundle = factory.build_bundle(pair, alpha)
+        vectors = _stack([_random_block(rng, pair.dim, 10) for rng in rngs])
+        fields = vars(pair) | vars(bundle)
+        stack.record(
+            tol,
+            *(
+                Check(name, max_entry(fields[field] - getattr(model, field)), note)
+                for name, field, note in (() if model is None else model.rows)
+            ),
+            *extras(bundle),
+            basis.verify_biorthogonality(pair),
+            basis.frame_inequality_check(pair, bundle.weights, vectors),
+            factory.check_eigen_action(bundle),
+            factory.check_weighted_action(bundle),
+            factory.check_metric_pair(bundle),
+            factory.check_intertwining(bundle),
+        )
+        if bundle.is_real.all():
+            stack.record(tol, similarity.check_selfadjoint_h(bundle))
+        stack.record(
+            tol,
+            similarity.check_transported_eigenbasis(bundle),
+            similarity.check_similarity_consistency(bundle),
+            factory.check_norm_bound(bundle),
+        )
+        if pair.dim < 2:
+            return None
+        weights, is_real, h_phi_psi = bundle.weights, bundle.is_real, bundle.H_phi_psi
+        del bundle, fields
+        return _ladder_checks(stack, pair, weights, is_real, h_phi_psi, gamma, tol)
 
 
 def _ladder_checks(
     stack: ReportStack,
-    bundle: factory.OperatorBundle,
+    pair: basis.RieszBasisPair,
+    alpha: np.ndarray,
+    is_real: np.ndarray,
+    h_phi_psi: np.ndarray,
     gamma: np.ndarray,
     tol: float,
 ) -> ladder.LadderPair:
@@ -126,17 +138,17 @@ def _ladder_checks(
     ladder for gamma when the roots equal it.  These identities hold at
     truncation for every alpha and gamma; whether the paper's hypotheses
     hold is recorded in the factorization note and decides no check.
-    Returns the ladder for gamma."""
-    pair = bundle.pair
+    Of the bundle it takes only alpha, its realness and H_{phi,psi}, so the
+    caller can free the rest first.  Returns the ladder for gamma."""
     lp = ladder.build_ladder(pair, gamma)
-    roots, failed, reasons = ladder.factorize_from_alpha(bundle)
+    roots, failed, reasons = ladder.factorize_from_alpha(alpha, is_real)
     root = lp if (roots == lp.weights).all() else ladder.build_ladder(pair, roots)
     hold = "alpha is real and strictly increasing: the paper's hypotheses hold"
     why = np.full(failed.shape, hold, object)
     if reasons:
         why[failed] = ["the paper's hypotheses fail: " + reason for reason in reasons]
     note = "H - alpha_0 I = BA entrywise for gamma_n = sqrt(alpha_n - alpha_0); {}"
-    shifted = bundle.H_phi_psi - bundle.weights[..., :1, None] * np.eye(pair.dim)
+    shifted = h_phi_psi - alpha[..., :1, None] * identity(pair.dim)
     stack.record(
         tol,
         ladder.check_ladder_actions(lp),
@@ -228,7 +240,7 @@ def _projection_reports(
     off = ~model.inside
 
     def h_block(bundle: factory.OperatorBundle) -> tuple[Check]:
-        deviation = np.abs(bundle.h - np.eye(dim) * bundle.weights[..., None, :])
+        deviation = np.abs(bundle.h - identity(dim) * bundle.weights[..., None, :])
         return (
             Check(
                 "projection_h_block",
@@ -276,9 +288,12 @@ def random_report(
 def sweep_three_level(
     t_min: float, t_max: float, steps: int, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> list[VerificationReport]:
-    """three_level_report at each point of the grid, in stacks of 455."""
+    """three_level_report at each point of the grid, in stacks of 1365: every
+    grid the CLI allows (up to 1000 steps) is one stack."""
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise ValueError(f"t-min and t-max must be finite, got {t_min} and {t_max}")
     if not t_min < t_max:
         raise ValueError("t-min must be strictly below t-max")
     return _stacked(_three_level_reports, np.linspace(t_min, t_max, steps), 3, seed, tol)
@@ -293,7 +308,8 @@ def sweep_projection(
     tol: float = DEFAULT_TOL,
 ) -> list[VerificationReport]:
     """projection_report at each support size, run in stacks of at most
-    max(1, 4096 // dim**2) points: a dim-64 sweep runs one point at a time."""
+    max(1, 3 * 4096 // dim**2) points: 12 at dim 32, and 3 at dim 64, so a
+    dim-64 sweep of three supports is one stack."""
     if n_min > n_max:
         raise ValueError("n-min must not exceed n-max")
     for n in (n_min, n_max):

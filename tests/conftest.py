@@ -69,7 +69,7 @@ def note_commutator(note: str) -> float:
 def factorize(bundle):
     """The ladder with gamma_n = sqrt(alpha_n) of a single point, which must
     satisfy the factorization preconditions."""
-    roots, skipped, reasons = factorize_from_alpha(bundle)
+    roots, skipped, reasons = factorize_from_alpha(bundle.weights, bundle.is_real)
     assert not skipped and not reasons, reasons
     return build_ladder(bundle.pair, roots)
 

@@ -385,7 +385,7 @@ class DomainWeights:
     power: int = 1
     label: str = ""
 
-    def log_abs_terms(self, count: int, grid=None) -> np.ndarray:
+    def log_abs_terms(self, count: int) -> np.ndarray:
         shifted = self.base.log_abs_terms(count + self.shift)[self.shift :]
         return self.power * shifted
 

@@ -1,6 +1,6 @@
 """The leading batch axis: a stacked call gives, point for point, the bits a
 call on that point alone gives; a sweep runs as stacked batteries of at most
-one dim-64 report's entries each."""
+three dim-64 reports' entries each."""
 
 import math
 
@@ -82,18 +82,19 @@ def test_model_domain_guard_names_the_first_bad_point():
         three_level(np.array([0.5, 7.0, -1.0]))
 
 
-@pytest.mark.parametrize("steps", [11, 40, 455])
+@pytest.mark.parametrize("steps", [11, 40, 455, 1000])
 def test_sweep_makes_two_svds(monkeypatch, steps):
     """The SVD of every generator T (frame bounds and metric roots) and the
     singular values alone of every H (for ||H||), each one stacked call, for
-    any grid of at most 4096 // 3**2 = 455 steps."""
+    any grid of at most 3 * 4096 // 3**2 = 1365 steps: the longest sweep the
+    CLI allows, 1000 steps, is one stack."""
     shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, steps))
     assert shapes == [((steps, 3, 3), True), ((steps, 3, 3), False)]
 
 
-def test_long_sweep_runs_in_stacks_of_455(monkeypatch):
-    shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, 1000))
-    stacks = [((k, 3, 3), uv) for k in (455, 455, 90) for uv in (True, False)]
+def test_longer_sweep_runs_in_stacks_of_1365(monkeypatch):
+    shapes = solver_shapes(monkeypatch, lambda: sweep_three_level(0.8, 1.3, 2000))
+    stacks = [((k, 3, 3), uv) for k in (1365, 635) for uv in (True, False)]
     assert shapes == stacks
 
 
@@ -144,10 +145,14 @@ def test_realness_is_decided_per_point():
         (2, 2, 2, "poly:2"),
         (8, 2, 8, "geometric:0.9+0.2j"),
         (16, 2, 16, "poly:1"),
-        (32, 2, 10, "poly:2"),  # stacks of 4, 4 and 1
-        (32, 3, 7, "geometric:0.9+0.2j"),  # stacks of 4 and 1, complex alpha
+        (32, 2, 10, "poly:2"),  # one stack of 9
+        (32, 3, 7, "geometric:0.9+0.2j"),  # one stack of 5, complex alpha
+        (32, 2, 20, "poly:2"),  # stacks of 12 and 7
+        (32, 3, 16, "geometric:0.9+0.2j"),  # stacks of 12 and 2, complex alpha
         (48, 2, 3, "affine:-1,3"),
-        (64, 5, 6, "poly:1"),
+        (64, 5, 6, "poly:1"),  # one stack of 2
+        (64, 4, 8, "poly:1"),  # stacks of 3 and 2
+        (64, 2, 5, "geometric:0.9+0.2j"),  # stacks of 3 and 1, complex alpha
     ],
 )
 def test_projection_sweep_renders_the_single_point_reports(dim, n_min, n_max, alpha):
@@ -160,10 +165,12 @@ def test_projection_sweep_renders_the_single_point_reports(dim, n_min, n_max, al
 
 
 @pytest.mark.parametrize(
-    "dim, n_min, n_max, calls", [(32, 4, 6, 1), (64, 4, 6, 3), (32, 2, 32, 8)]
+    "dim, n_min, n_max, calls",
+    [(32, 4, 6, 1), (64, 4, 6, 1), (64, 4, 8, 2), (32, 2, 32, 3), (16, 2, 16, 1)],
 )
 def test_projection_sweep_builds_one_pair_per_stack(monkeypatch, dim, n_min, n_max, calls):
-    """At most 4096 // dim**2 points share a stack: 4 at dim 32, 1 at dim 64."""
+    """At most 3 * 4096 // dim**2 points share a stack: 48 at dim 16, 12 at
+    dim 32, 3 at dim 64, so a dim-64 sweep of three supports is one stack."""
     shapes = []
     build = basis.from_generator
 
@@ -175,7 +182,7 @@ def test_projection_sweep_builds_one_pair_per_stack(monkeypatch, dim, n_min, n_m
     sweep_projection(dim, n_min, n_max)
     assert len(shapes) == calls
     assert sum(shape[0] for shape in shapes) == n_max - n_min + 1
-    assert max(shape[0] for shape in shapes) <= max(1, 4096 // dim**2)
+    assert max(shape[0] for shape in shapes) <= max(1, 3 * 4096 // dim**2)
 
 
 @pytest.mark.parametrize("alpha", [poly(2.0), geometric(0.9 + 0.2j)])

@@ -3,7 +3,6 @@ guard reads it, so a report's residuals and notes do not depend on it, and a
 residual above it is a failed check in a document, never a usage error."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +69,8 @@ def test_perturbed_H_fails_factorization():
     h = bundle.H_phi_psi.copy()
     h[0, 3, 5] += 1e-8
     stack = ReportStack("random", [{}])
-    _ladder_checks(stack, replace(bundle, H_phi_psi=h), sqrt_poly(1.0).terms(8)[None], 1e-10)
+    gamma = sqrt_poly(1.0).terms(8)[None]
+    _ladder_checks(stack, pair, bundle.weights, bundle.is_real, h, gamma, 1e-10)
     check = _factorization(stack.reports()[0])
     assert not check.passed
     assert check.residual == pytest.approx(1e-8, rel=1e-3)

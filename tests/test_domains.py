@@ -151,7 +151,7 @@ class TestSummabilityVerdict:
                 self.logs = poly(1.0).log_abs_terms(4096)
                 self.logs.flags.writeable = writeable
 
-            def log_abs_terms(self, count, grid=None):
+            def log_abs_terms(self, count):
                 return self.logs[:count]
 
         for writeable in (True, False):

@@ -295,8 +295,6 @@ READERS = {
     "Phi": {"transported_eigenbasis"},
     "S_alpha_phi": {"weighted_action", "intertwining"},
     "S_alpha_psi": {"weighted_action", "intertwining"},
-    "phi_alpha": {"eigen_action", "weighted_action"},
-    "psi_alpha": {"eigen_action", "weighted_action"},
 }
 #: readers a perturbation of the field cannot fail, with the reason
 CANNOT_FAIL = {
@@ -530,12 +528,10 @@ class TestSharedOperands:
             "Phi": s_psi_sqrt @ phi,
             "S_alpha_phi": rank_one_sum(alpha, phi, phi),
             "S_alpha_psi": rank_one_sum(alpha, psi, psi),
-            "phi_alpha": phi * alpha[..., None, :],
-            "psi_alpha": psi * alpha[..., None, :],
         }
         for name, operator in expected.items():
             assert np.array_equal(getattr(bundle, name), operator), name
-        roots, _, _ = ladder.factorize_from_alpha(bundle)
+        roots, _, _ = ladder.factorize_from_alpha(bundle.weights, bundle.is_real)
         for weights in (gamma, roots):  # the gamma ladder and the factorization's
             lp = ladder.build_ladder(pair, weights)
             a, b = self.ladder_sums(pair, weights)
@@ -558,13 +554,11 @@ class TestSharedOperands:
         another psi does not keep the first pair's adjoint."""
         pair, _, _ = self.batch(8, 3)
         assert np.array_equal(pair.psi_adj, adjoint(pair.psi))
-        assert np.array_equal(pair.phi_adj, adjoint(pair.phi))
         psi = pair.psi.copy()
         psi[..., 0, -1] += 1e-8 * max_entry(psi)
         bumped = dataclasses.replace(pair, psi=psi)
         assert np.array_equal(bumped.psi_adj, adjoint(psi))
         assert not np.array_equal(bumped.psi_adj, pair.psi_adj)
-        assert bumped.phi_adj is not pair.phi_adj
 
 
 class TestOverflowIsAnError:

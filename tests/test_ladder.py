@@ -310,6 +310,14 @@ class TestCommutator:
         (check,) = [c for c in checks if c["name"] == "ladder_products"]
         assert check["passed"] and note_commutator(check["note"]) <= 1e-13
 
+
+def _factorize_stack(gens, alpha):
+    """factorize_from_alpha of a stack of points, with the weights and the
+    realness their bundle holds."""
+    bundle = build_bundle(from_generator(gens), alpha)
+    return factorize_from_alpha(bundle.weights, bundle.is_real)
+
+
 class TestFactorizeFromAlpha:
     def test_three_level(self):
         model = three_level(0.3)
@@ -331,7 +339,7 @@ class TestFactorizeFromAlpha:
 
     @staticmethod
     def reason(bundle):
-        _, skipped, (reason,) = factorize_from_alpha(bundle)
+        _, skipped, (reason,) = factorize_from_alpha(bundle.weights, bundle.is_real)
         assert skipped
         return reason
 
@@ -360,7 +368,7 @@ class TestFactorizeFromAlpha:
         # of a point do not depend on its neighbours
         gens = np.stack([random_generator_matrix(np.random.default_rng(s), 3) for s in (1, 2, 3)])
         alpha = np.array([[0.0, 2.0, 1.0], [0.0, 1.0, 4.0], [1.0, 2.0, 5.0j]], dtype=complex)
-        roots, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        roots, failed, reasons = _factorize_stack(gens, alpha)
         assert failed.tolist() == [True, False, True]
         assert "index 2" in reasons[0] and reasons[1] == "alpha_2 = 0+5j is not real"
         np.testing.assert_array_equal(roots[1], [0.0, 1.0, 2.0])
@@ -403,7 +411,7 @@ class TestFactorizeFromAlpha:
         gens = np.stack(
             [random_generator_matrix(np.random.default_rng(s), 4) for s in range(len(alpha))]
         )
-        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        _, failed, reasons = _factorize_stack(gens, alpha)
         assert failed.tolist() == [False, True, True, True, True, False, True, True, True, True]
         step = "alpha does not increase strictly: violated at index "
         assert reasons == [
@@ -424,21 +432,21 @@ class TestFactorizeFromAlpha:
         alpha[::3] += 1j * (rng.random((67, 8)) < 0.2) * rng.normal(size=(67, 8))
         alpha[1::7, 4] = alpha[1::7, 3]  # equal steps
         gens = np.broadcast_to(np.eye(8, dtype=complex), (200, 8, 8))
-        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        _, failed, reasons = _factorize_stack(gens, alpha)
         assert 50 < failed.sum() < 200
         assert reasons == [self.reference_reason(point) for point in alpha[failed]]
 
     def test_dim_1_fails_only_when_complex(self):
         gens = np.ones((2, 1, 1), dtype=complex)
         alpha = np.array([[2.0], [0.5 + 1j]])
-        _, failed, reasons = factorize_from_alpha(build_bundle(from_generator(gens), alpha))
+        _, failed, reasons = _factorize_stack(gens, alpha)
         assert failed.tolist() == [False, True]
         assert reasons == ["alpha_0 = 0.5+1j is not real"]
 
     def test_roots_shift_by_alpha_0(self):
         # alpha_0 = 1 is no hypothesis: gamma_n = sqrt(alpha_n - 1)
         bundle = build_bundle(random_pair(3, 67), np.array([1.0, 2.0, 5.0]))
-        roots, failed, reasons = factorize_from_alpha(bundle)
+        roots, failed, reasons = factorize_from_alpha(bundle.weights, bundle.is_real)
         assert not failed and not reasons
         np.testing.assert_array_equal(roots, [0.0, 1.0, 2.0])
 

@@ -62,7 +62,7 @@ class TestThreeLevel:
         model = three_level(float(t))
         eps = np.array(model.eps, dtype=complex)
         bundle = build_bundle(from_generator(model.T), eps)
-        _, skipped, _ = factorize_from_alpha(bundle)
+        _, skipped, _ = factorize_from_alpha(bundle.weights, bundle.is_real)
         assert model.admissible == (not skipped)
 
     def test_parameter_domain_enforced(self):
@@ -219,7 +219,7 @@ class TestHatSpectrum:
         # AB = H^{(eps_1, eps_2, 0)} has the relabeled spectrum all the same
         model = three_level(t)
         bundle = build_bundle(from_generator(model.T), np.array(model.eps))
-        roots, failed, _ = factorize_from_alpha(bundle)
+        roots, failed, _ = factorize_from_alpha(bundle.weights, bundle.is_real)
         assert failed and roots[1].imag > 0
         check = result(three_level_hat_spectrum(model, build_ladder(bundle.pair, roots).AB))
         assert check.passed and check.residual <= 1e-12

@@ -23,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from rieszops import basis, cli, factory, ladder, models
+from rieszops import basis, cli, factory, ladder, models, suites
 from rieszops.linalg import max_entry
 
 ARGV = {
@@ -63,10 +63,9 @@ def factorize_from_alpha_1(monkeypatch):
     """factorize_from_alpha takes gamma_n = sqrt(alpha_n - alpha_1)."""
     factorize = ladder.factorize_from_alpha
 
-    def shifted(bundle):
-        _, failed, reasons = factorize(bundle)
-        a = bundle.weights
-        return np.sqrt((a - a[..., 1:2]).astype(complex)), failed, reasons
+    def shifted(alpha, is_real):
+        _, failed, reasons = factorize(alpha, is_real)
+        return np.sqrt((alpha - alpha[..., 1:2]).astype(complex)), failed, reasons
 
     monkeypatch.setattr(ladder, "factorize_from_alpha", shifted)
 
@@ -103,20 +102,33 @@ def pair_mutant(change):
     return apply
 
 
+def patch_model(monkeypatch, build: str, field: str, change) -> None:
+    """Models built by models.<build> carry change(x) in place of their
+    field x: a stored field replaced on the built model, one the model forms
+    on read (a property) changed on every read; every other field and
+    closed form unchanged."""
+    model_class = MODEL_ROWS[build][0]
+    formed = getattr(model_class, field, None)
+    if isinstance(formed, property):
+        monkeypatch.setattr(model_class, field, property(lambda model: change(formed.fget(model))))
+        return
+    make = getattr(models, build)
+
+    def mutated(*args):
+        model = make(*args)
+        return dataclasses.replace(model, **{field: change(getattr(model, field))})
+
+    monkeypatch.setattr(models, build, mutated)
+
+
 def model_mutant(change, fields):
     """A mutant whose three-level and projection models each carry
     change(x) in place of x, their field that fields names (in that order),
     every closed form unchanged."""
 
     def apply(monkeypatch):
-        for name, field in zip(("three_level", "projection_model"), fields):
-            build = getattr(models, name)
-
-            def mutated(*args, build=build, field=field):
-                model = build(*args)
-                return dataclasses.replace(model, **{field: change(getattr(model, field))})
-
-            monkeypatch.setattr(models, name, mutated)
+        for build, field in zip(("three_level", "projection_model"), fields):
+            patch_model(monkeypatch, build, field, change)
 
     return apply
 
@@ -132,6 +144,23 @@ def swap_1_2(t: np.ndarray) -> np.ndarray:
     out = t.copy()
     out[..., [1, 2]] = t[..., [2, 1]]
     return out
+
+
+def alpha_1_2_swapped(monkeypatch):
+    """The battery reads each model's eigenvalues with alpha_1 and alpha_2
+    swapped: the three-level model carries them as its eps (which its ladder
+    closed forms and hat spectrum read too); the projection battery gets
+    them as its alpha, while the model, whose H closed form reads its
+    weights on every read, keeps its own."""
+    patch_model(monkeypatch, "three_level", "eps", swap_1_2)
+    battery = suites._battery
+
+    def swapped(stack, generator, alpha, gamma, rngs, tol, model=None, *rest):
+        if isinstance(model, models.ProjectionModel):
+            alpha = swap_1_2(alpha)
+        return battery(stack, generator, alpha, gamma, rngs, tol, model, *rest)
+
+    monkeypatch.setattr(suites, "_battery", swapped)
 
 
 def gamma_conjugated(monkeypatch):
@@ -188,9 +217,7 @@ MUTANTS = {
     "T transposed": generator_mutant(lambda t: t.mT),
     "T conjugated": generator_mutant(np.conj),
     "T x 1.01": generator_mutant(lambda t: 1.01 * t),
-    # the battery reads the models' eigenvalues as alpha: three-level eps,
-    # projection weights
-    "alpha_1, alpha_2 swapped": model_mutant(swap_1_2, ("eps", "weights")),
+    "alpha_1, alpha_2 swapped": alpha_1_2_swapped,
     "gamma conjugated": gamma_conjugated,
 }
 
@@ -618,18 +645,13 @@ def field_names(record) -> set[str]:
     ids=lambda value: value if isinstance(value, str) else value[0],
 )
 def test_bumped_model_field_fails_its_row_alone(monkeypatch, build, row):
-    """Each closed-form row reads the model field it names, a field of the
-    bundle or the pair too, and no other closed-form row reads it."""
+    """Each closed-form row reads the model field it names (stored, or
+    formed on read), a field of the bundle or the pair too, and no other
+    closed-form row reads it."""
     model_class, argv = MODEL_ROWS[build]
     name, field, _ = row
-    assert field in field_names(model_class)
+    assert field in field_names(model_class) or isinstance(getattr(model_class, field), property)
     assert field in field_names(factory.OperatorBundle) | field_names(basis.RieszBasisPair)
-    make = getattr(models, build)
-
-    def mutated(*args):
-        model = make(*args)
-        return dataclasses.replace(model, **{field: bumped(getattr(model, field))})
-
-    monkeypatch.setattr(models, build, mutated)
+    patch_model(monkeypatch, build, field, bumped)
     rows = {row_name for row_name, _, _ in model_class.rows}
     assert set(failed_checks(ARGV[argv])) & rows == {name}

@@ -155,7 +155,7 @@ def test_factorize_steps_are_np_diff(rng):
     is_real = (alpha.imag == 0).all(axis=-1)
     bundle = types.SimpleNamespace(weights=alpha, is_real=is_real)
     with np.errstate(all="ignore"):
-        roots, failed, reasons = ladder.factorize_from_alpha(bundle)
+        roots, failed, reasons = ladder.factorize_from_alpha(bundle.weights, bundle.is_real)
         steps = np.diff(alpha.real, axis=-1, prepend=-np.inf) <= DEFAULT_TOL
         expected_roots = np.sqrt((alpha - alpha[..., :1]).astype(complex))
     assert same_bits(roots, expected_roots)

@@ -597,6 +597,31 @@ class TestCli:
         assert captured.out == ""
         assert "--tol" in captured.err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--t-min", "--t-max"])
+    def test_sweep_bounds_must_be_finite(self, capsys, flag, value):
+        """A non-finite bound stops at the CLI boundary: no grid is built,
+        so no numpy warning and no error about a t the user never gave."""
+        bounds = {"--t-min": "0.1", "--t-max": "1.0", flag: value}
+        argv = ["sweep", "three-level", "--steps", "3"]
+        for option, text in bounds.items():
+            argv.append(f"{option}={text}")  # -inf is not a negative number to argparse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: must be finite, got {value}\n")
+
+    @pytest.mark.parametrize("t_min, t_max", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_sweep_of_non_finite_bounds_is_refused(self, t_min, t_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t-min and t-max must be finite"):
+                sweep_three_level(t_min, t_max, 3)
+
     def test_non_finite_spec_parameter_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["domain", "--alpha", "poly:1", "--coeff", "geometric:nan"])

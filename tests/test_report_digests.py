@@ -103,9 +103,9 @@ def test_exit_counts_name_each_code_in_order(digests):
 
 
 def test_summary_counts_exit_codes_and_keeps_stdout(digests, monkeypatch, capsys):
-    """stderr gains how many argv ended with each exit code and the wall time
-    of each command's argv, the usage errors apart; stdout stays one line of
-    digests per argv."""
+    """stderr gains how many argv ended with each exit code, the wall time
+    of each command's argv, the usage errors apart, and the process's peak
+    RSS; stdout stays one line of digests per argv."""
     argvs = [("verify", "three-level", "--t", "0.3"), digests.TOL_FAMILY[0],
              digests.USAGE_ERRORS[5],
              ("domain", "--alpha", "poly:1", "--coeff", "harmonic", "--n-max", "64"),
@@ -129,3 +129,5 @@ def test_summary_counts_exit_codes_and_keeps_stdout(digests, monkeypatch, capsys
     ]
     parts = sum(float(seconds) for _, seconds, _ in commands)
     assert parts <= float(wall.group(1)) + 0.02  # each figure rounded to 0.01 s
+    rss = re.search(r" faults, ([0-9.]+) MB peak RSS, 0 documents not strict JSON\n$", err)
+    assert rss and float(rss.group(1)) > 0.0

@@ -79,11 +79,18 @@ def test_terms_of_limited_list_reject_one_past_the_end():
             limited.terms(len(limited.values) + 1)
 
 
-def test_log_abs_terms_take_their_length_from_one_place():
+def test_log_abs_terms_take_their_length_from_one_place(monkeypatch):
+    """count alone sets the length, whatever the shared index table holds:
+    a shorter table is grown to count, a longer one sliced."""
+    monkeypatch.setattr(sequences, "_n_table", None)
+    monkeypatch.setattr(sequences, "_log_n_table", None)
     spec = poly(1.0)
-    np.testing.assert_array_equal(spec.log_abs_terms(8, IndexGrid(8)), spec.log_abs_terms(8))
-    with pytest.raises(ValueError, match="index grid holds 16 terms, 8 requested"):
-        spec.log_abs_terms(8, IndexGrid(16))
+    expected = np.log(np.arange(16.0), where=np.arange(16) > 0, out=np.full(16, -np.inf))
+    np.testing.assert_array_equal(spec.log_abs_terms(8), expected[:8])
+    assert len(sequences._n_table) == 8
+    np.testing.assert_array_equal(spec.log_abs_terms(16), expected)
+    np.testing.assert_array_equal(spec.log_abs_terms(8), expected[:8])
+    assert len(sequences._n_table) == 16
 
 
 @pytest.mark.parametrize(
@@ -343,11 +350,10 @@ class TestIndexTable:
     )
     def test_log_abs_terms_are_fresh_and_writeable(self, text):
         spec = parse_spec(text)
-        grid = IndexGrid(4)
-        first = spec.log_abs_terms(4, grid)
+        first = spec.log_abs_terms(4)
         assert first.flags.writeable and first.flags.owndata
         first[:] = 7.0
-        again = spec.log_abs_terms(4, grid)
+        again = spec.log_abs_terms(4)
         assert again is not first and not (again == 7.0).any()
         assert spec.terms(4).flags.writeable
 

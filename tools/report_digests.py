@@ -16,15 +16,17 @@ and |.|-monotone/non-monotone alpha and gamma (closed forms and 64-term
 lists); verify and sweep projection; verify and sweep three-level across
 the admissible boundaries; domain over a spec grid; a few reports at
 extreme --tol values; then the largest three-level sweep the CLI allows
-(1000 steps, three stacks); then two projection sweeps of several stacks
-each; last, the usage-errors family, argv that exit 2 with a message on
-stderr.  After the digest lines it writes to stderr the argv count, how
+(1000 steps, one stack); then two long projection sweeps, of 31 supports
+at dim 32 (three stacks) and 15 at dim 16 (one); last, the usage-errors
+family, argv that exit 2 with a message on stderr.  After the digest lines
+it writes to stderr, so that stdout stays comparable, the argv count, how
 many argv ended with each exit code (so a change that alters every digest
 still shows at a glance whether a verdict flipped), the wall time since it
 started and the part of it each command's argv took (verify, sweep,
-domain, usage-errors), the process's minor page faults (ru_minflt) and how
-many documents are not strict RFC 8259 JSON (they hold NaN, Infinity or
--Infinity), so stdout stays comparable.  The 1309 argv take 3-5 s on
+domain, usage-errors), the process's minor page faults (ru_minflt) and
+peak resident set size (ru_maxrss, in MB: the memory that stacking sweep
+points trades for speed), and how many documents are not strict RFC 8259
+JSON (they hold NaN, Infinity or -Infinity).  The 1309 argv take 3-5 s on
 a 2-vCPU x86_64 host.
 
 With --failures it prints instead one row per check and argv family (the
@@ -152,8 +154,8 @@ def corpus():
     yield from TOL_FAMILY
     # the largest grid the CLI allows, last so that earlier lines stay comparable
     yield ("sweep", "three-level", "--t-max", "6.28", "--steps", "1000", "--seed", "3")
-    # projection sweeps across several stacks: real alpha, and complex alpha,
-    # which does not run the real-alpha check selfadjoint_h
+    # long projection sweeps, three stacks and one: real alpha, and complex
+    # alpha, which does not run the real-alpha check selfadjoint_h
     yield ("sweep", "projection", "--dim", "32", "--n-min", "2", "--n-max", "32",
            "--seed", "5", "--alpha", "poly:2")
     yield ("sweep", "projection", "--dim", "16", "--n-min", "2", "--n-max", "16",
@@ -253,12 +255,13 @@ def main() -> int:
         print(sha256(text), sha256(err), code, shlex.join(argv))
         codes.append(code)
         loose += bool(text) and not strict(text)  # a usage error prints nothing
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     sys.stdout.flush()
     commands = ", ".join(f"{command} {seconds:.2f} s" for command, seconds in wall.items())
     sys.stderr.write(
         f"{len(codes)} argv ({exit_counts(codes)}) in {time.perf_counter() - start:.2f} s wall "
-        f"({commands}), {faults} minor page faults, {loose} documents not strict JSON\n"
+        f"({commands}), {usage.ru_minflt} minor page faults, {usage.ru_maxrss / 1024:.1f} MB "
+        f"peak RSS, {loose} documents not strict JSON\n"
     )
     return 0
 
